@@ -6,6 +6,8 @@ needed) and returns an :class:`ExtendedFormulation` whose ledger carries the
 advertised size counts.  Hypotheses of the form "the canonical form of every
 vertex of P lies in P" cannot be checked from an H-representation; they are
 caller obligations here, and the verifier validates the conclusion instead.
+The one exception is a one-point base of the permutation-type orbits, which
+must equal its own canonical form; that is checked up front.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .networks import (
     stride_indices,
     stride_seq,
 )
-from .numeric import EXACT, FLOAT, BackendError, DimensionError
+from .numeric import EXACT, FLOAT, BackendError, DimensionError, identity_matrix, vectors_eq
 from .polyhedra import (
     AffineMap,
     ExtendedFormulation,
@@ -36,6 +38,7 @@ from .polyhedra import (
 )
 from .reflections import (
     ReflectionSpec,
+    apply_preimage_chain,
     even_sign_pair_specs,
     reflection_relation,
     sign_spec,
@@ -106,6 +109,22 @@ def _validated(net: ComparatorSeq, n: int) -> ComparatorSeq:
     return net
 
 
+def _check_point_base(P: HPolyhedron, specs) -> None:
+    """Reject a one-point base (as :meth:`HPolyhedron.point` writes it)
+    that the chain's canonical-preimage pass moves: that point is not its
+    own canonical form, so the formulation could not contain its orbit."""
+    if P.A or P.C != identity_matrix(P.dim, P.backend):
+        return
+    canonical = apply_preimage_chain(specs, P.d)
+    if not vectors_eq(canonical, P.d):
+        given = ", ".join(map(str, P.d))
+        moved = ", ".join(map(str, canonical))
+        raise ValueError(
+            f"base point ({given}) is not in canonical form for this chain; "
+            f"its canonical-preimage pass gives ({moved})"
+        )
+
+
 def make_network(kind: str, n: int) -> ComparatorSeq:
     if kind == "batcher":
         return batcher(n)
@@ -162,14 +181,18 @@ def a_permutahedron_ef(
 ) -> ExtendedFormulation:
     """Extension of the convex hull of all coordinate permutations of P.
 
-    Caller obligation: sort(v) in P for each vertex v.  The base point
-    (1,..,n) yields the permutahedron with 2|net| inequalities.
+    Caller obligation: sort(v) in P for each vertex v; a one-point base
+    that is not sorted raises ValueError.  The base point (1,..,n) yields
+    the permutahedron with 2|net| inequalities.
     """
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
-    chain = _reflection_chain(transposition_chain_specs(net, P.backend))
-    return compose_extension(P, chain, label=f"a_permutahedron(n={n})")
+    specs = transposition_chain_specs(net, P.backend)
+    _check_point_base(P, specs)
+    return compose_extension(
+        P, _reflection_chain(specs), label=f"a_permutahedron(n={n})"
+    )
 
 
 def b_permutahedron_ef(
@@ -178,13 +201,15 @@ def b_permutahedron_ef(
     """Extension of the convex hull of all signed permutations of P
     (permutations plus arbitrary sign changes).
 
-    Caller obligation: sortabs(v) in P for each vertex v.  Adds
-    2|net| + 2n inequalities.
+    Caller obligation: sortabs(v) in P for each vertex v; a one-point base
+    that is not its own sortabs raises ValueError.  Adds 2|net| + 2n
+    inequalities.
     """
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
     specs = transposition_chain_specs(net, P.backend) + sign_chain_specs(n, P.backend)
+    _check_point_base(P, specs)
     return compose_extension(
         P, _reflection_chain(specs), label=f"b_permutahedron(n={n})"
     )
@@ -197,7 +222,8 @@ def d_permutahedron_ef(
     (permutations plus sign changes on an even number of coordinates).
 
     Caller obligation: the even-sign canonical form of each vertex lies in
-    P.  Adds 2|net| + 4(n-1) inequalities.
+    P; a one-point base that is not its own canonical form raises
+    ValueError.  Adds 2|net| + 4(n-1) inequalities.
     """
     if n < 2:
         raise DimensionError("even-signed orbits need dimension >= 2")
@@ -207,6 +233,7 @@ def d_permutahedron_ef(
     specs = transposition_chain_specs(net, P.backend) + even_pair_chain_specs(
         n, P.backend
     )
+    _check_point_base(P, specs)
     return compose_extension(
         P, _reflection_chain(specs), label=f"d_permutahedron(n={n})"
     )

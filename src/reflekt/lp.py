@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
-from .numeric import DEFAULT_TOL, EXACT, FLOAT, dot, vec_sub
+from .numeric import DEFAULT_TOL, EXACT, FLOAT, dot, int_scale, vec_sub
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -47,18 +46,6 @@ class LPResult:
     value: Optional[object] = None
     point: Optional[tuple] = None
     dual: Optional[tuple] = None
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
-def _int_scale(frac_row):
-    """Scale a row of Fractions to integers; returns (int_row, multiplier)."""
-    mult = 1
-    for f in frac_row:
-        mult = _lcm(mult, f.denominator)
-    return [int(f * mult) for f in frac_row], mult
 
 
 class _ExactCore:
@@ -136,7 +123,7 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
 
     staged = []  # (int_row over nv cols, rhs int, slack_sign or 0, mult)
     for coeffs, rhs in ineqs:
-        row, mult = _int_scale(split(coeffs) + [Fraction(rhs)])
+        row, mult = int_scale(split(coeffs) + [Fraction(rhs)])
         r, beta = row[:-1], row[-1]
         sign = 1
         if beta < 0:
@@ -144,7 +131,7 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
             beta, sign = -beta, -1
         staged.append((r, beta, sign, mult))
     for coeffs, rhs in eqs:
-        row, mult = _int_scale(split(coeffs) + [Fraction(rhs)])
+        row, mult = int_scale(split(coeffs) + [Fraction(rhs)])
         r, beta = row[:-1], row[-1]
         if beta < 0:
             r, beta = [-e for e in r], -beta
@@ -175,7 +162,7 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
     obj_frac = [Fraction(c) for c in objective]
     if sense == "min":
         obj_frac = [-c for c in obj_frac]
-    obj_int, obj_scale = _int_scale(split(obj_frac))
+    obj_int, obj_scale = int_scale(split(obj_frac))
     p2 = obj_int + [0] * (n_slack + n_art) + [0]
 
     p1 = [0] * (ncols + 1)
@@ -473,6 +460,7 @@ class ProjectionChecker:
 
         Q = ef.Q
         self.backend = Q.backend
+        self.w_feas = None
         part, basis = affine_solution_space(Q.C, Q.d, tol, dim=Q.dim, backend=Q.backend)
         self.consistent = part is not None
         if not self.consistent:
@@ -486,7 +474,6 @@ class ProjectionChecker:
         self.t_red = vec_add(mat_vec(M, part), t)
         self.z_part = part
         self.N_cols = cols
-        self.w_feas = None
         self.b_shift = None
 
     def feasible(self, y, tol: float = DEFAULT_TOL) -> bool:

@@ -2,8 +2,13 @@
 
 Two numeric backends live behind one scalar vocabulary:
 
-* ``EXACT`` -- arbitrary-precision rationals (:class:`fractions.Fraction`),
-  the default everywhere.  Arithmetic never rounds, comparisons are exact.
+* ``EXACT`` -- arbitrary-precision rationals, the default everywhere.
+  Arithmetic never rounds, comparisons are exact.  Scalars are
+  :class:`fractions.Fraction` at the API and JSON boundaries and in LP
+  results.  The certification hot paths -- containment, reflection
+  preimages and brute-force support maxima -- scale their data once to
+  ``int`` (:func:`int_scale`, :class:`ScaledPoint`) and never build a
+  Fraction per operation.
 * ``FLOAT`` -- binary64 floats, opt-in, needed only for constructions whose
   data is irrational (the regular m-gon normals).  Comparisons use a
   symmetric tolerance: ``a <= b`` means ``a - b <= tol``.
@@ -16,7 +21,8 @@ here is a pure function over immutable inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import gcd
+from typing import Iterable, NamedTuple, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -164,8 +170,37 @@ def mat_mul(A: Sequence, B: Sequence) -> Matrix:
     return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
-def transpose(M: Sequence) -> Matrix:
-    return tuple(zip(*M)) if M else ()
+def int_scale(values: Iterable):
+    """Scale rationals (ints or Fractions) to integers over their least
+    common denominator D; returns ``(ints, D)`` with ``ints[i] = values[i] * D``.
+
+    Used for constraint rows, where any positive multiple describes the
+    same halfspace, and for points, where D is kept as the denominator.
+    """
+    values = list(values)
+    den = 1
+    for f in values:
+        d = f.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [f.numerator * (den // f.denominator) for f in values], den
+
+
+class ScaledPoint(NamedTuple):
+    """An exact point as integer numerators over one positive common
+    denominator: coordinate i is ``nums[i] / den``."""
+
+    nums: tuple
+    den: int
+
+    @classmethod
+    def of(cls, x: Iterable) -> "ScaledPoint":
+        nums, den = int_scale(x)
+        return cls(tuple(nums), den)
+
+    def fractions(self) -> Vector:
+        den = self.den
+        return tuple(Fraction(e, den) for e in self.nums)
 
 
 def rref(M: Sequence, tol: float = DEFAULT_TOL):

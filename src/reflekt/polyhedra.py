@@ -23,12 +23,15 @@ from typing import Callable, Optional, Sequence
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
+    FLOAT,
     BackendError,
     DimensionError,
+    ScaledPoint,
     affine_solution_space,
     dot,
     identity_matrix,
     infer_backend,
+    int_scale,
     join_backends,
     kernel_dim,
     leq,
@@ -50,7 +53,11 @@ class EmptyPolyhedronError(ValueError):
 @dataclass(frozen=True)
 class HPolyhedron:
     """Ax <= b together with Cx = d; inequality and equation counts are
-    tracked separately because the size arithmetic counts inequalities only."""
+    tracked separately because the size arithmetic counts inequalities only.
+
+    Exact membership tests run on a copy of the system with every row
+    scaled to integers, built on first use and cached.
+    """
 
     dim: int
     A: tuple = ()
@@ -59,6 +66,7 @@ class HPolyhedron:
     d: tuple = ()
     backend: str = EXACT
     _sparse: object = field(default=None, repr=False, compare=False)
+    _int: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for rows, name in ((self.A, "A"), (self.C, "C")):
@@ -81,6 +89,21 @@ class HPolyhedron:
             )
             object.__setattr__(self, "_sparse", (ineq, eq))
         return self._sparse
+
+    def _int_system(self):
+        # each sparse row times the least common denominator of its
+        # coefficients and right-hand side; positive scaling keeps the row
+        if self._int is None:
+            def scaled(rows):
+                out = []
+                for row, rhs in rows:
+                    ints, _ = int_scale([c for _, c in row] + [rhs])
+                    out.append((tuple((j, k) for (j, _), k in zip(row, ints)), ints[-1]))
+                return tuple(out)
+
+            ineq, eq = self._sparse_system()
+            object.__setattr__(self, "_int", (scaled(ineq), scaled(eq)))
+        return self._int
 
     @classmethod
     def from_rows(cls, dim, ineqs=(), eqs=(), backend=EXACT):
@@ -123,14 +146,34 @@ class HPolyhedron:
         return len(self.C)
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        if len(x) != self.dim:
+        """Membership of x, a tuple of scalars or a :class:`ScaledPoint`.
+
+        Exact data is tested on integers, sum(c*X) <= rhs*D and
+        sum(c*X) = rhs*D row by row; float data (a float backend or a float
+        point) within ``tol``.
+        """
+        if not isinstance(x, ScaledPoint):
+            if len(x) != self.dim:
+                raise DimensionError("point dimension mismatch")
+            if self.backend == FLOAT or any(isinstance(e, float) for e in x):
+                ineq, eq = self._sparse_system()
+                for row, rhs in ineq:
+                    if not leq(sum(c * x[j] for j, c in row), rhs, tol):
+                        return False
+                for row, rhs in eq:
+                    if not scalars_eq(sum(c * x[j] for j, c in row), rhs, tol):
+                        return False
+                return True
+            x = ScaledPoint.of(x)
+        nums, den = x
+        if len(nums) != self.dim:
             raise DimensionError("point dimension mismatch")
-        ineq, eq = self._sparse_system()
+        ineq, eq = self._int_system()
         for row, rhs in ineq:
-            if not leq(sum(c * x[j] for j, c in row), rhs, tol):
+            if sum(c * nums[j] for j, c in row) > rhs * den:
                 return False
         for row, rhs in eq:
-            if not scalars_eq(sum(c * x[j] for j, c in row), rhs, tol):
+            if sum(c * nums[j] for j, c in row) != rhs * den:
                 return False
         return True
 
@@ -229,7 +272,10 @@ class PolyhedralRelation:
     ``generators``, when present, are affine maps whose images generate each
     fiber's convex hull.  ``preimage`` maps y to a canonical x whose fiber
     contains y (used to assemble feasibility witnesses); it may return None.
-    Emptiness is checked lazily by the LP layer, never at construction.
+    ``spec`` is the :class:`~reflekt.reflections.ReflectionSpec` of a
+    reflection relation, whose preimage also maps a :class:`ScaledPoint`
+    to a ScaledPoint.  Emptiness is checked lazily by the LP layer, never
+    at construction.
     """
 
     n: int
@@ -238,6 +284,7 @@ class PolyhedralRelation:
     generators: Optional[tuple] = None
     preimage: Optional[Callable] = None
     label: str = ""
+    spec: Optional[object] = None
 
     def __post_init__(self):
         if self.body.dim != self.n + self.m:
@@ -329,6 +376,7 @@ class ExtendedFormulation:
     relations: Optional[tuple] = None
     label: str = ""
     _checker: object = field(default=None, repr=False, compare=False)
+    _integer_chain: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def backend(self) -> str:
@@ -458,24 +506,37 @@ def eliminate_equations(
 
 def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     """Try to assemble a full chain point projecting to y via canonical
-    preimages; returns the flat coordinate vector or None."""
+    preimages; returns the flat coordinate vector or None.
+
+    An exact chain of reflection relations is walked on integers and gives
+    a :class:`ScaledPoint` over the denominator of its base block, which
+    every step keeps or multiplies; other chains give a tuple of scalars.
+    """
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
-    blocks = [tuple(y)]
-    current = tuple(y)
+    if ef._integer_chain is None:
+        ef._integer_chain = ef.backend == EXACT and all(
+            rel.spec is not None for rel in ef.relations
+        )
+    integer = ef._integer_chain
+    current = ScaledPoint.of(y) if integer else tuple(y)
+    blocks = [current]
     for rel in reversed(ef.relations):
         if rel.preimage is None:
             return None
-        prev = rel.preimage(current, tol)
-        if prev is None:
+        current = rel.preimage(current, tol)
+        if current is None:
             return None
-        blocks.append(tuple(prev))
-        current = tuple(prev)
+        if not integer:
+            current = tuple(current)
+        blocks.append(current)
     blocks.reverse()
     if not ef.base.contains(blocks[0], tol):
         return None
-    flat = tuple(e for blk in blocks for e in blk)
-    return flat
+    if not integer:
+        return tuple(e for blk in blocks for e in blk)
+    den = blocks[0].den
+    return ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
 
 
 def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) -> bool:

@@ -11,20 +11,32 @@ so chains of these relations contribute two inequalities each to a composed
 formulation.  The canonical preimage keeps a point that already satisfies
 the halfspace and reflects one that does not; preimage chains apply the
 *last* relation's preimage first, matching function-composition order.
+
+On exact data the domain test and the reflection run on integers: the
+normal and offset are scaled once to an integer pair (a, beta) and a point
+travels as a :class:`~reflekt.numeric.ScaledPoint` (numerators X over a
+denominator D).  The point is in the domain when <a,X> <= beta*D, and its
+mirror image is X + (2(beta*D - <a,X>) / <a,a>) a over D, so D grows only
+when <a,a> does not divide 2(beta*D - <a,X>).  Float data keeps the
+tolerance tests of :mod:`reflekt.numeric`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
+    FLOAT,
     DimensionError,
+    ScaledPoint,
     dot,
     infer_backend,
+    int_scale,
     leq,
     orthogonal_complement_basis,
     unit_vector,
@@ -43,10 +55,23 @@ class ReflectionSpec:
     a: tuple
     beta: object
     backend: str = EXACT
+    _int: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if all(e == 0 for e in self.a):
             raise ValueError("reflection normal must be nonzero")
+
+    def int_form(self):
+        """``(nonzeros, beta, aa)``: (a, beta) scaled to integers by the
+        least common denominator of its entries, with the normal as sparse
+        ``(index, coefficient)`` pairs and ``aa = <a,a>``.  Exact backend
+        only; built on first use and cached."""
+        if self._int is None:
+            ints, _ = int_scale(list(self.a) + [self.beta])
+            nonzeros = tuple((j, c) for j, c in enumerate(ints[:-1]) if c)
+            form = (nonzeros, ints[-1], sum(c * c for _, c in nonzeros))
+            object.__setattr__(self, "_int", form)
+        return self._int
 
     @classmethod
     def make(cls, a, beta, backend=None):
@@ -62,7 +87,44 @@ class ReflectionSpec:
 
     def in_domain(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Whether x lies in the halfspace <a,x> <= beta."""
-        return leq(dot(self.a, x), self.beta, tol)
+        if _is_float(self, x):
+            return leq(dot(self.a, x), self.beta, tol)
+        return _slack(self.int_form(), _scaled(self, x)) >= 0
+
+
+def _is_float(spec: ReflectionSpec, x) -> bool:
+    return spec.backend == FLOAT or any(isinstance(e, float) for e in x)
+
+
+def _scaled(spec: ReflectionSpec, x) -> ScaledPoint:
+    if len(x) != spec.dim:
+        raise DimensionError("point dimension != reflection dimension")
+    return ScaledPoint.of(x)
+
+
+def _slack(form, p: ScaledPoint) -> int:
+    """beta*D - <a,X>: nonnegative exactly when p is in the domain."""
+    nonzeros, beta, _ = form
+    nums = p.nums
+    return beta * p.den - sum(c * nums[j] for j, c in nonzeros)
+
+
+def _mirror(form, p: ScaledPoint, slack: int) -> ScaledPoint:
+    """Mirror image of p, given its slack; D grows by <a,a>/g when
+    g = gcd(2*slack, <a,a>) is smaller than <a,a>."""
+    nonzeros, _, aa = form
+    step, rest = divmod(2 * slack, aa)
+    nums, den = p
+    if rest:
+        g = gcd(2 * slack, aa)
+        step, grow = 2 * slack // g, aa // g
+        nums = [e * grow for e in nums]
+        den *= grow
+    else:
+        nums = list(nums)
+    for j, c in nonzeros:
+        nums[j] += step * c
+    return ScaledPoint(tuple(nums), den)
 
 
 def reflect_point(spec: ReflectionSpec, x):
@@ -71,11 +133,15 @@ def reflect_point(spec: ReflectionSpec, x):
     An involution that fixes the hyperplane pointwise and satisfies
     <a, reflect(x)> = 2*beta - <a,x>.
     """
-    if len(x) != spec.dim:
-        raise DimensionError("point dimension != reflection dimension")
-    a = spec.a
-    factor = 2 * (spec.beta - dot(a, x)) / dot(a, a)
-    return vec_add(x, vec_scale(factor, a))
+    if _is_float(spec, x):
+        if len(x) != spec.dim:
+            raise DimensionError("point dimension != reflection dimension")
+        a = spec.a
+        factor = 2 * (spec.beta - dot(a, x)) / dot(a, a)
+        return vec_add(x, vec_scale(factor, a))
+    form = spec.int_form()
+    p = _scaled(spec, x)
+    return _mirror(form, p, _slack(form, p)).fractions()
 
 
 def reflection_map(spec: ReflectionSpec) -> AffineMap:
@@ -94,10 +160,26 @@ def reflection_map(spec: ReflectionSpec) -> AffineMap:
 
 def canonical_preimage(spec: ReflectionSpec, y, tol: float = DEFAULT_TOL):
     """y itself when it satisfies the halfspace, its reflection otherwise;
-    the output always lies in the halfspace and its fiber contains y."""
-    if spec.in_domain(y, tol):
-        return tuple(y)
-    return reflect_point(spec, y)
+    the output always lies in the halfspace and its fiber contains y.
+
+    A :class:`ScaledPoint` input gives a ScaledPoint output; other exact
+    input is scaled to one for the step and returned as Fractions.
+    """
+    if isinstance(y, ScaledPoint):
+        return _preimage_step(spec, y)
+    if _is_float(spec, y):
+        if spec.in_domain(y, tol):
+            return tuple(y)
+        return reflect_point(spec, y)
+    p = _scaled(spec, y)
+    x = _preimage_step(spec, p)
+    return tuple(y) if x is p else x.fractions()
+
+
+def _preimage_step(spec: ReflectionSpec, p: ScaledPoint) -> ScaledPoint:
+    form = spec.int_form()
+    slack = _slack(form, p)
+    return p if slack >= 0 else _mirror(form, p, slack)
 
 
 def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
@@ -130,7 +212,7 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
 
     return PolyhedralRelation(
         n, n, body, generators=gens, preimage=preimage,
-        label=f"reflect({spec.a}, {spec.beta})",
+        label=f"reflect({spec.a}, {spec.beta})", spec=spec,
     )
 
 

@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -24,6 +25,9 @@ from .numeric import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    DimensionError,
+    ScaledPoint,
+    int_scale,
     scalar_to_json,
     scalars_eq,
     dot,
@@ -56,6 +60,8 @@ class VerificationReport:
     hypothesis_checks: tuple = ()
     seed: int = 0
     wall_time_s: float = 0.0
+    witness_hits: int = 0
+    lp_fallbacks: int = 0
 
     @property
     def passed(self) -> bool:
@@ -89,6 +95,8 @@ class VerificationReport:
             }
         if include_timing:
             out["wall_time_s"] = self.wall_time_s
+            out["witness_hits"] = self.witness_hits
+            out["lp_fallbacks"] = self.lp_fallbacks
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -163,8 +171,15 @@ def verify_projection_equality(
     (b) for seeded random integer objectives, the LP optimum of <c, pi(z)>
         over Q must equal the brute-force maximum over V -- exactly in the
         rational backend, within ``tol`` in float mode.
+
+    A vertex passes (a) through a canonical-preimage witness checked
+    against Q (``witness_hits``) or else through an LP (``lp_fallbacks``).
+    In the rational backend V is scaled once to one integer matrix over a
+    common denominator and every brute-force maximum is taken on integers.
     """
     t0 = time.perf_counter()
+    if V.dim != ef.projection.out_dim:
+        raise DimensionError("vertex dimension != projection output dimension")
     backend = ef.backend
     lp_tol = min(tol, DEFAULT_TOL)
     report = VerificationReport(
@@ -177,19 +192,32 @@ def verify_projection_equality(
         z = _witness_blocks(ef, v, tol)
         if z is not None and ef.Q.contains(z, tol):
             report.vertex_passed += 1
-            checker.seed_from_raw(z, lp_tol)
-        elif checker.feasible(v, lp_tol):
-            report.vertex_passed += 1
+            report.witness_hits += 1
+            if checker.w_feas is None:
+                raw = z.fractions() if isinstance(z, ScaledPoint) else z
+                checker.seed_from_raw(raw, lp_tol)
+        else:
+            report.lp_fallbacks += 1
+            if checker.feasible(v, lp_tol):
+                report.vertex_passed += 1
 
     rng = Random(seed)
     exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
+    if exact:
+        flat, v_den = int_scale(e for v in V.points for e in v)
+        v_rows = [flat[i : i + V.dim] for i in range(0, len(flat), V.dim)]
     for c in random_objectives(ef.projection.out_dim, n_objectives, rng, backend):
         report.objective_total += 1
         status, value = checker.maximize_projected(c, "max", lp_tol)
         if status != lp.OPTIMAL:
             continue
-        brute = max(dot(c, v) for v in V.points)
+        if exact:
+            c_ints, c_den = int_scale(c)
+            best = max(sum(map(mul, c_ints, row)) for row in v_rows)
+            brute = Fraction(best, v_den * c_den)
+        else:
+            brute = max(dot(c, v) for v in V.points)
         dev = abs(value - brute)
         if dev > max_dev:
             max_dev = dev

@@ -168,6 +168,24 @@ class TestAPermutahedron:
                 HPolyhedron.point((F(1), F(2), F(3))), 3, ComparatorSeq(3, ((1, 2),))
             )
 
+    def test_non_canonical_point_base_rejected(self):
+        # a one-point base must be its own canonical form for the chain
+        for recipe, base in (
+            ("a_permutahedron", (3, 1, 2)),
+            ("b_permutahedron", (1, -2, 3)),
+            ("b_permutahedron", (2, 1, 3)),
+            ("d_permutahedron", (2, 1, 3)),
+            ("d_permutahedron", (-2, 1, 3)),
+        ):
+            with pytest.raises(ValueError, match="not in canonical form"):
+                build_recipe(recipe, {"n": 3, "base": base})
+        for recipe, base in (
+            ("a_permutahedron", (1, 1, 4)),
+            ("b_permutahedron", (0, 1, 2)),
+            ("d_permutahedron", (-1, 2, 3)),
+        ):
+            build_recipe(recipe, {"n": 3, "base": base})
+
 
 class TestBPermutahedron:
     def test_two_dim_orbit(self):

@@ -1,0 +1,125 @@
+"""The exact integer kernel against plain Fraction arithmetic.
+
+Reflection steps and containment run on integers over a common denominator
+(``ScaledPoint``); the references here are the textbook Fraction formulas,
+evaluated row by row.  Non-unit normals, fractional offsets and points with
+denominators exercise the branch where <a,a> does not divide the step and
+the denominator grows.  Float data must keep its tolerance semantics.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reflekt.numeric import FLOAT, ScaledPoint, dot, int_scale
+from reflekt.polyhedra import HPolyhedron
+from reflekt.reflections import ReflectionSpec, canonical_preimage, reflect_point
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def normals(n):
+    return st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=n, max_size=n
+    ).filter(any)
+
+
+def points(n):
+    return st.lists(rationals, min_size=n, max_size=n).map(tuple)
+
+
+def reference_reflect(a, beta, x):
+    factor = 2 * (beta - dot(a, x)) / dot(a, a)
+    return tuple(e + factor * c for e, c in zip(x, a))
+
+
+def reference_preimage(a, beta, x):
+    return tuple(x) if dot(a, x) <= beta else reference_reflect(a, beta, x)
+
+
+@st.composite
+def spec_and_point(draw):
+    n = draw(st.integers(1, 5))
+    return tuple(draw(normals(n))), draw(offsets), draw(points(n))
+
+
+class TestReflectionStep:
+    @given(spec_and_point())
+    @example(((F(1), F(2), F(-3)), F(1, 2), (F(1), F(0), F(0))))
+    @settings(max_examples=200, deadline=None)
+    def test_step_matches_fraction_formulas(self, case):
+        a, beta, x = case
+        spec = ReflectionSpec(a, beta)
+        want = reference_preimage(a, beta, x)
+        assert reflect_point(spec, x) == reference_reflect(a, beta, x)
+        assert canonical_preimage(spec, x) == want
+        assert spec.in_domain(x) == (dot(a, x) <= beta)
+        # the same step on a ScaledPoint, also one not in lowest terms
+        p = ScaledPoint.of(x)
+        for start in (p, ScaledPoint(tuple(3 * e for e in p.nums), 3 * p.den)):
+            out = canonical_preimage(spec, start)
+            assert isinstance(out, ScaledPoint)
+            assert out.fractions() == want
+            assert out.den % start.den == 0
+
+    def test_denominator_grows_only_on_a_remainder(self):
+        # (1, 2, -3) with beta 1/2 scales to (2, 4, -6) and beta 1, <a,a> = 56
+        spec = ReflectionSpec((F(1), F(2), F(-3)), F(1, 2))
+        assert spec.int_form() == (((0, 2), (1, 4), (2, -6)), 1, 56)
+        out = canonical_preimage(spec, ScaledPoint((1, 0, 0), 1))
+        # 2 * slack = -2 leaves remainder 54 mod 56: D grows by 56 / 2
+        assert out == ScaledPoint((26, -4, 6), 28)
+        # a transposition (<a,a> = 2) always divides 2 * slack
+        swap = ReflectionSpec((F(1), F(-1)), F(0))
+        assert canonical_preimage(swap, ScaledPoint((5, 2), 3)) == ScaledPoint((2, 5), 3)
+
+
+@st.composite
+def system_and_point(draw):
+    n = draw(st.integers(1, 4))
+    x = draw(points(n))
+    slack = st.sampled_from((F(0), F(0), F(1, 3), F(-1, 2), F(5, 7)))
+
+    def rows(count):
+        out = []
+        for _ in range(draw(st.integers(0, count))):
+            row = tuple(draw(st.lists(rationals, min_size=n, max_size=n)))
+            # a zero slack puts x exactly on the facet or equation
+            out.append((row, dot(row, x) + draw(slack)))
+        return out
+
+    return n, rows(4), rows(2), x
+
+
+class TestContains:
+    @given(system_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_matches_row_by_row_fractions(self, case):
+        n, ineqs, eqs, x = case
+        P = HPolyhedron.from_rows(n, ineqs, eqs)
+        want = all(dot(r, x) <= b for r, b in ineqs) and all(dot(r, x) == d for r, d in eqs)
+        assert P.contains(x) == want
+        nums, den = int_scale(x)
+        assert P.contains(ScaledPoint(tuple(nums), den)) == want
+        assert P.contains(ScaledPoint(tuple(2 * e for e in nums), 2 * den)) == want
+
+    def test_float_backend_keeps_tolerance(self):
+        P = HPolyhedron.from_rows(2, [((1.0, 0.0), 1.0)], [((0.0, 1.0), 2.0)], FLOAT)
+        assert P.contains((1.0 + 1e-10, 2.0 - 1e-10))
+        assert not P.contains((1.0 + 1e-6, 2.0))
+        assert not P.contains((1.0, 2.0 + 1e-6))
+        assert P.contains((1.0 + 1e-6, 2.0), tol=1e-5)
+
+    def test_float_point_in_exact_polyhedron_keeps_tolerance(self):
+        P = HPolyhedron.from_rows(1, [((F(1),), F(1))])
+        assert P.contains((1.0 + 1e-10,))
+        assert not P.contains((1.0 + 1e-6,))
+
+    def test_float_preimage_keeps_tolerance(self):
+        spec = ReflectionSpec((1.0, 0.0), 0.0, FLOAT)
+        # within tol of the mirror: kept as it is
+        assert canonical_preimage(spec, (1e-10, 5.0)) == (1e-10, 5.0)
+        assert canonical_preimage(spec, (1e-3, 5.0)) == (-1e-3, 5.0)
+        assert canonical_preimage(spec, (1e-3, 5.0), tol=1e-2) == (1e-3, 5.0)

@@ -1,4 +1,6 @@
 import itertools
+import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -47,12 +49,36 @@ class TestProjectionEquality:
         assert (rep.objective_total, rep.objective_passed) == (50, 50)
         assert rep.objective_max_deviation == 0
 
+    def test_fractional_vertices(self):
+        # the vertex matrix and the witnesses carry a common denominator 6
+        base = (F(1, 2), F(2, 3), F(3))
+        ef = a_permutahedron_ef(HPolyhedron.point(base), 3, batcher(3))
+        rep = verify_projection_equality(ef, permutation_orbit(base), 30, seed=7)
+        assert rep.passed
+        assert rep.witness_hits == 6
+        assert rep.objective_max_deviation == 0
+
     def test_truncated_chain_fails(self):
         ef = perm3_ef()
         mutated = compose_extension(ef.base, ef.relations[:-1])
         rep = verify_projection_equality(mutated, permutation_orbit((1, 2, 3)), 50, seed=7)
         assert not rep.passed
         assert rep.vertex_passed < rep.vertex_total
+
+    def test_objective_check_catches_a_larger_projection(self):
+        # raising the last right-hand side keeps every witness feasible but
+        # lets the projection grow past conv(V): only objectives can see it
+        ef = perm3_ef()
+        Q = ef.Q
+        loose = HPolyhedron(Q.dim, Q.A, Q.b[:-1] + (Q.b[-1] + 1,), Q.C, Q.d)
+        rep = verify_projection_equality(
+            replace(ef, Q=loose), permutation_orbit((1, 2, 3)), 20, seed=7
+        )
+        assert (rep.vertex_total, rep.vertex_passed) == (6, 6)
+        assert rep.objective_total == 20
+        assert rep.objective_passed < rep.objective_total
+        assert rep.objective_max_deviation > 0
+        assert not rep.passed
 
     def test_mgon_float_mode(self):
         rep = verify_projection_equality(mgon_ef(4), mgon_orbit(4), 25, seed=1, tol=1e-6)
@@ -79,6 +105,20 @@ class TestProjectionEquality:
         assert data["hypothesis_checks"] == [["chain-conditions", True]]
         assert "wall_time_s" not in data
         assert "wall_time_s" in rep.to_dict(include_timing=True)
+
+    def test_vertex_paths_only_with_timing(self):
+        ef = perm3_ef()
+        bare = compose_extension(ef.base, ef.relations)
+        bare.base = None  # no provenance: every vertex takes the LP
+        for formulation, hits, fallbacks in ((ef, 6, 0), (bare, 0, 6)):
+            rep = verify_projection_equality(
+                formulation, permutation_orbit((1, 2, 3)), 5, seed=2
+            )
+            timed = rep.to_dict(include_timing=True)
+            assert (timed["witness_hits"], timed["lp_fallbacks"]) == (hits, fallbacks)
+            plain = json.loads(rep.to_json())
+            assert "witness_hits" not in plain and "lp_fallbacks" not in plain
+            assert plain == {k: v for k, v in timed.items() if k in plain}
 
 
 class TestChainConditions:
