@@ -456,25 +456,22 @@ class ProjectionChecker:
     reduced inequality system (only right-hand sides change per query)."""
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
-        from .numeric import affine_solution_space, mat_vec, vec_add
+        from .polyhedra import EmptyPolyhedronError, reduce_equations
 
-        Q = ef.Q
-        self.backend = Q.backend
+        self.backend = ef.Q.backend
         self.w_feas = None
-        part, basis = affine_solution_space(Q.C, Q.d, tol, dim=Q.dim, backend=Q.backend)
-        self.consistent = part is not None
-        if not self.consistent:
-            return
-        cols = basis
-        self.n_free = len(cols)
-        self.A_red = tuple(tuple(dot(row, col) for col in cols) for row in Q.A)
-        self.b_red = tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b))
-        M, t = ef.projection.M, ef.projection.t
-        self.M_red = tuple(tuple(dot(mrow, col) for col in cols) for mrow in M)
-        self.t_red = vec_add(mat_vec(M, part), t)
-        self.z_part = part
-        self.N_cols = cols
         self.b_shift = None
+        try:
+            red = reduce_equations(ef, tol)
+        except EmptyPolyhedronError as exc:
+            self.consistent, self.inconsistency = False, exc
+            return
+        self.consistent, self.inconsistency = True, None
+        self.n_free = len(red.basis)
+        self.A_red, self.b_red = red.A_red, red.b_red
+        self.M_red, self.t_red = red.M_red, red.t_red
+        self.z_part = red.part
+        self.N_cols = red.basis
 
     def feasible(self, y, tol: float = DEFAULT_TOL) -> bool:
         if not self.consistent:

@@ -6,7 +6,8 @@ Two numeric backends live behind one scalar vocabulary:
   Arithmetic never rounds, comparisons are exact.  Scalars are
   :class:`fractions.Fraction` at the API and JSON boundaries and in LP
   results.  The certification hot paths -- containment, reflection
-  preimages and brute-force support maxima -- scale their data once to
+  preimages, brute-force support maxima and row reduction (:func:`rref`,
+  which also takes plain ``int`` input) -- scale their data once to
   ``int`` (:func:`int_scale`, :class:`ScaledPoint`) and never build a
   Fraction per operation.
 * ``FLOAT`` -- binary64 floats, opt-in, needed only for constructions whose
@@ -207,31 +208,27 @@ def rref(M: Sequence, tol: float = DEFAULT_TOL):
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where ``pivots`` are 0-based pivot column
-    indices.  Exact Gaussian elimination when the entries are rational;
-    partial pivoting with the given tolerance when they are floats.
+    indices.  Rational entries (ints or Fractions) are eliminated exactly on
+    integers and R is returned as Fractions; float entries use partial
+    pivoting with the given tolerance.
     """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    if not any(isinstance(e, float) for r in M for e in r):
+        return _rref_exact(M, n)
     rows = [list(r) for r in M]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    float_mode = any(isinstance(e, float) for r in rows for e in r)
     pivots = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        if float_mode:
-            best, best_val = -1, tol
-            for i in range(r, m):
-                if abs(rows[i][c]) > best_val:
-                    best, best_val = i, abs(rows[i][c])
-            if best < 0:
-                continue
-            pivot_row = best
-        else:
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), -1)
-            if pivot_row < 0:
-                continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        best, best_val = -1, tol
+        for i in range(r, m):
+            if abs(rows[i][c]) > best_val:
+                best, best_val = i, abs(rows[i][c])
+        if best < 0:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
         piv = rows[r][c]
         rows[r] = [e / piv for e in rows[r]]
         lead = rows[r]
@@ -247,6 +244,70 @@ def rref(M: Sequence, tol: float = DEFAULT_TOL):
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def _primitive(row: dict) -> dict:
+    """Divide a sparse integer row by the gcd of its entries (if any)."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _rref_exact(M: Sequence, n: int):
+    """Fraction-free Gauss-Jordan on sparse integer rows.
+
+    Each row is scaled once to integers and kept as ``{column: value}`` over
+    its nonzeros.  A column is eliminated from every other row by
+    ``piv*row - f*lead`` (both divided by gcd(piv, f)), and each result is
+    divided by the gcd of its entries, so entries stay small.  The pivot of a
+    column is the sparsest row that has no pivot yet; the reduced row echelon
+    form is unique, so the choice changes only the cost.  Rows are divided by
+    their leading entries once, when R is emitted.
+    """
+    rows = []
+    for r in M:
+        nz = [(j, e) for j, e in enumerate(r) if e]
+        ints, _ = int_scale(e for _, e in nz)
+        rows.append(_primitive({j: k for (j, _), k in zip(nz, ints)}))
+    unpivoted = [i for i, row in enumerate(rows) if row]
+    pivot_rows = []
+    for c in range(n):
+        if not unpivoted:
+            break
+        cand = [i for i in unpivoted if c in rows[i]]
+        if not cand:
+            continue
+        p = min(cand, key=lambda i: len(rows[i]))
+        unpivoted.remove(p)
+        lead = rows[p]
+        piv = lead[c]
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == p:
+                continue
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            new = {j: a * v for j, v in row.items()} if a != 1 else row
+            for j, v in lead.items():
+                w = new.get(j, 0) - b * v
+                if w:
+                    new[j] = w
+                else:
+                    del new[j]
+            rows[i] = _primitive(new)
+        pivot_rows.append((c, p))
+    zero = Fraction(0)
+    R = []
+    for c, p in pivot_rows:
+        row = rows[p]
+        piv = row[c]
+        out = [zero] * n
+        for j, v in row.items():
+            out[j] = Fraction(v, piv)
+        R.append(tuple(out))
+    R.extend([(zero,) * n] * (len(M) - len(R)))
+    return tuple(R), tuple(c for c, _ in pivot_rows)
+
+
 def rank(M: Sequence, tol: float = DEFAULT_TOL) -> int:
     return len(rref(M, tol)[1])
 
@@ -256,27 +317,6 @@ def kernel_dim(M: Sequence, tol: float = DEFAULT_TOL) -> int:
     if not M:
         return 0
     return len(M[0]) - rank(M, tol)
-
-
-def nullspace_basis(M: Sequence, tol: float = DEFAULT_TOL):
-    """Basis vectors (as tuples) of the kernel of M, one per free column."""
-    if not M:
-        return []
-    n = len(M[0])
-    R, pivots = rref(M, tol)
-    backend = infer_backend([e for row in M for e in row] or [0])
-    one = Fraction(1) if backend == EXACT else 1.0
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = list(zero_vector(n, backend))
-        v[f] = one
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def affine_solution_space(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numeric import (
     DEFAULT_TOL,
@@ -28,7 +28,6 @@ from .numeric import (
     DimensionError,
     ScaledPoint,
     affine_solution_space,
-    dot,
     identity_matrix,
     infer_backend,
     int_scale,
@@ -466,6 +465,51 @@ def compose_extension(
     )
 
 
+class ReducedSystem(NamedTuple):
+    """Q's equations solved as z = part + N w (``basis`` holds the columns of
+    N) and substituted into the inequalities, A_red w <= b_red, and into the
+    projection, M_red w + t_red."""
+
+    part: tuple
+    basis: list
+    A_red: tuple
+    b_red: tuple
+    M_red: tuple
+    t_red: tuple
+
+
+def reduce_equations(ef: ExtendedFormulation, tol: float = DEFAULT_TOL) -> ReducedSystem:
+    """Eliminate Q's equation system; raises :class:`EmptyPolyhedronError`
+    when it is inconsistent.
+
+    The products with N and the particular solution walk the nonzeros of
+    each inequality and projection row only, in coordinate order, so float
+    results are the same bits as dense dot products.
+    """
+    Q = ef.Q
+    part, basis = affine_solution_space(Q.C, Q.d, tol, dim=Q.dim, backend=Q.backend)
+    if part is None:
+        raise EmptyPolyhedronError("equation system is inconsistent")
+    zero = Fraction(0) if Q.backend == EXACT else 0.0
+
+    def times_basis(row):
+        return tuple(sum((c * col[j] for j, c in row), zero) for col in basis)
+
+    def at_part(row):
+        return sum((c * part[j] for j, c in row), zero)
+
+    ineq, _ = Q._sparse_system()
+    proj = [tuple((j, c) for j, c in enumerate(row) if c != 0) for row in ef.projection.M]
+    return ReducedSystem(
+        part,
+        basis,
+        tuple(times_basis(row) for row, _ in ineq),
+        tuple(rhs - at_part(row) for row, rhs in ineq),
+        tuple(times_basis(row) for row in proj),
+        tuple(at_part(row) + t for row, t in zip(proj, ef.projection.t)),
+    )
+
+
 def eliminate_equations(
     ef: ExtendedFormulation, tol: float = DEFAULT_TOL
 ) -> ExtendedFormulation:
@@ -476,29 +520,16 @@ def eliminate_equations(
     to zero, and the number of free variables must respect the ledger's
     reduced-variable bound.
     """
-    Q = ef.Q
-    part, basis = affine_solution_space(Q.C, Q.d, tol, dim=Q.dim, backend=Q.backend)
-    if part is None:
-        raise EmptyPolyhedronError("equation system is inconsistent")
-    n_free = len(basis)
-    N_cols = basis  # each basis vector is a column of N
-    A_red = tuple(
-        tuple(dot(row, col) for col in N_cols) for row in Q.A
-    )
-    b_red = tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b))
-    M_red = tuple(
-        tuple(dot(mrow, col) for col in N_cols) for mrow in ef.projection.M
-    )
-    t_red = vec_add(mat_vec(ef.projection.M, part), ef.projection.t)
+    red = reduce_equations(ef, tol)
+    n_free = len(red.basis)
     assert n_free <= ef.ledger.reduced_variable_bound, (
         "free variable count exceeds the fiber-dimension bound"
     )
-    Q_red = HPolyhedron(n_free, A_red, b_red, (), (), Q.backend)
-    ledger = replace(ef.ledger, reduced_variables=n_free)
+    backend = ef.Q.backend
     return ExtendedFormulation(
-        Q_red,
-        AffineMap(M_red, t_red, Q.backend),
-        ledger,
+        HPolyhedron(n_free, red.A_red, red.b_red, (), (), backend),
+        AffineMap(red.M_red, red.t_red, backend),
+        replace(ef.ledger, reduced_variables=n_free),
         block_dims=None,
         label=ef.label,
     )

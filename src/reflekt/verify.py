@@ -136,10 +136,15 @@ def random_objectives(dim: int, count: int, rng: Random, backend: str = EXACT):
 
 
 def actual_sizes(ef: ExtendedFormulation, tol: float = DEFAULT_TOL) -> dict:
-    """Ledger counts plus the equation-eliminated variable count."""
+    """Ledger counts plus the equation-eliminated variable count; raises
+    :class:`~reflekt.polyhedra.EmptyPolyhedronError` when Q's equations are
+    inconsistent."""
     out = ef.ledger.to_dict()
     if "reduced_variables" not in out:
-        out["reduced_variables"] = projection_checker(ef, tol).n_free
+        checker = projection_checker(ef, tol)
+        if not checker.consistent:
+            raise checker.inconsistency
+        out["reduced_variables"] = checker.n_free
     return out
 
 

@@ -2,7 +2,8 @@ import json
 import os
 
 from reflekt.cli import main
-from reflekt.serialize import load_json
+from reflekt.polyhedra import HPolyhedron, compose_extension
+from reflekt.serialize import ef_to_dict, load_json, save_json
 
 
 def run(argv):
@@ -152,6 +153,15 @@ class TestStats:
         assert run(["stats", "--ef", src]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ledger"]["inequalities"] == 12
+
+    def test_inconsistent_equations_are_an_error(self, tmp_path, capsys):
+        src = str(tmp_path / "empty.json")
+        P = HPolyhedron.from_rows(1, eqs=[((1,), 0), ((1,), 1)])
+        save_json(ef_to_dict(compose_extension(P, [], label="empty")), src)
+        assert run(["stats", "--ef", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "inconsistent" in captured.err
 
     def test_bad_subcommand_usage(self):
         assert run(["frobnicate"]) == 2

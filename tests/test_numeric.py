@@ -15,7 +15,6 @@ from reflekt.numeric import (
     kernel_dim,
     leq,
     mat_vec,
-    nullspace_basis,
     orthogonal_complement_basis,
     rank,
     rref,
@@ -70,6 +69,101 @@ class TestRref:
         assert R == ((F(1), F(0)), (F(0), F(1)))
         assert pivots == (0, 1)
 
+    def test_int_input_gives_fractions(self):
+        R, pivots = rref(((2, 4, 1), (1, 3, 1)))
+        assert R == ((F(1), F(0), F(-1, 2)), (F(0), F(1), F(1, 2)))
+        assert pivots == (0, 1)
+        assert all(type(e) is F for row in R for e in row)
+        part, basis = affine_solution_space(((2, 4), (1, 3)), (1, 1))
+        assert part == (F(-1, 2), F(1, 2)) and basis == []
+        assert all(type(e) is F for e in part)
+
+    def test_float_input_keeps_floats(self):
+        R, pivots = rref(((2.0, 4.0, 1.0), (1.0, 3.0, 1.0)))
+        assert pivots == (0, 1)
+        assert R == ((1.0, 0.0, -0.5), (0.0, 1.0, 0.5))
+        assert all(type(e) is float for row in R for e in row)
+
+
+def _reference_rref(M):
+    """Dense Fraction Gauss-Jordan with first-nonzero pivoting."""
+    rows = [[F(e) for e in r] for r in M]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), -1)
+        if pivot_row < 0:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        piv = rows[r][c]
+        rows[r] = [e / piv for e in rows[r]]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+_rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Wide, tall and square matrices whose rows include zero rows,
+    duplicates and multiples of earlier rows, with mostly zero entries."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(F(0)), st.just(F(0)), _rationals)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy"]))
+        if kind == "zero":
+            rows.append((F(0),) * n)
+        elif kind == "copy" and rows:
+            k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+            rows.append(tuple(k * e for e in draw(st.sampled_from(rows))))
+        else:
+            rows.append(tuple(draw(entry) for _ in range(n)))
+    return tuple(rows)
+
+
+class TestRrefAgainstReference:
+    @given(_rational_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_gauss_jordan(self, M):
+        assert rref(M) == _reference_rref(M)
+
+    @given(_rational_matrices(), st.lists(_rationals, min_size=7, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_augmented_systems(self, C, d):
+        aug = tuple(row + (rhs,) for row, rhs in zip(C, d))
+        R, pivots = rref(aug)
+        assert (R, pivots) == _reference_rref(aug)
+        part, basis = affine_solution_space(C, d[: len(C)])
+        if pivots and pivots[-1] == len(C[0]):
+            assert part is None
+        else:
+            assert mat_vec(C, part) == tuple(d[: len(C)])
+            assert all(mat_vec(C, v) == (F(0),) * len(C) for v in basis)
+
+    def test_inconsistent_augmented_column(self):
+        aug = ((F(1), F(1), F(2)), (F(2), F(2), F(5)), (F(0), F(0), F(0)))
+        R, pivots = rref(aug)
+        assert pivots == (0, 2)
+        assert (R, pivots) == _reference_rref(aug)
+        assert affine_solution_space(tuple(r[:2] for r in aug), (2, 5, 0))[0] is None
+
+    def test_int_and_fraction_input_agree(self):
+        M = ((0, 3, 6, -3), (2, 0, 4, 1), (2, 3, 10, -2), (0, 0, 0, 0))
+        assert rref(M) == rref(tuple(tuple(F(e) for e in r) for r in M))
+        assert rref(M) == _reference_rref(M)
+
 
 class TestKernelDim:
     def test_full_rank_identity(self):
@@ -94,7 +188,7 @@ class TestKernelDim:
             tuple(F(rng.randint(-4, 4)) for _ in range(n)) for _ in range(m)
         )
         assert kernel_dim(M) + rank(M) == n
-        assert len(nullspace_basis(M)) == kernel_dim(M)
+        assert len(affine_solution_space(M, (F(0),) * m)[1]) == kernel_dim(M)
 
 
 class TestComplementBasis:
@@ -129,7 +223,7 @@ class TestComplementBasis:
             assert rank(rows) == n - 1
             # a spans the solution set of the row equations
             assert all(dot(row, a) == 0 for row in rows)
-            basis = nullspace_basis(rows)
+            basis = affine_solution_space(rows, (F(0),) * len(rows))[1]
             assert len(basis) == 1
 
 

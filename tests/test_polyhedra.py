@@ -5,7 +5,7 @@ import pytest
 
 from reflekt.lp import LPProblem, OPTIMAL, solve
 from reflekt.networks import batcher
-from reflekt.numeric import dot
+from reflekt.numeric import affine_solution_space, dot, mat_vec, vec_add
 from reflekt.polyhedra import (
     AffineMap,
     EmptyPolyhedronError,
@@ -20,6 +20,7 @@ from reflekt.polyhedra import (
 )
 from reflekt.constructions import (
     a_permutahedron_ef,
+    build_recipe,
     embedding_map,
     signing_ef,
     sign_chain_specs,
@@ -192,6 +193,34 @@ class TestEliminate:
         ef = compose_extension(Q, [])
         with pytest.raises(EmptyPolyhedronError):
             eliminate_equations(ef)
+        checker = projection_checker(ef)
+        assert not checker.consistent
+        assert not checker.feasible((F(0),))
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("a_permutahedron", {"n": 4}),
+            ("huffman_quadratic", {"n": 4}),
+            ("parity", {"n": 5}),
+            ("mgon", {"m": 8}),
+        ],
+    )
+    def test_checker_and_elimination_share_the_reduction(self, name, params):
+        ef = build_recipe(name, params)
+        red = eliminate_equations(ef)
+        checker = projection_checker(ef)
+        assert checker.n_free == red.Q.dim == red.ledger.reduced_variables
+        assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
+        assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
+        # the sparse products equal dense dot products over every coordinate
+        Q, M = ef.Q, ef.projection.M
+        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
+        assert (checker.z_part, checker.N_cols) == (part, basis)
+        assert red.Q.A == tuple(tuple(dot(row, col) for col in basis) for row in Q.A)
+        assert red.Q.b == tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b))
+        assert red.projection.M == tuple(tuple(dot(row, col) for col in basis) for row in M)
+        assert red.projection.t == vec_add(mat_vec(M, part), ef.projection.t)
 
 
 class TestPointInProjection:

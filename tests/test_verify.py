@@ -23,6 +23,7 @@ from reflekt.oracles import (
 )
 from reflekt.polyhedra import (
     AffineMap,
+    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedralRelation,
     compose_extension,
@@ -30,6 +31,7 @@ from reflekt.polyhedra import (
 )
 from reflekt.reflections import ReflectionSpec, reflection_relation
 from reflekt.verify import (
+    actual_sizes,
     check_affine_generators,
     check_chain_conditions,
     size_report,
@@ -195,6 +197,14 @@ class TestSizeReport:
         ok, diff = size_report(mgon_ef(8), {"inequalities": 7})
         assert not ok
         assert diff == {"inequalities": (7, 8)}
+
+    def test_inconsistent_equations_raise(self):
+        # {x : x = 0, x = 1} is empty: no reduced variable count exists
+        ef = compose_extension(HPolyhedron.from_rows(1, eqs=[((1,), 0), ((1,), 1)]), [])
+        with pytest.raises(EmptyPolyhedronError, match="inconsistent"):
+            actual_sizes(ef)
+        with pytest.raises(EmptyPolyhedronError):
+            size_report(ef, {"reduced_variables": 1})
 
 
 class TestMutationSensitivityCharacterization:
