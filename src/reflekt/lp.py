@@ -10,7 +10,16 @@ dense tableau with largest-coefficient pricing and a symmetric tolerance.
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
 oracle uses for its multipliers.  Equations are handled natively in phase 1
-rather than split into inequality pairs.
+rather than split into inequality pairs.  Both backends stage their tableau
+in one function.
+
+:class:`ProjectionChecker` solves exact projected objectives on a
+vertex-start tableau instead: once per formulation it starts from a feasible
+point (a registered seed, else one exact solve), pivots every free variable
+into the basis and keeps only the slack rows, about half the rows and
+columns of the split two-phase tableau.  Each objective is priced from the
+free rows and solved by Bland's rule on a copy of that slack-only tableau,
+with no phase 1.
 """
 
 from __future__ import annotations
@@ -49,13 +58,13 @@ class LPResult:
 
 
 class _ExactCore:
-    """Two-phase simplex on integer data with fraction-free pivoting."""
+    """Simplex phases on integer rows with fraction-free pivoting."""
 
-    def __init__(self, n_cols):
-        self.n_cols = n_cols  # structural columns (vars + slacks + arts)
-        self.rows = []        # constraint rows, each length n_cols + 1
-        self.basis = []
-        self.q = 1            # previous pivot; true tableau = rows / q
+    def __init__(self, rows, basis, q=1):
+        self.rows = rows      # constraint rows, then objective rows; rhs last
+        self.basis = basis    # basic column of each constraint row
+        self.q = q            # previous pivot; true tableau = rows / q
+        self.pivots = 0
 
     def _pivot(self, r, c):
         rows = self.rows
@@ -73,6 +82,8 @@ class _ExactCore:
             elif piv != q:
                 rows[i] = [(piv * a) // q for a in cur]
         self.q = piv
+        self.basis[r] = c
+        self.pivots += 1
 
     def _ratio_row(self, col, m):
         """Bland leaving row for entering ``col`` among the first m rows."""
@@ -108,77 +119,78 @@ class _ExactCore:
             if r < 0:
                 return False
             self._pivot(r, col)
-            self.basis[r] = col
         raise AssertionError("pivot limit hit in exact mode")
+
+
+def _stage(n_vars, ineqs, eqs, objective, sense, nonneg, exact):
+    """Phase-1 tableau shared by both backends.
+
+    Returns ``(rows, basis, art_of_row, nv, mults, obj_scale)``: the rows
+    [split variables | slacks | artificials | rhs], each flipped to a
+    nonnegative rhs, followed by the phase-1 and phase-2 objective rows; the
+    starting basis; the artificial column of each row that needs one; the
+    split variable count; and, on the exact backend, each row's integer
+    multiplier and the objective's (both 1 on floats).
+    """
+    to, num = (Fraction, int) if exact else (float, float)
+
+    def split(coeffs):
+        out = [to(c) for c in coeffs]
+        return out if nonneg else out + [-c for c in out]
+
+    staged = []  # (row over the split variables + rhs, slack sign or 0, mult)
+    for kind, system in ((1, ineqs), (0, eqs)):
+        for coeffs, rhs in system:
+            row, mult, sign = split(coeffs) + [to(rhs)], 1, kind
+            if exact:
+                row, mult = int_scale(row)
+            if row[-1] < 0:
+                row, sign = [-e for e in row], -sign
+            staged.append((row, sign, mult))
+
+    nv = n_vars if nonneg else 2 * n_vars
+    n_slack = len(ineqs)
+    n_art = sum(1 for _, sign, _ in staged if sign != 1)
+    ncols = nv + n_slack + n_art
+    zero = num(0)
+    rows, basis, art_of_row = [], [], {}
+    for i, (row, sign, _) in enumerate(staged):
+        full = row[:-1] + [zero] * (n_slack + n_art) + row[-1:]
+        if sign != 0:
+            full[nv + i] = num(sign)  # rows are ordered inequalities-first
+        if sign != 1:  # flipped inequality or equation needs an artificial
+            art_of_row[i] = nv + n_slack + len(art_of_row)
+            full[art_of_row[i]] = num(1)
+            basis.append(art_of_row[i])
+        else:
+            basis.append(nv + i)
+        rows.append(full)
+
+    p1 = [zero] * (ncols + 1)
+    for i in art_of_row:
+        for j in range(ncols + 1):
+            p1[j] += rows[i][j]
+    for col in art_of_row.values():
+        p1[col] -= num(1)
+    obj, obj_scale = split([-c for c in objective] if sense == "min" else objective), 1
+    if exact:
+        obj, obj_scale = int_scale(obj)
+    rows += [p1, obj + [zero] * (n_slack + n_art + 1)]
+    return rows, basis, art_of_row, nv, [mult for _, _, mult in staged], obj_scale
 
 
 def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
                  feasibility_only, want_duals):
-    nv = n_vars if nonneg else 2 * n_vars
-
-    def split(coeffs):
-        if nonneg:
-            return list(coeffs)
-        return list(coeffs) + [-c for c in coeffs]
-
-    staged = []  # (int_row over nv cols, rhs int, slack_sign or 0, mult)
-    for coeffs, rhs in ineqs:
-        row, mult = int_scale(split(coeffs) + [Fraction(rhs)])
-        r, beta = row[:-1], row[-1]
-        sign = 1
-        if beta < 0:
-            r = [-e for e in r]
-            beta, sign = -beta, -1
-        staged.append((r, beta, sign, mult))
-    for coeffs, rhs in eqs:
-        row, mult = int_scale(split(coeffs) + [Fraction(rhs)])
-        r, beta = row[:-1], row[-1]
-        if beta < 0:
-            r, beta = [-e for e in r], -beta
-        staged.append((r, beta, 0, mult))
-
+    rows, basis, art_of_row, nv, mults, obj_scale = _stage(
+        n_vars, ineqs, eqs, objective, sense, nonneg, True
+    )
+    core = _ExactCore(rows, basis)
     n_slack = len(ineqs)
-    art_of_row = {}
-    n_art = 0
-    for i, (_, _, sign, _) in enumerate(staged):
-        if sign != 1:  # flipped inequality or equation needs an artificial
-            art_of_row[i] = nv + n_slack + n_art
-            n_art += 1
-    ncols = nv + n_slack + n_art
-
-    core = _ExactCore(ncols)
-    for i, (r, beta, sign, _) in enumerate(staged):
-        full = r + [0] * (n_slack + n_art) + [beta]
-        if sign != 0:
-            full[nv + i] = sign  # rows are ordered inequalities-first
-        if i in art_of_row:
-            full[art_of_row[i]] = 1
-            core.basis.append(art_of_row[i])
-        else:
-            core.basis.append(nv + i)
-        core.rows.append(full)
-    m = len(core.rows)
-
-    obj_frac = [Fraction(c) for c in objective]
-    if sense == "min":
-        obj_frac = [-c for c in obj_frac]
-    obj_int, obj_scale = int_scale(split(obj_frac))
-    p2 = obj_int + [0] * (n_slack + n_art) + [0]
-
-    p1 = [0] * (ncols + 1)
-    for i in art_of_row:
-        row = core.rows[i]
-        for j in range(ncols + 1):
-            p1[j] += row[j]
-    for col in art_of_row.values():
-        p1[col] -= 1
-
-    core.rows.append(p1)
-    core.rows.append(p2)
+    m = len(basis)
     p1_idx, p2_idx = m, m + 1
 
-    if n_art:
-        core.run_phase(p1_idx, m, range(ncols))
+    if art_of_row:
+        core.run_phase(p1_idx, m, range(len(rows[0]) - 1))
         if core.rows[p1_idx][-1] != 0:
             return LPResult(INFEASIBLE)
         if feasibility_only:
@@ -201,7 +213,6 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
             if row[col] < 0:
                 core.rows[i] = [-e for e in row]
             core._pivot(i, col)
-            core.basis[i] = col
 
     if feasibility_only:
         return LPResult(OPTIMAL)
@@ -228,7 +239,7 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
         # clean extraction only for pure, unflipped inequality systems
         p2row = core.rows[p2_idx]
         dual = tuple(
-            Fraction(-p2row[nv + i], q) / obj_scale * staged[i][3]
+            Fraction(-p2row[nv + i], q) / obj_scale * mults[i]
             for i in range(n_slack)
         )
         if sense == "min":
@@ -238,58 +249,11 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
 
 def _solve_float(n_vars, ineqs, eqs, objective, sense, nonneg,
                  feasibility_only, tol):
-    nv = n_vars if nonneg else 2 * n_vars
-
-    def split(coeffs):
-        if nonneg:
-            return [float(c) for c in coeffs]
-        out = [float(c) for c in coeffs]
-        return out + [-c for c in out]
-
-    staged = []
-    for coeffs, rhs in ineqs:
-        r, beta, sign = split(coeffs), float(rhs), 1
-        if beta < 0:
-            r, beta, sign = [-e for e in r], -beta, -1
-        staged.append((r, beta, sign))
-    for coeffs, rhs in eqs:
-        r, beta = split(coeffs), float(rhs)
-        if beta < 0:
-            r, beta = [-e for e in r], -beta
-        staged.append((r, beta, 0))
-
+    rows, basis, art_of_row, nv, _, _ = _stage(
+        n_vars, ineqs, eqs, objective, sense, nonneg, False
+    )
     n_slack = len(ineqs)
-    art_of_row = {}
-    n_art = 0
-    for i, (_, _, sign) in enumerate(staged):
-        if sign != 1:
-            art_of_row[i] = nv + n_slack + n_art
-            n_art += 1
-    ncols = nv + n_slack + n_art
-
-    rows, basis = [], []
-    for i, (r, beta, sign) in enumerate(staged):
-        full = r + [0.0] * (n_slack + n_art) + [beta]
-        if sign != 0:
-            full[nv + i] = float(sign)
-        if i in art_of_row:
-            full[art_of_row[i]] = 1.0
-            basis.append(art_of_row[i])
-        else:
-            basis.append(nv + i)
-        rows.append(full)
-    m = len(rows)
-
-    obj = split([-c for c in objective] if sense == "min" else objective)
-    p2 = obj + [0.0] * (n_slack + n_art) + [0.0]
-    p1 = [0.0] * (ncols + 1)
-    for i in art_of_row:
-        for j in range(ncols + 1):
-            p1[j] += rows[i][j]
-    for col in art_of_row.values():
-        p1[col] -= 1.0
-    rows.append(p1)
-    rows.append(p2)
+    m = len(basis)
     p1_idx, p2_idx = m, m + 1
 
     def pivot(r, c):
@@ -327,9 +291,9 @@ def _solve_float(n_vars, ineqs, eqs, objective, sense, nonneg,
             basis[r] = col
         raise LPNumericError("float simplex failed to converge")
 
-    feas_eps = max(tol, 1e-12) * (10.0 + sum(beta for _, beta, _ in staged))
-    if n_art:
-        run(p1_idx, range(ncols))
+    feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
+    if art_of_row:
+        run(p1_idx, range(len(rows[0]) - 1))
         if rows[p1_idx][-1] > feas_eps:
             return LPResult(INFEASIBLE)
     if feasibility_only:
@@ -451,9 +415,14 @@ def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
 
 
 class ProjectionChecker:
-    """Per-formulation LP helper: equation elimination happens once, then
-    membership queries and projected-objective optimizations reuse the
-    reduced inequality system (only right-hand sides change per query)."""
+    """Per-formulation LP helper over the reduced system A_red w <= b_red:
+    equation elimination happens once, then membership queries and
+    projected-objective optimizations reuse it.
+
+    Exact objectives share one integer tableau, factored on the first call
+    (:meth:`_factor`); each objective then pivots only among slack columns.
+    Float objectives take one two-phase solve each.
+    """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
         from .polyhedra import EmptyPolyhedronError, reduce_equations
@@ -461,6 +430,8 @@ class ProjectionChecker:
         self.backend = ef.Q.backend
         self.w_feas = None
         self.b_shift = None
+        self.pivots = 0  # exact objective-path pivots, factoring included
+        self._factored = None
         try:
             red = reduce_equations(ef, tol)
         except EmptyPolyhedronError as exc:
@@ -490,9 +461,9 @@ class ProjectionChecker:
         return res.status == OPTIMAL
 
     def seed_from_raw(self, z_raw, tol: float = DEFAULT_TOL) -> bool:
-        """Register a known feasible raw point; later objective solves then
-        start from a shifted system with nonnegative right-hand sides and
-        skip phase 1 entirely."""
+        """Register a known feasible raw point w_feas, with the shifted
+        right-hand sides b_shift = b_red - A_red w_feas >= 0; objective
+        solves then start from it and skip phase 1 entirely."""
         from .numeric import affine_solution_space
 
         if not self.consistent or self.w_feas is not None:
@@ -512,17 +483,70 @@ class ProjectionChecker:
         )
         return True
 
+    def _factor(self):
+        """Factor the exact tableau once; returns None when A_red w <= b_red
+        is infeasible.
+
+        The start w0 is the registered seed, else the point of one exact
+        solve, so the slack basis of A_red d + s = b_red - A_red w0 is
+        feasible.  Each free column d_j is pivoted into the basis once: a
+        ratio test over the slack rows keeps them feasible, and the column is
+        negated when only its minus direction is blocked.  A column that is
+        zero in every slack row cannot enter and is a lineality direction.
+        What is left is ``(slack, labels, free, lineal, signs, q, w0)``: the
+        slack rows over the m slack columns and rhs, with the slack column
+        that is basic in each; the free rows (column, full row) that price an
+        objective; the lineality columns; the column signs; the last pivot.
+        """
+        w0, b = self.w_feas, self.b_shift
+        if w0 is None or any(v < 0 for v in b):
+            zero = (Fraction(0),) * self.n_free
+            res = solve_system(self.n_free, list(zip(self.A_red, self.b_red)), (), zero)
+            if res.status != OPTIMAL:
+                return None
+            w0 = res.point
+            b = tuple(rhs - dot(row, w0) for row, rhs in zip(self.A_red, self.b_red))
+        n, m = self.n_free, len(b)
+        rows = []
+        for i, (row, rhs) in enumerate(zip(self.A_red, b)):
+            ints, _ = int_scale(tuple(row) + (rhs,))
+            rows.append(ints[:-1] + [0] * m + ints[-1:])
+            rows[i][n + i] = 1
+        core = _ExactCore(rows, list(range(n, n + m)))
+        signs, lineal, k = [1] * n, [], m  # rows[:k] are the slack rows
+        for j in range(n):
+            if not any(rows[i][j] > 0 for i in range(k)):
+                if not any(rows[i][j] for i in range(k)):
+                    lineal.append(j)
+                    continue
+                for row in rows:
+                    row[j] = -row[j]
+                signs[j] = -1
+            r = core._ratio_row(j, k)
+            core._pivot(r, j)
+            k -= 1
+            rows[r], rows[k] = rows[k], rows[r]
+            core.basis[r], core.basis[k] = core.basis[k], core.basis[r]
+        self.pivots += core.pivots
+        slack = [row[n:] for row in rows[:k]]
+        labels = [col - n for col in core.basis[:k]]
+        free = list(zip(core.basis[k:], rows[k:]))
+        return slack, labels, free, lineal, signs, core.q, w0
+
     def maximize_projected(self, c, sense: str = "max", tol: float = DEFAULT_TOL):
         """Optimize <c, projection(z)> over Q; returns (status, value)."""
+        if sense not in ("max", "min"):
+            raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
         if not self.consistent:
             return INFEASIBLE, None
+        const = dot(c, self.t_red)
         cols = tuple(zip(*self.M_red)) if self.M_red else ()
         obj = tuple(dot(c, col) for col in cols)
-        const = dot(c, self.t_red)
-        if self.w_feas is not None:
+        if self.backend == FLOAT:
+            seeded = self.w_feas is not None
             res = solve_system(
                 self.n_free,
-                list(zip(self.A_red, self.b_shift)),
+                list(zip(self.A_red, self.b_shift if seeded else self.b_red)),
                 (),
                 obj,
                 sense=sense,
@@ -531,16 +555,28 @@ class ProjectionChecker:
             )
             if res.status != OPTIMAL:
                 return res.status, None
-            return OPTIMAL, res.value + dot(obj, self.w_feas) + const
-        res = solve_system(
-            self.n_free,
-            list(zip(self.A_red, self.b_red)),
-            (),
-            obj,
-            sense=sense,
-            backend=self.backend,
-            tol=tol,
-        )
-        if res.status != OPTIMAL:
-            return res.status, None
-        return OPTIMAL, res.value + const
+            if seeded:
+                return OPTIMAL, res.value + dot(obj, self.w_feas) + const
+            return OPTIMAL, res.value + const
+        if self._factored is None:
+            self._factored = self._factor() or ()
+        if not self._factored:
+            return INFEASIBLE, None
+        slack, labels, free, lineal, signs, q, w0 = self._factored
+        sgn = 1 if sense == "max" else -1
+        g, scale = int_scale(sgn * s * e for s, e in zip(signs, obj))
+        # reduced costs: q*g minus g_j times the row where d_j is basic
+        top = [q * e for e in g] + [0] * (len(self.b_red) + 1)
+        for j, row in free:
+            f = g[j]
+            if f:
+                top = [t - f * e for t, e in zip(top, row)]
+        if any(top[j] for j in lineal):
+            return UNBOUNDED, None
+        core = _ExactCore([row[:] for row in slack] + [top[self.n_free:]], labels[:], q)
+        optimal = core.run_phase(len(slack), len(slack), range(len(self.b_red)))
+        self.pivots += core.pivots
+        if not optimal:
+            return UNBOUNDED, None
+        value = Fraction(-core.rows[-1][-1], core.q * scale)
+        return OPTIMAL, sgn * value + dot(obj, w0) + const

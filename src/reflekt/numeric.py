@@ -149,10 +149,14 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vector:
+    if len(u) != len(v):
+        raise DimensionError(f"vec_add: {len(u)} vs {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
+    if len(u) != len(v):
+        raise DimensionError(f"vec_sub: {len(u)} vs {len(v)}")
     return tuple(a - b for a, b in zip(u, v))
 
 

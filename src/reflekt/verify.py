@@ -62,6 +62,7 @@ class VerificationReport:
     wall_time_s: float = 0.0
     witness_hits: int = 0
     lp_fallbacks: int = 0
+    lp_pivots: int = 0
 
     @property
     def passed(self) -> bool:
@@ -97,6 +98,7 @@ class VerificationReport:
             out["wall_time_s"] = self.wall_time_s
             out["witness_hits"] = self.witness_hits
             out["lp_fallbacks"] = self.lp_fallbacks
+            out["lp_pivots"] = self.lp_pivots
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -178,7 +180,8 @@ def verify_projection_equality(
         rational backend, within ``tol`` in float mode.
 
     A vertex passes (a) through a canonical-preimage witness checked
-    against Q (``witness_hits``) or else through an LP (``lp_fallbacks``).
+    against Q (``witness_hits``) or else through an LP (``lp_fallbacks``);
+    ``lp_pivots`` counts the exact simplex pivots of the objective LPs.
     In the rational backend V is scaled once to one integer matrix over a
     common denominator and every brute-force maximum is taken on integers.
     """
@@ -207,6 +210,7 @@ def verify_projection_equality(
                 report.vertex_passed += 1
 
     rng = Random(seed)
+    pivots = checker.pivots
     exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
     if exact:
@@ -229,6 +233,7 @@ def verify_projection_equality(
         if (dev == 0) if exact else (dev <= tol):
             report.objective_passed += 1
     report.objective_max_deviation = max_dev
+    report.lp_pivots = checker.pivots - pivots
 
     if expected_sizes is not None:
         passed, _ = size_report(ef, expected_sizes, lp_tol)

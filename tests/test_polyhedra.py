@@ -5,7 +5,7 @@ import pytest
 
 from reflekt.lp import LPProblem, OPTIMAL, solve
 from reflekt.networks import batcher
-from reflekt.numeric import affine_solution_space, dot, mat_vec, vec_add
+from reflekt.numeric import DimensionError, affine_solution_space, dot, mat_vec, vec_add
 from reflekt.polyhedra import (
     AffineMap,
     EmptyPolyhedronError,
@@ -196,6 +196,14 @@ class TestEliminate:
         checker = projection_checker(ef)
         assert not checker.consistent
         assert not checker.feasible((F(0),))
+
+    def test_checker_rejects_points_of_the_wrong_length(self):
+        checker = projection_checker(build_recipe("a_permutahedron", {"n": 3}))
+        assert checker.feasible((F(2), F(1), F(3)))
+        assert not checker.feasible((F(1), F(1), F(4)))
+        for y in [(F(1), F(2)), (F(1), F(2), F(3), F(99))]:
+            with pytest.raises(DimensionError):
+                checker.feasible(y)
 
     @pytest.mark.parametrize(
         "name, params",

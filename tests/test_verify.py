@@ -122,6 +122,21 @@ class TestProjectionEquality:
             assert "witness_hits" not in plain and "lp_fallbacks" not in plain
             assert plain == {k: v for k, v in timed.items() if k in plain}
 
+    def test_lp_pivots_only_with_timing(self):
+        ef = perm3_ef()
+        V = permutation_orbit((1, 2, 3))
+        first = verify_projection_equality(ef, V, 20, seed=4)
+        again = verify_projection_equality(ef, V, 20, seed=4)
+        assert first.to_json() == again.to_json()
+        assert "lp_pivots" not in json.loads(first.to_json())
+        timed = first.to_dict(include_timing=True)
+        assert timed["lp_pivots"] == first.lp_pivots > 0
+        # the cached checker factors its tableau once: one pivot per free
+        # variable (the reduced system is bounded, so none is lineality)
+        assert first.lp_pivots - again.lp_pivots == ef._checker.n_free
+        mgon = verify_projection_equality(mgon_ef(8), mgon_orbit(8), 5, seed=1, tol=1e-6)
+        assert mgon.passed and mgon.lp_pivots == 0
+
 
 class TestChainConditions:
     def test_signing_chain(self):
