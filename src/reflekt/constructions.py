@@ -6,12 +6,13 @@ needed) and returns an :class:`ExtendedFormulation` whose ledger carries the
 advertised size counts.  Hypotheses of the form "the canonical form of every
 vertex of P lies in P" cannot be checked from an H-representation; they are
 caller obligations here, and the verifier validates the conclusion instead.
-The one exception is a one-point base of the permutation-type orbits, which
-must equal its own canonical form; that is checked up front.
+The one exception is a one-point base of a pure reflection chain (signing,
+dihedral and permutation-type orbits), checked up front to be canonical.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import cos, pi, sin
 from typing import Optional, Sequence
@@ -27,7 +28,8 @@ from .networks import (
     stride_indices,
     stride_seq,
 )
-from .numeric import EXACT, FLOAT, BackendError, DimensionError, identity_matrix, vectors_eq
+from .numeric import EXACT, FLOAT, BackendError, DimensionError, ScaledPoint, identity_matrix
+from .numeric import int_scale, vectors_eq
 from .polyhedra import (
     AffineMap,
     ExtendedFormulation,
@@ -125,6 +127,13 @@ def _check_point_base(P: HPolyhedron, specs) -> None:
         )
 
 
+def _orbit_ef(P: HPolyhedron, specs, label: str) -> ExtendedFormulation:
+    """P composed with the reflection relations of ``specs``, after
+    :func:`_check_point_base` has accepted a one-point base."""
+    _check_point_base(P, specs)
+    return compose_extension(P, _reflection_chain(specs), label=label)
+
+
 def make_network(kind: str, n: int) -> ComparatorSeq:
     if kind == "batcher":
         return batcher(n)
@@ -143,8 +152,7 @@ def signing_ef(P: HPolyhedron, n: Optional[int] = None) -> ExtendedFormulation:
         n = P.dim
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
-    chain = _reflection_chain(sign_chain_specs(n, P.backend))
-    return compose_extension(P, chain, label=f"signing(n={n})")
+    return _orbit_ef(P, sign_chain_specs(n, P.backend), f"signing(n={n})")
 
 
 def i2_permutahedron_ef(P: HPolyhedron, m: int) -> ExtendedFormulation:
@@ -162,8 +170,7 @@ def i2_permutahedron_ef(P: HPolyhedron, m: int) -> ExtendedFormulation:
             "m-gon constructions require the float backend; their halfspace "
             "normals are irrational"
         )
-    chain = _reflection_chain(i2_chain_specs(m))
-    return compose_extension(P, chain, label=f"i2_permutahedron(m={m})")
+    return _orbit_ef(P, i2_chain_specs(m), f"i2_permutahedron(m={m})")
 
 
 def mgon_ef(m: int) -> ExtendedFormulation:
@@ -189,10 +196,7 @@ def a_permutahedron_ef(
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
     specs = transposition_chain_specs(net, P.backend)
-    _check_point_base(P, specs)
-    return compose_extension(
-        P, _reflection_chain(specs), label=f"a_permutahedron(n={n})"
-    )
+    return _orbit_ef(P, specs, f"a_permutahedron(n={n})")
 
 
 def b_permutahedron_ef(
@@ -209,10 +213,7 @@ def b_permutahedron_ef(
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
     specs = transposition_chain_specs(net, P.backend) + sign_chain_specs(n, P.backend)
-    _check_point_base(P, specs)
-    return compose_extension(
-        P, _reflection_chain(specs), label=f"b_permutahedron(n={n})"
-    )
+    return _orbit_ef(P, specs, f"b_permutahedron(n={n})")
 
 
 def d_permutahedron_ef(
@@ -233,10 +234,7 @@ def d_permutahedron_ef(
     specs = transposition_chain_specs(net, P.backend) + even_pair_chain_specs(
         n, P.backend
     )
-    _check_point_base(P, specs)
-    return compose_extension(
-        P, _reflection_chain(specs), label=f"d_permutahedron(n={n})"
-    )
+    return _orbit_ef(P, specs, f"d_permutahedron(n={n})")
 
 
 def _affine_unit_remap(n: int, backend: str = EXACT) -> AffineMap:
@@ -377,12 +375,16 @@ def _job_step_preimage(p: Sequence, k: int):
     after job k get indicator 1.  Ambiguous under ties (zero processing
     times); the assembled witness is still constraint-checked, and a
     mismatch just falls back to the LP."""
+    kk = k - 1
+    (pk,), q = int_scale([p[k - 1]])
 
     def preimage(y, tol=1e-9):
-        kk = k - 1
-        ind = tuple(Fraction(1) if y[j] > y[kk] else Fraction(0) for j in range(kk))
-        head = tuple(y[j] - p[k - 1] * ind[j] for j in range(kk))
-        return head + ind
+        if not isinstance(y, ScaledPoint):
+            return preimage(ScaledPoint.of(y)).fractions()
+        Y, D = y
+        ind = [1 if Y[j] > Y[kk] else 0 for j in range(kk)]
+        head = tuple(Y[j] * q - pk * D * ind[j] for j in range(kk))
+        return ScaledPoint(head + tuple(e * q * D for e in ind), q * D)
 
     return preimage
 
@@ -410,7 +412,7 @@ def _box_lift_relation(k: int) -> PolyhedralRelation:
     body = HPolyhedron.from_rows(3 * kk, ineqs, eqs)
 
     def preimage(y, tol=1e-9, _kk=kk):
-        return tuple(y[:_kk])
+        return ScaledPoint(y.nums[:_kk], y.den) if isinstance(y, ScaledPoint) else tuple(y[:_kk])
 
     return PolyhedralRelation(kk, 2 * kk, body, preimage=preimage, label=f"box_lift({k})")
 
@@ -433,11 +435,7 @@ def completion_time_ef(p: Sequence) -> ExtendedFormulation:
     for k in range(2, n + 1):
         chain.append(_box_lift_relation(k))
         step = graph_relation(_job_step_map(p, k), label=f"schedule({k})")
-        step = PolyhedralRelation(
-            step.n, step.m, step.body, generators=step.generators,
-            preimage=_job_step_preimage(p, k), label=step.label,
-        )
-        chain.append(step)
+        chain.append(replace(step, preimage=_job_step_preimage(p, k)))
     return compose_extension(base, chain, label=f"completion_time(n={n})")
 
 

@@ -5,7 +5,7 @@ Two numeric backends live behind one scalar vocabulary:
 * ``EXACT`` -- arbitrary-precision rationals, the default everywhere.
   Arithmetic never rounds, comparisons are exact.  Scalars are
   :class:`fractions.Fraction` at the API and JSON boundaries and in LP
-  results.  The certification hot paths -- containment, reflection
+  results.  The certification hot paths -- containment, canonical
   preimages, brute-force support maxima and row reduction (:func:`rref`,
   which also takes plain ``int`` input) -- scale their data once to
   ``int`` (:func:`int_scale`, :class:`ScaledPoint`) and never build a
@@ -117,12 +117,6 @@ def unit_vector(i: int, n: int, backend: str) -> Vector:
 
 def identity_matrix(n: int, backend: str) -> Matrix:
     return tuple(unit_vector(i, n, backend) for i in range(n))
-
-
-def is_zero(x: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    if isinstance(x, float):
-        return abs(x) <= tol
-    return x == 0
 
 
 def leq(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:

@@ -9,7 +9,7 @@ Conventions fixed here once:
 * A chain (R_1, .., R_r) is stored in application order: the composed system
   is z0 in P, (z_{i-1}, z_i) in R_i, and the projection returns the last
   block.  Canonical preimages walk the chain from the *last* relation to the
-  first (see :mod:`reflekt.reflections`).
+  first, on exact data as one :class:`ScaledPoint` (see PolyhedralRelation).
 * Block variables are named ``z{i}_{j}`` (block i, 1-based coordinate j);
   equation-eliminated formulations fall back to ``x{j}``.
 """
@@ -28,6 +28,7 @@ from .numeric import (
     DimensionError,
     ScaledPoint,
     affine_solution_space,
+    dot,
     identity_matrix,
     infer_backend,
     int_scale,
@@ -38,8 +39,8 @@ from .numeric import (
     mat_vec,
     matrix,
     scalars_eq,
+    unit_vector,
     vec_add,
-    vec_sub,
     vector,
     zero_vector,
 )
@@ -250,15 +251,45 @@ class AffineMap:
 
 
 def _graph_preimage(f: AffineMap):
-    """Generic preimage through the graph of f: solve f(x) = y.
+    """The solution of f(x) = y with free coordinates at zero, or None when
+    y is not in the image of f.
 
-    Returns the particular solution with free coordinates at zero, or None
-    when y is not in the image of f.
+    f is factored on the first call: rref([M | I]) = [R | E] has EM = R, so
+    x is E(y - t) on the pivot columns of R, and y is in the image exactly
+    when E(y - t) is zero past the rank.  On exact data q(E | Et) is scaled
+    once to integers, and (Y, D) maps to q(EY - Et D) over qD.
     """
+    n, m = f.in_dim, f.out_dim
+    exact = f.backend == EXACT
+    factored = []
+
+    def factor(tol):
+        from .numeric import rref  # looked up per call, where perfbench's span wraps it
+        R, pivots = rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)], tol)
+        rows, q = [row[n:] + (dot(row[n:], f.t),) for row in R], 1
+        if exact:
+            ints, q = int_scale(e for row in rows for e in row)
+            rows = [ints[i : i + m + 1] for i in range(0, len(ints), m + 1)]
+        return [p for p in pivots if p < n], rows, q
 
     def preimage(y, tol: float = DEFAULT_TOL):
-        part, _ = affine_solution_space(f.M, vec_sub(y, f.t), tol)
-        return part
+        if not factored:
+            factored.append(factor(tol))
+        pivots, rows, q = factored[0]
+        if not isinstance(y, ScaledPoint):
+            if len(y) != m:
+                raise DimensionError(f"map has output dim {m}, got {len(y)}")
+            if exact:
+                x = preimage(ScaledPoint.of(y))
+                return None if x is None else x.fractions()
+        Y, D = y if exact else (y, 1)
+        vals = [dot(row[:m], Y) - row[m] * D for row in rows]
+        if any(v if exact else abs(v) > tol for v in vals[len(pivots) :]):
+            return None
+        x = dict(zip(pivots, vals))
+        if not exact:
+            return tuple(x.get(j, 0.0) for j in range(n))
+        return ScaledPoint(tuple(x.get(j, 0) for j in range(n)), q * D)
 
     return preimage
 
@@ -269,12 +300,12 @@ class PolyhedralRelation:
     R(X) = {y : (x, y) in R for some x in X}.
 
     ``generators``, when present, are affine maps whose images generate each
-    fiber's convex hull.  ``preimage`` maps y to a canonical x whose fiber
-    contains y (used to assemble feasibility witnesses); it may return None.
-    ``spec`` is the :class:`~reflekt.reflections.ReflectionSpec` of a
-    reflection relation, whose preimage also maps a :class:`ScaledPoint`
-    to a ScaledPoint.  Emptiness is checked lazily by the LP layer, never
-    at construction.
+    fiber's convex hull.  ``preimage(y, tol)`` maps y to a canonical x whose
+    fiber contains y, or to None.  On exact data it takes a
+    :class:`ScaledPoint` or a tuple of rationals and returns the same kind;
+    a ScaledPoint output's denominator is a multiple of the input's, which
+    :func:`_witness_blocks` relies on.  Emptiness is checked lazily by the
+    LP layer, never at construction.
     """
 
     n: int
@@ -283,7 +314,6 @@ class PolyhedralRelation:
     generators: Optional[tuple] = None
     preimage: Optional[Callable] = None
     label: str = ""
-    spec: Optional[object] = None
 
     def __post_init__(self):
         if self.body.dim != self.n + self.m:
@@ -297,16 +327,8 @@ class PolyhedralRelation:
 def graph_relation(f: AffineMap, label: str = "") -> PolyhedralRelation:
     """The relation {(x, y) : y = f(x)}: pure equations, no inequalities."""
     n, m = f.in_dim, f.out_dim
-    backend = f.backend
-    eqs = []
-    for i in range(m):
-        row = tuple(-e for e in f.M[i]) + tuple(
-            (Fraction(1) if backend == EXACT else 1.0) if j == i else
-            (Fraction(0) if backend == EXACT else 0.0)
-            for j in range(m)
-        )
-        eqs.append((row, f.t[i]))
-    body = HPolyhedron.from_rows(n + m, (), eqs, backend)
+    eqs = [(tuple(-e for e in f.M[i]) + unit_vector(i, m, f.backend), f.t[i]) for i in range(m)]
+    body = HPolyhedron.from_rows(n + m, (), eqs, f.backend)
     return PolyhedralRelation(
         n, m, body, generators=(f,), preimage=_graph_preimage(f),
         label=label or "graph",
@@ -375,7 +397,6 @@ class ExtendedFormulation:
     relations: Optional[tuple] = None
     label: str = ""
     _checker: object = field(default=None, repr=False, compare=False)
-    _integer_chain: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def backend(self) -> str:
@@ -539,18 +560,15 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     """Try to assemble a full chain point projecting to y via canonical
     preimages; returns the flat coordinate vector or None.
 
-    An exact chain of reflection relations is walked on integers and gives
-    a :class:`ScaledPoint` over the denominator of its base block, which
-    every step keeps or multiplies; other chains give a tuple of scalars.
+    An exact chain is walked on integers and gives a :class:`ScaledPoint`
+    over the denominator of its base block, which every step keeps or
+    multiplies (the preimage contract of :class:`PolyhedralRelation`); a
+    float chain gives a tuple of floats.
     """
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
-    if ef._integer_chain is None:
-        ef._integer_chain = ef.backend == EXACT and all(
-            rel.spec is not None for rel in ef.relations
-        )
-    integer = ef._integer_chain
-    current = ScaledPoint.of(y) if integer else tuple(y)
+    exact = ef.backend == EXACT
+    current = ScaledPoint.of(vector(y, EXACT)) if exact else tuple(y)
     blocks = [current]
     for rel in reversed(ef.relations):
         if rel.preimage is None:
@@ -558,13 +576,11 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
         current = rel.preimage(current, tol)
         if current is None:
             return None
-        if not integer:
-            current = tuple(current)
         blocks.append(current)
     blocks.reverse()
     if not ef.base.contains(blocks[0], tol):
         return None
-    if not integer:
+    if not exact:
         return tuple(e for blk in blocks for e in blk)
     den = blocks[0].den
     return ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)

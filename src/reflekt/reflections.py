@@ -17,7 +17,8 @@ normal and offset are scaled once to an integer pair (a, beta) and a point
 travels as a :class:`~reflekt.numeric.ScaledPoint` (numerators X over a
 denominator D).  The point is in the domain when <a,X> <= beta*D, and its
 mirror image is X + (2(beta*D - <a,X>) / <a,a>) a over D, so D grows only
-when <a,a> does not divide 2(beta*D - <a,X>).  Float data keeps the
+when <a,a> does not divide 2(beta*D - <a,X>), as the preimage contract of
+:class:`~reflekt.polyhedra.PolyhedralRelation` allows.  Float data keeps the
 tolerance tests of :mod:`reflekt.numeric`.
 """
 
@@ -35,14 +36,12 @@ from .numeric import (
     DimensionError,
     ScaledPoint,
     dot,
-    infer_backend,
     int_scale,
     leq,
     orthogonal_complement_basis,
     unit_vector,
     vec_add,
     vec_scale,
-    vector,
 )
 from .polyhedra import AffineMap, HPolyhedron, PolyhedralRelation
 
@@ -72,14 +71,6 @@ class ReflectionSpec:
             form = (nonzeros, ints[-1], sum(c * c for _, c in nonzeros))
             object.__setattr__(self, "_int", form)
         return self._int
-
-    @classmethod
-    def make(cls, a, beta, backend=None):
-        if backend is None:
-            backend = infer_backend(list(a) + [beta])
-        a = vector(a, backend)
-        beta = vector([beta], backend)[0]
-        return cls(a, beta, backend)
 
     @property
     def dim(self) -> int:
@@ -212,7 +203,7 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
 
     return PolyhedralRelation(
         n, n, body, generators=gens, preimage=preimage,
-        label=f"reflect({spec.a}, {spec.beta})", spec=spec,
+        label=f"reflect({spec.a}, {spec.beta})",
     )
 
 

@@ -68,6 +68,12 @@ class TestSigning:
             ef = signing_ef(HPolyhedron.point(tuple(F(k + 1) for k in range(n))), n)
             assert ef.ledger.inequalities == 2 * n
 
+    def test_non_canonical_point_base_rejected(self):
+        # (-1, 2) is not its own |.|: it used to build and verify 0/4 vertices
+        with pytest.raises(ValueError, match="not in canonical form"):
+            build_recipe("signing", {"n": 2, "base": (-1, 2)})
+        build_recipe("signing", {"n": 2, "base": (0, 2)})
+
 
 class TestMgon:
     @pytest.mark.parametrize("m", (3, 4, 5, 8, 13))
@@ -135,6 +141,12 @@ class TestI2Permutahedron:
     def test_exact_backend_rejected(self):
         with pytest.raises(BackendError):
             i2_permutahedron_ef(HPolyhedron.point((F(1), F(0))), 4)
+
+    def test_non_canonical_point_base_rejected(self):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            build_recipe("i2_permutahedron", {"m": 5, "base": (0, 1)})
+        for m in range(3, 65):
+            i2_permutahedron_ef(HPolyhedron.point((1.0, 0.0), FLOAT), m)
 
 
 class TestAPermutahedron:

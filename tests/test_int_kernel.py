@@ -1,10 +1,11 @@
 """The exact integer kernel against plain Fraction arithmetic.
 
-Reflection steps and containment run on integers over a common denominator
-(``ScaledPoint``); the references here are the textbook Fraction formulas,
-evaluated row by row.  Non-unit normals, fractional offsets and points with
-denominators exercise the branch where <a,a> does not divide the step and
-the denominator grows.  Float data must keep its tolerance semantics.
+Reflection steps, graph preimages and containment run on integers over a
+common denominator (``ScaledPoint``); the references here are the textbook
+Fraction formulas, evaluated row by row, and a fresh rational solve.
+Non-unit normals, fractional offsets and points with denominators exercise
+the branch where <a,a> does not divide the step and the denominator grows.
+Float data must keep its tolerance semantics.
 """
 
 from fractions import Fraction as F
@@ -12,8 +13,8 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflekt.numeric import FLOAT, ScaledPoint, dot, int_scale
-from reflekt.polyhedra import HPolyhedron
+from reflekt.numeric import FLOAT, ScaledPoint, affine_solution_space, dot, int_scale, vec_sub
+from reflekt.polyhedra import AffineMap, HPolyhedron, graph_relation
 from reflekt.reflections import ReflectionSpec, canonical_preimage, reflect_point
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -74,6 +75,36 @@ class TestReflectionStep:
         # a transposition (<a,a> = 2) always divides 2 * slack
         swap = ReflectionSpec((F(1), F(-1)), F(0))
         assert canonical_preimage(swap, ScaledPoint((5, 2), 3)) == ScaledPoint((2, 5), 3)
+
+
+@st.composite
+def map_and_point(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from((F(0), F(0), F(1), F(-2), F(1, 2), F(3, 4)))
+    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    f = AffineMap.from_rows(M, draw(points(m)))
+    # half the points are images, so both the solvable and the off-image
+    # branch get exercised
+    y = f.apply(draw(points(n))) if draw(st.booleans()) else draw(points(m))
+    return f, y, draw(st.integers(1, 4))
+
+
+class TestGraphPreimage:
+    @given(map_and_point())
+    @settings(max_examples=200, deadline=None)
+    def test_factored_preimage_matches_a_fresh_solve(self, case):
+        f, y, scale = case
+        want, _ = affine_solution_space(f.M, vec_sub(y, f.t))
+        rel = graph_relation(f)
+        assert rel.preimage(y) == want
+        p = ScaledPoint.of(y)
+        start = ScaledPoint(tuple(scale * e for e in p.nums), scale * p.den)
+        out = rel.preimage(start)
+        if want is None:
+            assert out is None
+        else:
+            assert out.fractions() == want
+            assert out.den % start.den == 0
 
 
 @st.composite

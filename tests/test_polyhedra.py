@@ -5,7 +5,16 @@ import pytest
 
 from reflekt.lp import LPProblem, OPTIMAL, solve
 from reflekt.networks import batcher
-from reflekt.numeric import DimensionError, affine_solution_space, dot, mat_vec, vec_add
+from reflekt.numeric import (
+    FLOAT,
+    BackendError,
+    DimensionError,
+    ScaledPoint,
+    affine_solution_space,
+    dot,
+    mat_vec,
+    vec_add,
+)
 from reflekt.polyhedra import (
     AffineMap,
     EmptyPolyhedronError,
@@ -19,6 +28,7 @@ from reflekt.polyhedra import (
     projection_checker,
 )
 from reflekt.constructions import (
+    _affine_unit_remap,
     a_permutahedron_ef,
     build_recipe,
     embedding_map,
@@ -82,14 +92,46 @@ class TestGraphRelation:
         f = AffineMap.from_rows([[0, 0], [0, 0]], [1, 2])
         assert deltas(graph_relation(f)) == (0, 2)
 
-    def test_generic_preimage_inverts(self):
-        f = AffineMap.from_rows([[2, 0], [1, 1]], [1, 0])
+    @pytest.mark.parametrize(
+        "f, t, y, want",
+        [
+            pytest.param([[2, 0], [1, 1]], [1, 0], (7, 7), (3, 4), id="full-rank"),
+            pytest.param(embedding_map(3), None, (1, 2, 5), None, id="off-image"),
+            pytest.param([[1, 1], [2, 2]], [0, 1], (7, 15), (7, 0), id="rank-deficient"),
+            pytest.param([[1, 1], [2, 2]], [0, 1], (7, 14), None, id="rank-deficient-off"),
+            pytest.param([[0, 0], [0, 0]], [1, 2], (1, 2), (0, 0), id="constant"),
+            pytest.param([[0, 0], [0, 0]], [1, 2], (1, 3), None, id="constant-off"),
+            pytest.param(_affine_unit_remap(3), None, (0, 1, F(1, 2)), (1, -1, 0), id="unit-remap"),
+        ],
+    )
+    def test_generic_preimage_inverts(self, f, t, y, want):
+        if t is not None:
+            f = AffineMap.from_rows(f, t)
+        y = tuple(F(e) for e in y)
         rel = graph_relation(f)
-        y = f.apply((F(3), F(4)))
-        assert rel.preimage(y) == (F(3), F(4))
-        # off-image points have no preimage
-        g = graph_relation(embedding_map(3))
-        assert g.preimage((F(1), F(2), F(5))) is None
+        x = rel.preimage(y)
+        assert x == (None if want is None else tuple(F(e) for e in want))
+        if x is not None:
+            assert f.apply(x) == y
+        # a ScaledPoint, also one not in lowest terms, gives a ScaledPoint
+        # over a multiple of its denominator
+        p = ScaledPoint.of(y)
+        for start in (p, ScaledPoint(tuple(6 * e for e in p.nums), 6 * p.den)):
+            out = rel.preimage(start)
+            if x is None:
+                assert out is None
+                continue
+            assert isinstance(out, ScaledPoint)
+            assert out.fractions() == x
+            assert out.den % start.den == 0
+
+    def test_float_preimage_keeps_tolerance(self):
+        rel = graph_relation(AffineMap.from_rows([[1, 1], [2, 2]], [0, 1], FLOAT))
+        assert rel.preimage((7.0, 15.0)) == (7.0, 0.0)
+        assert rel.preimage((7.0, 15.0 + 1e-12)) is not None
+        assert rel.preimage((7.0, 15.001)) is None
+        with pytest.raises(DimensionError):
+            rel.preimage((7.0,))
 
 
 class TestDeltas:
@@ -271,6 +313,12 @@ class TestPointInProjection:
         ef = signing_ef(HPolyhedron.point((F(1), F(2))), 2)
         with pytest.raises(Exception):
             point_in_projection(ef, (F(1),))
+
+    @pytest.mark.parametrize("recipe, params", [("parity", {"n": 3}), ("signing", {"n": 2})])
+    def test_float_point_on_exact_chain_rejected(self, recipe, params):
+        ef = build_recipe(recipe, params)
+        with pytest.raises(BackendError):
+            point_in_projection(ef, (1.0,) * ef.projection.out_dim)
 
 
 class TestVarNames:

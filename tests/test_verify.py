@@ -7,6 +7,7 @@ import pytest
 
 from reflekt.constructions import (
     a_permutahedron_ef,
+    build_recipe,
     even_pair_chain_specs,
     mgon_ef,
     parity_polytope_ef,
@@ -15,9 +16,13 @@ from reflekt.constructions import (
     transposition_chain_specs,
 )
 from reflekt.networks import ComparatorSeq, batcher
+from reflekt.numeric import ScaledPoint
 from reflekt.oracles import (
     VertexSet,
+    completion_time_vertices,
+    huffman_vectors,
     mgon_orbit,
+    parity_vertices,
     permutation_orbit,
     sign_flip_orbit,
 )
@@ -26,6 +31,7 @@ from reflekt.polyhedra import (
     EmptyPolyhedronError,
     HPolyhedron,
     PolyhedralRelation,
+    _witness_blocks,
     compose_extension,
     graph_relation,
 )
@@ -136,6 +142,32 @@ class TestProjectionEquality:
         assert first.lp_pivots - again.lp_pivots == ef._checker.n_free
         mgon = verify_projection_equality(mgon_ef(8), mgon_orbit(8), 5, seed=1, tol=1e-6)
         assert mgon.passed and mgon.lp_pivots == 0
+
+
+@pytest.mark.parametrize(
+    "recipe, params, V",
+    [
+        pytest.param("huffman_quadratic", {"n": 4}, huffman_vectors(4), id="huffman_quadratic-4"),
+        pytest.param("huffman_nlogn", {"n": 4}, huffman_vectors(4), id="huffman_nlogn-4"),
+        pytest.param("parity", {"n": 5}, parity_vertices(5, "odd"), id="parity-5"),
+        pytest.param(
+            "completion_time", {"p": (1, 2, 3)}, completion_time_vertices((1, 2, 3)),
+            id="completion_time-123",
+        ),
+        pytest.param(
+            "completion_time", {"p": ("1/2", "3/2", 2)},
+            completion_time_vertices(("1/2", "3/2", 2)), id="completion_time-fractional",
+        ),
+    ],
+)
+def test_graph_and_lift_chains_walk_on_integers(recipe, params, V):
+    # graph and box-lift relations keep the integer preimage contract, so
+    # these chains get one ScaledPoint witness per vertex and no LP
+    ef = build_recipe(recipe, params)
+    assert isinstance(_witness_blocks(ef, V.points[0], 1e-9), ScaledPoint)
+    rep = verify_projection_equality(ef, V, 5, seed=7)
+    assert rep.passed
+    assert (rep.witness_hits, rep.lp_fallbacks) == (len(V), 0)
 
 
 class TestChainConditions:
