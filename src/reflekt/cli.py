@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
     )
     print(report.to_text())
     if args.report:
-        serialize.atomic_write_text(args.report, report.to_json() + "\n")
+        serialize.atomic_write_text(args.report, report.to_json(args.timing) + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -232,6 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_verify.add_argument("--report", help="write the JSON report here")
+    p_verify.add_argument("--timing", action="store_true",
+                          help="add wall time, path counts and LP pivots to --report")
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="print an oracle vertex set as JSON")

@@ -5,7 +5,8 @@ up front and each pivot uses the previous-pivot division rule, so entries
 stay integers (they are subdeterminants of the input) and no per-operation
 gcd normalization is paid.  Entry/selection rules are Bland's, which
 guarantees termination without perturbation.  The float path is a classic
-dense tableau with largest-coefficient pricing and a symmetric tolerance.
+dense tableau with largest-coefficient pricing and a symmetric tolerance;
+its phase 1 records its pivots, so any objective is priced by replaying them.
 
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
@@ -13,13 +14,14 @@ oracle uses for its multipliers.  Equations are handled natively in phase 1
 rather than split into inequality pairs.  Both backends stage their tableau
 in one function.
 
-:class:`ProjectionChecker` solves exact projected objectives on a
-vertex-start tableau instead: once per formulation it starts from a feasible
-point (a registered seed, else one exact solve), pivots every free variable
-into the basis and keeps only the slack rows, about half the rows and
-columns of the split two-phase tableau.  Each objective is priced from the
-free rows and solved by Bland's rule on a copy of that slack-only tableau,
-with no phase 1.
+:class:`ProjectionChecker` does each query's objective-independent work
+once per formulation.  Exact queries use a vertex-start tableau: from a
+feasible point (a registered seed, else one exact solve) every free variable
+is pivoted into the basis and only the slack rows are kept, about half the
+split two-phase tableau.  An objective is priced from the free rows and
+solved by Bland's rule on a copy of it, with no phase 1; a membership query
+adds the projection equations as artificial rows and runs phase 1 alone.
+Float objectives share one phase 1 and each runs only its phase 2.
 """
 
 from __future__ import annotations
@@ -122,26 +124,35 @@ class _ExactCore:
         raise AssertionError("pivot limit hit in exact mode")
 
 
-def _stage(n_vars, ineqs, eqs, objective, sense, nonneg, exact):
+def _split(coeffs, nonneg, exact):
+    """Coefficients over the split variables (x, then -x unless nonneg)."""
+    out = [Fraction(c) if exact else float(c) for c in coeffs]
+    return out if nonneg else out + [-c for c in out]
+
+
+def _cost_row(objective, sense, nonneg, exact, width):
+    """The phase-2 row, ``width`` entries wide, of a staged tableau: the split
+    objective, negated for ``min`` and integer-scaled on the exact backend;
+    returns ``(row, scale)``."""
+    row = _split([-c for c in objective] if sense == "min" else objective, nonneg, exact)
+    row, scale = int_scale(row) if exact else (row, 1)
+    return row + [0 if exact else 0.0] * (width - len(row)), scale
+
+
+def _stage(n_vars, ineqs, eqs, nonneg, exact):
     """Phase-1 tableau shared by both backends.
 
-    Returns ``(rows, basis, art_of_row, nv, mults, obj_scale)``: the rows
+    Returns ``(rows, basis, art_of_row, nv, mults)``: the rows
     [split variables | slacks | artificials | rhs], each flipped to a
-    nonnegative rhs, followed by the phase-1 and phase-2 objective rows; the
-    starting basis; the artificial column of each row that needs one; the
-    split variable count; and, on the exact backend, each row's integer
-    multiplier and the objective's (both 1 on floats).
+    nonnegative rhs, followed by the phase-1 row; the starting basis; the
+    artificial column of each row that needs one; the split variable count;
+    and, on the exact backend, each row's integer multiplier (1 on floats).
     """
-    to, num = (Fraction, int) if exact else (float, float)
-
-    def split(coeffs):
-        out = [to(c) for c in coeffs]
-        return out if nonneg else out + [-c for c in out]
-
     staged = []  # (row over the split variables + rhs, slack sign or 0, mult)
     for kind, system in ((1, ineqs), (0, eqs)):
         for coeffs, rhs in system:
-            row, mult, sign = split(coeffs) + [to(rhs)], 1, kind
+            row, mult, sign = _split(coeffs, nonneg, exact), 1, kind
+            row.append(Fraction(rhs) if exact else float(rhs))
             if exact:
                 row, mult = int_scale(row)
             if row[-1] < 0:
@@ -152,6 +163,7 @@ def _stage(n_vars, ineqs, eqs, objective, sense, nonneg, exact):
     n_slack = len(ineqs)
     n_art = sum(1 for _, sign, _ in staged if sign != 1)
     ncols = nv + n_slack + n_art
+    num = int if exact else float
     zero = num(0)
     rows, basis, art_of_row = [], [], {}
     for i, (row, sign, _) in enumerate(staged):
@@ -172,18 +184,15 @@ def _stage(n_vars, ineqs, eqs, objective, sense, nonneg, exact):
             p1[j] += rows[i][j]
     for col in art_of_row.values():
         p1[col] -= num(1)
-    obj, obj_scale = split([-c for c in objective] if sense == "min" else objective), 1
-    if exact:
-        obj, obj_scale = int_scale(obj)
-    rows += [p1, obj + [zero] * (n_slack + n_art + 1)]
-    return rows, basis, art_of_row, nv, [mult for _, _, mult in staged], obj_scale
+    rows.append(p1)
+    return rows, basis, art_of_row, nv, [mult for _, _, mult in staged]
 
 
 def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
                  feasibility_only, want_duals):
-    rows, basis, art_of_row, nv, mults, obj_scale = _stage(
-        n_vars, ineqs, eqs, objective, sense, nonneg, True
-    )
+    rows, basis, art_of_row, nv, mults = _stage(n_vars, ineqs, eqs, nonneg, True)
+    obj, obj_scale = _cost_row(objective, sense, nonneg, True, len(rows[-1]))
+    rows.append(obj)
     core = _ExactCore(rows, basis)
     n_slack = len(ineqs)
     m = len(basis)
@@ -247,29 +256,35 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
     return LPResult(OPTIMAL, value, x, dual)
 
 
-def _solve_float(n_vars, ineqs, eqs, objective, sense, nonneg,
-                 feasibility_only, tol):
-    rows, basis, art_of_row, nv, _, _ = _stage(
-        n_vars, ineqs, eqs, objective, sense, nonneg, False
-    )
-    n_slack = len(ineqs)
-    m = len(basis)
-    p1_idx, p2_idx = m, m + 1
+class _FloatCore:
+    """Float simplex phases on a dense tableau: largest-coefficient pricing
+    and a ratio test under a symmetric tolerance.  A pivot replaces rows and
+    never edits one, so a shallow copy of ``rows`` is an independent tableau
+    and every recorded lead row keeps its entries."""
 
-    def pivot(r, c):
+    def __init__(self, rows, basis, tol, record=None):
+        self.rows, self.basis, self.tol = rows, basis, tol  # as in _ExactCore
+        self.record = record  # (column, normalized lead row) per pivot, or None
+
+    def pivot(self, r, c):
+        rows = self.rows
         lead = rows[r]
         piv = lead[c]
-        rows[r] = [e / piv for e in lead]
-        lead = rows[r]
+        rows[r] = lead = [e / piv for e in lead]
         for i in range(len(rows)):
             if i == r:
                 continue
             f = rows[i][c]
             if abs(f) > 0.0:
-                cur = rows[i]
-                rows[i] = [a - f * b for a, b in zip(cur, lead)]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        self.basis[r] = c
+        if self.record is not None:
+            self.record.append((c, lead))
 
-    def run(obj_idx, allowed):
+    def run_phase(self, obj_idx, allowed):
+        """Pivot until the objective row ``obj_idx`` has no reduced cost above
+        ``tol`` among ``allowed``; returns False on unboundedness."""
+        rows, tol, m = self.rows, self.tol, len(self.basis)
         for _ in range(_MAX_PIVOTS_FLOAT):
             objrow = rows[obj_idx]
             col, best = -1, tol
@@ -287,30 +302,46 @@ def _solve_float(n_vars, ineqs, eqs, objective, sense, nonneg,
                         r, best_ratio = i, ratio
             if r < 0:
                 return False
-            pivot(r, col)
-            basis[r] = col
+            self.pivot(r, col)
         raise LPNumericError("float simplex failed to converge")
 
+
+def _float_phase1(n_vars, ineqs, eqs, nonneg, tol):
+    """Stage a float tableau and run its phase 1 once, recording its pivots;
+    returns ``(core, feasible)`` with the phase-1 row last in ``core.rows``.
+
+    Phase-1 decisions read only the constraint rows and the phase-1 row, and
+    a pivot updates an objective row from that row and the lead row alone,
+    so replaying the record on an objective row (:func:`_float_optimum`)
+    gives the bits that carrying it through phase 1 would.
+    """
+    rows, basis, art_of_row, _, _ = _stage(n_vars, ineqs, eqs, nonneg, False)
+    core, m = _FloatCore(rows, basis, tol, []), len(basis)
+    if not art_of_row:
+        return core, True
     feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
-    if art_of_row:
-        run(p1_idx, range(len(rows[0]) - 1))
-        if rows[p1_idx][-1] > feas_eps:
-            return LPResult(INFEASIBLE)
-    if feasibility_only:
-        return LPResult(OPTIMAL)
+    core.run_phase(m, range(len(rows[0]) - 1))
+    return core, not rows[m][-1] > feas_eps
 
-    if not run(p2_idx, range(nv + n_slack)):
+
+def _float_optimum(core, n_vars, n_slack, objective, sense, nonneg):
+    """Phase 2 for one objective on a copy of a feasible phase-1 core."""
+    m = len(core.basis)
+    row, _ = _cost_row(objective, sense, nonneg, False, len(core.rows[m]))
+    for c, lead in core.record:
+        f = row[c]
+        if abs(f) > 0.0:
+            row = [a - f * b for a, b in zip(row, lead)]
+    core = _FloatCore(core.rows[:m] + [row], core.basis[:], core.tol)
+    if not core.run_phase(m, range((n_vars if nonneg else 2 * n_vars) + n_slack)):
         return LPResult(UNBOUNDED)
-
-    vals = {basis[i]: rows[i][-1] for i in range(m)}
+    vals = {j: row[-1] for j, row in zip(core.basis, core.rows)}
     if nonneg:
         x = tuple(vals.get(j, 0.0) for j in range(n_vars))
     else:
         x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
-    value = -rows[p2_idx][-1]
-    if sense == "min":
-        value = -value
-    return LPResult(OPTIMAL, value, x)
+    value = -core.rows[m][-1]
+    return LPResult(OPTIMAL, -value if sense == "min" else value, x)
 
 
 def solve_system(
@@ -333,9 +364,10 @@ def solve_system(
             n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only, want_duals
         )
     if backend == FLOAT:
-        return _solve_float(
-            n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only, tol
-        )
+        core, feasible = _float_phase1(n_vars, ineqs, eqs, nonneg, tol)
+        if not feasible or feasibility_only:
+            return LPResult(OPTIMAL if feasible else INFEASIBLE)
+        return _float_optimum(core, n_vars, len(ineqs), objective, sense, nonneg)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -414,14 +446,28 @@ def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
     return res.status == OPTIMAL
 
 
+def _price_out(row, free, q):
+    """q * row minus row[j] times the factored row where d_j is basic, for
+    each such j: ``row`` rewritten in the factored basis, scaled by q."""
+    out = [q * e for e in row]
+    for j, lead in free:
+        f = row[j]
+        if f:
+            out = [t - f * e for t, e in zip(out, lead)]
+    return out
+
+
 class ProjectionChecker:
     """Per-formulation LP helper over the reduced system A_red w <= b_red:
     equation elimination happens once, then membership queries and
     projected-objective optimizations reuse it.
 
-    Exact objectives share one integer tableau, factored on the first call
-    (:meth:`_factor`); each objective then pivots only among slack columns.
-    Float objectives take one two-phase solve each.
+    Exact queries share one integer tableau, factored on first use
+    (:meth:`_factor`): each objective then pivots only among slack columns,
+    and each membership query runs one phase 1 on that tableau with the
+    projection equations added (:meth:`_membership_frame`).  Float objectives
+    share one phase 1 per right-hand side and tolerance, and each runs only
+    its own phase 2; float membership queries take one two-phase solve each.
     """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
@@ -432,6 +478,8 @@ class ProjectionChecker:
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
+        self._frame = None
+        self._float_cores = {}
         try:
             red = reduce_equations(ef, tol)
         except EmptyPolyhedronError as exc:
@@ -445,20 +493,36 @@ class ProjectionChecker:
         self.N_cols = red.basis
 
     def feasible(self, y, tol: float = DEFAULT_TOL) -> bool:
+        """Is A_red w <= b_red, M_red w = y - t_red feasible?  On exact data,
+        with y - t_red = Y/D, phase 1 runs on a copy of the factored tableau
+        with every right-hand side scaled by D > 0 (which keeps integers and
+        feasibility) and the equations as artificial rows."""
         if not self.consistent:
             return False
         rhs = vec_sub(y, self.t_red)
-        eqs = list(zip(self.M_red, rhs))
-        res = solve_system(
-            self.n_free,
-            list(zip(self.A_red, self.b_red)),
-            eqs,
-            [Fraction(0) if self.backend == EXACT else 0.0] * self.n_free,
-            backend=self.backend,
-            tol=tol,
-            feasibility_only=True,
-        )
-        return res.status == OPTIMAL
+        if self.backend == FLOAT:
+            res = solve_system(
+                self.n_free, list(zip(self.A_red, self.b_red)),
+                list(zip(self.M_red, rhs)), [0.0] * self.n_free,
+                backend=FLOAT, tol=tol, feasibility_only=True,
+            )
+            return res.status == OPTIMAL
+        Y, D = int_scale(Fraction(e) for e in rhs)
+        frame = self._membership_frame()
+        if frame is None:
+            return False
+        slack, labels, equations, q, ncols = frame
+        rows = [row[:-1] + [row[-1] * D] for row in slack]
+        p1 = [0] * (ncols + 1)
+        for (row, rhs0, y_coeff), y in zip(equations, Y):
+            rhs = rhs0 * D + y_coeff * y
+            rows.append(row + [rhs] if rhs >= 0 else [-e for e in row] + [-rhs])
+            p1 = [a + e for a, e in zip(p1, rows[-1])]
+        # artificial labels rank after every column
+        basis = labels + list(range(ncols, ncols + len(equations)))
+        core = _ExactCore(rows + [p1], basis, q)
+        core.run_phase(len(rows), len(rows), range(ncols))
+        return core.rows[-1][-1] == 0
 
     def seed_from_raw(self, z_raw, tol: float = DEFAULT_TOL) -> bool:
         """Register a known feasible raw point w_feas, with the shifted
@@ -533,6 +597,36 @@ class ProjectionChecker:
         free = list(zip(core.basis[k:], rows[k:]))
         return slack, labels, free, lineal, signs, core.q, w0
 
+    def _tableau(self):
+        if self._factored is None:
+            self._factored = self._factor() or ()
+        return self._factored
+
+    def _membership_frame(self):
+        """``(slack, labels, equations, q, ncols)`` for :meth:`feasible`, built
+        once; None when A_red w <= b_red is empty.  Columns are [lineality
+        columns | their negations | slacks], and slack rows are zero on the
+        lineality columns.  Each equation M_i w = y_i - t_i at w = w0 + d is
+        scaled to integers and priced out of the free rows like an objective,
+        so it is q times its row in the factored basis and pivots stay exact;
+        ``(row, rhs0, y_coeff)`` has the rhs rhs0 + y_coeff * (y_i - t_i)."""
+        if self._frame is None:
+            factored = self._tableau()
+            if not factored:
+                return None
+            slack, labels, free, lineal, signs, q, w0 = factored
+            n, m, pad = self.n_free, len(self.b_red), [0] * (2 * len(lineal))
+            equations = []
+            for row in self.M_red:
+                ints, mult = int_scale(tuple(row) + (-dot(row, w0), 1))
+                start = [s * e for s, e in zip(signs, ints)] + [0] * m + [ints[n]]
+                eq = _price_out(start, free, q)
+                lin = [eq[j] for j in lineal]
+                equations.append((lin + [-e for e in lin] + eq[n:-1], eq[-1], q * mult))
+            labels = [len(pad) + label for label in labels]
+            self._frame = [pad + row for row in slack], labels, equations, q, len(pad) + m
+        return self._frame
+
     def maximize_projected(self, c, sense: str = "max", tol: float = DEFAULT_TOL):
         """Optimize <c, projection(z)> over Q; returns (status, value)."""
         if sense not in ("max", "min"):
@@ -544,33 +638,24 @@ class ProjectionChecker:
         obj = tuple(dot(c, col) for col in cols)
         if self.backend == FLOAT:
             seeded = self.w_feas is not None
-            res = solve_system(
-                self.n_free,
-                list(zip(self.A_red, self.b_shift if seeded else self.b_red)),
-                (),
-                obj,
-                sense=sense,
-                backend=self.backend,
-                tol=tol,
-            )
+            if (seeded, tol) not in self._float_cores:
+                rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
+                self._float_cores[seeded, tol] = _float_phase1(self.n_free, rows, (), False, tol)
+            core, feasible = self._float_cores[seeded, tol]
+            if not feasible:
+                return INFEASIBLE, None
+            res = _float_optimum(core, self.n_free, len(self.A_red), obj, sense, False)
             if res.status != OPTIMAL:
                 return res.status, None
             if seeded:
                 return OPTIMAL, res.value + dot(obj, self.w_feas) + const
             return OPTIMAL, res.value + const
-        if self._factored is None:
-            self._factored = self._factor() or ()
-        if not self._factored:
+        if not self._tableau():
             return INFEASIBLE, None
         slack, labels, free, lineal, signs, q, w0 = self._factored
         sgn = 1 if sense == "max" else -1
         g, scale = int_scale(sgn * s * e for s, e in zip(signs, obj))
-        # reduced costs: q*g minus g_j times the row where d_j is basic
-        top = [q * e for e in g] + [0] * (len(self.b_red) + 1)
-        for j, row in free:
-            f = g[j]
-            if f:
-                top = [t - f * e for t, e in zip(top, row)]
+        top = _price_out(g + [0] * (len(self.b_red) + 1), free, q)
         if any(top[j] for j in lineal):
             return UNBOUNDED, None
         core = _ExactCore([row[:] for row in slack] + [top[self.n_free:]], labels[:], q)

@@ -259,23 +259,12 @@ def even_sign_pair(k: int, ell: int, n: int, backend: str = EXACT):
 
 
 def apply_preimage_chain(chain: Iterable, y, tol: float = DEFAULT_TOL):
-    """Fold canonical preimages over a relation chain given in composition
-    (application) order of the chain itself: the *last* element's preimage
-    is applied first.
-
-    Accepts ReflectionSpec entries or PolyhedralRelation entries carrying a
-    ``preimage``; returns None if some preimage is undefined at its input.
-    """
+    """Fold canonical preimages over a chain of :class:`ReflectionSpec`
+    given in composition (application) order of the chain itself: the
+    *last* reflection's preimage is applied first."""
     out = tuple(y)
-    for item in reversed(list(chain)):
-        if isinstance(item, ReflectionSpec):
-            out = canonical_preimage(item, out, tol)
-        elif getattr(item, "preimage", None) is not None:
-            out = item.preimage(out, tol)
-            if out is None:
-                return None
-        else:
-            raise TypeError(f"chain entry without a preimage: {item!r}")
+    for spec in reversed(list(chain)):
+        out = canonical_preimage(spec, out, tol)
     return out
 
 

@@ -194,6 +194,7 @@ def verify_projection_equality(
         label=label or ef.label or "formulation", backend=backend, seed=seed
     )
     checker = projection_checker(ef, lp_tol)
+    pivots = checker.pivots  # a fallback may trigger the objectives' factoring
 
     for v in V.points:
         report.vertex_total += 1
@@ -210,7 +211,6 @@ def verify_projection_equality(
                 report.vertex_passed += 1
 
     rng = Random(seed)
-    pivots = checker.pivots
     exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
     if exact:

@@ -87,6 +87,24 @@ class TestVerify:
         assert a["seed"] == 21
         assert open(out_a).read() == open(out_b).read()
 
+    def test_timing_flag_adds_path_counts(self, tmp_path):
+        out = str(tmp_path / "perm3.json")
+        plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")
+        run(["build", "--recipe", "a_permutahedron", "--n", "3",
+             "--base", "1,2,3", "--out", out])
+        args = ["verify", "--ef", out, "--oracle", "permutation",
+                "--base", "1,2,3", "--objectives", "10", "--seed", "7"]
+        assert run(args + ["--report", plain]) == 0
+        assert run(args + ["--report", timed, "--timing"]) == 0
+        default = json.load(open(plain))
+        assert "lp_pivots" not in default and "lp_fallbacks" not in default
+        report = json.load(open(timed))
+        # a formulation loaded from JSON has no provenance: every vertex
+        # check takes the LP fallback
+        assert report["lp_fallbacks"] == 6 and report["witness_hits"] == 0
+        assert report["lp_pivots"] > 0
+        assert {k: v for k, v in report.items() if k in default} == default
+
     def test_verify_mgon_with_tolerance(self, capsys):
         code = run(["verify", "--recipe", "mgon", "--m", "8", "--oracle", "mgon",
                     "--m", "8", "--objectives", "25", "--tol", "1e-6"])

@@ -13,11 +13,15 @@ from reflekt.lp import (
     UNBOUNDED,
     LPProblem,
     ProjectionChecker,
+    _cost_row,
+    _FloatCore,
+    _stage,
     feasible,
     in_hull,
     solve,
+    solve_system,
 )
-from reflekt.numeric import FLOAT, DimensionError, ScaledPoint, dot
+from reflekt.numeric import FLOAT, DimensionError, ScaledPoint, dot, vec_sub
 from reflekt.oracles import permutation_orbit
 from reflekt.polyhedra import (
     AffineMap,
@@ -355,3 +359,210 @@ class TestProjectedObjective:
         start = solve(LPProblem(ef.Q, (F(0),) * ef.Q.dim))
         seed_point = start.point if start.status == OPTIMAL else None
         assert_matches_reference(ef, objectives, seed_point)
+
+
+def reference_feasible(checker, y):
+    """One two-phase exact solve of A_red w <= b_red, M_red w = y - t_red:
+    an independent check of ProjectionChecker.feasible."""
+    if not checker.consistent:
+        return False
+    res = solve_system(
+        checker.n_free,
+        list(zip(checker.A_red, checker.b_red)),
+        list(zip(checker.M_red, vec_sub(y, checker.t_red))),
+        (F(0),) * checker.n_free,
+        feasibility_only=True,
+    )
+    return res.status == OPTIMAL
+
+
+def assert_membership_matches(ef, points):
+    checker = ProjectionChecker(ef)
+    for y in points:
+        assert checker.feasible(y) == reference_feasible(checker, y), y
+
+
+def graph_ef(dim, ineqs, eqs, M, t):
+    P = HPolyhedron.from_rows(dim, ineqs, eqs)
+    return compose_extension(P, [graph_relation(AffineMap.from_rows(M, t))])
+
+
+class TestExactMembership:
+    """ProjectionChecker.feasible runs phase 1 on the factored tableau."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_random_formulations_match_a_fresh_solve(self, dim, data):
+        coeff = st.integers(-3, 3)
+        rhs = st.fractions(min_value=-3, max_value=5, max_denominator=3)
+        row = st.tuples(*[coeff] * dim)
+        ineqs = data.draw(st.lists(st.tuples(row, rhs), max_size=5))
+        eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
+        out = data.draw(st.integers(1, 3))
+        M = data.draw(st.lists(row, min_size=out, max_size=out))
+        t = data.draw(st.lists(rhs, min_size=out, max_size=out))
+        ef = graph_ef(dim, ineqs, eqs, M, t)
+        # rational points with denominators 2 and 3, and projections of
+        # vertices of Q (points on facets), each also nudged off by 1/2
+        coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        points = data.draw(st.lists(st.tuples(*[coord] * out), max_size=4))
+        for c in data.draw(st.lists(st.tuples(*[coeff] * ef.Q.dim), max_size=3)):
+            res = solve(LPProblem(ef.Q, tuple(F(e) for e in c)))
+            if res.status == OPTIMAL:
+                y = ef.projection.apply(res.point)
+                points += [y, y[:-1] + (y[-1] + F(1, 2),)]
+        assert_membership_matches(ef, points)
+
+    def test_lineality_direction(self):
+        # 0 <= 2x + 2y <= 3: (1, -1) is lineality, so only x + y is bounded
+        ef = graph_ef(2, [((2, 2), 3), ((-2, -2), 0)], [], [(1, 0), (1, 1)], [0, 0])
+        checker = ProjectionChecker(ef)
+        assert checker.feasible((F(100), F(3, 2)))
+        assert checker.feasible((F(-7, 3), F(0)))
+        assert not checker.feasible((F(0), F(2)))
+        with pytest.raises(DimensionError):
+            checker.feasible((F(0), F(0), F(0)))
+        assert_membership_matches(ef, [(F(5), F(1, 2)), (F(0), F(-1, 3)), (F(1), F(3, 2))])
+
+    def test_rank_deficient_projection(self):
+        # the two outputs are x + y and 2x + 2y over the unit square
+        ef = graph_ef(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)], [],
+                      [(1, 1), (2, 2)], [0, 1])
+        checker = ProjectionChecker(ef)
+        assert checker.feasible((F(3, 2), F(4)))
+        assert checker.feasible((F(0), F(1)))
+        assert not checker.feasible((F(1), F(1)))
+        assert not checker.feasible((F(5, 2), F(6)))
+        assert_membership_matches(ef, [(F(1, 3), F(5, 3)), (F(2), F(5)), (F(2), F(4))])
+
+    def test_empty_and_inconsistent_formulations_answer_false(self):
+        empty = graph_ef(2, [((1, 1), -1), ((-1, 0), 0), ((0, -1), 0)], [], [(1, 0)], [0])
+        inconsistent = graph_ef(1, [((1,), 2)], [((1,), 0), ((1,), 1)], [(1,)], [0])
+        for ef in (empty, inconsistent):
+            assert not ProjectionChecker(ef).feasible((F(0),))
+        # an inconsistent checker answers before it reads y
+        assert ProjectionChecker(inconsistent).inconsistency is not None
+        assert not ProjectionChecker(inconsistent).feasible((F(0), F(0)))
+        with pytest.raises(DimensionError):
+            ProjectionChecker(empty).feasible((F(0), F(0)))
+        assert_membership_matches(empty, [(F(0),), (F(-1),)])
+
+    def test_permutahedron_from_json(self):
+        # no provenance: every vertex check takes this path, as `reflekt
+        # verify --ef` does
+        from reflekt import serialize
+        from reflekt.verify import verify_projection_equality
+
+        fresh = build_recipe("a_permutahedron", {"n": 5})
+        ef = serialize.ef_from_dict(serialize.ef_to_dict(fresh))
+        V = permutation_orbit((1, 2, 3, 4, 5))
+        report = verify_projection_equality(ef, V, 50, seed=7)
+        assert report.passed and report.vertex_passed == 120
+        assert report.lp_fallbacks == 120 and report.witness_hits == 0
+        assert report.lp_pivots == 436  # the factoring and the 50 objectives
+        checker = ef._checker
+        assert not checker.feasible((3, 3, 3, 3, F(31, 10)))
+        assert checker.feasible((3, 3, 3, 3, 3))
+        centre = (F(5, 2), F(5, 2), F(7, 2), F(7, 2), 3)
+        assert checker.feasible(centre) == reference_feasible(checker, centre)
+
+
+def carried_float_solve(n_vars, ineqs, objective, sense, tol):
+    """The float two-phase solve with its objective row carried through
+    phase 1, as one tableau: the reference for the recorded-pivot replay."""
+    rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, (), False, False)
+    row, _ = _cost_row(objective, sense, False, False, len(rows[-1]))
+    core = _FloatCore(rows + [row], basis, tol)
+    m = len(basis)
+    if art_of_row:
+        feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
+        core.run_phase(m, range(len(rows[0]) - 1))
+        if core.rows[m][-1] > feas_eps:
+            return INFEASIBLE, None
+    if not core.run_phase(m + 1, range(nv + len(ineqs))):
+        return UNBOUNDED, None
+    value = -core.rows[m + 1][-1]
+    return OPTIMAL, -value if sense == "min" else value
+
+
+def fresh_projected(checker, c, sense, tol):
+    """One two-phase float solve of the checker's staged data per objective."""
+    obj = tuple(dot(c, col) for col in zip(*checker.M_red))
+    const = dot(c, checker.t_red)
+    seeded = checker.w_feas is not None
+    b = checker.b_shift if seeded else checker.b_red
+    res = solve_system(checker.n_free, list(zip(checker.A_red, b)), (), obj,
+                       sense=sense, backend=FLOAT, tol=tol)
+    if res.status != OPTIMAL:
+        return res.status, None
+    if seeded:
+        return OPTIMAL, res.value + dot(obj, checker.w_feas) + const
+    return OPTIMAL, res.value + const
+
+
+class TestFloatSharedPhase1:
+    """Float objectives share one phase 1 and keep every bit."""
+
+    def test_mgon_objectives_match_fresh_solves(self):
+        from reflekt.constructions import mgon_ef
+        from reflekt.oracles import mgon_orbit
+        from reflekt.verify import random_objectives
+
+        for m in range(3, 65):
+            ef = mgon_ef(m)
+            checker = ProjectionChecker(ef, 1e-9)
+            z = _witness_blocks(ef, mgon_orbit(m).points[0], 1e-6)
+            assert checker.seed_from_raw(z, 1e-9)
+            for c in random_objectives(2, 25, random.Random(m), FLOAT):
+                for sense in ("max", "min"):
+                    got = checker.maximize_projected(c, sense, 1e-9)
+                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+
+    def test_seed_registered_after_unseeded_calls(self):
+        from reflekt.constructions import mgon_ef
+        from reflekt.oracles import mgon_orbit
+
+        rng = random.Random(3)
+        for m in (5, 7, 12, 31, 64):
+            ef = mgon_ef(m)
+            checker = ProjectionChecker(ef, 1e-9)
+            objectives = [(float(rng.randint(-10, 10)), float(rng.randint(-10, 10)))
+                          for _ in range(6)]
+            for k, c in enumerate(objectives):
+                if k == 3:
+                    z = _witness_blocks(ef, mgon_orbit(m).points[1], 1e-6)
+                    assert checker.seed_from_raw(z, 1e-9)
+                for sense in ("max", "min"):
+                    got = checker.maximize_projected(c, sense, 1e-9)
+                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+            assert set(checker._float_cores) == {(False, 1e-9), (True, 1e-9)}
+
+    def test_unbounded_and_infeasible(self):
+        unbounded = identity_ef(HPolyhedron.from_rows(
+            2, ineqs=[((-1.0, 0.0), 0.5), ((0.0, 1.0), 2.0)], backend=FLOAT))
+        empty = identity_ef(HPolyhedron.from_rows(
+            2, ineqs=[((1.0, 1.0), -1.0), ((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)],
+            backend=FLOAT))
+        objectives = [(1.0, 0.0), (0.0, 1.0), (-1.0, 2.5), (0.0, 0.0)]
+        for ef in (unbounded, empty):
+            checker = ProjectionChecker(ef)
+            for c in objectives:
+                for sense in ("max", "min"):
+                    got = checker.maximize_projected(c, sense)
+                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+        assert ProjectionChecker(unbounded).maximize_projected((1.0, 0.0)) == (UNBOUNDED, None)
+        assert ProjectionChecker(unbounded).maximize_projected((-1.0, 1.0)) == (OPTIMAL, 2.5)
+        assert ProjectionChecker(empty).maximize_projected((1.0, 0.0)) == (INFEASIBLE, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_replayed_pivots_match_a_carried_objective_row(self, dim, data):
+        coeff = st.floats(-3, 3, allow_nan=False).map(lambda e: round(e, 2))
+        row = st.tuples(*[coeff] * dim)
+        ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
+                                   max_size=6))
+        objective = data.draw(row)
+        for sense in ("max", "min"):
+            res = solve_system(dim, ineqs, (), objective, sense=sense, backend=FLOAT)
+            got = (res.status, res.value)
+            assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense, 1e-9))
