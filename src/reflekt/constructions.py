@@ -331,9 +331,12 @@ def huffman_level_images(v, level_seq):
     """Walk a depth vector down the level chain with canonical preimages:
     yields (k, x) for k = n..3, where x in R^k is the image after undoing
     level k's transpositions; between levels the deepest duplicated leaf is
-    merged ((x_1,..,x_{k-2}, x_{k-1}-1))."""
+    merged ((x_1,..,x_{k-2}, x_{k-1}-1)).  An integral depth vector walks
+    as ``int``s, which compare equal to the rationals they stand for."""
     n = len(v)
     x = tuple(v)
+    if all(isinstance(e, int) or isinstance(e, Fraction) and e.denominator == 1 for e in x):
+        x = tuple(int(e) for e in x)
     for k in range(n, 2, -1):
         x = apply_comparators(level_seq(k), x, "application")
         yield k, x

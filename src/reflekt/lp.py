@@ -1,12 +1,14 @@
 """Self-contained two-phase simplex over both numeric backends.
 
-The exact path pivots on integer tableaus: every row is scaled to integers
-up front and each pivot uses the previous-pivot division rule, so entries
-stay integers (they are subdeterminants of the input) and no per-operation
-gcd normalization is paid.  Entry/selection rules are Bland's, which
-guarantees termination without perturbation.  The float path is a classic
-dense tableau with largest-coefficient pricing and a symmetric tolerance;
-its phase 1 records its pivots, so any objective is priced by replaying them.
+The exact path pivots on a condensed integer dictionary, as in Avis's lrs:
+every row is scaled to integers up front and holds only the nonbasic columns
+and the rhs, and each pivot uses the previous-pivot division rule, so
+entries stay integers (they are subdeterminants of the input) and no
+per-operation gcd normalization is paid.  Entry/selection rules are
+Bland's, by variable label, which guarantees termination without
+perturbation.  The float path is a classic dense tableau with
+largest-coefficient pricing and a symmetric tolerance; its phase 1 records
+its pivots, so any objective is priced by replaying them.
 
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
@@ -15,13 +17,14 @@ rather than split into inequality pairs.  Both backends stage their tableau
 in one function.
 
 :class:`ProjectionChecker` does each query's objective-independent work
-once per formulation.  Exact queries use a vertex-start tableau: from a
+once per formulation.  Exact queries use a vertex-start dictionary: from a
 feasible point (a registered seed, else one exact solve) every free variable
-is pivoted into the basis and only the slack rows are kept, about half the
-split two-phase tableau.  An objective is priced from the free rows and
-solved by Bland's rule on a copy of it, with no phase 1; a membership query
-adds the projection equations as artificial rows and runs phase 1 alone.
-Float objectives share one phase 1 and each runs only its phase 2.
+is pivoted into the basis and only the slack rows are kept, with one integer
+projection row per output coordinate priced into that basis.  An objective
+is an integer combination of the projection rows, solved by Bland's rule
+with no phase 1; a membership query adds the projection rows as artificial
+equations and runs phase 1 alone.  Float objectives share one phase 1 and
+each runs only its phase 2.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numeric import DEFAULT_TOL, EXACT, FLOAT, dot, int_scale, vec_sub
+from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, dot, int_scale, vec_sub, vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,35 +63,44 @@ class LPResult:
 
 
 class _ExactCore:
-    """Simplex phases on integer rows with fraction-free pivoting."""
+    """Simplex phases on a condensed fraction-free integer dictionary, as in
+    Avis's lrs: rows hold the nonbasic columns and the rhs only, ``cols``
+    labels each column slot and ``basis`` the basic variable of each
+    constraint row, whose own column is implicitly q times a unit vector."""
 
-    def __init__(self, rows, basis, q=1):
+    def __init__(self, rows, basis, cols, q=1):
         self.rows = rows      # constraint rows, then objective rows; rhs last
-        self.basis = basis    # basic column of each constraint row
-        self.q = q            # previous pivot; true tableau = rows / q
+        self.basis = basis    # label of the basic variable of each constraint row
+        self.cols = cols      # label of the nonbasic variable in each slot
+        self.q = q            # previous pivot; true dictionary = rows / q
         self.pivots = 0
 
-    def _pivot(self, r, c):
-        rows = self.rows
-        q = self.q
-        piv = rows[r][c]
-        assert piv > 0
+    def pivot(self, r, c):
+        """Exchange row r's basic variable with slot c's.  The leaving
+        variable takes slot c: its column is q in row r and -T[i][c] in every
+        other row i.  A pivot replaces rows and never edits one."""
+        rows, q = self.rows, self.q
         lead = rows[r]
-        for i in range(len(rows)):
+        piv = lead[c]
+        assert piv > 0
+        for i, cur in enumerate(rows):
             if i == r:
                 continue
-            cur = rows[i]
             f = cur[c]
             if f:
-                rows[i] = [(piv * a - f * b) // q for a, b in zip(cur, lead)]
+                cur = [(piv * a - f * b) // q for a, b in zip(cur, lead)]
+                cur[c] = -f
+                rows[i] = cur
             elif piv != q:
                 rows[i] = [(piv * a) // q for a in cur]
+        rows[r] = lead = lead[:]
+        lead[c] = q
         self.q = piv
-        self.basis[r] = c
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
         self.pivots += 1
 
     def _ratio_row(self, col, m):
-        """Bland leaving row for entering ``col`` among the first m rows."""
+        """Bland leaving row for entering slot ``col`` among the first m rows."""
         best = -1
         rows = self.rows
         for i in range(m):
@@ -104,23 +116,20 @@ class _ExactCore:
                 best = i
         return best
 
-    def run_phase(self, obj_idx, m, allowed_cols):
+    def run_phase(self, obj_idx, m, limit):
         """Pivot until the objective row ``obj_idx`` has no positive reduced
-        cost among ``allowed_cols``; returns False on unboundedness."""
-        rows = self.rows
+        cost on a label below ``limit``, entering the smallest such label;
+        returns False on unboundedness."""
+        rows, cols = self.rows, self.cols
         for _ in range(_MAX_PIVOTS):
-            obj = rows[obj_idx]
-            col = -1
-            for j in allowed_cols:
-                if obj[j] > 0:
-                    col = j
-                    break
-            if col < 0:
+            enter = [lab for lab, e in zip(cols, rows[obj_idx]) if e > 0 and lab < limit]
+            if not enter:
                 return True
-            r = self._ratio_row(col, m)
+            c = cols.index(min(enter))
+            r = self._ratio_row(c, m)
             if r < 0:
                 return False
-            self._pivot(r, col)
+            self.pivot(r, c)
         raise AssertionError("pivot limit hit in exact mode")
 
 
@@ -192,42 +201,38 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
                  feasibility_only, want_duals):
     rows, basis, art_of_row, nv, mults = _stage(n_vars, ineqs, eqs, nonneg, True)
     obj, obj_scale = _cost_row(objective, sense, nonneg, True, len(rows[-1]))
-    rows.append(obj)
-    core = _ExactCore(rows, basis)
-    n_slack = len(ineqs)
-    m = len(basis)
-    p1_idx, p2_idx = m, m + 1
+    basic = set(basis)  # staged basic columns are unit columns in every row
+    cols = [j for j in range(len(obj) - 1) if j not in basic]
+    core = _ExactCore([[row[j] for j in cols] + row[-1:] for row in rows + [obj]], basis, cols)
+    n_struct = nv + len(ineqs)  # artificial labels rank after these
+    m = len(basis)  # the phase-1 row is row m, the cost row m + 1
 
     if art_of_row:
-        core.run_phase(p1_idx, m, range(len(rows[0]) - 1))
-        if core.rows[p1_idx][-1] != 0:
+        core.run_phase(m, m, len(obj))
+        if core.rows[m][-1] != 0:
             return LPResult(INFEASIBLE)
         if feasibility_only:
             return LPResult(OPTIMAL)
         # drive leftover artificials out of the basis or drop their rows
-        art_cols = set(art_of_row.values())
         for i in range(m - 1, -1, -1):
-            if core.basis[i] not in art_cols:
+            if core.basis[i] < n_struct:
                 continue
             row = core.rows[i]
             assert row[-1] == 0  # basic artificials sit at value zero here
-            col = next((j for j in range(nv + n_slack) if row[j] != 0), -1)
-            if col < 0:
-                del core.rows[i]
-                del core.basis[i]
+            enter = [lab for lab, e in zip(core.cols, row) if e and lab < n_struct]
+            if not enter:
+                del core.rows[i], core.basis[i]
                 m -= 1
-                p1_idx -= 1
-                p2_idx -= 1
                 continue
-            if row[col] < 0:
+            col = core.cols.index(min(enter))
+            if row[col] < 0:  # negates the artificial, which never re-enters
                 core.rows[i] = [-e for e in row]
-            core._pivot(i, col)
+            core.pivot(i, col)
 
     if feasibility_only:
         return LPResult(OPTIMAL)
 
-    structural = range(nv + n_slack)
-    if not core.run_phase(p2_idx, m, structural):
+    if not core.run_phase(m + 1, m, n_struct):
         return LPResult(UNBOUNDED)
 
     q = core.q
@@ -239,17 +244,20 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
             vals.get(j, Fraction(0)) - vals.get(n_vars + j, Fraction(0))
             for j in range(n_vars)
         )
-    value = Fraction(-core.rows[p2_idx][-1], q) / obj_scale
+    p2row = core.rows[m + 1]
+    value = Fraction(-p2row[-1], q) / obj_scale
     if sense == "min":
         value = -value
 
     dual = None
     if want_duals and not art_of_row:
-        # clean extraction only for pure, unflipped inequality systems
-        p2row = core.rows[p2_idx]
+        # clean extraction only for pure, unflipped inequality systems; a
+        # basic slack has reduced cost 0
+        slot = {label: k for k, label in enumerate(core.cols)}
         dual = tuple(
-            Fraction(-p2row[nv + i], q) / obj_scale * mults[i]
-            for i in range(n_slack)
+            Fraction(-p2row[slot[nv + i]], q) / obj_scale * mults[i]
+            if nv + i in slot else Fraction(0)
+            for i in range(len(ineqs))
         )
         if sense == "min":
             dual = tuple(-y for y in dual)
@@ -446,28 +454,19 @@ def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
     return res.status == OPTIMAL
 
 
-def _price_out(row, free, q):
-    """q * row minus row[j] times the factored row where d_j is basic, for
-    each such j: ``row`` rewritten in the factored basis, scaled by q."""
-    out = [q * e for e in row]
-    for j, lead in free:
-        f = row[j]
-        if f:
-            out = [t - f * e for t, e in zip(out, lead)]
-    return out
-
-
 class ProjectionChecker:
     """Per-formulation LP helper over the reduced system A_red w <= b_red:
     equation elimination happens once, then membership queries and
     projected-objective optimizations reuse it.
 
-    Exact queries share one integer tableau, factored on first use
-    (:meth:`_factor`): each objective then pivots only among slack columns,
-    and each membership query runs one phase 1 on that tableau with the
-    projection equations added (:meth:`_membership_frame`).  Float objectives
-    share one phase 1 per right-hand side and tolerance, and each runs only
-    its own phase 2; float membership queries take one two-phase solve each.
+    Exact queries share one condensed integer dictionary, factored on first
+    use, and one integer row per output coordinate priced into it
+    (:meth:`_factor`).  An objective is an integer combination of these
+    projection rows and pivots only among slack columns; a membership query
+    adds them as artificial equations and runs one phase 1
+    (:meth:`_membership_frame`).  Float objectives share one phase 1 per
+    right-hand side and tolerance, and each runs only its own phase 2; float
+    membership queries take one two-phase solve each.
     """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
@@ -492,36 +491,42 @@ class ProjectionChecker:
         self.z_part = red.part
         self.N_cols = red.basis
 
+    def _exact_input(self, v):
+        """``v`` as an exact vector of the projection's output dimension."""
+        if len(v) != len(self.t_red):
+            raise DimensionError(f"{len(v)} coordinates for a projection to R^{len(self.t_red)}")
+        return vector(v, EXACT)
+
     def feasible(self, y, tol: float = DEFAULT_TOL) -> bool:
         """Is A_red w <= b_red, M_red w = y - t_red feasible?  On exact data,
-        with y - t_red = Y/D, phase 1 runs on a copy of the factored tableau
-        with every right-hand side scaled by D > 0 (which keeps integers and
-        feasibility) and the equations as artificial rows."""
+        with y = Y/D, phase 1 runs on a copy of the factored dictionary with
+        every right-hand side scaled by D > 0 (which keeps integers and
+        feasibility) and the projection rows as artificial equations."""
         if not self.consistent:
             return False
-        rhs = vec_sub(y, self.t_red)
         if self.backend == FLOAT:
             res = solve_system(
                 self.n_free, list(zip(self.A_red, self.b_red)),
-                list(zip(self.M_red, rhs)), [0.0] * self.n_free,
+                list(zip(self.M_red, vec_sub(y, self.t_red))), [0.0] * self.n_free,
                 backend=FLOAT, tol=tol, feasibility_only=True,
             )
             return res.status == OPTIMAL
-        Y, D = int_scale(Fraction(e) for e in rhs)
+        Y, D = int_scale(self._exact_input(y))
         frame = self._membership_frame()
         if frame is None:
             return False
-        slack, labels, equations, q, ncols = frame
+        slack, labels, cols, equations, q, y_coeff = frame
         rows = [row[:-1] + [row[-1] * D] for row in slack]
-        p1 = [0] * (ncols + 1)
-        for (row, rhs0, y_coeff), y in zip(equations, Y):
-            rhs = rhs0 * D + y_coeff * y
-            rows.append(row + [rhs] if rhs >= 0 else [-e for e in row] + [-rhs])
+        p1 = [0] * (len(cols) + 1)
+        for row, y in zip(equations, Y):
+            rhs = row[-1] * D + y_coeff * y
+            rows.append(row[:-1] + [rhs] if rhs >= 0 else [-e for e in row[:-1]] + [-rhs])
             p1 = [a + e for a, e in zip(p1, rows[-1])]
-        # artificial labels rank after every column
+        # artificial labels rank after every column, so they never re-enter
+        ncols = self.n_free + len(self.b_red)
         basis = labels + list(range(ncols, ncols + len(equations)))
-        core = _ExactCore(rows + [p1], basis, q)
-        core.run_phase(len(rows), len(rows), range(ncols))
+        core = _ExactCore(rows + [p1], basis, cols[:], q)
+        core.run_phase(len(rows), len(rows), ncols)
         return core.rows[-1][-1] == 0
 
     def seed_from_raw(self, z_raw, tol: float = DEFAULT_TOL) -> bool:
@@ -548,7 +553,7 @@ class ProjectionChecker:
         return True
 
     def _factor(self):
-        """Factor the exact tableau once; returns None when A_red w <= b_red
+        """Factor the exact dictionary once; returns None when A_red w <= b_red
         is infeasible.
 
         The start w0 is the registered seed, else the point of one exact
@@ -557,10 +562,13 @@ class ProjectionChecker:
         ratio test over the slack rows keeps them feasible, and the column is
         negated when only its minus direction is blocked.  A column that is
         zero in every slack row cannot enter and is a lineality direction.
-        What is left is ``(slack, labels, free, lineal, signs, q, w0)``: the
-        slack rows over the m slack columns and rhs, with the slack column
-        that is basic in each; the free rows (column, full row) that price an
-        objective; the lineality columns; the column signs; the last pivot.
+        The projection rows [L M_i | -L y0_i], with y0 = M_red w0 + t_red and
+        L > 0 making them integers, ride along as objective rows, so each
+        ends as q times its row in the factored basis.  What is left is
+        ``(slack, labels, cols, proj, lineal, q, L)``: the slack rows and the
+        projection rows over the same slots, the labels (d_j is j, slack i
+        is n + i) of the basic variables and of the slots, the lineality
+        slots (zero in every slack row) and the last pivot q.
         """
         w0, b = self.w_feas, self.b_shift
         if w0 is None or any(v < 0 for v in b):
@@ -571,31 +579,25 @@ class ProjectionChecker:
             w0 = res.point
             b = tuple(rhs - dot(row, w0) for row, rhs in zip(self.A_red, self.b_red))
         n, m = self.n_free, len(b)
-        rows = []
-        for i, (row, rhs) in enumerate(zip(self.A_red, b)):
-            ints, _ = int_scale(tuple(row) + (rhs,))
-            rows.append(ints[:-1] + [0] * m + ints[-1:])
-            rows[i][n + i] = 1
-        core = _ExactCore(rows, list(range(n, n + m)))
-        signs, lineal, k = [1] * n, [], m  # rows[:k] are the slack rows
-        for j in range(n):
+        rows = [int_scale(tuple(row) + (rhs,))[0] for row, rhs in zip(self.A_red, b)]
+        y0 = [dot(row, w0) + t for row, t in zip(self.M_red, self.t_red)]
+        flat, scale = int_scale(e for row, y in zip(self.M_red, y0) for e in (*row, -y))
+        rows += [flat[i : i + n + 1] for i in range(0, len(flat), n + 1)]
+        core, k = _ExactCore(rows, list(range(n, n + m)), list(range(n))), m
+        for j in range(n):  # slot j holds d_j until d_j enters; rows[:k] are slack rows
             if not any(rows[i][j] > 0 for i in range(k)):
                 if not any(rows[i][j] for i in range(k)):
-                    lineal.append(j)
                     continue
                 for row in rows:
                     row[j] = -row[j]
-                signs[j] = -1
             r = core._ratio_row(j, k)
-            core._pivot(r, j)
+            core.pivot(r, j)
             k -= 1
             rows[r], rows[k] = rows[k], rows[r]
             core.basis[r], core.basis[k] = core.basis[k], core.basis[r]
         self.pivots += core.pivots
-        slack = [row[n:] for row in rows[:k]]
-        labels = [col - n for col in core.basis[:k]]
-        free = list(zip(core.basis[k:], rows[k:]))
-        return slack, labels, free, lineal, signs, core.q, w0
+        lineal = [s for s, label in enumerate(core.cols) if label < n]
+        return rows[:k], core.basis[:k], core.cols, rows[m:], lineal, core.q, scale
 
     def _tableau(self):
         if self._factored is None:
@@ -603,28 +605,19 @@ class ProjectionChecker:
         return self._factored
 
     def _membership_frame(self):
-        """``(slack, labels, equations, q, ncols)`` for :meth:`feasible`, built
-        once; None when A_red w <= b_red is empty.  Columns are [lineality
-        columns | their negations | slacks], and slack rows are zero on the
-        lineality columns.  Each equation M_i w = y_i - t_i at w = w0 + d is
-        scaled to integers and priced out of the free rows like an objective,
-        so it is q times its row in the factored basis and pivots stay exact;
-        ``(row, rhs0, y_coeff)`` has the rhs rhs0 + y_coeff * (y_i - t_i)."""
+        """``(slack, labels, cols, equations, q, y_coeff)`` for
+        :meth:`feasible`, built once; None when A_red w <= b_red is empty.
+        Each lineality slot gets a negated copy, labelled below every other
+        column.  The equations are the projection rows; equation i with
+        y_i = Y_i/D has the rhs D * rhs_i + y_coeff * Y_i."""
         if self._frame is None:
             factored = self._tableau()
             if not factored:
                 return None
-            slack, labels, free, lineal, signs, q, w0 = factored
-            n, m, pad = self.n_free, len(self.b_red), [0] * (2 * len(lineal))
-            equations = []
-            for row in self.M_red:
-                ints, mult = int_scale(tuple(row) + (-dot(row, w0), 1))
-                start = [s * e for s, e in zip(signs, ints)] + [0] * m + [ints[n]]
-                eq = _price_out(start, free, q)
-                lin = [eq[j] for j in lineal]
-                equations.append((lin + [-e for e in lin] + eq[n:-1], eq[-1], q * mult))
-            labels = [len(pad) + label for label in labels]
-            self._frame = [pad + row for row in slack], labels, equations, q, len(pad) + m
+            slack, labels, cols, proj, lineal, q, scale = factored
+            slack, proj = ([row[:-1] + [-row[s] for s in lineal] + row[-1:] for row in part]
+                           for part in (slack, proj))
+            self._frame = slack, labels, cols + [-1 - t for t in lineal], proj, q, q * scale
         return self._frame
 
     def maximize_projected(self, c, sense: str = "max", tol: float = DEFAULT_TOL):
@@ -633,10 +626,9 @@ class ProjectionChecker:
             raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
         if not self.consistent:
             return INFEASIBLE, None
-        const = dot(c, self.t_red)
-        cols = tuple(zip(*self.M_red)) if self.M_red else ()
-        obj = tuple(dot(c, col) for col in cols)
         if self.backend == FLOAT:
+            const = dot(c, self.t_red)
+            obj = tuple(dot(c, col) for col in zip(*self.M_red)) if self.M_red else ()
             seeded = self.w_feas is not None
             if (seeded, tol) not in self._float_cores:
                 rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
@@ -650,18 +642,21 @@ class ProjectionChecker:
             if seeded:
                 return OPTIMAL, res.value + dot(obj, self.w_feas) + const
             return OPTIMAL, res.value + const
+        c_ints, c_den = int_scale(self._exact_input(c))
         if not self._tableau():
             return INFEASIBLE, None
-        slack, labels, free, lineal, signs, q, w0 = self._factored
+        slack, labels, cols, proj, lineal, q, scale = self._factored
         sgn = 1 if sense == "max" else -1
-        g, scale = int_scale(sgn * s * e for s, e in zip(signs, obj))
-        top = _price_out(g + [0] * (len(self.b_red) + 1), free, q)
-        if any(top[j] for j in lineal):
+        top = [0] * (len(cols) + 1)
+        for ci, row in zip(c_ints, proj):
+            if ci:
+                ci *= sgn
+                top = [t + ci * e for t, e in zip(top, row)]
+        if any(top[s] for s in lineal):
             return UNBOUNDED, None
-        core = _ExactCore([row[:] for row in slack] + [top[self.n_free:]], labels[:], q)
-        optimal = core.run_phase(len(slack), len(slack), range(len(self.b_red)))
+        core = _ExactCore(slack + [top], labels[:], cols[:], q)
+        optimal = core.run_phase(len(slack), len(slack), self.n_free + len(self.b_red))
         self.pivots += core.pivots
         if not optimal:
             return UNBOUNDED, None
-        value = Fraction(-core.rows[-1][-1], core.q * scale)
-        return OPTIMAL, sgn * value + dot(obj, w0) + const
+        return OPTIMAL, Fraction(-sgn * core.rows[-1][-1], core.q * scale * c_den)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from random import Random
@@ -63,6 +63,7 @@ class VerificationReport:
     witness_hits: int = 0
     lp_fallbacks: int = 0
     lp_pivots: int = 0
+    phases: dict = field(default_factory=dict)  # seconds per certification phase
 
     @property
     def passed(self) -> bool:
@@ -99,6 +100,7 @@ class VerificationReport:
             out["witness_hits"] = self.witness_hits
             out["lp_fallbacks"] = self.lp_fallbacks
             out["lp_pivots"] = self.lp_pivots
+            out["phases"] = dict(self.phases)
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -181,7 +183,8 @@ def verify_projection_equality(
 
     A vertex passes (a) through a canonical-preimage witness checked
     against Q (``witness_hits``) or else through an LP (``lp_fallbacks``);
-    ``lp_pivots`` counts the exact simplex pivots of the objective LPs.
+    ``lp_pivots`` counts the exact simplex pivots of the objective LPs, and
+    ``phases`` holds the seconds of the vertex, objective and size checks.
     In the rational backend V is scaled once to one integer matrix over a
     common denominator and every brute-force maximum is taken on integers.
     """
@@ -196,6 +199,7 @@ def verify_projection_equality(
     checker = projection_checker(ef, lp_tol)
     pivots = checker.pivots  # a fallback may trigger the objectives' factoring
 
+    t_vertex = time.perf_counter()
     for v in V.points:
         report.vertex_total += 1
         z = _witness_blocks(ef, v, tol)
@@ -210,6 +214,7 @@ def verify_projection_equality(
             if checker.feasible(v, lp_tol):
                 report.vertex_passed += 1
 
+    t_objective = time.perf_counter()
     rng = Random(seed)
     exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
@@ -235,6 +240,7 @@ def verify_projection_equality(
     report.objective_max_deviation = max_dev
     report.lp_pivots = checker.pivots - pivots
 
+    t_size = time.perf_counter()
     if expected_sizes is not None:
         passed, _ = size_report(ef, expected_sizes, lp_tol)
         report.size_expected = dict(expected_sizes)
@@ -242,7 +248,13 @@ def verify_projection_equality(
         report.size_passed = passed
 
     report.hypothesis_checks = tuple(extra_checks)
-    report.wall_time_s = time.perf_counter() - t0
+    t_end = time.perf_counter()
+    report.phases = {
+        "vertex_checks_s": t_objective - t_vertex,
+        "objective_checks_s": t_size - t_objective,
+        "size_check_s": t_end - t_size,
+    }
+    report.wall_time_s = t_end - t0
     return report
 
 

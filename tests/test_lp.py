@@ -12,6 +12,7 @@ from reflekt.lp import (
     OPTIMAL,
     UNBOUNDED,
     LPProblem,
+    LPResult,
     ProjectionChecker,
     _cost_row,
     _FloatCore,
@@ -21,7 +22,7 @@ from reflekt.lp import (
     solve,
     solve_system,
 )
-from reflekt.numeric import FLOAT, DimensionError, ScaledPoint, dot, vec_sub
+from reflekt.numeric import FLOAT, BackendError, DimensionError, ScaledPoint, dot, vec_sub
 from reflekt.oracles import permutation_orbit
 from reflekt.polyhedra import (
     AffineMap,
@@ -566,3 +567,129 @@ class TestFloatSharedPhase1:
             res = solve_system(dim, ineqs, (), objective, sense=sense, backend=FLOAT)
             got = (res.status, res.value)
             assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense, 1e-9))
+
+
+def full_width_solve(n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only):
+    """The exact two-phase solve on a full-width fraction-free tableau, which
+    stores and updates every basic column: the reference for the condensed
+    dictionary, whose Bland runs must pivot the same way."""
+    rows, basis, art_of_row, nv, mults = _stage(n_vars, ineqs, eqs, nonneg, True)
+    obj, obj_scale = _cost_row(objective, sense, nonneg, True, len(rows[-1]))
+    rows.append(obj)
+    state = {"q": 1}
+
+    def pivot(r, c):
+        piv, q, lead = rows[r][c], state["q"], rows[r]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [(piv * a - rows[i][c] * b) // q for a, b in zip(rows[i], lead)]
+        state["q"] = piv
+        basis[r] = c
+
+    def run_phase(obj_idx, m, allowed):
+        while True:
+            col = next((j for j in allowed if rows[obj_idx][j] > 0), -1)
+            if col < 0:
+                return True
+            best = -1
+            for i in range(m):
+                a = rows[i][col]
+                if a > 0 and (best < 0 or (rows[i][-1] * rows[best][col], basis[i])
+                              < (rows[best][-1] * a, basis[best])):
+                    best = i
+            if best < 0:
+                return False
+            pivot(best, col)
+
+    n_struct, m = nv + len(ineqs), len(basis)
+    if art_of_row:
+        run_phase(m, m, range(len(obj) - 1))
+        if rows[m][-1] != 0:
+            return LPResult(INFEASIBLE)
+        if feasibility_only:
+            return LPResult(OPTIMAL)
+        for i in range(m - 1, -1, -1):
+            if basis[i] < n_struct:
+                continue
+            col = next((j for j in range(n_struct) if rows[i][j]), -1)
+            if col < 0:
+                del rows[i], basis[i]
+                m -= 1
+                continue
+            if rows[i][col] < 0:
+                rows[i] = [-e for e in rows[i]]
+            pivot(i, col)
+    if feasibility_only:
+        return LPResult(OPTIMAL)
+    if not run_phase(m + 1, m, range(n_struct)):
+        return LPResult(UNBOUNDED)
+    q = state["q"]
+    vals = {basis[i]: F(rows[i][-1], q) for i in range(m)}
+    x = tuple(vals.get(j, F(0)) - (0 if nonneg else vals.get(n_vars + j, F(0)))
+              for j in range(n_vars))
+    sgn = -1 if sense == "min" else 1
+    dual = None
+    if not art_of_row:
+        dual = tuple(sgn * F(-rows[m + 1][nv + i], q) / obj_scale * mults[i]
+                     for i in range(len(ineqs)))
+    return LPResult(OPTIMAL, sgn * F(-rows[m + 1][-1], q) / obj_scale, x, dual)
+
+
+class TestCondensedDictionary:
+    """Every exact LP pivots on one condensed dictionary and keeps the
+    full-width tableau's pivots and results."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_solve_system_matches_the_full_width_tableau(self, dim, data):
+        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+        rhs = st.fractions(min_value=-3, max_value=5, max_denominator=3)
+        row = st.tuples(*[coeff] * dim)
+        ineqs = data.draw(st.lists(st.tuples(row, rhs), max_size=5))
+        eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
+        objective = data.draw(row)
+        nonneg = data.draw(st.booleans())
+        for sense in ("max", "min"):
+            for feasibility_only in (False, True):
+                got = solve_system(dim, ineqs, eqs, objective, sense, nonneg=nonneg,
+                                   feasibility_only=feasibility_only, want_duals=True)
+                want = full_width_solve(dim, ineqs, eqs, objective, sense, nonneg,
+                                        feasibility_only)
+                assert got == want, (sense, feasibility_only)
+
+    @pytest.mark.parametrize(
+        "recipe, params, oracle, args, pivots",
+        [
+            ("huffman_quadratic", {"n": 5}, "huffman_vectors", (5,), 1491),
+            ("huffman_nlogn", {"n": 5}, "huffman_vectors", (5,), 1532),
+            ("parity", {"n": 7, "parity": "odd"}, "parity_vertices", (7, "odd"), 732),
+            ("a_permutahedron", {"n": 6}, "permutation_orbit", ((1, 2, 3, 4, 5, 6),), 679),
+            ("b_permutahedron", {"n": 4}, "signed_orbit", ((1, 2, 3, 4),), 487),
+        ],
+    )
+    def test_benchmark_pivot_counts(self, recipe, params, oracle, args, pivots):
+        from reflekt.verify import verify_projection_equality
+
+        ef = build_recipe(recipe, params)
+        report = verify_projection_equality(ef, getattr(oracles, oracle)(*args), 50, seed=7)
+        assert report.passed and report.objective_max_deviation == 0
+        assert report.lp_pivots == pivots
+
+    def test_float_input_on_the_exact_backend(self):
+        from reflekt import serialize
+        from reflekt.polyhedra import point_in_projection
+
+        fresh = build_recipe("a_permutahedron", {"n": 3})
+        loaded = serialize.ef_from_dict(serialize.ef_to_dict(fresh))
+        for ef in (fresh, loaded):
+            checker = ProjectionChecker(ef)
+            with pytest.raises(BackendError):
+                checker.maximize_projected((1.0, 0.0, 0.0))
+            with pytest.raises(BackendError):
+                checker.feasible((1.0, 2.0, 3.0))
+            with pytest.raises(BackendError):
+                point_in_projection(ef, (1.0, 2.0, 3.0))
+            # ints are exact
+            assert checker.maximize_projected((1, 0, 0)) == (OPTIMAL, F(3))
+            assert checker.feasible((1, 2, 3)) and not checker.feasible((1, 1, 1))
+            assert point_in_projection(ef, (3, 1, 2))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from dataclasses import replace
@@ -142,6 +143,23 @@ class TestProjectionEquality:
         assert first.lp_pivots - again.lp_pivots == ef._checker.n_free
         mgon = verify_projection_equality(mgon_ef(8), mgon_orbit(8), 5, seed=1, tol=1e-6)
         assert mgon.passed and mgon.lp_pivots == 0
+
+    def test_phases_only_with_timing(self):
+        ef = build_recipe("a_permutahedron", {"n": 4})
+        rep = verify_projection_equality(
+            ef, permutation_orbit((1, 2, 3, 4)), 20, seed=7,
+            expected_sizes={"inequalities": ef.ledger.inequalities},
+            extra_checks=(("chain-conditions", True),),
+        )
+        # the default bytes are those of a report without per-phase timing
+        digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+        assert digest == "4e1abc61fdd892f46231973ce8b0393fabed46895607dd8f2c6c31eff352e129"
+        assert "phases" not in json.loads(rep.to_json())
+        phases = rep.to_dict(include_timing=True)["phases"]
+        assert set(phases) == {"vertex_checks_s", "objective_checks_s", "size_check_s"}
+        assert all(s >= 0 for s in phases.values())
+        assert sum(phases.values()) <= rep.wall_time_s
+        assert json.loads(rep.to_json(include_timing=True))["phases"] == phases
 
 
 @pytest.mark.parametrize(
