@@ -23,8 +23,9 @@ is pivoted into the basis and only the slack rows are kept, with one integer
 projection row per output coordinate priced into that basis.  An objective
 is an integer combination of the projection rows, solved by Bland's rule
 with no phase 1; a membership query adds the projection rows as artificial
-equations and runs phase 1 alone.  Float objectives share one phase 1 and
-each runs only its phase 2.
+equations and runs phase 1 alone.  Float objectives share one phase 1, and a
+batch of them is solved as one pivot tree: objectives share each phase-2
+pivot until their paths split, and each keeps the bits of its own solve.
 """
 
 from __future__ import annotations
@@ -264,6 +265,12 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
     return LPResult(OPTIMAL, value, x, dual)
 
 
+def _updated(row, col, lead):
+    """``row`` after a pivot on column ``col`` with normalized ``lead`` row."""
+    f = row[col]
+    return [a - f * b for a, b in zip(row, lead)] if abs(f) > 0.0 else row
+
+
 class _FloatCore:
     """Float simplex phases on a dense tableau: largest-coefficient pricing
     and a ratio test under a symmetric tolerance.  A pivot replaces rows and
@@ -280,34 +287,35 @@ class _FloatCore:
         piv = lead[c]
         rows[r] = lead = [e / piv for e in lead]
         for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if abs(f) > 0.0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+            if i != r:
+                rows[i] = _updated(rows[i], c, lead)
         self.basis[r] = c
         if self.record is not None:
             self.record.append((c, lead))
 
+    def choose(self, objrow, allowed):
+        """The pivot ``(row, column)`` for ``objrow``: the first largest reduced
+        cost among ``allowed``, column -1 when none is above ``tol``, and the
+        smallest ratio within ``tol``, row -1 when the column is unblocked."""
+        col, tol = max(allowed, key=objrow.__getitem__, default=-1), self.tol
+        if col < 0 or not objrow[col] > tol:
+            return -1, -1
+        rows, r, best_ratio = self.rows, -1, None
+        for i in range(len(self.basis)):
+            a = rows[i][col]
+            if a > tol:
+                ratio = rows[i][-1] / a
+                if best_ratio is None or ratio < best_ratio - tol:
+                    r, best_ratio = i, ratio
+        return r, col
+
     def run_phase(self, obj_idx, allowed):
         """Pivot until the objective row ``obj_idx`` has no reduced cost above
         ``tol`` among ``allowed``; returns False on unboundedness."""
-        rows, tol, m = self.rows, self.tol, len(self.basis)
         for _ in range(_MAX_PIVOTS_FLOAT):
-            objrow = rows[obj_idx]
-            col, best = -1, tol
-            for j in allowed:
-                if objrow[j] > best:
-                    col, best = j, objrow[j]
+            r, col = self.choose(self.rows[obj_idx], allowed)
             if col < 0:
                 return True
-            r, best_ratio = -1, None
-            for i in range(m):
-                a = rows[i][col]
-                if a > tol:
-                    ratio = rows[i][-1] / a
-                    if best_ratio is None or ratio < best_ratio - tol:
-                        r, best_ratio = i, ratio
             if r < 0:
                 return False
             self.pivot(r, col)
@@ -320,7 +328,7 @@ def _float_phase1(n_vars, ineqs, eqs, nonneg, tol):
 
     Phase-1 decisions read only the constraint rows and the phase-1 row, and
     a pivot updates an objective row from that row and the lead row alone,
-    so replaying the record on an objective row (:func:`_float_optimum`)
+    so replaying the record on an objective row (:func:`_float_optima`)
     gives the bits that carrying it through phase 1 would.
     """
     rows, basis, art_of_row, _, _ = _stage(n_vars, ineqs, eqs, nonneg, False)
@@ -332,24 +340,47 @@ def _float_phase1(n_vars, ineqs, eqs, nonneg, tol):
     return core, not rows[m][-1] > feas_eps
 
 
-def _float_optimum(core, n_vars, n_slack, objective, sense, nonneg):
-    """Phase 2 for one objective on a copy of a feasible phase-1 core."""
-    m = len(core.basis)
-    row, _ = _cost_row(objective, sense, nonneg, False, len(core.rows[m]))
-    for c, lead in core.record:
-        f = row[c]
-        if abs(f) > 0.0:
-            row = [a - f * b for a, b in zip(row, lead)]
-    core = _FloatCore(core.rows[:m] + [row], core.basis[:], core.tol)
-    if not core.run_phase(m, range((n_vars if nonneg else 2 * n_vars) + n_slack)):
-        return LPResult(UNBOUNDED)
-    vals = {j: row[-1] for j, row in zip(core.basis, core.rows)}
-    if nonneg:
-        x = tuple(vals.get(j, 0.0) for j in range(n_vars))
-    else:
-        x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
-    value = -core.rows[m][-1]
-    return LPResult(OPTIMAL, -value if sense == "min" else value, x)
+def _float_optima(core, n_vars, n_slack, objectives, sense, nonneg):
+    """Phase 2 of each objective on a feasible phase-1 core, as one pivot tree
+    walked depth first.  A node holds constraint rows, their basis and the
+    objective rows (replayed through the phase-1 record) that reached it; the
+    objectives that pick the same pivot by :meth:`_FloatCore.choose` share a
+    child, pivoted once on a shallow copy, and each of their rows is updated
+    from its lead row as a pivot updates any other row, so every objective
+    keeps the bits of its own phase 2."""
+    m, allowed = len(core.basis), range((n_vars if nonneg else 2 * n_vars) + n_slack)
+    group = []
+    for k, objective in enumerate(objectives):
+        row, _ = _cost_row(objective, sense, nonneg, False, len(core.rows[m]))
+        for c, lead in core.record:
+            row = _updated(row, c, lead)
+        group.append((k, row))
+    results = [None] * len(group)
+    stack = [(_FloatCore(core.rows[:m], core.basis, core.tol), group, 0)]
+    while stack:
+        node, group, depth = stack.pop()
+        children = {}
+        for k, row in group:
+            r, col = node.choose(row, allowed)
+            if r >= 0:
+                children.setdefault((r, col), []).append((k, row))
+            elif col >= 0:
+                results[k] = LPResult(UNBOUNDED)
+            else:
+                vals = {j: t[-1] for j, t in zip(node.basis, node.rows)}
+                if nonneg:
+                    x = tuple(vals.get(j, 0.0) for j in range(n_vars))
+                else:
+                    x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
+                results[k] = LPResult(OPTIMAL, row[-1] if sense == "min" else -row[-1], x)
+        if children and depth == _MAX_PIVOTS_FLOAT:
+            raise LPNumericError("float simplex failed to converge")
+        for (r, col), members in children.items():
+            child = _FloatCore(node.rows[:], node.basis[:], node.tol)
+            child.pivot(r, col)
+            lead = child.rows[r]
+            stack.append((child, [(k, _updated(row, col, lead)) for k, row in members], depth + 1))
+    return results
 
 
 def solve_system(
@@ -375,7 +406,7 @@ def solve_system(
         core, feasible = _float_phase1(n_vars, ineqs, eqs, nonneg, tol)
         if not feasible or feasibility_only:
             return LPResult(OPTIMAL if feasible else INFEASIBLE)
-        return _float_optimum(core, n_vars, len(ineqs), objective, sense, nonneg)
+        return _float_optima(core, n_vars, len(ineqs), [objective], sense, nonneg)[0]
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -465,8 +496,10 @@ class ProjectionChecker:
     projection rows and pivots only among slack columns; a membership query
     adds them as artificial equations and runs one phase 1
     (:meth:`_membership_frame`).  Float objectives share one phase 1 per
-    right-hand side and tolerance, and each runs only its own phase 2; float
-    membership queries take one two-phase solve each.
+    right-hand side and tolerance, and the objectives of one
+    :meth:`maximize_projected_all` call are solved as one pivot tree from it
+    (:func:`_float_optima`); float membership queries take one two-phase
+    solve each.
     """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
@@ -620,6 +653,32 @@ class ProjectionChecker:
             self._frame = slack, labels, cols + [-1 - t for t in lineal], proj, q, q * scale
         return self._frame
 
+    def maximize_projected_all(self, objectives, sense: str = "max", tol: float = DEFAULT_TOL):
+        """:meth:`maximize_projected` of each objective, as a list; float
+        objectives are solved as one pivot tree (:func:`_float_optima`)."""
+        if self.backend != FLOAT or not self.consistent:
+            return [self.maximize_projected(c, sense, tol) for c in objectives]
+        if sense not in ("max", "min"):
+            raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+        consts = [dot(c, self.t_red) for c in objectives]
+        cols = list(zip(*self.M_red))
+        objs = [tuple(dot(c, col) for col in cols) for c in objectives]
+        seeded = self.w_feas is not None
+        if (seeded, tol) not in self._float_cores:
+            rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
+            self._float_cores[seeded, tol] = _float_phase1(self.n_free, rows, (), False, tol)
+        core, feasible = self._float_cores[seeded, tol]
+        results = (_float_optima(core, self.n_free, len(self.A_red), objs, sense, False)
+                   if feasible else [LPResult(INFEASIBLE)] * len(objs))
+        out = []
+        for obj, const, res in zip(objs, consts, results):
+            if res.status != OPTIMAL:
+                out.append((res.status, None))
+                continue
+            value = res.value + dot(obj, self.w_feas) if seeded else res.value
+            out.append((OPTIMAL, value + const))
+        return out
+
     def maximize_projected(self, c, sense: str = "max", tol: float = DEFAULT_TOL):
         """Optimize <c, projection(z)> over Q; returns (status, value)."""
         if sense not in ("max", "min"):
@@ -627,21 +686,7 @@ class ProjectionChecker:
         if not self.consistent:
             return INFEASIBLE, None
         if self.backend == FLOAT:
-            const = dot(c, self.t_red)
-            obj = tuple(dot(c, col) for col in zip(*self.M_red)) if self.M_red else ()
-            seeded = self.w_feas is not None
-            if (seeded, tol) not in self._float_cores:
-                rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
-                self._float_cores[seeded, tol] = _float_phase1(self.n_free, rows, (), False, tol)
-            core, feasible = self._float_cores[seeded, tol]
-            if not feasible:
-                return INFEASIBLE, None
-            res = _float_optimum(core, self.n_free, len(self.A_red), obj, sense, False)
-            if res.status != OPTIMAL:
-                return res.status, None
-            if seeded:
-                return OPTIMAL, res.value + dot(obj, self.w_feas) + const
-            return OPTIMAL, res.value + const
+            return self.maximize_projected_all([c], sense, tol)[0]
         c_ints, c_den = int_scale(self._exact_input(c))
         if not self._tableau():
             return INFEASIBLE, None

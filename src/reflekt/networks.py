@@ -16,6 +16,7 @@ Converting between the two conventions reverses the list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 APPLICATION = "application"
@@ -160,6 +161,7 @@ def stride_indices(k: int):
     return idx
 
 
+@lru_cache(maxsize=None)
 def stride_seq(k: int) -> ComparatorSeq:
     """Logarithmic replacement for :func:`double_bubble_seq` on inner
     Huffman levels: down the doubling-stride indices and back up,

@@ -168,12 +168,11 @@ def huffman_profiles(n: int):
 def huffman_vectors(n: int) -> VertexSet:
     """Leaf-depth vectors of full binary trees with n labelled leaves:
     depth profiles enumerated by the exact depth-weight identity, then
-    expanded to all distinct labelings."""
-    pts = []
-    for profile in huffman_profiles(n):
-        frac_profile = tuple(Fraction(d) for d in profile)
-        pts.extend(_distinct_permutations(frac_profile))
-    return _finish(pts, n, f"huffman_vectors({n})")
+    expanded to all distinct labelings on ints and made exact once."""
+    pts = {p for profile in huffman_profiles(n) for p in _distinct_permutations(profile)}
+    depth = [Fraction(d) for d in range(n)]
+    exact = tuple(tuple(depth[d] for d in p) for p in sorted(pts))
+    return VertexSet(n, exact, f"huffman_vectors({n})")
 
 
 def parity_vertices(n: int, parity: str) -> VertexSet:

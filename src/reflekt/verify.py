@@ -185,6 +185,8 @@ def verify_projection_equality(
     against Q (``witness_hits``) or else through an LP (``lp_fallbacks``);
     ``lp_pivots`` counts the exact simplex pivots of the objective LPs, and
     ``phases`` holds the seconds of the vertex, objective and size checks.
+    All objectives go to the checker in one call, so float ones are solved
+    as one pivot tree that shares phase-2 pivots until their paths split.
     In the rational backend V is scaled once to one integer matrix over a
     common denominator and every brute-force maximum is taken on integers.
     """
@@ -221,9 +223,10 @@ def verify_projection_equality(
     if exact:
         flat, v_den = int_scale(e for v in V.points for e in v)
         v_rows = [flat[i : i + V.dim] for i in range(0, len(flat), V.dim)]
-    for c in random_objectives(ef.projection.out_dim, n_objectives, rng, backend):
+    objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
+    optima = checker.maximize_projected_all(objectives, "max", lp_tol)
+    for c, (status, value) in zip(objectives, optima):
         report.objective_total += 1
-        status, value = checker.maximize_projected(c, "max", lp_tol)
         if status != lp.OPTIMAL:
             continue
         if exact:
@@ -231,7 +234,7 @@ def verify_projection_equality(
             best = max(sum(map(mul, c_ints, row)) for row in v_rows)
             brute = Fraction(best, v_den * c_den)
         else:
-            brute = max(dot(c, v) for v in V.points)
+            brute = max(sum(map(mul, c, v)) for v in V.points)
         dev = abs(value - brute)
         if dev > max_dev:
             max_dev = dev

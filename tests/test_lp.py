@@ -15,6 +15,8 @@ from reflekt.lp import (
     LPResult,
     ProjectionChecker,
     _cost_row,
+    _float_optima,
+    _float_phase1,
     _FloatCore,
     _stage,
     feasible,
@@ -567,6 +569,134 @@ class TestFloatSharedPhase1:
             res = solve_system(dim, ineqs, (), objective, sense=sense, backend=FLOAT)
             got = (res.status, res.value)
             assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense, 1e-9))
+
+
+def mgon_checkers(m):
+    """An unseeded and a seeded float checker of the m-gon formulation."""
+    from reflekt.constructions import mgon_ef
+    from reflekt.oracles import mgon_orbit
+
+    ef = mgon_ef(m)
+    seeded = ProjectionChecker(ef, 1e-9)
+    assert seeded.seed_from_raw(_witness_blocks(ef, mgon_orbit(m).points[0], 1e-6), 1e-9)
+    return ProjectionChecker(ef, 1e-9), seeded
+
+
+class TestFloatPivotTree:
+    """Float objectives are solved as one pivot tree and keep every bit of
+    their own phase 2."""
+
+    def test_mgon_batches_match_per_call_and_fresh_solves(self):
+        from reflekt.verify import random_objectives
+
+        for m in range(3, 65):
+            objectives = random_objectives(2, 25, random.Random(m), FLOAT)
+            unseeded, seeded = mgon_checkers(m)
+            for sense in ("max", "min"):
+                for checker in (unseeded, seeded):
+                    got = checker.maximize_projected_all(objectives, sense, 1e-9)
+                    per_call = [checker.maximize_projected(c, sense, 1e-9) for c in objectives]
+                    assert repr(got) == repr(per_call), (m, sense, checker is seeded)
+                # TestFloatSharedPhase1 compares the seeded calls with fresh solves
+                fresh = [fresh_projected(unseeded, c, sense, 1e-9) for c in objectives]
+                assert repr(unseeded.maximize_projected_all(objectives, sense, 1e-9)) == repr(fresh)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_tree_matches_carried_objective_rows(self, dim, data):
+        coeff = st.floats(-3, 3, allow_nan=False).map(lambda e: round(e, 2))
+        row = st.tuples(*[coeff] * dim)
+        ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
+                                   max_size=6))
+        objectives = [data.draw(row)]
+        for kind in data.draw(st.lists(st.sampled_from(("new", "zero", "repeat", "negate")),
+                                       max_size=7)):
+            if kind == "new":
+                objectives.append(data.draw(row))
+            elif kind == "zero":
+                objectives.append((0.0,) * dim)
+            else:
+                c = data.draw(st.sampled_from(objectives))
+                objectives.append(c if kind == "repeat" else tuple(-e for e in c))
+        core, is_feasible = _float_phase1(dim, ineqs, (), False, 1e-9)
+        for sense in ("max", "min"):
+            want = [carried_float_solve(dim, ineqs, c, sense, 1e-9) for c in objectives]
+            if not is_feasible:
+                assert want == [(INFEASIBLE, None)] * len(objectives)
+                continue
+            got = _float_optima(core, dim, len(ineqs), objectives, sense, False)
+            assert repr([(res.status, res.value) for res in got]) == repr(want), sense
+            # a one-objective tree is one path; its point comes from the same basis
+            single = [solve_system(dim, ineqs, (), c, sense, FLOAT) for c in objectives]
+            assert repr(got) == repr(single), sense
+
+    def test_unbounded_and_infeasible_batches(self):
+        unbounded = identity_ef(HPolyhedron.from_rows(
+            2, ineqs=[((-1.0, 0.0), 0.5), ((0.0, 1.0), 2.0)], backend=FLOAT))
+        empty = identity_ef(HPolyhedron.from_rows(
+            2, ineqs=[((1.0, 1.0), -1.0), ((-1.0, 0.0), 0.0), ((0.0, -1.0), 0.0)],
+            backend=FLOAT))
+        objectives = [(1.0, 0.0), (0.0, 1.0), (-1.0, 2.5), (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]
+        for ef in (unbounded, empty):
+            checker = ProjectionChecker(ef)
+            for sense in ("max", "min"):
+                got = checker.maximize_projected_all(objectives, sense)
+                assert repr(got) == repr([checker.maximize_projected(c, sense) for c in objectives])
+        assert ProjectionChecker(unbounded).maximize_projected_all(objectives[:3]) == [
+            (UNBOUNDED, None), (OPTIMAL, 2.0), (OPTIMAL, 5.5)]
+        assert ProjectionChecker(empty).maximize_projected_all(objectives[:2]) == [
+            (INFEASIBLE, None)] * 2
+
+    def test_exact_batches_loop_over_single_objectives(self):
+        for recipe, params, dim in (("a_permutahedron", {"n": 4}, 4),
+                                    ("huffman_quadratic", {"n": 4}, 4)):
+            rng = random.Random(5)
+            objectives = [tuple(F(rng.randint(-10, 10)) for _ in range(dim)) for _ in range(12)]
+            for sense in ("max", "min"):
+                batch = ProjectionChecker(build_recipe(recipe, params))
+                single = ProjectionChecker(build_recipe(recipe, params))
+                got = batch.maximize_projected_all(objectives, sense)
+                assert got == [single.maximize_projected(c, sense) for c in objectives]
+                assert batch.pivots == single.pivots > 0
+
+    def test_empty_lists_and_bad_objectives(self):
+        exact = ProjectionChecker(build_recipe("a_permutahedron", {"n": 3}))
+        floats = mgon_checkers(5)
+        for checker in (exact, *floats):
+            assert checker.maximize_projected_all([]) == []
+        good = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
+        with pytest.raises(DimensionError):
+            exact.maximize_projected_all(good + [(F(1), F(2))])
+        with pytest.raises(BackendError):
+            exact.maximize_projected_all(good + [(1.0, 0.0, 0.0)])
+        for checker in floats:
+            with pytest.raises(DimensionError):
+                checker.maximize_projected_all([(1.0, 0.0), (0.0, 1.0, 2.0), (1.0, 1.0)])
+        with pytest.raises(ValueError):
+            exact.maximize_projected_all(good, "maximize")
+
+    def test_ledger_mgons_share_their_phase2_pivots(self, monkeypatch):
+        from reflekt.constructions import mgon_ef
+        from reflekt.oracles import mgon_orbit
+        from reflekt.verify import random_objectives, verify_projection_equality
+
+        pivot, count = _FloatCore.pivot, [0]
+
+        def counted(core, r, c):
+            count[0] += core.record is None  # phase-1 cores record their pivots
+            pivot(core, r, c)
+
+        monkeypatch.setattr(_FloatCore, "pivot", counted)
+        efs = [mgon_ef(m) for m in range(3, 65)]
+        for m, ef in zip(range(3, 65), efs):
+            assert verify_projection_equality(ef, mgon_orbit(m), 25, seed=7, tol=1e-6).passed
+        assert count[0] == 5397  # one pivot per distinct path prefix
+        count[0] = 0
+        objectives = random_objectives(2, 25, random.Random(7), FLOAT)
+        for ef in efs:
+            for c in objectives:
+                ef._checker.maximize_projected(c, "max", 1e-9)
+        assert count[0] == 14978  # one path per objective
 
 
 def full_width_solve(n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only):

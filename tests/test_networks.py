@@ -109,6 +109,13 @@ class TestStride:
             r = len(stride_indices(k))
             assert r <= math.ceil(math.log2(k)) + 2
 
+    def test_memoized_by_k(self):
+        assert stride_seq(9) is stride_seq(9)
+        assert stride_seq(9) == ComparatorSeq(9, stride_seq(9).comparators, RELATION)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                stride_seq(2)
+
 
 class TestApply:
     def test_batcher_sorts(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -128,6 +129,24 @@ class TestHuffman:
         for v in pts:
             for perm in itertools.permutations(v):
                 assert perm in pts
+
+    @pytest.mark.parametrize("n, size, digest", [
+        (2, 1, "3cfe50c296a013debb3cbb16608a79467999408fdd999dcd427ca91dbf1313fb"),
+        (3, 3, "193c668f73199ec76fcaee7d81bcf68e47c79ba437e5479f85378decb55ef22a"),
+        (4, 13, "091efa405692cc8249d949262ee1896f9e967166daadd8c6f9e3a415234a7d27"),
+        (5, 75, "9da52a65ccd1efebe874d84491b0c7e20fe804f4ce853619ecfc90b3838999bf"),
+        (6, 525, "70ef0ddab868abce0c8270d2246476ffcb2d0ebbe9a031a3dca1164c2eacaf07"),
+        (7, 4347, "68f5569e13824d2791e3bbebe454e953287143fa11e543987cb447b05d31cea2"),
+        (8, 41245, "628af330e711287c67b812bed1f49f1ac1ff93026708728f2872babd590475bf"),
+    ])
+    def test_vectors_match_the_fraction_enumeration(self, n, size, digest):
+        # sha256 of the VertexSet fields as the Fraction-profile enumeration
+        # (permute Fraction depths, sort the set) built them: same points,
+        # order, Fraction entries and label
+        V = huffman_vectors(n)
+        assert len(V) == size
+        fields = repr((V.dim, V.points, V.label, V.backend)).encode()
+        assert hashlib.sha256(fields).hexdigest() == digest
 
     def test_profiles_are_sorted_multisets(self):
         for profile in huffman_profiles(6):
