@@ -456,16 +456,11 @@ RECIPES = (
 )
 
 
-def _point_base(params, n, backend=EXACT):
+def _point_base(params, n):
     base = params.get("base")
     if isinstance(base, HPolyhedron):
         return base
-    if base is None:
-        coords = range(1, n + 1)
-    else:
-        coords = base
-    if backend == FLOAT:
-        return HPolyhedron.point([float(c) for c in coords], FLOAT)
+    coords = range(1, n + 1) if base is None else base
     return HPolyhedron.point([Fraction(c) for c in coords])
 
 

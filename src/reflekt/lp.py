@@ -7,8 +7,9 @@ entries stay integers (they are subdeterminants of the input) and no
 per-operation gcd normalization is paid.  Entry/selection rules are
 Bland's, by variable label, which guarantees termination without
 perturbation.  The float path is a classic dense tableau with
-largest-coefficient pricing and a symmetric tolerance; its phase 1 records
-its pivots, so any objective is priced by replaying them.
+largest-coefficient pricing and a symmetric tolerance; a batch of
+objectives is staged as cost rows below the phase-1 row and carried through
+one phase 1.
 
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
@@ -17,15 +18,16 @@ rather than split into inequality pairs.  Both backends stage their tableau
 in one function.
 
 :class:`ProjectionChecker` does each query's objective-independent work
-once per formulation.  Exact queries use a vertex-start dictionary: from a
-feasible point (a registered seed, else one exact solve) every free variable
-is pivoted into the basis and only the slack rows are kept, with one integer
-projection row per output coordinate priced into that basis.  An objective
-is an integer combination of the projection rows, solved by Bland's rule
-with no phase 1; a membership query adds the projection rows as artificial
-equations and runs phase 1 alone.  Float objectives share one phase 1, and a
-batch of them is solved as one pivot tree: objectives share each phase-2
-pivot until their paths split, and each keeps the bits of its own solve.
+once per formulation, and caches nothing else.  Exact queries use a
+vertex-start dictionary: from a feasible point (a registered seed, else one
+exact solve) every free variable is pivoted into the basis and only the
+slack rows are kept, with one integer projection row per output coordinate
+priced into that basis.  An objective is an integer combination of the
+projection rows, solved by Bland's rule with no phase 1; a membership query
+adds the projection rows as artificial equations and runs phase 1 alone.
+The float objectives of one call share one phase 1 and are solved as one
+pivot tree: objectives share each phase-2 pivot until their paths split,
+and each keeps the bits of its own solve.
 """
 
 from __future__ import annotations
@@ -274,12 +276,11 @@ def _updated(row, col, lead):
 class _FloatCore:
     """Float simplex phases on a dense tableau: largest-coefficient pricing
     and a ratio test under a symmetric tolerance.  A pivot replaces rows and
-    never edits one, so a shallow copy of ``rows`` is an independent tableau
-    and every recorded lead row keeps its entries."""
+    never edits one, so a shallow copy of ``rows`` is an independent
+    tableau."""
 
-    def __init__(self, rows, basis, tol, record=None):
+    def __init__(self, rows, basis, tol):
         self.rows, self.basis, self.tol = rows, basis, tol  # as in _ExactCore
-        self.record = record  # (column, normalized lead row) per pivot, or None
 
     def pivot(self, r, c):
         rows = self.rows
@@ -290,8 +291,6 @@ class _FloatCore:
             if i != r:
                 rows[i] = _updated(rows[i], c, lead)
         self.basis[r] = c
-        if self.record is not None:
-            self.record.append((c, lead))
 
     def choose(self, objrow, allowed):
         """The pivot ``(row, column)`` for ``objrow``: the first largest reduced
@@ -322,41 +321,30 @@ class _FloatCore:
         raise LPNumericError("float simplex failed to converge")
 
 
-def _float_phase1(n_vars, ineqs, eqs, nonneg, tol):
-    """Stage a float tableau and run its phase 1 once, recording its pivots;
-    returns ``(core, feasible)`` with the phase-1 row last in ``core.rows``.
+def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg, tol):
+    """Two-phase float solves of each objective over one system; returns one
+    :class:`LPResult` per objective, or None when phase 1 finds the system
+    infeasible.
 
-    Phase-1 decisions read only the constraint rows and the phase-1 row, and
-    a pivot updates an objective row from that row and the lead row alone,
-    so replaying the record on an objective row (:func:`_float_optima`)
-    gives the bits that carrying it through phase 1 would.
-    """
-    rows, basis, art_of_row, _, _ = _stage(n_vars, ineqs, eqs, nonneg, False)
-    core, m = _FloatCore(rows, basis, tol, []), len(basis)
-    if not art_of_row:
-        return core, True
-    feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
-    core.run_phase(m, range(len(rows[0]) - 1))
-    return core, not rows[m][-1] > feas_eps
-
-
-def _float_optima(core, n_vars, n_slack, objectives, sense, nonneg):
-    """Phase 2 of each objective on a feasible phase-1 core, as one pivot tree
-    walked depth first.  A node holds constraint rows, their basis and the
-    objective rows (replayed through the phase-1 record) that reached it; the
+    The cost rows are staged below the phase-1 row and carried through
+    phase 1, whose decisions read only the constraint rows and the phase-1
+    row.  Phase 2 is one pivot tree walked depth first.  A node holds
+    constraint rows, their basis and the objective rows that reached it; the
     objectives that pick the same pivot by :meth:`_FloatCore.choose` share a
     child, pivoted once on a shallow copy, and each of their rows is updated
     from its lead row as a pivot updates any other row, so every objective
-    keeps the bits of its own phase 2."""
-    m, allowed = len(core.basis), range((n_vars if nonneg else 2 * n_vars) + n_slack)
-    group = []
-    for k, objective in enumerate(objectives):
-        row, _ = _cost_row(objective, sense, nonneg, False, len(core.rows[m]))
-        for c, lead in core.record:
-            row = _updated(row, c, lead)
-        group.append((k, row))
-    results = [None] * len(group)
-    stack = [(_FloatCore(core.rows[:m], core.basis, core.tol), group, 0)]
+    keeps the bits of its own two-phase solve."""
+    rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, eqs, nonneg, False)
+    m, width = len(basis), len(rows[0])
+    rows += [_cost_row(c, sense, nonneg, False, width)[0] for c in objectives]
+    if art_of_row:
+        feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
+        _FloatCore(rows, basis, tol).run_phase(m, range(width - 1))
+        if rows[m][-1] > feas_eps:
+            return None
+    allowed = range(nv + len(ineqs))
+    results = [None] * len(objectives)
+    stack = [(_FloatCore(rows[:m], basis, tol), list(enumerate(rows[m + 1:])), 0)]
     while stack:
         node, group, depth = stack.pop()
         children = {}
@@ -403,10 +391,11 @@ def solve_system(
             n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only, want_duals
         )
     if backend == FLOAT:
-        core, feasible = _float_phase1(n_vars, ineqs, eqs, nonneg, tol)
-        if not feasible or feasibility_only:
-            return LPResult(OPTIMAL if feasible else INFEASIBLE)
-        return _float_optima(core, n_vars, len(ineqs), [objective], sense, nonneg)[0]
+        results = _float_optima(n_vars, ineqs, eqs, [] if feasibility_only else [objective],
+                                sense, nonneg, tol)
+        if results is None:
+            return LPResult(INFEASIBLE)
+        return results[0] if results else LPResult(OPTIMAL)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -492,14 +481,13 @@ class ProjectionChecker:
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
-    (:meth:`_factor`).  An objective is an integer combination of these
-    projection rows and pivots only among slack columns; a membership query
-    adds them as artificial equations and runs one phase 1
-    (:meth:`_membership_frame`).  Float objectives share one phase 1 per
-    right-hand side and tolerance, and the objectives of one
-    :meth:`maximize_projected_all` call are solved as one pivot tree from it
-    (:func:`_float_optima`); float membership queries take one two-phase
-    solve each.
+    (:meth:`_factor`); it is the only state a checker caches.  An objective
+    is an integer combination of these projection rows and pivots only
+    among slack columns; a membership query adds them as artificial
+    equations and runs one phase 1.  The float objectives of one
+    :meth:`maximize_projected_all` call share one phase 1 and are solved as
+    one pivot tree (:func:`_float_optima`); float membership queries take
+    one two-phase solve each.
     """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
@@ -510,8 +498,6 @@ class ProjectionChecker:
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
-        self._frame = None
-        self._float_cores = {}
         try:
             red = reduce_equations(ef, tol)
         except EmptyPolyhedronError as exc:
@@ -545,19 +531,18 @@ class ProjectionChecker:
             )
             return res.status == OPTIMAL
         Y, D = int_scale(self._exact_input(y))
-        frame = self._membership_frame()
-        if frame is None:
+        if not self._tableau():
             return False
-        slack, labels, cols, equations, q, y_coeff = frame
+        slack, labels, cols, proj, q, scale = self._factored
         rows = [row[:-1] + [row[-1] * D] for row in slack]
         p1 = [0] * (len(cols) + 1)
-        for row, y in zip(equations, Y):
-            rhs = row[-1] * D + y_coeff * y
+        for row, y in zip(proj, Y):
+            rhs = row[-1] * D + q * scale * y
             rows.append(row[:-1] + [rhs] if rhs >= 0 else [-e for e in row[:-1]] + [-rhs])
             p1 = [a + e for a, e in zip(p1, rows[-1])]
         # artificial labels rank after every column, so they never re-enter
         ncols = self.n_free + len(self.b_red)
-        basis = labels + list(range(ncols, ncols + len(equations)))
+        basis = labels + list(range(ncols, ncols + len(proj)))
         core = _ExactCore(rows + [p1], basis, cols[:], q)
         core.run_phase(len(rows), len(rows), ncols)
         return core.rows[-1][-1] == 0
@@ -570,13 +555,8 @@ class ProjectionChecker:
 
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
-        rows = tuple(zip(*self.N_cols)) if self.N_cols else ()
         target = vec_sub(z_raw, self.z_part)
-        if not rows:
-            self.w_feas = ()
-            self.b_shift = self.b_red
-            return True
-        part, _ = affine_solution_space(rows, target, tol)
+        part, _ = affine_solution_space(tuple(zip(*self.N_cols)), target, tol, self.n_free)
         if part is None:
             return False
         self.w_feas = part
@@ -594,14 +574,16 @@ class ProjectionChecker:
         feasible.  Each free column d_j is pivoted into the basis once: a
         ratio test over the slack rows keeps them feasible, and the column is
         negated when only its minus direction is blocked.  A column that is
-        zero in every slack row cannot enter and is a lineality direction.
-        The projection rows [L M_i | -L y0_i], with y0 = M_red w0 + t_red and
+        zero in every slack row cannot enter and is a lineality direction;
+        its slot gets a negated copy, labelled below every column, so Bland's
+        rule enters a lineality direction first and finds it unblocked.  The
+        projection rows [L M_i | -L y0_i], with y0 = M_red w0 + t_red and
         L > 0 making them integers, ride along as objective rows, so each
         ends as q times its row in the factored basis.  What is left is
-        ``(slack, labels, cols, proj, lineal, q, L)``: the slack rows and the
+        ``(slack, labels, cols, proj, q, L)``: the slack rows and the
         projection rows over the same slots, the labels (d_j is j, slack i
-        is n + i) of the basic variables and of the slots, the lineality
-        slots (zero in every slack row) and the last pivot q.
+        is n + i, copy t is -1 - t) of the basic variables and of the slots,
+        and the last pivot q.
         """
         w0, b = self.w_feas, self.b_shift
         if w0 is None or any(v < 0 for v in b):
@@ -630,46 +612,29 @@ class ProjectionChecker:
             core.basis[r], core.basis[k] = core.basis[k], core.basis[r]
         self.pivots += core.pivots
         lineal = [s for s, label in enumerate(core.cols) if label < n]
-        return rows[:k], core.basis[:k], core.cols, rows[m:], lineal, core.q, scale
+        slack, proj = ([row[:-1] + [-row[s] for s in lineal] + row[-1:] for row in part]
+                       for part in (rows[:k], rows[m:]))
+        return slack, core.basis[:k], core.cols + [-1 - t for t in lineal], proj, core.q, scale
 
     def _tableau(self):
         if self._factored is None:
             self._factored = self._factor() or ()
         return self._factored
 
-    def _membership_frame(self):
-        """``(slack, labels, cols, equations, q, y_coeff)`` for
-        :meth:`feasible`, built once; None when A_red w <= b_red is empty.
-        Each lineality slot gets a negated copy, labelled below every other
-        column.  The equations are the projection rows; equation i with
-        y_i = Y_i/D has the rhs D * rhs_i + y_coeff * Y_i."""
-        if self._frame is None:
-            factored = self._tableau()
-            if not factored:
-                return None
-            slack, labels, cols, proj, lineal, q, scale = factored
-            slack, proj = ([row[:-1] + [-row[s] for s in lineal] + row[-1:] for row in part]
-                           for part in (slack, proj))
-            self._frame = slack, labels, cols + [-1 - t for t in lineal], proj, q, q * scale
-        return self._frame
-
     def maximize_projected_all(self, objectives, sense: str = "max", tol: float = DEFAULT_TOL):
         """:meth:`maximize_projected` of each objective, as a list; float
         objectives are solved as one pivot tree (:func:`_float_optima`)."""
-        if self.backend != FLOAT or not self.consistent:
-            return [self.maximize_projected(c, sense, tol) for c in objectives]
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+        if self.backend != FLOAT or not self.consistent:
+            return [self.maximize_projected(c, sense, tol) for c in objectives]
         consts = [dot(c, self.t_red) for c in objectives]
         cols = list(zip(*self.M_red))
         objs = [tuple(dot(c, col) for col in cols) for c in objectives]
         seeded = self.w_feas is not None
-        if (seeded, tol) not in self._float_cores:
-            rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
-            self._float_cores[seeded, tol] = _float_phase1(self.n_free, rows, (), False, tol)
-        core, feasible = self._float_cores[seeded, tol]
-        results = (_float_optima(core, self.n_free, len(self.A_red), objs, sense, False)
-                   if feasible else [LPResult(INFEASIBLE)] * len(objs))
+        rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
+        results = (_float_optima(self.n_free, rows, (), objs, sense, False, tol)
+                   or [LPResult(INFEASIBLE)] * len(objs))
         out = []
         for obj, const, res in zip(objs, consts, results):
             if res.status != OPTIMAL:
@@ -690,15 +655,13 @@ class ProjectionChecker:
         c_ints, c_den = int_scale(self._exact_input(c))
         if not self._tableau():
             return INFEASIBLE, None
-        slack, labels, cols, proj, lineal, q, scale = self._factored
+        slack, labels, cols, proj, q, scale = self._factored
         sgn = 1 if sense == "max" else -1
         top = [0] * (len(cols) + 1)
         for ci, row in zip(c_ints, proj):
             if ci:
                 ci *= sgn
                 top = [t + ci * e for t, e in zip(top, row)]
-        if any(top[s] for s in lineal):
-            return UNBOUNDED, None
         core = _ExactCore(slack + [top], labels[:], cols[:], q)
         optimal = core.run_phase(len(slack), len(slack), self.n_free + len(self.b_red))
         self.pivots += core.pivots

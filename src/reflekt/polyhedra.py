@@ -30,7 +30,6 @@ from .numeric import (
     affine_solution_space,
     dot,
     identity_matrix,
-    infer_backend,
     int_scale,
     join_backends,
     kernel_dim,
@@ -196,13 +195,6 @@ class VPolytope:
         for v in self.vertices:
             if len(v) != self.dim:
                 raise DimensionError("vertex dimension mismatch")
-
-    @classmethod
-    def from_points(cls, points, backend=None):
-        points = [tuple(p) for p in points]
-        if backend is None:
-            backend = infer_backend([e for p in points for e in p])
-        return cls(len(points[0]), tuple(vector(p, backend) for p in points), backend)
 
 
 @dataclass(frozen=True)

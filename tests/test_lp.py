@@ -16,7 +16,6 @@ from reflekt.lp import (
     ProjectionChecker,
     _cost_row,
     _float_optima,
-    _float_phase1,
     _FloatCore,
     _stage,
     feasible,
@@ -171,11 +170,11 @@ class TestPinnedProjection:
 
 class TestInHull:
     def test_triangle_interior(self):
-        V = VPolytope.from_points([(0, 0), (1, 0), (0, 1)])
+        V = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
         assert in_hull((F(1, 2), F(1, 2)), V)
 
     def test_triangle_outside(self):
-        V = VPolytope.from_points([(0, 0), (1, 0), (0, 1)])
+        V = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
         assert not in_hull((F(1), F(1)), V)
 
     def test_permutahedron_centroid(self):
@@ -192,7 +191,7 @@ class TestInHull:
                 tuple(F(rng.randint(-5, 5)) for _ in range(n))
                 for _ in range(rng.randint(1, 6))
             ]
-            V = VPolytope.from_points(pts)
+            V = VPolytope(n, tuple(pts))
             for v in V.vertices:
                 assert in_hull(v, V)
 
@@ -280,9 +279,12 @@ class TestProjectedObjective:
         P = HPolyhedron.from_rows(2, ineqs=[((2, 2), 3), ((-2, -2), 0)])
         ef = identity_ef(P)
         checker = ProjectionChecker(ef)
+        assert checker.maximize_projected((F(3), F(3))) == (OPTIMAL, F(9, 2))
+        pivots = checker.pivots
+        # a lineality slot or its negated copy enters first and is unblocked
         assert checker.maximize_projected((F(1), F(0))) == (UNBOUNDED, None)
         assert checker.maximize_projected((F(2), F(-1)), "min") == (UNBOUNDED, None)
-        assert checker.maximize_projected((F(3), F(3))) == (OPTIMAL, F(9, 2))
+        assert checker.pivots == pivots
         assert checker.maximize_projected((F(3), F(3)), "min") == (OPTIMAL, F(0))
         objectives = [(F(1), F(0)), (F(2), F(-1)), (F(3), F(3)), (F(0), F(0))]
         assert_matches_reference(ef, objectives, (F(5), F(-5)))
@@ -301,8 +303,11 @@ class TestProjectedObjective:
         P = HPolyhedron.from_rows(2, ineqs=[((1, 0), F(1, 2)), ((-1, 0), 0)])
         ef = identity_ef(P)
         checker = ProjectionChecker(ef)
-        assert checker.maximize_projected((F(0), F(1))) == (UNBOUNDED, None)
         assert checker.maximize_projected((F(4), F(0))) == (OPTIMAL, F(2))
+        pivots = checker.pivots
+        assert checker.maximize_projected((F(0), F(1))) == (UNBOUNDED, None)
+        assert checker.maximize_projected((F(0), F(-1)), "min") == (UNBOUNDED, None)
+        assert checker.pivots == pivots
         assert_matches_reference(ef, [(F(0), F(1)), (F(4), F(0))], (F(0), F(7)))
 
     def test_no_inequalities(self):
@@ -472,7 +477,7 @@ class TestExactMembership:
 
 def carried_float_solve(n_vars, ineqs, objective, sense, tol):
     """The float two-phase solve with its objective row carried through
-    phase 1, as one tableau: the reference for the recorded-pivot replay."""
+    phase 1, as one tableau: the one-objective reference for the float solves."""
     rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, (), False, False)
     row, _ = _cost_row(objective, sense, False, False, len(rows[-1]))
     core = _FloatCore(rows + [row], basis, tol)
@@ -538,7 +543,6 @@ class TestFloatSharedPhase1:
                 for sense in ("max", "min"):
                     got = checker.maximize_projected(c, sense, 1e-9)
                     assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
-            assert set(checker._float_cores) == {(False, 1e-9), (True, 1e-9)}
 
     def test_unbounded_and_infeasible(self):
         unbounded = identity_ef(HPolyhedron.from_rows(
@@ -618,13 +622,12 @@ class TestFloatPivotTree:
             else:
                 c = data.draw(st.sampled_from(objectives))
                 objectives.append(c if kind == "repeat" else tuple(-e for e in c))
-        core, is_feasible = _float_phase1(dim, ineqs, (), False, 1e-9)
         for sense in ("max", "min"):
             want = [carried_float_solve(dim, ineqs, c, sense, 1e-9) for c in objectives]
-            if not is_feasible:
+            got = _float_optima(dim, ineqs, (), objectives, sense, False, 1e-9)
+            if got is None:
                 assert want == [(INFEASIBLE, None)] * len(objectives)
                 continue
-            got = _float_optima(core, dim, len(ineqs), objectives, sense, False)
             assert repr([(res.status, res.value) for res in got]) == repr(want), sense
             # a one-objective tree is one path; its point comes from the same basis
             single = [solve_system(dim, ineqs, (), c, sense, FLOAT) for c in objectives]
@@ -662,8 +665,12 @@ class TestFloatPivotTree:
     def test_empty_lists_and_bad_objectives(self):
         exact = ProjectionChecker(build_recipe("a_permutahedron", {"n": 3}))
         floats = mgon_checkers(5)
-        for checker in (exact, *floats):
+        inconsistent = ProjectionChecker(graph_ef(1, [((1,), 2)], [((1,), 0), ((1,), 1)],
+                                                  [(1,)], [0]))
+        for checker in (exact, *floats, inconsistent):
             assert checker.maximize_projected_all([]) == []
+            with pytest.raises(ValueError):
+                checker.maximize_projected_all([], "maximize")
         good = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
         with pytest.raises(DimensionError):
             exact.maximize_projected_all(good + [(F(1), F(2))])
@@ -683,7 +690,7 @@ class TestFloatPivotTree:
         pivot, count = _FloatCore.pivot, [0]
 
         def counted(core, r, c):
-            count[0] += core.record is None  # phase-1 cores record their pivots
+            count[0] += len(core.rows) == len(core.basis)  # tree nodes hold constraint rows only
             pivot(core, r, c)
 
         monkeypatch.setattr(_FloatCore, "pivot", counted)
