@@ -50,7 +50,6 @@ from .polyhedra import (
     HPolyhedron,
     PolyhedralRelation,
     SizeLedger,
-    VPolytope,
     compose_extension,
     deltas,
     eliminate_equations,

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, dot, int_scale, vec_sub, vector
+from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, affine_solution_space, dot
+from .numeric import int_scale, vec_sub, vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -457,15 +458,19 @@ def feasible(Q, pins=(), tol: float = DEFAULT_TOL) -> bool:
 
 
 def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
-    """Membership of y in conv(V) via the multiplier LP
-    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y}."""
-    if len(y) != V.dim:
-        raise ValueError("point dimension != polytope dimension")
-    k = len(V.vertices)
+    """Membership of y in conv(V) for a :class:`~reflekt.oracles.VertexSet`
+    V, whose points need not be extreme, via the multiplier LP
+    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y}.  Raises ValueError
+    when V is empty or when y or a point of V has the wrong length."""
+    if not V.points:
+        raise ValueError("conv of an empty point set")
+    if any(len(p) != V.dim for p in (y, *V.points)):
+        raise DimensionError("point dimension != point set dimension")
+    k = len(V.points)
     one = Fraction(1) if V.backend == EXACT else 1.0
     eqs = []
     for dcoord in range(V.dim):
-        eqs.append((tuple(v[dcoord] for v in V.vertices), y[dcoord]))
+        eqs.append((tuple(v[dcoord] for v in V.points), y[dcoord]))
     eqs.append(((one,) * k, one))
     res = solve_system(
         k, (), eqs, (one,) * k, backend=V.backend, nonneg=True, tol=tol,
@@ -475,9 +480,16 @@ def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
 
 
 class ProjectionChecker:
-    """Per-formulation LP helper over the reduced system A_red w <= b_red:
-    equation elimination happens once, then membership queries and
-    projected-objective optimizations reuse it.
+    """Per-formulation LP helper over the reduced system A_red w <= b_red.
+
+    The constructor is the one elimination of Q's equations, read from the
+    cached checker by :func:`~reflekt.polyhedra.eliminate_equations` and
+    :func:`~reflekt.verify.actual_sizes`: Cz = d is solved as z = z_part +
+    N w (N's columns in ``N_cols``) and substituted into Q's inequality
+    rows, in order, and into the projection, M_red w + t_red, over each
+    row's nonzeros in coordinate order, so float results are the bits of
+    dense dot products.  An inconsistent system leaves ``consistent`` False
+    and its error in ``inconsistency``.
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
@@ -491,24 +503,35 @@ class ProjectionChecker:
     """
 
     def __init__(self, ef, tol: float = DEFAULT_TOL):
-        from .polyhedra import EmptyPolyhedronError, reduce_equations
+        from .polyhedra import EmptyPolyhedronError  # circular-import guard
 
-        self.backend = ef.Q.backend
+        Q = ef.Q
+        self.backend = Q.backend
         self.w_feas = None
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
-        try:
-            red = reduce_equations(ef, tol)
-        except EmptyPolyhedronError as exc:
-            self.consistent, self.inconsistency = False, exc
+        part, basis = affine_solution_space(Q.C, Q.d, tol, Q.dim, Q.backend)
+        self.consistent = part is not None
+        if not self.consistent:
+            self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
             return
-        self.consistent, self.inconsistency = True, None
-        self.n_free = len(red.basis)
-        self.A_red, self.b_red = red.A_red, red.b_red
-        self.M_red, self.t_red = red.M_red, red.t_red
-        self.z_part = red.part
-        self.N_cols = red.basis
+        self.inconsistency = None
+        zero = Fraction(0) if Q.backend == EXACT else 0.0
+
+        def times_basis(row):
+            return tuple(sum((c * col[j] for j, c in row), zero) for col in basis)
+
+        def at_part(row):
+            return sum((c * part[j] for j, c in row), zero)
+
+        ineq, _ = Q._sparse_system()
+        proj = [tuple((j, c) for j, c in enumerate(row) if c != 0) for row in ef.projection.M]
+        self.n_free, self.z_part, self.N_cols = len(basis), part, basis
+        self.A_red = tuple(times_basis(row) for row, _ in ineq)
+        self.b_red = tuple(rhs - at_part(row) for row, rhs in ineq)
+        self.M_red = tuple(times_basis(row) for row in proj)
+        self.t_red = tuple(at_part(row) + t for row, t in zip(proj, ef.projection.t))
 
     def _exact_input(self, v):
         """``v`` as an exact vector of the projection's output dimension."""
@@ -551,12 +574,12 @@ class ProjectionChecker:
         """Register a known feasible raw point w_feas, with the shifted
         right-hand sides b_shift = b_red - A_red w_feas >= 0; objective
         solves then start from it and skip phase 1 entirely."""
-        from .numeric import affine_solution_space
-
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
         target = vec_sub(z_raw, self.z_part)
-        part, _ = affine_solution_space(tuple(zip(*self.N_cols)), target, tol, self.n_free)
+        part, _ = affine_solution_space(
+            tuple(zip(*self.N_cols)), target, tol, self.n_free, self.backend
+        )
         if part is None:
             return False
         self.w_feas = part

@@ -327,8 +327,9 @@ def affine_solution_space(
     """Solve ``C z = d``: returns ``(particular, nullspace_basis)``.
 
     ``particular`` is ``None`` when the system is inconsistent.  Free
-    variables are set to zero in the particular solution.  ``dim`` and
-    ``backend`` are only needed when the system has no rows at all.
+    variables are set to zero in the particular solution.  ``dim`` is only
+    needed when the system has no rows at all; without a ``backend`` it is
+    inferred from the entries, which reads every one of them.
     """
     if not C:
         if dim is None:
@@ -340,7 +341,7 @@ def affine_solution_space(
     R, pivots = rref(aug, tol)
     if pivots and pivots[-1] == n:
         return None, []
-    backend = infer_backend([e for row in aug for e in row])
+    backend = backend or infer_backend([e for row in aug for e in row])
     part = list(zero_vector(n, backend))
     for i, p in enumerate(pivots):
         part[p] = R[i][n]

@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import cos, pi, sin
 
 from .numeric import EXACT, FLOAT, vector
-from .polyhedra import VPolytope
 
 _PERM_CAP = 8
 _SIGNED_CAP = 6
@@ -30,9 +29,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def to_vpolytope(self) -> VPolytope:
-        return VPolytope(self.dim, self.points, self.backend)
 
 
 def _fmt(v) -> str:

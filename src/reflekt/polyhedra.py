@@ -1,4 +1,4 @@
-"""Geometric core: H-/V-representations, affine maps, polyhedral relations,
+"""Geometric core: H-representations, affine maps, polyhedral relations,
 and the block composition that turns a base polytope plus a chain of
 relations into an extended formulation.
 
@@ -18,16 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
-    BackendError,
     DimensionError,
     ScaledPoint,
-    affine_solution_space,
     dot,
     identity_matrix,
     int_scale,
@@ -175,26 +173,6 @@ class HPolyhedron:
             if sum(c * nums[j] for j, c in row) != rhs * den:
                 return False
         return True
-
-
-@dataclass(frozen=True)
-class VPolytope:
-    """Convex hull of a finite, non-empty vertex list.
-
-    The list may contain redundant (non-extreme) points; nothing here
-    assumes minimality.
-    """
-
-    dim: int
-    vertices: tuple
-    backend: str = EXACT
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("VPolytope needs at least one vertex")
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DimensionError("vertex dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -464,62 +442,14 @@ def compose_extension(
         sel.append(tuple(row))
     projection = AffineMap(tuple(sel), zero_vector(k_last, backend), backend)
 
-    n_ineq = P.n_inequalities + sum(r.body.n_inequalities for r in rels)
-    n_eq = P.n_equations + sum(r.body.n_equations for r in rels)
-    assert n_ineq == len(A_rows) and n_eq == len(C_rows)
     delta_pairs = [deltas(r, tol) for r in rels]
     bound = min(
         dims[0] + sum(d1 for d1, _ in delta_pairs),
         dims[-1] + sum(d2 for _, d2 in delta_pairs),
     )
-    ledger = SizeLedger(total, n_ineq, n_eq, bound)
+    ledger = SizeLedger(total, len(A_rows), len(C_rows), bound)
     return ExtendedFormulation(
         Q, projection, ledger, tuple(dims), base=P, relations=rels, label=label
-    )
-
-
-class ReducedSystem(NamedTuple):
-    """Q's equations solved as z = part + N w (``basis`` holds the columns of
-    N) and substituted into the inequalities, A_red w <= b_red, and into the
-    projection, M_red w + t_red."""
-
-    part: tuple
-    basis: list
-    A_red: tuple
-    b_red: tuple
-    M_red: tuple
-    t_red: tuple
-
-
-def reduce_equations(ef: ExtendedFormulation, tol: float = DEFAULT_TOL) -> ReducedSystem:
-    """Eliminate Q's equation system; raises :class:`EmptyPolyhedronError`
-    when it is inconsistent.
-
-    The products with N and the particular solution walk the nonzeros of
-    each inequality and projection row only, in coordinate order, so float
-    results are the same bits as dense dot products.
-    """
-    Q = ef.Q
-    part, basis = affine_solution_space(Q.C, Q.d, tol, dim=Q.dim, backend=Q.backend)
-    if part is None:
-        raise EmptyPolyhedronError("equation system is inconsistent")
-    zero = Fraction(0) if Q.backend == EXACT else 0.0
-
-    def times_basis(row):
-        return tuple(sum((c * col[j] for j, c in row), zero) for col in basis)
-
-    def at_part(row):
-        return sum((c * part[j] for j, c in row), zero)
-
-    ineq, _ = Q._sparse_system()
-    proj = [tuple((j, c) for j, c in enumerate(row) if c != 0) for row in ef.projection.M]
-    return ReducedSystem(
-        part,
-        basis,
-        tuple(times_basis(row) for row, _ in ineq),
-        tuple(rhs - at_part(row) for row, rhs in ineq),
-        tuple(times_basis(row) for row in proj),
-        tuple(at_part(row) + t for row, t in zip(proj, ef.projection.t)),
     )
 
 
@@ -528,20 +458,24 @@ def eliminate_equations(
 ) -> ExtendedFormulation:
     """Equivalent formulation over the free variables of Q's equation system.
 
-    Solves Cz = d, substitutes z = z0 + Nw into the inequalities and the
-    projection; the inequality count is unchanged, the equation count drops
-    to zero, and the number of free variables must respect the ledger's
-    reduced-variable bound.
+    Reads the reduced system of the formulation's cached
+    :func:`projection_checker`, which solves Cz = d once and substitutes
+    z = z0 + Nw into the inequalities and the projection; the inequality
+    count is unchanged, the equation count drops to zero, and the number of
+    free variables must respect the ledger's reduced-variable bound.  Raises
+    :class:`EmptyPolyhedronError` when the equations are inconsistent.
     """
-    red = reduce_equations(ef, tol)
-    n_free = len(red.basis)
+    checker = projection_checker(ef, tol)
+    if not checker.consistent:
+        raise checker.inconsistency
+    n_free = checker.n_free
     assert n_free <= ef.ledger.reduced_variable_bound, (
         "free variable count exceeds the fiber-dimension bound"
     )
     backend = ef.Q.backend
     return ExtendedFormulation(
-        HPolyhedron(n_free, red.A_red, red.b_red, (), (), backend),
-        AffineMap(red.M_red, red.t_red, backend),
+        HPolyhedron(n_free, checker.A_red, checker.b_red, (), (), backend),
+        AffineMap(checker.M_red, checker.t_red, backend),
         replace(ef.ledger, reduced_variables=n_free),
         block_dims=None,
         label=ef.label,
@@ -549,13 +483,16 @@ def eliminate_equations(
 
 
 def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
-    """Try to assemble a full chain point projecting to y via canonical
-    preimages; returns the flat coordinate vector or None.
+    """A point of Q projecting to y, assembled from canonical preimages, or
+    None.
 
-    An exact chain is walked on integers and gives a :class:`ScaledPoint`
-    over the denominator of its base block, which every step keeps or
-    multiplies (the preimage contract of :class:`PolyhedralRelation`); a
-    float chain gives a tuple of floats.
+    The chain is walked from y back to the base block, and the assembled
+    point is returned only when Q contains it, which covers the base's rows
+    too, since P's rows are Q's first rows; any None preimage or violated
+    row gives None.  An exact chain is walked on integers and gives a
+    :class:`ScaledPoint` over the denominator of its base block, which every
+    step keeps or multiplies (the preimage contract of
+    :class:`PolyhedralRelation`); a float chain gives a tuple of floats.
     """
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
@@ -570,30 +507,28 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
             return None
         blocks.append(current)
     blocks.reverse()
-    if not ef.base.contains(blocks[0], tol):
-        return None
-    if not exact:
-        return tuple(e for blk in blocks for e in blk)
-    den = blocks[0].den
-    return ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
+    if exact:
+        den = blocks[0].den
+        z = ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
+    else:
+        z = tuple(e for blk in blocks for e in blk)
+    return z if ef.Q.contains(z, tol) else None
 
 
 def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) -> bool:
     """Membership of y in the projection of Q, i.e. LP feasibility of
     Q together with projection(z) = y.
 
-    When construction provenance is available a canonical-preimage witness
-    is assembled and checked against every constraint first -- success is a
-    feasibility certificate and skips the LP; any failure falls back to an
-    exact (or tolerance-guarded) phase-1 solve.
+    When construction provenance is available, :func:`_witness_blocks` tries
+    a canonical-preimage witness first; it returns one only after Q contains
+    it, so a witness is a feasibility certificate and skips the LP.  Without
+    one the cached checker runs an exact (or tolerance-guarded) phase 1.
     """
     if len(y) != ef.projection.out_dim:
         raise DimensionError("point dimension != projection output dimension")
-    witness = _witness_blocks(ef, y, tol)
-    if witness is not None and ef.Q.contains(witness, tol):
+    if _witness_blocks(ef, y, tol) is not None:
         return True
-    checker = projection_checker(ef, tol)
-    return checker.feasible(y, tol)
+    return projection_checker(ef, tol).feasible(y, tol)
 
 
 def projection_checker(ef: ExtendedFormulation, tol: float = DEFAULT_TOL):

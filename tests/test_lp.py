@@ -24,11 +24,10 @@ from reflekt.lp import (
     solve_system,
 )
 from reflekt.numeric import FLOAT, BackendError, DimensionError, ScaledPoint, dot, vec_sub
-from reflekt.oracles import permutation_orbit
+from reflekt.oracles import VertexSet, permutation_orbit
 from reflekt.polyhedra import (
     AffineMap,
     HPolyhedron,
-    VPolytope,
     _witness_blocks,
     compose_extension,
     graph_relation,
@@ -170,18 +169,28 @@ class TestPinnedProjection:
 
 class TestInHull:
     def test_triangle_interior(self):
-        V = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
+        V = VertexSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), "triangle")
         assert in_hull((F(1, 2), F(1, 2)), V)
 
     def test_triangle_outside(self):
-        V = VPolytope(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
+        V = VertexSet(2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))), "triangle")
         assert not in_hull((F(1), F(1)), V)
+
+    def test_empty_set_and_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            in_hull((F(0), F(0)), VertexSet(2, (), "empty"))
+        V = VertexSet(2, ((F(0), F(0)), (F(1), F(0))), "segment")
+        for y in [(F(0),), (F(0), F(0), F(0))]:
+            with pytest.raises(ValueError):
+                in_hull(y, V)
+        with pytest.raises(ValueError):
+            in_hull((F(0), F(0)), VertexSet(2, ((F(0), F(0)), (F(1),)), "ragged"))
 
     def test_permutahedron_centroid(self):
         orb = permutation_orbit((1, 2, 3))
         # mean of all six permutations of (1,2,3)
         centroid = (F(2), F(2), F(2))
-        assert in_hull(centroid, orb.to_vpolytope())
+        assert in_hull(centroid, orb)
 
     def test_vertices_always_inside(self):
         rng = random.Random(9)
@@ -191,8 +200,8 @@ class TestInHull:
                 tuple(F(rng.randint(-5, 5)) for _ in range(n))
                 for _ in range(rng.randint(1, 6))
             ]
-            V = VPolytope(n, tuple(pts))
-            for v in V.vertices:
+            V = VertexSet(n, tuple(pts), "random")
+            for v in V.points:
                 assert in_hull(v, V)
 
 

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from reflekt import numeric
 from reflekt.lp import LPProblem, OPTIMAL, solve
 from reflekt.networks import batcher
 from reflekt.numeric import (
@@ -20,6 +22,7 @@ from reflekt.polyhedra import (
     EmptyPolyhedronError,
     HPolyhedron,
     PolyhedralRelation,
+    _witness_blocks,
     compose_extension,
     deltas,
     eliminate_equations,
@@ -272,6 +275,16 @@ class TestEliminate:
         assert red.projection.M == tuple(tuple(dot(row, col) for col in basis) for row in M)
         assert red.projection.t == vec_add(mat_vec(M, part), ef.projection.t)
 
+    def test_reads_the_cached_checker(self, monkeypatch):
+        ef = build_recipe("huffman_quadratic", {"n": 4})
+        checker = projection_checker(ef)
+        calls = []
+        rref = numeric.rref
+        monkeypatch.setattr(numeric, "rref", lambda *a, **k: calls.append(a) or rref(*a, **k))
+        red = eliminate_equations(ef)
+        assert calls == []
+        assert red.Q.A is checker.A_red and red.Q.b is checker.b_red
+
 
 class TestPointInProjection:
     def test_permutahedron_members(self):
@@ -293,6 +306,20 @@ class TestPointInProjection:
             assert point_in_projection(ef, y) == point_in_projection(bare, y)
         for y in [(F(1), F(1), F(4)), (F(2), F(2), F(2)), (F(0), F(0), F(0))]:
             assert point_in_projection(ef, y) == point_in_projection(bare, y)
+
+    def test_witness_is_checked_against_every_row_of_q(self):
+        # a graph relation whose preimage ignores y: the preimage always
+        # lies in the base, but it projects to y only when y is the origin
+        P = HPolyhedron.box([0, 0], [1, 1])
+        rel = replace(
+            graph_relation(AffineMap.identity(2)),
+            preimage=lambda y, tol=1e-9: ScaledPoint((0, 0), 1),
+        )
+        ef = compose_extension(P, [rel])
+        assert _witness_blocks(ef, (F(0), F(0)), 1e-9) == ScaledPoint((0, 0, 0, 0), 1)
+        for y, inside in [((F(1), F(1)), True), ((F(2), F(0)), False)]:
+            assert _witness_blocks(ef, y, 1e-9) is None
+            assert point_in_projection(ef, y) is inside
 
     def test_monotonicity_in_the_base(self):
         # point base vs segment base over the same sign-change chain: every
