@@ -199,7 +199,7 @@ def cmd_stats(args) -> int:
     ef = _load_or_build_ef(args)
     from .verify import actual_sizes
 
-    payload = {"label": ef.label, "ledger": actual_sizes(ef, args.tol)}
+    payload = {"label": ef.label, "ledger": actual_sizes(ef)}
     if getattr(args, "recipe", None):
         try:
             payload["expected"] = constructions.expected_ledger(
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="print a formulation's size ledger")
     _add_recipe_flags(p_stats)
     p_stats.add_argument("--ef")
-    p_stats.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_stats.set_defaults(func=cmd_stats)
 
     return parser

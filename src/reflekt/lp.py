@@ -499,10 +499,11 @@ class ProjectionChecker:
     equations and runs one phase 1.  The float objectives of one
     :meth:`maximize_projected_all` call share one phase 1 and are solved as
     one pivot tree (:func:`_float_optima`); float membership queries take
-    one two-phase solve each.
+    one two-phase solve each.  Float elimination and pivots run at
+    ``DEFAULT_TOL``; a checker takes no tolerance.
     """
 
-    def __init__(self, ef, tol: float = DEFAULT_TOL):
+    def __init__(self, ef):
         from .polyhedra import EmptyPolyhedronError  # circular-import guard
 
         Q = ef.Q
@@ -511,7 +512,7 @@ class ProjectionChecker:
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
-        part, basis = affine_solution_space(Q.C, Q.d, tol, Q.dim, Q.backend)
+        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
         self.consistent = part is not None
         if not self.consistent:
             self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
@@ -539,7 +540,7 @@ class ProjectionChecker:
             raise DimensionError(f"{len(v)} coordinates for a projection to R^{len(self.t_red)}")
         return vector(v, EXACT)
 
-    def feasible(self, y, tol: float = DEFAULT_TOL) -> bool:
+    def feasible(self, y) -> bool:
         """Is A_red w <= b_red, M_red w = y - t_red feasible?  On exact data,
         with y = Y/D, phase 1 runs on a copy of the factored dictionary with
         every right-hand side scaled by D > 0 (which keeps integers and
@@ -550,7 +551,7 @@ class ProjectionChecker:
             res = solve_system(
                 self.n_free, list(zip(self.A_red, self.b_red)),
                 list(zip(self.M_red, vec_sub(y, self.t_red))), [0.0] * self.n_free,
-                backend=FLOAT, tol=tol, feasibility_only=True,
+                backend=FLOAT, feasibility_only=True,
             )
             return res.status == OPTIMAL
         Y, D = int_scale(self._exact_input(y))
@@ -570,7 +571,7 @@ class ProjectionChecker:
         core.run_phase(len(rows), len(rows), ncols)
         return core.rows[-1][-1] == 0
 
-    def seed_from_raw(self, z_raw, tol: float = DEFAULT_TOL) -> bool:
+    def seed_from_raw(self, z_raw) -> bool:
         """Register a known feasible raw point w_feas, with the shifted
         right-hand sides b_shift = b_red - A_red w_feas >= 0; objective
         solves then start from it and skip phase 1 entirely."""
@@ -578,7 +579,7 @@ class ProjectionChecker:
             return self.w_feas is not None
         target = vec_sub(z_raw, self.z_part)
         part, _ = affine_solution_space(
-            tuple(zip(*self.N_cols)), target, tol, self.n_free, self.backend
+            tuple(zip(*self.N_cols)), target, dim=self.n_free, backend=self.backend
         )
         if part is None:
             return False
@@ -644,19 +645,19 @@ class ProjectionChecker:
             self._factored = self._factor() or ()
         return self._factored
 
-    def maximize_projected_all(self, objectives, sense: str = "max", tol: float = DEFAULT_TOL):
+    def maximize_projected_all(self, objectives, sense: str = "max"):
         """:meth:`maximize_projected` of each objective, as a list; float
         objectives are solved as one pivot tree (:func:`_float_optima`)."""
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
         if self.backend != FLOAT or not self.consistent:
-            return [self.maximize_projected(c, sense, tol) for c in objectives]
+            return [self.maximize_projected(c, sense) for c in objectives]
         consts = [dot(c, self.t_red) for c in objectives]
         cols = list(zip(*self.M_red))
         objs = [tuple(dot(c, col) for col in cols) for c in objectives]
         seeded = self.w_feas is not None
         rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
-        results = (_float_optima(self.n_free, rows, (), objs, sense, False, tol)
+        results = (_float_optima(self.n_free, rows, (), objs, sense, False, DEFAULT_TOL)
                    or [LPResult(INFEASIBLE)] * len(objs))
         out = []
         for obj, const, res in zip(objs, consts, results):
@@ -667,14 +668,14 @@ class ProjectionChecker:
             out.append((OPTIMAL, value + const))
         return out
 
-    def maximize_projected(self, c, sense: str = "max", tol: float = DEFAULT_TOL):
+    def maximize_projected(self, c, sense: str = "max"):
         """Optimize <c, projection(z)> over Q; returns (status, value)."""
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
         if not self.consistent:
             return INFEASIBLE, None
         if self.backend == FLOAT:
-            return self.maximize_projected_all([c], sense, tol)[0]
+            return self.maximize_projected_all([c], sense)[0]
         c_ints, c_den = int_scale(self._exact_input(c))
         if not self._tableau():
             return INFEASIBLE, None

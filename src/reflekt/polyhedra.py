@@ -16,7 +16,7 @@ Conventions fixed here once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -233,9 +233,9 @@ def _graph_preimage(f: AffineMap):
     exact = f.backend == EXACT
     factored = []
 
-    def factor(tol):
+    def factor():
         from .numeric import rref  # looked up per call, where perfbench's span wraps it
-        R, pivots = rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)], tol)
+        R, pivots = rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)])
         rows, q = [row[n:] + (dot(row[n:], f.t),) for row in R], 1
         if exact:
             ints, q = int_scale(e for row in rows for e in row)
@@ -244,7 +244,7 @@ def _graph_preimage(f: AffineMap):
 
     def preimage(y, tol: float = DEFAULT_TOL):
         if not factored:
-            factored.append(factor(tol))
+            factored.append(factor())
         pivots, rows, q = factored[0]
         if not isinstance(y, ScaledPoint):
             if len(y) != m:
@@ -305,7 +305,7 @@ def graph_relation(f: AffineMap, label: str = "") -> PolyhedralRelation:
     )
 
 
-def deltas(rel: PolyhedralRelation, tol: float = DEFAULT_TOL):
+def deltas(rel: PolyhedralRelation):
     """Fiber dimensions (delta1, delta2) of the relation's affine hull.
 
     The affine hull is taken to be the body's equation subsystem; for every
@@ -318,59 +318,65 @@ def deltas(rel: PolyhedralRelation, tol: float = DEFAULT_TOL):
         return rel.m, rel.n
     x_block = tuple(row[: rel.n] for row in rel.body.C)
     y_block = tuple(row[rel.n :] for row in rel.body.C)
-    return kernel_dim(y_block, tol), kernel_dim(x_block, tol)
+    return kernel_dim(y_block), kernel_dim(x_block)
 
 
 @dataclass(frozen=True)
 class SizeLedger:
-    """Per-formulation size accounting.
-
-    ``inequalities`` is always the base count plus one summand per relation;
-    ``reduced_variable_bound`` is min(k0 + sum delta1, kr + sum delta2);
-    ``reduced_variables`` is filled by :func:`eliminate_equations`.
+    """Per-formulation size accounting, as :attr:`ExtendedFormulation.ledger`
+    reads it: the first three counts are read off Q (for a composed
+    formulation ``inequalities`` is the base count plus one summand per
+    relation), and ``reduced_variable_bound`` is min(k0 + sum delta1,
+    kr + sum delta2), the one count Q cannot show.
     """
 
     raw_variables: int
     inequalities: int
     equations: int
     reduced_variable_bound: int
-    reduced_variables: Optional[int] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "raw_variables": self.raw_variables,
-            "inequalities": self.inequalities,
-            "equations": self.equations,
-            "reduced_variable_bound": self.reduced_variable_bound,
-        }
-        if self.reduced_variables is not None:
-            out["reduced_variables"] = self.reduced_variables
-        return out
+        return asdict(self)
 
 
 @dataclass(eq=False)
 class ExtendedFormulation:
     """A block-structured polyhedron Q plus the projection onto its last
-    block and the size ledger.
+    block and the fiber-dimension bound on its free variables; the size
+    :attr:`ledger` reads every other count off Q.
 
     ``base`` and ``relations`` retain the construction provenance when
     available; they let membership queries assemble an explicit feasibility
     witness before falling back to the LP.  ``block_dims`` is None once the
-    block structure has been destroyed (after equation elimination).
+    block structure has been destroyed (after equation elimination), else
+    integers summing to Q.dim; every projection row has Q.dim entries
+    (:class:`~reflekt.numeric.DimensionError` otherwise).
     """
 
     Q: HPolyhedron
     projection: AffineMap
-    ledger: SizeLedger
+    reduced_variable_bound: int
     block_dims: Optional[tuple] = None
     base: Optional[HPolyhedron] = None
     relations: Optional[tuple] = None
     label: str = ""
     _checker: object = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        dims, dim = self.block_dims, self.Q.dim
+        if any(len(row) != dim for row in self.projection.M):
+            raise DimensionError(f"projection row width != Q dim {dim}")
+        if dims is not None and (any(type(k) is not int for k in dims) or sum(dims) != dim):
+            raise DimensionError(f"block dims {dims} are not integers summing to Q dim {dim}")
+
     @property
     def backend(self) -> str:
         return self.Q.backend
+
+    @property
+    def ledger(self) -> SizeLedger:
+        Q = self.Q
+        return SizeLedger(Q.dim, len(Q.A), len(Q.C), self.reduced_variable_bound)
 
     def var_names(self):
         if self.block_dims is None:
@@ -382,10 +388,7 @@ class ExtendedFormulation:
 
 
 def compose_extension(
-    P: HPolyhedron,
-    rels: Sequence[PolyhedralRelation],
-    label: str = "",
-    tol: float = DEFAULT_TOL,
+    P: HPolyhedron, rels: Sequence[PolyhedralRelation], label: str = ""
 ) -> ExtendedFormulation:
     """Compose a base polytope with a type-compatible relation chain.
 
@@ -442,41 +445,38 @@ def compose_extension(
         sel.append(tuple(row))
     projection = AffineMap(tuple(sel), zero_vector(k_last, backend), backend)
 
-    delta_pairs = [deltas(r, tol) for r in rels]
+    delta_pairs = [deltas(r) for r in rels]
     bound = min(
         dims[0] + sum(d1 for d1, _ in delta_pairs),
         dims[-1] + sum(d2 for _, d2 in delta_pairs),
     )
-    ledger = SizeLedger(total, len(A_rows), len(C_rows), bound)
     return ExtendedFormulation(
-        Q, projection, ledger, tuple(dims), base=P, relations=rels, label=label
+        Q, projection, bound, tuple(dims), base=P, relations=rels, label=label
     )
 
 
-def eliminate_equations(
-    ef: ExtendedFormulation, tol: float = DEFAULT_TOL
-) -> ExtendedFormulation:
+def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     """Equivalent formulation over the free variables of Q's equation system.
 
     Reads the reduced system of the formulation's cached
     :func:`projection_checker`, which solves Cz = d once and substitutes
-    z = z0 + Nw into the inequalities and the projection; the inequality
-    count is unchanged, the equation count drops to zero, and the number of
-    free variables must respect the ledger's reduced-variable bound.  Raises
-    :class:`EmptyPolyhedronError` when the equations are inconsistent.
+    z = z0 + Nw into the inequalities and the projection.  The result's
+    ledger reads the free-variable count as ``raw_variables``, the same
+    inequality count and ``equations`` 0, and keeps the reduced-variable
+    bound.  Raises :class:`EmptyPolyhedronError` when the equations are
+    inconsistent and ValueError when the free variables outnumber the bound.
     """
-    checker = projection_checker(ef, tol)
+    checker = projection_checker(ef)
     if not checker.consistent:
         raise checker.inconsistency
-    n_free = checker.n_free
-    assert n_free <= ef.ledger.reduced_variable_bound, (
-        "free variable count exceeds the fiber-dimension bound"
-    )
+    n_free, bound = checker.n_free, ef.reduced_variable_bound
+    if n_free > bound:
+        raise ValueError(f"{n_free} free variables exceed the fiber-dimension bound {bound}")
     backend = ef.Q.backend
     return ExtendedFormulation(
         HPolyhedron(n_free, checker.A_red, checker.b_red, (), (), backend),
         AffineMap(checker.M_red, checker.t_red, backend),
-        replace(ef.ledger, reduced_variables=n_free),
+        bound,
         block_dims=None,
         label=ef.label,
     )
@@ -521,20 +521,22 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
 
     When construction provenance is available, :func:`_witness_blocks` tries
     a canonical-preimage witness first; it returns one only after Q contains
-    it, so a witness is a feasibility certificate and skips the LP.  Without
-    one the cached checker runs an exact (or tolerance-guarded) phase 1.
+    it, so a witness is a feasibility certificate and skips the LP.  ``tol``
+    is the witness step's comparison tolerance only.  Without a witness the
+    cached checker runs an exact phase 1, or a float one at the package's
+    pivot tolerance ``DEFAULT_TOL``, whatever ``tol`` is.
     """
     if len(y) != ef.projection.out_dim:
         raise DimensionError("point dimension != projection output dimension")
     if _witness_blocks(ef, y, tol) is not None:
         return True
-    return projection_checker(ef, tol).feasible(y, tol)
+    return projection_checker(ef).feasible(y)
 
 
-def projection_checker(ef: ExtendedFormulation, tol: float = DEFAULT_TOL):
+def projection_checker(ef: ExtendedFormulation):
     """Cached LP-based membership/optimization helper for one formulation."""
     from .lp import ProjectionChecker  # local import: lp builds on these types
 
     if ef._checker is None:
-        ef._checker = ProjectionChecker(ef, tol)
+        ef._checker = ProjectionChecker(ef)
     return ef._checker

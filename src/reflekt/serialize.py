@@ -12,8 +12,8 @@ import json
 import os
 import tempfile
 
-from .numeric import scalar_from_json, scalar_to_json
-from .polyhedra import AffineMap, ExtendedFormulation, HPolyhedron, SizeLedger
+from .numeric import EXACT, FLOAT, scalar_from_json, scalar_to_json
+from .polyhedra import AffineMap, ExtendedFormulation, HPolyhedron
 
 SCHEMA = "reflekt/1"
 
@@ -57,11 +57,15 @@ def ef_to_dict(ef: ExtendedFormulation) -> dict:
 
 
 def ef_from_dict(data: dict) -> ExtendedFormulation:
+    """The formulation a document describes.  Its size counts are read off
+    Q; of the document's ledger only ``reduced_variable_bound`` is read."""
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {data.get('schema')!r}, need {SCHEMA}")
     if data.get("kind") != "extended_formulation":
         raise ValueError("not an extended-formulation document")
     backend = data["backend"]
+    if backend not in (EXACT, FLOAT):
+        raise ValueError(f"unknown backend {backend!r}, need {EXACT!r} or {FLOAT!r}")
     dim = data["dim"]
 
     def row(entry):
@@ -86,19 +90,11 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
         tuple(scalar_from_json(c, backend) for c in proj["offset"]),
         backend,
     )
-    led = data["ledger"]
-    ledger = SizeLedger(
-        raw_variables=led["raw_variables"],
-        inequalities=led["inequalities"],
-        equations=led["equations"],
-        reduced_variable_bound=led["reduced_variable_bound"],
-        reduced_variables=led.get("reduced_variables"),
-    )
     block_dims = data.get("block_dims")
     return ExtendedFormulation(
         Q,
         projection,
-        ledger,
+        data["ledger"]["reduced_variable_bound"],
         block_dims=tuple(block_dims) if block_dims is not None else None,
         label=data.get("label", ""),
     )

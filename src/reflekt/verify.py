@@ -139,23 +139,20 @@ def random_objectives(dim: int, count: int, rng: Random, backend: str = EXACT):
     return out
 
 
-def actual_sizes(ef: ExtendedFormulation, tol: float = DEFAULT_TOL) -> dict:
-    """Ledger counts plus the equation-eliminated variable count; raises
-    :class:`~reflekt.polyhedra.EmptyPolyhedronError` when Q's equations are
-    inconsistent."""
-    out = ef.ledger.to_dict()
-    if "reduced_variables" not in out:
-        checker = projection_checker(ef, tol)
-        if not checker.consistent:
-            raise checker.inconsistency
-        out["reduced_variables"] = checker.n_free
-    return out
+def actual_sizes(ef: ExtendedFormulation) -> dict:
+    """Ledger counts plus the equation-eliminated variable count of the
+    cached checker; raises :class:`~reflekt.polyhedra.EmptyPolyhedronError`
+    when Q's equations are inconsistent."""
+    checker = projection_checker(ef)
+    if not checker.consistent:
+        raise checker.inconsistency
+    return {**ef.ledger.to_dict(), "reduced_variables": checker.n_free}
 
 
-def size_report(ef: ExtendedFormulation, expected: dict, tol: float = DEFAULT_TOL):
+def size_report(ef: ExtendedFormulation, expected: dict):
     """Integer comparison of the built sizes against expected counts;
     returns (passed, diff) where diff maps each key to (expected, actual)."""
-    actual = actual_sizes(ef, tol)
+    actual = actual_sizes(ef)
     diff = {}
     for key, want in expected.items():
         got = actual.get(key)
@@ -181,6 +178,8 @@ def verify_projection_equality(
         over Q must equal the brute-force maximum over V -- exactly in the
         rational backend, within ``tol`` in float mode.
 
+    ``tol`` is a comparison tolerance (witness steps and float optima); the
+    checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once Q contains
     it (``witness_hits``), or else through an LP (``lp_fallbacks``);
@@ -195,11 +194,10 @@ def verify_projection_equality(
     if V.dim != ef.projection.out_dim:
         raise DimensionError("vertex dimension != projection output dimension")
     backend = ef.backend
-    lp_tol = min(tol, DEFAULT_TOL)
     report = VerificationReport(
         label=label or ef.label or "formulation", backend=backend, seed=seed
     )
-    checker = projection_checker(ef, lp_tol)
+    checker = projection_checker(ef)
     pivots = checker.pivots  # a fallback may trigger the objectives' factoring
 
     t_vertex = time.perf_counter()
@@ -211,10 +209,10 @@ def verify_projection_equality(
             report.witness_hits += 1
             if checker.w_feas is None:
                 raw = z.fractions() if isinstance(z, ScaledPoint) else z
-                checker.seed_from_raw(raw, lp_tol)
+                checker.seed_from_raw(raw)
         else:
             report.lp_fallbacks += 1
-            if checker.feasible(v, lp_tol):
+            if checker.feasible(v):
                 report.vertex_passed += 1
 
     t_objective = time.perf_counter()
@@ -225,7 +223,7 @@ def verify_projection_equality(
         flat, v_den = int_scale(e for v in V.points for e in v)
         v_rows = [flat[i : i + V.dim] for i in range(0, len(flat), V.dim)]
     objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
-    optima = checker.maximize_projected_all(objectives, "max", lp_tol)
+    optima = checker.maximize_projected_all(objectives, "max")
     for c, (status, value) in zip(objectives, optima):
         report.objective_total += 1
         if status != lp.OPTIMAL:
@@ -246,9 +244,9 @@ def verify_projection_equality(
 
     t_size = time.perf_counter()
     if expected_sizes is not None:
-        passed, _ = size_report(ef, expected_sizes, lp_tol)
+        passed, _ = size_report(ef, expected_sizes)
         report.size_expected = dict(expected_sizes)
-        report.size_actual = actual_sizes(ef, lp_tol)
+        report.size_actual = actual_sizes(ef)
         report.size_passed = passed
 
     report.hypothesis_checks = tuple(extra_checks)

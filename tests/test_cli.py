@@ -2,6 +2,7 @@ import json
 import os
 
 from reflekt.cli import main
+from reflekt.constructions import build_recipe
 from reflekt.polyhedra import HPolyhedron, compose_extension
 from reflekt.serialize import ef_to_dict, load_json, save_json
 
@@ -183,3 +184,43 @@ class TestStats:
 
     def test_bad_subcommand_usage(self):
         assert run(["frobnicate"]) == 2
+
+
+class TestDoctoredDocuments:
+    def write(self, tmp_path, doc):
+        path = str(tmp_path / "doc.json")
+        save_json(doc, path)
+        return path
+
+    def test_stats_counts_the_rows_of_the_file(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 4}))
+        del doc["ineqs"][:2]
+        assert run(["stats", "--ef", self.write(tmp_path, doc)]) == 0
+        ledger = json.loads(capsys.readouterr().out)["ledger"]
+        assert ledger["inequalities"] == 8
+
+    def test_short_block_dims_is_a_usage_error(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        doc["block_dims"] = doc["block_dims"][:-1]
+        src = self.write(tmp_path, doc)
+        assert run(["export", "--ef", src, "--format", "lp", "--out", src + ".lp"]) == 2
+        assert "block dims" in capsys.readouterr().err
+        assert not os.path.exists(src + ".lp")
+
+    def test_short_projection_rows_are_a_usage_error(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        doc["projection"]["matrix"] = [row[:-1] for row in doc["projection"]["matrix"]]
+        src = self.write(tmp_path, doc)
+        assert run(["export", "--ef", src, "--format", "lp", "--out", src + ".lp"]) == 2
+        assert "projection row width" in capsys.readouterr().err
+
+    def test_unknown_backend_is_a_usage_error(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        doc["backend"] = "Exact"
+        src = self.write(tmp_path, doc)
+        argv = ["verify", "--ef", src, "--oracle", "permutation", "--base", "1,2,3"]
+        assert run(argv) == 2
+        assert "unknown backend" in capsys.readouterr().err
+
+    def test_stats_takes_no_tolerance(self):
+        assert run(["stats", "--recipe", "signing", "--n", "2", "--tol", "1e-6"]) == 2

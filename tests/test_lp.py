@@ -527,12 +527,12 @@ class TestFloatSharedPhase1:
 
         for m in range(3, 65):
             ef = mgon_ef(m)
-            checker = ProjectionChecker(ef, 1e-9)
+            checker = ProjectionChecker(ef)
             z = _witness_blocks(ef, mgon_orbit(m).points[0], 1e-6)
-            assert checker.seed_from_raw(z, 1e-9)
+            assert checker.seed_from_raw(z)
             for c in random_objectives(2, 25, random.Random(m), FLOAT):
                 for sense in ("max", "min"):
-                    got = checker.maximize_projected(c, sense, 1e-9)
+                    got = checker.maximize_projected(c, sense)
                     assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
 
     def test_seed_registered_after_unseeded_calls(self):
@@ -542,15 +542,15 @@ class TestFloatSharedPhase1:
         rng = random.Random(3)
         for m in (5, 7, 12, 31, 64):
             ef = mgon_ef(m)
-            checker = ProjectionChecker(ef, 1e-9)
+            checker = ProjectionChecker(ef)
             objectives = [(float(rng.randint(-10, 10)), float(rng.randint(-10, 10)))
                           for _ in range(6)]
             for k, c in enumerate(objectives):
                 if k == 3:
                     z = _witness_blocks(ef, mgon_orbit(m).points[1], 1e-6)
-                    assert checker.seed_from_raw(z, 1e-9)
+                    assert checker.seed_from_raw(z)
                 for sense in ("max", "min"):
-                    got = checker.maximize_projected(c, sense, 1e-9)
+                    got = checker.maximize_projected(c, sense)
                     assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
 
     def test_unbounded_and_infeasible(self):
@@ -590,9 +590,9 @@ def mgon_checkers(m):
     from reflekt.oracles import mgon_orbit
 
     ef = mgon_ef(m)
-    seeded = ProjectionChecker(ef, 1e-9)
-    assert seeded.seed_from_raw(_witness_blocks(ef, mgon_orbit(m).points[0], 1e-6), 1e-9)
-    return ProjectionChecker(ef, 1e-9), seeded
+    seeded = ProjectionChecker(ef)
+    assert seeded.seed_from_raw(_witness_blocks(ef, mgon_orbit(m).points[0], 1e-6))
+    return ProjectionChecker(ef), seeded
 
 
 class TestFloatPivotTree:
@@ -607,12 +607,12 @@ class TestFloatPivotTree:
             unseeded, seeded = mgon_checkers(m)
             for sense in ("max", "min"):
                 for checker in (unseeded, seeded):
-                    got = checker.maximize_projected_all(objectives, sense, 1e-9)
-                    per_call = [checker.maximize_projected(c, sense, 1e-9) for c in objectives]
+                    got = checker.maximize_projected_all(objectives, sense)
+                    per_call = [checker.maximize_projected(c, sense) for c in objectives]
                     assert repr(got) == repr(per_call), (m, sense, checker is seeded)
                 # TestFloatSharedPhase1 compares the seeded calls with fresh solves
                 fresh = [fresh_projected(unseeded, c, sense, 1e-9) for c in objectives]
-                assert repr(unseeded.maximize_projected_all(objectives, sense, 1e-9)) == repr(fresh)
+                assert repr(unseeded.maximize_projected_all(objectives, sense)) == repr(fresh)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
@@ -711,7 +711,7 @@ class TestFloatPivotTree:
         objectives = random_objectives(2, 25, random.Random(7), FLOAT)
         for ef in efs:
             for c in objectives:
-                ef._checker.maximize_projected(c, "max", 1e-9)
+                ef._checker.maximize_projected(c, "max")
         assert count[0] == 14978  # one path per objective
 
 

@@ -208,7 +208,7 @@ class TestEliminate:
         ef = compose_extension(P, [graph_relation(AffineMap.identity(1))])
         red = eliminate_equations(ef)
         assert red.Q.dim == 1
-        assert red.ledger.reduced_variables == 1
+        assert red.ledger.raw_variables == 1
         assert red.Q.n_inequalities == 2
         assert red.Q.n_equations == 0
 
@@ -230,8 +230,8 @@ class TestEliminate:
     def test_reduced_count_respects_bound(self):
         ef = signing_ef(HPolyhedron.point((F(1), F(2))), 2)
         red = eliminate_equations(ef)
-        assert red.ledger.reduced_variables == 2
-        assert red.ledger.reduced_variables <= red.ledger.reduced_variable_bound
+        assert red.ledger.raw_variables == 2
+        assert red.ledger.raw_variables <= red.ledger.reduced_variable_bound
 
     def test_inconsistent_equations(self):
         Q = HPolyhedron.from_rows(1, eqs=[((1,), 0), ((1,), 1)])
@@ -263,7 +263,7 @@ class TestEliminate:
         ef = build_recipe(name, params)
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
-        assert checker.n_free == red.Q.dim == red.ledger.reduced_variables
+        assert checker.n_free == red.Q.dim == red.ledger.raw_variables
         assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
         assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
         # the sparse products equal dense dot products over every coordinate

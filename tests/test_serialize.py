@@ -4,10 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from reflekt.constructions import a_permutahedron_ef, mgon_ef, signing_ef
+from reflekt import numeric
+from reflekt.constructions import a_permutahedron_ef, build_recipe, mgon_ef, signing_ef
 from reflekt.networks import batcher
+from reflekt.numeric import DEFAULT_TOL
 from reflekt.oracles import mgon_orbit, permutation_orbit
-from reflekt.polyhedra import HPolyhedron, point_in_projection
+from reflekt.polyhedra import (
+    HPolyhedron,
+    SizeLedger,
+    eliminate_equations,
+    point_in_projection,
+    projection_checker,
+)
 from reflekt.serialize import (
     SCHEMA,
     atomic_write_text,
@@ -121,3 +129,92 @@ class TestSolverFormats:
         import math
 
         assert format(-math.sin(math.pi / 3), ".17g") in text
+
+
+ALL_RECIPES = [
+    ("signing", {"n": 3}),
+    ("mgon", {"m": 8}),
+    ("i2_permutahedron", {"m": 5}),
+    ("a_permutahedron", {"n": 4}),
+    ("b_permutahedron", {"n": 3}),
+    ("d_permutahedron", {"n": 3}),
+    ("parity", {"n": 5, "parity": "odd"}),
+    ("huffman_quadratic", {"n": 5}),
+    ("huffman_nlogn", {"n": 5}),
+    ("completion_time", {"p": [1, 2, 3]}),
+]
+
+
+def perm4_doc():
+    return ef_to_dict(build_recipe("a_permutahedron", {"n": 4}))
+
+
+class TestLedgerReadOffQ:
+    @pytest.mark.parametrize("name, params", ALL_RECIPES, ids=[n for n, _ in ALL_RECIPES])
+    def test_built_eliminated_and_loaded_ledgers(self, name, params):
+        ef = build_recipe(name, params)
+        bound = ef.reduced_variable_bound
+        for version in (ef, eliminate_equations(ef), ef_from_dict(ef_to_dict(ef))):
+            Q = version.Q
+            assert version.ledger == SizeLedger(Q.dim, len(Q.A), len(Q.C), bound)
+        assert eliminate_equations(ef).ledger.equations == 0
+
+    def test_document_counts_are_not_read(self):
+        doc = perm4_doc()
+        assert len(doc["ineqs"]) == doc["ledger"]["inequalities"] == 10
+        del doc["ineqs"][:2]
+        doc["ledger"]["raw_variables"] = 999
+        ledger = ef_from_dict(doc).ledger
+        assert ledger.inequalities == 8
+        assert ledger.raw_variables == doc["dim"]
+
+    def test_bound_below_free_variables_is_rejected(self):
+        doc = perm4_doc()
+        n_free = projection_checker(ef_from_dict(doc)).n_free
+        doc["ledger"]["reduced_variable_bound"] = n_free - 1
+        with pytest.raises(ValueError, match=f"{n_free} free variables .* bound {n_free - 1}"):
+            eliminate_equations(ef_from_dict(doc))
+
+    def test_loaded_checker_pivots_at_the_default_tolerance(self, monkeypatch):
+        ef = ef_from_dict(ef_to_dict(mgon_ef(8)))
+        seen = []
+        rref = numeric.rref
+
+        def recording(M, tol=DEFAULT_TOL):
+            seen.append(tol)
+            return rref(M, tol)
+
+        monkeypatch.setattr(numeric, "rref", recording)
+        assert point_in_projection(ef, mgon_orbit(8).points[0], tol=0.06)
+        assert seen == [DEFAULT_TOL]  # the checker's one elimination
+
+
+class TestDocumentChecks:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda M: [row[:-1] for row in M],
+            lambda M: [M[0] + ["0"]] + M[1:],
+            lambda M: [row + ["0"] for row in M],
+        ],
+        ids=["short", "ragged", "wide"],
+    )
+    def test_projection_rows_must_have_dim_entries(self, edit):
+        doc = ef_to_dict(perm3_ef())
+        doc["projection"]["matrix"] = edit(doc["projection"]["matrix"])
+        with pytest.raises(ValueError, match="projection row width"):
+            ef_from_dict(doc)
+
+    def test_block_dims_must_be_integers_summing_to_dim(self):
+        dims = ef_to_dict(perm3_ef())["block_dims"]
+        for bad in (dims[:-1], [str(k) for k in dims]):
+            doc = ef_to_dict(perm3_ef())
+            doc["block_dims"] = bad
+            with pytest.raises(ValueError, match="block dims"):
+                ef_from_dict(doc)
+
+    def test_unknown_backend_rejected(self):
+        doc = ef_to_dict(perm3_ef())
+        doc["backend"] = "Exact"
+        with pytest.raises(ValueError, match="unknown backend 'Exact'"):
+            ef_from_dict(doc)
