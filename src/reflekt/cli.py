@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import constructions, oracles, serialize
 from .lp import LPNumericError
 from .numeric import DEFAULT_TOL, BackendError
-from .verify import verify_projection_equality
+from .verify import actual_sizes, verify_projection_equality
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -197,8 +197,6 @@ def cmd_export(args) -> int:
 
 def cmd_stats(args) -> int:
     ef = _load_or_build_ef(args)
-    from .verify import actual_sizes
-
     payload = {"label": ef.label, "ledger": actual_sizes(ef)}
     if getattr(args, "recipe", None):
         try:

@@ -18,7 +18,6 @@ from math import cos, pi, sin
 from typing import Optional, Sequence
 
 from .networks import (
-    RELATION,
     ComparatorSeq,
     apply_comparators,
     batcher,
@@ -29,7 +28,7 @@ from .networks import (
     stride_seq,
 )
 from .numeric import EXACT, FLOAT, BackendError, DimensionError, ScaledPoint, identity_matrix
-from .numeric import int_scale, vectors_eq
+from .numeric import int_scale, vector, vectors_eq
 from .polyhedra import (
     AffineMap,
     ExtendedFormulation,
@@ -63,11 +62,10 @@ def sign_chain_specs(n: int, backend: str = EXACT):
 
 def transposition_chain_specs(net: ComparatorSeq, backend: str = EXACT):
     """Transposition relations matching a comparator network, in chain
-    (relation) order: the network's first-applied comparator becomes the
-    last relation, so the chain's preimage pass replays the network in its
-    application order."""
-    pairs = net.in_order(RELATION).comparators
-    return [transposition_spec(k, ell, net.n, backend) for k, ell in pairs]
+    order: the sequence reversed, so its first-applied comparator becomes
+    the last relation and the chain's preimage pass, which walks the chain
+    from its last relation, replays the network in application order."""
+    return [transposition_spec(k, ell, net.n, backend) for k, ell in reversed(net.comparators)]
 
 
 def even_pair_chain_specs(n: int, backend: str = EXACT):
@@ -338,7 +336,7 @@ def huffman_level_images(v, level_seq):
     if all(isinstance(e, int) or isinstance(e, Fraction) and e.denominator == 1 for e in x):
         x = tuple(int(e) for e in x)
     for k in range(n, 2, -1):
-        x = apply_comparators(level_seq(k), x, "application")
+        x = apply_comparators(level_seq(k), x)
         yield k, x
         if k > 3:
             x = x[: k - 2] + (x[k - 2] - 1,)
@@ -425,8 +423,6 @@ def completion_time_ef(p: Sequence) -> ExtendedFormulation:
     nonnegative processing times p: each step crosses the current polytope
     with a unit box and applies one scheduling step, so the whole thing is
     an affine image of a cube of dimension n(n-1)/2."""
-    from .numeric import vector
-
     p = vector(p, EXACT)
     if any(e < 0 for e in p):
         raise ValueError("processing times must be nonnegative")

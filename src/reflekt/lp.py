@@ -7,9 +7,9 @@ entries stay integers (they are subdeterminants of the input) and no
 per-operation gcd normalization is paid.  Entry/selection rules are
 Bland's, by variable label, which guarantees termination without
 perturbation.  The float path is a classic dense tableau with
-largest-coefficient pricing and a symmetric tolerance; a batch of
-objectives is staged as cost rows below the phase-1 row and carried through
-one phase 1.
+largest-coefficient pricing and the symmetric tolerance ``DEFAULT_TOL``
+(no solver takes a tolerance); a batch of objectives is staged as cost rows
+below the phase-1 row and carried through one phase 1.
 
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
@@ -276,12 +276,12 @@ def _updated(row, col, lead):
 
 class _FloatCore:
     """Float simplex phases on a dense tableau: largest-coefficient pricing
-    and a ratio test under a symmetric tolerance.  A pivot replaces rows and
-    never edits one, so a shallow copy of ``rows`` is an independent
-    tableau."""
+    and a ratio test under the symmetric tolerance ``DEFAULT_TOL``.  A pivot
+    replaces rows and never edits one, so a shallow copy of ``rows`` is an
+    independent tableau."""
 
-    def __init__(self, rows, basis, tol):
-        self.rows, self.basis, self.tol = rows, basis, tol  # as in _ExactCore
+    def __init__(self, rows, basis):
+        self.rows, self.basis = rows, basis  # as in _ExactCore
 
     def pivot(self, r, c):
         rows = self.rows
@@ -295,9 +295,10 @@ class _FloatCore:
 
     def choose(self, objrow, allowed):
         """The pivot ``(row, column)`` for ``objrow``: the first largest reduced
-        cost among ``allowed``, column -1 when none is above ``tol``, and the
-        smallest ratio within ``tol``, row -1 when the column is unblocked."""
-        col, tol = max(allowed, key=objrow.__getitem__, default=-1), self.tol
+        cost among ``allowed``, column -1 when none is above ``DEFAULT_TOL``,
+        and the smallest ratio within ``DEFAULT_TOL``, row -1 when the column
+        is unblocked."""
+        col, tol = max(allowed, key=objrow.__getitem__, default=-1), DEFAULT_TOL
         if col < 0 or not objrow[col] > tol:
             return -1, -1
         rows, r, best_ratio = self.rows, -1, None
@@ -311,7 +312,7 @@ class _FloatCore:
 
     def run_phase(self, obj_idx, allowed):
         """Pivot until the objective row ``obj_idx`` has no reduced cost above
-        ``tol`` among ``allowed``; returns False on unboundedness."""
+        ``DEFAULT_TOL`` among ``allowed``; returns False on unboundedness."""
         for _ in range(_MAX_PIVOTS_FLOAT):
             r, col = self.choose(self.rows[obj_idx], allowed)
             if col < 0:
@@ -322,7 +323,7 @@ class _FloatCore:
         raise LPNumericError("float simplex failed to converge")
 
 
-def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg, tol):
+def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg):
     """Two-phase float solves of each objective over one system; returns one
     :class:`LPResult` per objective, or None when phase 1 finds the system
     infeasible.
@@ -339,13 +340,13 @@ def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg, tol):
     m, width = len(basis), len(rows[0])
     rows += [_cost_row(c, sense, nonneg, False, width)[0] for c in objectives]
     if art_of_row:
-        feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
-        _FloatCore(rows, basis, tol).run_phase(m, range(width - 1))
+        feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
+        _FloatCore(rows, basis).run_phase(m, range(width - 1))
         if rows[m][-1] > feas_eps:
             return None
     allowed = range(nv + len(ineqs))
     results = [None] * len(objectives)
-    stack = [(_FloatCore(rows[:m], basis, tol), list(enumerate(rows[m + 1:])), 0)]
+    stack = [(_FloatCore(rows[:m], basis), list(enumerate(rows[m + 1:])), 0)]
     while stack:
         node, group, depth = stack.pop()
         children = {}
@@ -365,7 +366,7 @@ def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg, tol):
         if children and depth == _MAX_PIVOTS_FLOAT:
             raise LPNumericError("float simplex failed to converge")
         for (r, col), members in children.items():
-            child = _FloatCore(node.rows[:], node.basis[:], node.tol)
+            child = _FloatCore(node.rows[:], node.basis[:])
             child.pivot(r, col)
             lead = child.rows[r]
             stack.append((child, [(k, _updated(row, col, lead)) for k, row in members], depth + 1))
@@ -380,7 +381,6 @@ def solve_system(
     sense: str = "max",
     backend: str = EXACT,
     nonneg: bool = False,
-    tol: float = DEFAULT_TOL,
     feasibility_only: bool = False,
     want_duals: bool = False,
 ) -> LPResult:
@@ -393,18 +393,18 @@ def solve_system(
         )
     if backend == FLOAT:
         results = _float_optima(n_vars, ineqs, eqs, [] if feasibility_only else [objective],
-                                sense, nonneg, tol)
+                                sense, nonneg)
         if results is None:
             return LPResult(INFEASIBLE)
         return results[0] if results else LPResult(OPTIMAL)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def solve(problem: LPProblem, tol: float = DEFAULT_TOL, want_duals: bool = False) -> LPResult:
+def solve(problem: LPProblem, want_duals: bool = False) -> LPResult:
     """Two-phase simplex over the problem's polyhedron.
 
     Rational mode pivots by Bland's rule and returns exact optima; float
-    mode prices by largest coefficient under the given tolerance and raises
+    mode prices by largest coefficient at ``DEFAULT_TOL`` and raises
     :class:`LPNumericError` (never a silent wrong status) when it cannot
     converge.
     """
@@ -418,7 +418,6 @@ def solve(problem: LPProblem, tol: float = DEFAULT_TOL, want_duals: bool = False
         problem.objective,
         sense=problem.sense,
         backend=Q.backend,
-        tol=tol,
         want_duals=want_duals,
     )
 
@@ -441,7 +440,7 @@ def pinned(Q, pins):
     return HPolyhedron(Q.dim, Q.A, Q.b, tuple(C), tuple(d), Q.backend)
 
 
-def feasible(Q, pins=(), tol: float = DEFAULT_TOL) -> bool:
+def feasible(Q, pins=()) -> bool:
     """Phase-1 feasibility of Q with optionally pinned coordinates."""
     system = pinned(Q, pins) if pins else Q
     zero = Fraction(0) if Q.backend == EXACT else 0.0
@@ -451,17 +450,17 @@ def feasible(Q, pins=(), tol: float = DEFAULT_TOL) -> bool:
         list(zip(system.C, system.d)),
         [zero] * system.dim,
         backend=system.backend,
-        tol=tol,
         feasibility_only=True,
     )
     return res.status == OPTIMAL
 
 
-def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
+def in_hull(y, V) -> bool:
     """Membership of y in conv(V) for a :class:`~reflekt.oracles.VertexSet`
     V, whose points need not be extreme, via the multiplier LP
-    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y}.  Raises ValueError
-    when V is empty or when y or a point of V has the wrong length."""
+    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y}, whose float phase 1
+    pivots at ``DEFAULT_TOL``.  Raises ValueError when V is empty or when y
+    or a point of V has the wrong length."""
     if not V.points:
         raise ValueError("conv of an empty point set")
     if any(len(p) != V.dim for p in (y, *V.points)):
@@ -473,8 +472,7 @@ def in_hull(y, V, tol: float = DEFAULT_TOL) -> bool:
         eqs.append((tuple(v[dcoord] for v in V.points), y[dcoord]))
     eqs.append(((one,) * k, one))
     res = solve_system(
-        k, (), eqs, (one,) * k, backend=V.backend, nonneg=True, tol=tol,
-        feasibility_only=True,
+        k, (), eqs, (one,) * k, backend=V.backend, nonneg=True, feasibility_only=True,
     )
     return res.status == OPTIMAL
 
@@ -657,7 +655,7 @@ class ProjectionChecker:
         objs = [tuple(dot(c, col) for col in cols) for c in objectives]
         seeded = self.w_feas is not None
         rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
-        results = (_float_optima(self.n_free, rows, (), objs, sense, False, DEFAULT_TOL)
+        results = (_float_optima(self.n_free, rows, (), objs, sense, False)
                    or [LPResult(INFEASIBLE)] * len(objs))
         out = []
         for obj, const, res in zip(objs, consts, results):

@@ -2,15 +2,12 @@
 sequences used by the Huffman constructions.
 
 A comparator (k, ell) places the smaller value at position k and the larger
-at position ell (1-based).  Sequences carry an explicit ``order`` tag:
-
-* ``application`` -- the first comparator listed is applied first when
-  sorting (the usual network convention);
-* ``relation`` -- the order in which the matching transposition relations
-  enter a composed chain; canonical preimages then run through the listed
-  pairs from last to first, i.e. in reversed (= application) order.
-
-Converting between the two conventions reverses the list.
+at position ell (1-based).  Every sequence is stored in application order:
+the first comparator listed is applied first when sorting (the usual network
+convention).  The matching transposition relations enter a composed chain in
+the reverse order (:func:`~reflekt.constructions.transposition_chain_specs`),
+so the chain's canonical-preimage pass, which runs from the last relation to
+the first, replays the sequence as listed.
 """
 
 from __future__ import annotations
@@ -18,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
-
-APPLICATION = "application"
-RELATION = "relation"
 
 Comparator = Tuple[int, int]
 
@@ -31,11 +25,8 @@ _EXHAUSTIVE_CAP = 24
 class ComparatorSeq:
     n: int
     comparators: tuple
-    order: str = APPLICATION
 
     def __post_init__(self):
-        if self.order not in (APPLICATION, RELATION):
-            raise ValueError(f"unknown order tag {self.order!r}")
         for k, ell in self.comparators:
             if k == ell:
                 raise ValueError(f"degenerate comparator ({k},{ell})")
@@ -44,11 +35,6 @@ class ComparatorSeq:
 
     def __len__(self) -> int:
         return len(self.comparators)
-
-    def in_order(self, order: str) -> "ComparatorSeq":
-        if order == self.order:
-            return self
-        return ComparatorSeq(self.n, tuple(reversed(self.comparators)), order)
 
 
 def _oem_sort(indices):
@@ -82,13 +68,13 @@ def batcher(n: int) -> ComparatorSeq:
     if n < 1:
         raise ValueError("network needs at least one wire")
     if n == 1:
-        return ComparatorSeq(1, (), APPLICATION)
+        return ComparatorSeq(1, ())
     pot = 1 << (n - 1).bit_length()
     padded = list(range(1, n + 1)) + [None] * (pot - n)
     comps = tuple(
         (a, b) for a, b in _oem_sort(padded) if a is not None and b is not None
     )
-    return ComparatorSeq(n, comps, APPLICATION)
+    return ComparatorSeq(n, comps)
 
 
 def insertion_network(n: int) -> ComparatorSeq:
@@ -100,7 +86,7 @@ def insertion_network(n: int) -> ComparatorSeq:
     for i in range(2, n + 1):
         for j in range(i, 1, -1):
             comps.append((j - 1, j))
-    return ComparatorSeq(n, tuple(comps), APPLICATION)
+    return ComparatorSeq(n, tuple(comps))
 
 
 def is_sorting_network(seq: ComparatorSeq) -> bool:
@@ -123,7 +109,7 @@ def is_sorting_network(seq: ComparatorSeq) -> bool:
         masks.append(((1 << width) - 1) << width)
         width *= 2
     wires = masks  # wires[0] unused, 1-based
-    for k, ell in seq.in_order(APPLICATION).comparators:
+    for k, ell in seq.comparators:
         lo = wires[k] & wires[ell]
         hi = wires[k] | wires[ell]
         wires[k], wires[ell] = lo, hi
@@ -134,19 +120,19 @@ def is_sorting_network(seq: ComparatorSeq) -> bool:
 
 
 def double_bubble_seq(k: int) -> ComparatorSeq:
-    """Two overlapping bubble passes on k wires, in relation order:
+    """Two overlapping bubble passes on k wires:
 
-        (k-2,k-1), (k-3,k-2), .., (1,2), (k-1,k), (k-2,k-1), .., (1,2)
+        (1,2), (2,3), .., (k-1,k), (1,2), (2,3), .., (k-2,k-1)
 
-    of length 2k-3.  Applied as canonical preimages (reversed order) it
-    bubbles the largest value to position k and the next largest to k-1,
-    which is exactly what the Huffman levels need.
+    of length 2k-3.  Applied in this order it bubbles the largest value to
+    position k and the next largest to k-1, which is exactly what the
+    Huffman levels need.
     """
     if k < 3:
         raise ValueError("level sequences need k >= 3")
-    pairs = [(j, j + 1) for j in range(k - 2, 0, -1)]
-    pairs += [(j, j + 1) for j in range(k - 1, 0, -1)]
-    return ComparatorSeq(k, tuple(pairs), RELATION)
+    pairs = [(j, j + 1) for j in range(1, k)]
+    pairs += [(j, j + 1) for j in range(1, k - 1)]
+    return ComparatorSeq(k, tuple(pairs))
 
 
 def stride_indices(k: int):
@@ -168,21 +154,21 @@ def stride_seq(k: int) -> ComparatorSeq:
 
         (i2,i1), (i3,i2), .., (ir,i(r-1)), (i(r-1),i(r-2)), .., (i2,i1)
 
-    in relation order, of length 2r-3 with r = O(log k)."""
+    of length 2r-3 with r = O(log k); the sequence is a palindrome."""
     idx = stride_indices(k)
     r = len(idx)
     pairs = [(idx[j], idx[j - 1]) for j in range(1, r)]
     pairs += [(idx[j], idx[j - 1]) for j in range(r - 2, 0, -1)]
-    return ComparatorSeq(k, tuple(pairs), RELATION)
+    return ComparatorSeq(k, tuple(pairs))
 
 
-def apply_comparators(seq: ComparatorSeq, y: Sequence, order: str = APPLICATION):
-    """Fold canonical transposition preimages over the sequence arranged in
-    the requested order: (k, ell) swaps exactly when y_k > y_ell."""
+def apply_comparators(seq: ComparatorSeq, y: Sequence):
+    """Fold canonical transposition preimages over the sequence in its
+    (application) order: (k, ell) swaps exactly when y_k > y_ell."""
     out = list(y)
     if len(out) != seq.n:
         raise ValueError(f"vector length {len(out)} != network width {seq.n}")
-    for k, ell in seq.in_order(order).comparators:
+    for k, ell in seq.comparators:
         a, b = out[k - 1], out[ell - 1]
         if a > b:
             out[k - 1], out[ell - 1] = b, a

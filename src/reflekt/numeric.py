@@ -12,7 +12,8 @@ Two numeric backends live behind one scalar vocabulary:
   Fraction per operation.
 * ``FLOAT`` -- binary64 floats, opt-in, needed only for constructions whose
   data is irrational (the regular m-gon normals).  Comparisons use a
-  symmetric tolerance: ``a <= b`` means ``a - b <= tol``.
+  symmetric tolerance: ``a <= b`` means ``a - b <= tol``.  Row reduction
+  and the simplex pivot at ``DEFAULT_TOL`` and take no tolerance.
 
 A computation never mixes backends; mixing raises :class:`BackendError`.
 Vectors are tuples of scalars, matrices are tuples of row tuples.  Everything
@@ -66,21 +67,6 @@ def to_scalar(value, backend: str) -> Scalar:
             return float(Fraction(value)) if "/" in value else float(value)
         raise BackendError(f"cannot coerce {type(value).__name__} to a float")
     raise BackendError(f"unknown backend {backend!r}")
-
-
-def infer_backend(values: Iterable) -> str:
-    """Detect the backend of raw scalars; Fractions and floats must not mix."""
-    saw_float = saw_exact = False
-    for v in values:
-        if isinstance(v, float):
-            saw_float = True
-        elif isinstance(v, (int, Fraction)):
-            saw_exact = True
-        else:
-            raise BackendError(f"not a scalar: {v!r}")
-    if saw_float and saw_exact:
-        raise BackendError("exact and float scalars mixed in one container")
-    return FLOAT if saw_float else EXACT
 
 
 def join_backends(a: str, b: str) -> str:
@@ -162,13 +148,6 @@ def mat_vec(M: Sequence, x: Sequence) -> Vector:
     return tuple(dot(row, x) for row in M)
 
 
-def mat_mul(A: Sequence, B: Sequence) -> Matrix:
-    if A and B and len(A[0]) != len(B):
-        raise DimensionError("mat_mul: inner dimensions differ")
-    cols = list(zip(*B)) if B else []
-    return tuple(tuple(dot(row, col) for col in cols) for row in A)
-
-
 def int_scale(values: Iterable):
     """Scale rationals (ints or Fractions) to integers over their least
     common denominator D; returns ``(ints, D)`` with ``ints[i] = values[i] * D``.
@@ -202,13 +181,14 @@ class ScaledPoint(NamedTuple):
         return tuple(Fraction(e, den) for e in self.nums)
 
 
-def rref(M: Sequence, tol: float = DEFAULT_TOL):
+def rref(M: Sequence):
     """Reduced row echelon form.
 
     Returns ``(R, pivots)`` where ``pivots`` are 0-based pivot column
     indices.  Rational entries (ints or Fractions) are eliminated exactly on
     integers and R is returned as Fractions; float entries use partial
-    pivoting with the given tolerance.
+    pivoting and skip a column whose entries are all within ``DEFAULT_TOL``
+    of zero.
     """
     m = len(M)
     n = len(M[0]) if m else 0
@@ -220,7 +200,7 @@ def rref(M: Sequence, tol: float = DEFAULT_TOL):
     for c in range(n):
         if r >= m:
             break
-        best, best_val = -1, tol
+        best, best_val = -1, DEFAULT_TOL
         for i in range(r, m):
             if abs(rows[i][c]) > best_val:
                 best, best_val = i, abs(rows[i][c])
@@ -306,42 +286,35 @@ def _rref_exact(M: Sequence, n: int):
     return tuple(R), tuple(c for c, _ in pivot_rows)
 
 
-def rank(M: Sequence, tol: float = DEFAULT_TOL) -> int:
-    return len(rref(M, tol)[1])
+def rank(M: Sequence) -> int:
+    return len(rref(M)[1])
 
 
-def kernel_dim(M: Sequence, tol: float = DEFAULT_TOL) -> int:
+def kernel_dim(M: Sequence) -> int:
     """Dimension of {x : Mx = 0}, i.e. cols(M) - rank(M)."""
     if not M:
         return 0
-    return len(M[0]) - rank(M, tol)
+    return len(M[0]) - rank(M)
 
 
-def affine_solution_space(
-    C: Sequence,
-    d: Sequence,
-    tol: float = DEFAULT_TOL,
-    dim: int | None = None,
-    backend: str | None = None,
-):
-    """Solve ``C z = d``: returns ``(particular, nullspace_basis)``.
+def affine_solution_space(C: Sequence, d: Sequence, backend: str, dim: int | None = None):
+    """Solve ``C z = d`` over ``backend``: returns ``(particular,
+    nullspace_basis)``.
 
     ``particular`` is ``None`` when the system is inconsistent.  Free
     variables are set to zero in the particular solution.  ``dim`` is only
-    needed when the system has no rows at all; without a ``backend`` it is
-    inferred from the entries, which reads every one of them.
+    needed when the system has no rows at all.  Float systems are reduced
+    by :func:`rref` at ``DEFAULT_TOL``.
     """
     if not C:
         if dim is None:
             raise DimensionError("empty system needs an explicit dimension")
-        backend = backend or EXACT
         return zero_vector(dim, backend), list(identity_matrix(dim, backend))
     n = len(C[0])
     aug = tuple(tuple(row) + (rhs,) for row, rhs in zip(C, d))
-    R, pivots = rref(aug, tol)
+    R, pivots = rref(aug)
     if pivots and pivots[-1] == n:
         return None, []
-    backend = backend or infer_backend([e for row in aug for e in row])
     part = list(zero_vector(n, backend))
     for i, p in enumerate(pivots):
         part[p] = R[i][n]
@@ -359,7 +332,7 @@ def affine_solution_space(
     return tuple(part), basis
 
 
-def orthogonal_complement_basis(a: Sequence, n: int | None = None) -> Matrix:
+def orthogonal_complement_basis(a: Sequence) -> Matrix:
     """n-1 independent rows spanning the orthogonal complement of span{a}.
 
     The rows b_1..b_{n-1} satisfy <b_j, a> = 0 and have rank n-1, so a
@@ -369,8 +342,6 @@ def orthogonal_complement_basis(a: Sequence, n: int | None = None) -> Matrix:
     entry is positive; stays rational in the exact backend.
     """
     a = tuple(a)
-    if n is not None and len(a) != n:
-        raise DimensionError(f"vector has length {len(a)}, expected {n}")
     n = len(a)
     float_mode = any(isinstance(e, float) for e in a)
     if float_mode:

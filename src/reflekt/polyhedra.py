@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from . import numeric
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
@@ -32,7 +33,6 @@ from .numeric import (
     join_backends,
     kernel_dim,
     leq,
-    mat_mul,
     mat_vec,
     matrix,
     scalars_eq,
@@ -52,8 +52,10 @@ class HPolyhedron:
     """Ax <= b together with Cx = d; inequality and equation counts are
     tracked separately because the size arithmetic counts inequalities only.
 
-    Exact membership tests run on a copy of the system with every row
-    scaled to integers, built on first use and cached.
+    ``dim`` must be a nonnegative ``int`` and every row ``dim`` wide
+    (:class:`~reflekt.numeric.DimensionError` otherwise).  Exact membership
+    tests run on a copy of the system with every row scaled to integers,
+    built on first use and cached.
     """
 
     dim: int
@@ -66,6 +68,8 @@ class HPolyhedron:
     _int: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 0:
+            raise DimensionError(f"dim {self.dim!r} is not a nonnegative integer")
         for rows, name in ((self.A, "A"), (self.C, "C")):
             for row in rows:
                 if len(row) != self.dim:
@@ -208,17 +212,6 @@ class AffineMap:
             raise DimensionError(f"map expects dim {self.in_dim}, got {len(x)}")
         return vec_add(mat_vec(self.M, x), self.t)
 
-    def after(self, other: "AffineMap") -> "AffineMap":
-        """Composition self(other(x)); dimensions must chain."""
-        join_backends(self.backend, other.backend)
-        if other.out_dim != self.in_dim:
-            raise DimensionError("composition dimensions do not chain")
-        return AffineMap(
-            mat_mul(self.M, other.M),
-            vec_add(mat_vec(self.M, other.t), self.t),
-            self.backend,
-        )
-
 
 def _graph_preimage(f: AffineMap):
     """The solution of f(x) = y with free coordinates at zero, or None when
@@ -234,8 +227,8 @@ def _graph_preimage(f: AffineMap):
     factored = []
 
     def factor():
-        from .numeric import rref  # looked up per call, where perfbench's span wraps it
-        R, pivots = rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)])
+        # numeric.rref is looked up per call, so a wrapper installed on the module sees it
+        R, pivots = numeric.rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)])
         rows, q = [row[n:] + (dot(row[n:], f.t),) for row in R], 1
         if exact:
             ints, q = int_scale(e for row in rows for e in row)
@@ -349,7 +342,8 @@ class ExtendedFormulation:
     available; they let membership queries assemble an explicit feasibility
     witness before falling back to the LP.  ``block_dims`` is None once the
     block structure has been destroyed (after equation elimination), else
-    integers summing to Q.dim; every projection row has Q.dim entries
+    integers summing to Q.dim; every projection row has Q.dim entries, and
+    ``reduced_variable_bound`` is a nonnegative ``int``
     (:class:`~reflekt.numeric.DimensionError` otherwise).
     """
 
@@ -363,7 +357,9 @@ class ExtendedFormulation:
     _checker: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        dims, dim = self.block_dims, self.Q.dim
+        bound, dims, dim = self.reduced_variable_bound, self.block_dims, self.Q.dim
+        if type(bound) is not int or bound < 0:
+            raise DimensionError(f"reduced variable bound {bound!r} is not a nonnegative integer")
         if any(len(row) != dim for row in self.projection.M):
             raise DimensionError(f"projection row width != Q dim {dim}")
         if dims is not None and (any(type(k) is not int for k in dims) or sum(dims) != dim):

@@ -189,10 +189,13 @@ def verify_projection_equality(
     as one pivot tree that shares phase-2 pivots until their paths split.
     In the rational backend V is scaled once to one integer matrix over a
     common denominator and every brute-force maximum is taken on integers.
+    A negative ``n_objectives`` raises ValueError; 0 skips part (b).
     """
     t0 = time.perf_counter()
     if V.dim != ef.projection.out_dim:
         raise DimensionError("vertex dimension != projection output dimension")
+    if n_objectives < 0:
+        raise ValueError(f"n_objectives must be nonnegative, not {n_objectives}")
     backend = ef.backend
     report = VerificationReport(
         label=label or ef.label or "formulation", backend=backend, seed=seed
@@ -272,13 +275,17 @@ def check_chain_conditions(
     1. the base points lie in conv(target) and each chain reflection maps
        the target points back into conv(target);
     2. the canonical-preimage pass sends every target point into the base.
+
+    ``tol`` is a comparison tolerance: it bounds the preimage steps and the
+    match against a one-point base.  The hull memberships are LPs, which
+    pivot at ``DEFAULT_TOL``.
     """
     for point in base_points.points:
-        if not lp.in_hull(point, target, tol):
+        if not lp.in_hull(point, target):
             return False
     for spec in chain_specs:
         for w in target.points:
-            if not lp.in_hull(reflect_point(spec, w), target, tol):
+            if not lp.in_hull(reflect_point(spec, w), target):
                 return False
     single = base_points.points[0] if len(base_points.points) == 1 else None
     for w in target.points:
@@ -286,7 +293,7 @@ def check_chain_conditions(
         if single is not None:
             if not vectors_eq(x, single, tol):
                 return False
-        elif not lp.in_hull(x, base_points, tol):
+        elif not lp.in_hull(x, base_points):
             return False
     return True
 
@@ -299,7 +306,8 @@ def check_affine_generators(
 ) -> bool:
     """Spot-check that the relation's declared generators really generate
     its fibers: each generator image must lie in the fiber, and random
-    fiber optimizations must peak at a generator image."""
+    fiber optimizations must peak at a generator image.  ``tol`` compares
+    the images and optima; the fiber LPs pivot at ``DEFAULT_TOL``."""
     if not rel.generators:
         raise ValueError("relation carries no generators to check")
     rng = Random(seed)
@@ -327,7 +335,7 @@ def check_affine_generators(
             c = rand_vec(rel.m)
             objective = (zero,) * rel.n + c
             for sense, pick in (("max", max), ("min", min)):
-                res = lp.solve(lp.LPProblem(fiber, objective, sense), min(tol, DEFAULT_TOL))
+                res = lp.solve(lp.LPProblem(fiber, objective, sense))
                 if res.status != lp.OPTIMAL:
                     return False
                 best = pick(dot(c, img) for img in images)

@@ -60,6 +60,12 @@ class TestVerify:
                     "--base", "1,1,4", "--objectives", "10", "--seed", "7"])
         assert code == 1
 
+    def test_negative_objective_count_is_a_usage_error(self, capsys):
+        code = run(["verify", "--recipe", "a_permutahedron", "--n", "3", "--oracle",
+                    "permutation", "--base", "1,2,3", "--objectives", "-3"])
+        assert code == 2
+        assert "n_objectives" in capsys.readouterr().err
+
     def test_roundtrip_report_is_byte_identical(self, tmp_path):
         out = str(tmp_path / "perm3.json")
         rep_mem = str(tmp_path / "mem.json")
@@ -221,6 +227,15 @@ class TestDoctoredDocuments:
         argv = ["verify", "--ef", src, "--oracle", "permutation", "--base", "1,2,3"]
         assert run(argv) == 2
         assert "unknown backend" in capsys.readouterr().err
+
+    def test_non_integer_sizes_are_a_usage_error(self, tmp_path, capsys):
+        float_dim = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        float_dim["dim"] = float(float_dim["dim"])
+        string_bound = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        string_bound["ledger"]["reduced_variable_bound"] = "3"
+        for doc in (float_dim, string_bound):
+            assert run(["stats", "--ef", self.write(tmp_path, doc)]) == 2
+            assert "not a nonnegative integer" in capsys.readouterr().err
 
     def test_stats_takes_no_tolerance(self):
         assert run(["stats", "--recipe", "signing", "--n", "2", "--tol", "1e-6"]) == 2

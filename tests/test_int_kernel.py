@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflekt.numeric import FLOAT, ScaledPoint, affine_solution_space, dot, int_scale, vec_sub
+from reflekt.numeric import EXACT, FLOAT, ScaledPoint, affine_solution_space, dot, int_scale, vec_sub
 from reflekt.polyhedra import AffineMap, HPolyhedron, graph_relation
 from reflekt.reflections import ReflectionSpec, canonical_preimage, reflect_point
 
@@ -94,7 +94,7 @@ class TestGraphPreimage:
     @settings(max_examples=200, deadline=None)
     def test_factored_preimage_matches_a_fresh_solve(self, case):
         f, y, scale = case
-        want, _ = affine_solution_space(f.M, vec_sub(y, f.t))
+        want, _ = affine_solution_space(f.M, vec_sub(y, f.t), EXACT)
         rel = graph_relation(f)
         assert rel.preimage(y) == want
         p = ScaledPoint.of(y)

@@ -23,7 +23,7 @@ from reflekt.lp import (
     solve,
     solve_system,
 )
-from reflekt.numeric import FLOAT, BackendError, DimensionError, ScaledPoint, dot, vec_sub
+from reflekt.numeric import DEFAULT_TOL, FLOAT, BackendError, DimensionError, ScaledPoint, dot, vec_sub
 from reflekt.oracles import VertexSet, permutation_orbit
 from reflekt.polyhedra import (
     AffineMap,
@@ -484,15 +484,15 @@ class TestExactMembership:
         assert checker.feasible(centre) == reference_feasible(checker, centre)
 
 
-def carried_float_solve(n_vars, ineqs, objective, sense, tol):
+def carried_float_solve(n_vars, ineqs, objective, sense):
     """The float two-phase solve with its objective row carried through
     phase 1, as one tableau: the one-objective reference for the float solves."""
     rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, (), False, False)
     row, _ = _cost_row(objective, sense, False, False, len(rows[-1]))
-    core = _FloatCore(rows + [row], basis, tol)
+    core = _FloatCore(rows + [row], basis)
     m = len(basis)
     if art_of_row:
-        feas_eps = max(tol, 1e-12) * (10.0 + sum(rows[i][-1] for i in range(m)))
+        feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
         core.run_phase(m, range(len(rows[0]) - 1))
         if core.rows[m][-1] > feas_eps:
             return INFEASIBLE, None
@@ -502,14 +502,14 @@ def carried_float_solve(n_vars, ineqs, objective, sense, tol):
     return OPTIMAL, -value if sense == "min" else value
 
 
-def fresh_projected(checker, c, sense, tol):
+def fresh_projected(checker, c, sense):
     """One two-phase float solve of the checker's staged data per objective."""
     obj = tuple(dot(c, col) for col in zip(*checker.M_red))
     const = dot(c, checker.t_red)
     seeded = checker.w_feas is not None
     b = checker.b_shift if seeded else checker.b_red
     res = solve_system(checker.n_free, list(zip(checker.A_red, b)), (), obj,
-                       sense=sense, backend=FLOAT, tol=tol)
+                       sense=sense, backend=FLOAT)
     if res.status != OPTIMAL:
         return res.status, None
     if seeded:
@@ -533,7 +533,7 @@ class TestFloatSharedPhase1:
             for c in random_objectives(2, 25, random.Random(m), FLOAT):
                 for sense in ("max", "min"):
                     got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+                    assert repr(got) == repr(fresh_projected(checker, c, sense))
 
     def test_seed_registered_after_unseeded_calls(self):
         from reflekt.constructions import mgon_ef
@@ -551,7 +551,7 @@ class TestFloatSharedPhase1:
                     assert checker.seed_from_raw(z)
                 for sense in ("max", "min"):
                     got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+                    assert repr(got) == repr(fresh_projected(checker, c, sense))
 
     def test_unbounded_and_infeasible(self):
         unbounded = identity_ef(HPolyhedron.from_rows(
@@ -565,7 +565,7 @@ class TestFloatSharedPhase1:
             for c in objectives:
                 for sense in ("max", "min"):
                     got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense, 1e-9))
+                    assert repr(got) == repr(fresh_projected(checker, c, sense))
         assert ProjectionChecker(unbounded).maximize_projected((1.0, 0.0)) == (UNBOUNDED, None)
         assert ProjectionChecker(unbounded).maximize_projected((-1.0, 1.0)) == (OPTIMAL, 2.5)
         assert ProjectionChecker(empty).maximize_projected((1.0, 0.0)) == (INFEASIBLE, None)
@@ -581,7 +581,7 @@ class TestFloatSharedPhase1:
         for sense in ("max", "min"):
             res = solve_system(dim, ineqs, (), objective, sense=sense, backend=FLOAT)
             got = (res.status, res.value)
-            assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense, 1e-9))
+            assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense))
 
 
 def mgon_checkers(m):
@@ -611,7 +611,7 @@ class TestFloatPivotTree:
                     per_call = [checker.maximize_projected(c, sense) for c in objectives]
                     assert repr(got) == repr(per_call), (m, sense, checker is seeded)
                 # TestFloatSharedPhase1 compares the seeded calls with fresh solves
-                fresh = [fresh_projected(unseeded, c, sense, 1e-9) for c in objectives]
+                fresh = [fresh_projected(unseeded, c, sense) for c in objectives]
                 assert repr(unseeded.maximize_projected_all(objectives, sense)) == repr(fresh)
 
     @settings(max_examples=200, deadline=None)
@@ -632,8 +632,8 @@ class TestFloatPivotTree:
                 c = data.draw(st.sampled_from(objectives))
                 objectives.append(c if kind == "repeat" else tuple(-e for e in c))
         for sense in ("max", "min"):
-            want = [carried_float_solve(dim, ineqs, c, sense, 1e-9) for c in objectives]
-            got = _float_optima(dim, ineqs, (), objectives, sense, False, 1e-9)
+            want = [carried_float_solve(dim, ineqs, c, sense) for c in objectives]
+            got = _float_optima(dim, ineqs, (), objectives, sense, False)
             if got is None:
                 assert want == [(INFEASIBLE, None)] * len(objectives)
                 continue

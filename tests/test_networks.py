@@ -4,9 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from reflekt.constructions import transposition_chain_specs
 from reflekt.networks import (
-    APPLICATION,
-    RELATION,
     ComparatorSeq,
     apply_comparators,
     batcher,
@@ -16,6 +15,7 @@ from reflekt.networks import (
     stride_indices,
     stride_seq,
 )
+from reflekt.reflections import transposition_spec
 
 
 class TestBatcher:
@@ -70,14 +70,17 @@ class TestValidation:
 
 class TestDoubleBubble:
     def test_k3(self):
-        seq = double_bubble_seq(3)
-        assert seq.order == RELATION
-        assert seq.comparators == ((1, 2), (2, 3), (1, 2))
+        assert double_bubble_seq(3).comparators == ((1, 2), (2, 3), (1, 2))
 
     def test_k4(self):
         assert double_bubble_seq(4).comparators == (
-            (2, 3), (1, 2), (3, 4), (2, 3), (1, 2),
+            (1, 2), (2, 3), (3, 4), (1, 2), (2, 3),
         )
+
+    def test_k4_chain_order(self):
+        pairs = ((2, 3), (1, 2), (3, 4), (2, 3), (1, 2))
+        want = [transposition_spec(k, ell, 4) for k, ell in pairs]
+        assert transposition_chain_specs(double_bubble_seq(4)) == want
 
     @pytest.mark.parametrize("k", range(3, 41))
     def test_length(self, k):
@@ -104,6 +107,11 @@ class TestStride:
             r = len(stride_indices(k))
             assert len(stride_seq(k)) == 2 * r - 3
 
+    def test_palindromes(self):
+        # so a stride sequence lists the same pairs in chain order
+        for k in range(3, 200):
+            assert stride_seq(k).comparators == stride_seq(k).comparators[::-1]
+
     def test_depth_bound(self):
         for k in range(3, 10 ** 4 + 1):
             r = len(stride_indices(k))
@@ -111,7 +119,7 @@ class TestStride:
 
     def test_memoized_by_k(self):
         assert stride_seq(9) is stride_seq(9)
-        assert stride_seq(9) == ComparatorSeq(9, stride_seq(9).comparators, RELATION)
+        assert stride_seq(9) == ComparatorSeq(9, stride_seq(9).comparators)
         for _ in range(2):
             with pytest.raises(ValueError):
                 stride_seq(2)
@@ -122,33 +130,13 @@ class TestApply:
         assert apply_comparators(batcher(4), (4, 3, 2, 1)) == (1, 2, 3, 4)
 
     def test_double_bubble_application_order(self):
-        # reversed relation order pushes the two largest entries to the top
-        out = apply_comparators(double_bubble_seq(4), (3, 1, 3, 2), APPLICATION)
+        # the two bubble passes push the two largest entries to the top
+        out = apply_comparators(double_bubble_seq(4), (3, 1, 3, 2))
         assert out == (1, 2, 3, 3)
 
     def test_empty_sequence(self):
         seq = ComparatorSeq(3, ())
         assert apply_comparators(seq, (3, 1, 2)) == (3, 1, 2)
-
-    def test_application_order_reverses_relation_storage(self):
-        seq = double_bubble_seq(4)
-        y = (4, 1, 3, 2)
-        rev = ComparatorSeq(4, tuple(reversed(seq.comparators)), APPLICATION)
-        assert apply_comparators(seq, y, APPLICATION) == apply_comparators(rev, y, APPLICATION)
-
-    def test_relation_order_folds_list_as_stored(self):
-        seq = double_bubble_seq(4)
-        y = (4, 1, 3, 2)
-        manual = list(y)
-        for k, ell in seq.comparators:
-            if manual[k - 1] > manual[ell - 1]:
-                manual[k - 1], manual[ell - 1] = manual[ell - 1], manual[k - 1]
-        assert apply_comparators(seq, y, RELATION) == tuple(manual)
-
-    def test_in_order_round_trip(self):
-        seq = stride_seq(6)
-        back = seq.in_order(APPLICATION).in_order(RELATION)
-        assert back.comparators == seq.comparators
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):

@@ -54,9 +54,7 @@ def triangle_relation():
 class TestAffineMap:
     def test_apply_and_compose(self):
         f = AffineMap.from_rows([[0, 1], [1, 0]], [1, 0])
-        g = AffineMap.from_rows([[2, 0], [0, 1]], [0, 0])
         assert f.apply((F(1), F(2))) == (F(3), F(1))
-        assert f.after(g).apply((F(1), F(2))) == f.apply(g.apply((F(1), F(2))))
 
     def test_identity(self):
         assert AffineMap.identity(3).apply((F(1), F(2), F(3))) == (F(1), F(2), F(3))

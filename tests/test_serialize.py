@@ -7,7 +7,6 @@ import pytest
 from reflekt import numeric
 from reflekt.constructions import a_permutahedron_ef, build_recipe, mgon_ef, signing_ef
 from reflekt.networks import batcher
-from reflekt.numeric import DEFAULT_TOL
 from reflekt.oracles import mgon_orbit, permutation_orbit
 from reflekt.polyhedra import (
     HPolyhedron,
@@ -179,14 +178,9 @@ class TestLedgerReadOffQ:
         ef = ef_from_dict(ef_to_dict(mgon_ef(8)))
         seen = []
         rref = numeric.rref
-
-        def recording(M, tol=DEFAULT_TOL):
-            seen.append(tol)
-            return rref(M, tol)
-
-        monkeypatch.setattr(numeric, "rref", recording)
+        monkeypatch.setattr(numeric, "rref", lambda M: seen.append(M) or rref(M))
         assert point_in_projection(ef, mgon_orbit(8).points[0], tol=0.06)
-        assert seen == [DEFAULT_TOL]  # the checker's one elimination
+        assert len(seen) == 1  # the checker's one elimination
 
 
 class TestDocumentChecks:
@@ -212,6 +206,23 @@ class TestDocumentChecks:
             doc["block_dims"] = bad
             with pytest.raises(ValueError, match="block dims"):
                 ef_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit", [float, str, lambda dim: -1, lambda dim: True],
+        ids=["float", "string", "negative", "bool"],
+    )
+    def test_dim_must_be_a_nonnegative_integer(self, edit):
+        doc = ef_to_dict(perm3_ef())
+        doc["dim"] = edit(doc["dim"])
+        with pytest.raises(ValueError, match="dim .* is not a nonnegative integer"):
+            ef_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["3", 3.5, -1, None])
+    def test_bound_must_be_a_nonnegative_integer(self, bad):
+        doc = ef_to_dict(perm3_ef())
+        doc["ledger"]["reduced_variable_bound"] = bad
+        with pytest.raises(ValueError, match="reduced variable bound .* not a nonnegative"):
+            ef_from_dict(doc)
 
     def test_unknown_backend_rejected(self):
         doc = ef_to_dict(perm3_ef())

@@ -94,6 +94,13 @@ class TestProjectionEquality:
         assert rep.passed
         assert float(rep.objective_max_deviation) <= 1e-6
 
+    def test_objective_count_must_be_nonnegative(self):
+        V = permutation_orbit((1, 2, 3))
+        with pytest.raises(ValueError, match="n_objectives"):
+            verify_projection_equality(perm3_ef(), V, n_objectives=-3)
+        rep = verify_projection_equality(perm3_ef(), V, n_objectives=0)
+        assert rep.passed and rep.objective_total == 0
+
     def test_deterministic_reports(self):
         a = verify_projection_equality(perm3_ef(), permutation_orbit((1, 2, 3)), 30, seed=5)
         b = verify_projection_equality(perm3_ef(), permutation_orbit((1, 2, 3)), 30, seed=5)
