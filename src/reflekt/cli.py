@@ -2,8 +2,10 @@
 oracle vertex sets, export formulations, and report sizes.
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage
-error, 3 numeric or backend error.  The random seed comes from --seed, the
-REFLEKT_SEED environment variable, or defaults to 0.
+error, 3 numeric or backend error (a malformed scalar in a document
+included).  The recipe fixes the backend; no flag restates it.  The random
+seed comes from --seed, the REFLEKT_SEED environment variable, or defaults
+to 0.
 """
 
 from __future__ import annotations
@@ -122,20 +124,10 @@ def _add_recipe_flags(parser):
     parser.add_argument("--base", help="comma-separated base point")
     parser.add_argument("--p", help="comma-separated processing times")
     parser.add_argument("--network", choices=["batcher", "insertion"])
-    parser.add_argument("--backend", choices=["exact", "float"],
-                        help="assert the construction's numeric backend")
-
-
-def _check_backend(args, ef):
-    if getattr(args, "backend", None) and args.backend != ef.backend:
-        raise BackendError(
-            f"recipe runs on the {ef.backend} backend, not {args.backend}"
-        )
 
 
 def cmd_build(args) -> int:
     ef = _build_from_args(args)
-    _check_backend(args, ef)
     doc = serialize.ef_to_dict(ef)
     if args.out:
         serialize.save_json(doc, args.out)
@@ -147,7 +139,6 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     ef = _load_or_build_ef(args)
-    _check_backend(args, ef)
     oracle = _oracle_from_args(args)
     report = verify_projection_equality(
         ef,

@@ -8,6 +8,11 @@ vertex of P lies in P" cannot be checked from an H-representation; they are
 caller obligations here, and the verifier validates the conclusion instead.
 The one exception is a one-point base of a pure reflection chain (signing,
 dihedral and permutation-type orbits), checked up front to be canonical.
+
+Only the m-gon / dihedral chain (:func:`i2_chain_specs`) is float, because
+its normals are irrational; every other chain and map here is exact and
+takes no backend, so a float base for any other builder raises
+:class:`~reflekt.numeric.BackendError` at build.
 """
 
 from __future__ import annotations
@@ -55,24 +60,24 @@ def ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
-def sign_chain_specs(n: int, backend: str = EXACT):
+def sign_chain_specs(n: int):
     """Sign-change relations for coordinates 1..n, in chain order."""
-    return [sign_spec(k, n, backend) for k in range(1, n + 1)]
+    return [sign_spec(k, n) for k in range(1, n + 1)]
 
 
-def transposition_chain_specs(net: ComparatorSeq, backend: str = EXACT):
+def transposition_chain_specs(net: ComparatorSeq):
     """Transposition relations matching a comparator network, in chain
     order: the sequence reversed, so its first-applied comparator becomes
     the last relation and the chain's preimage pass, which walks the chain
     from its last relation, replays the network in application order."""
-    return [transposition_spec(k, ell, net.n, backend) for k, ell in reversed(net.comparators)]
+    return [transposition_spec(k, ell, net.n) for k, ell in reversed(net.comparators)]
 
 
-def even_pair_chain_specs(n: int, backend: str = EXACT):
+def even_pair_chain_specs(n: int):
     """Flattened even-sign-change pairs for (1,2), (2,3), .., (n-1,n)."""
     specs = []
     for k in range(1, n):
-        specs.extend(even_sign_pair_specs(k, k + 1, n, backend))
+        specs.extend(even_sign_pair_specs(k, k + 1, n))
     return specs
 
 
@@ -112,7 +117,8 @@ def _validated(net: ComparatorSeq, n: int) -> ComparatorSeq:
 def _check_point_base(P: HPolyhedron, specs) -> None:
     """Reject a one-point base (as :meth:`HPolyhedron.point` writes it)
     that the chain's canonical-preimage pass moves: that point is not its
-    own canonical form, so the formulation could not contain its orbit."""
+    own canonical form, so the formulation could not contain its orbit.
+    An exact chain's walk raises BackendError for a float point."""
     if P.A or P.C != identity_matrix(P.dim, P.backend):
         return
     canonical = apply_preimage_chain(specs, P.d)
@@ -150,7 +156,7 @@ def signing_ef(P: HPolyhedron, n: Optional[int] = None) -> ExtendedFormulation:
         n = P.dim
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
-    return _orbit_ef(P, sign_chain_specs(n, P.backend), f"signing(n={n})")
+    return _orbit_ef(P, sign_chain_specs(n), f"signing(n={n})")
 
 
 def i2_permutahedron_ef(P: HPolyhedron, m: int) -> ExtendedFormulation:
@@ -193,8 +199,7 @@ def a_permutahedron_ef(
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
-    specs = transposition_chain_specs(net, P.backend)
-    return _orbit_ef(P, specs, f"a_permutahedron(n={n})")
+    return _orbit_ef(P, transposition_chain_specs(net), f"a_permutahedron(n={n})")
 
 
 def b_permutahedron_ef(
@@ -210,7 +215,7 @@ def b_permutahedron_ef(
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
-    specs = transposition_chain_specs(net, P.backend) + sign_chain_specs(n, P.backend)
+    specs = transposition_chain_specs(net) + sign_chain_specs(n)
     return _orbit_ef(P, specs, f"b_permutahedron(n={n})")
 
 
@@ -229,21 +234,19 @@ def d_permutahedron_ef(
     if P.dim != n:
         raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
-    specs = transposition_chain_specs(net, P.backend) + even_pair_chain_specs(
-        n, P.backend
-    )
+    specs = transposition_chain_specs(net) + even_pair_chain_specs(n)
     return _orbit_ef(P, specs, f"d_permutahedron(n={n})")
 
 
-def _affine_unit_remap(n: int, backend: str = EXACT) -> AffineMap:
+def _affine_unit_remap(n: int) -> AffineMap:
     """y -> (1 - y) / 2: carries {-1,+1} data onto {0,1} data."""
-    half = Fraction(1, 2) if backend == EXACT else 0.5
+    half = Fraction(1, 2)
     rows = []
     for i in range(n):
-        row = [Fraction(0) if backend == EXACT else 0.0] * n
+        row = [Fraction(0)] * n
         row[i] = -half
         rows.append(tuple(row))
-    return AffineMap(tuple(rows), (half,) * n, backend)
+    return AffineMap(tuple(rows), (half,) * n)
 
 
 def parity_polytope_ef(n: int, parity: str) -> ExtendedFormulation:
@@ -264,13 +267,13 @@ def parity_polytope_ef(n: int, parity: str) -> ExtendedFormulation:
     return compose_extension(base, chain, label=f"parity(n={n},{parity})")
 
 
-def embedding_map(k: int, backend: str = EXACT) -> AffineMap:
+def embedding_map(k: int) -> AffineMap:
     """Level embedding (x_1,..,x_{k-1}) -> (x_1,..,x_{k-2}, x_{k-1}+1,
     x_{k-1}+1): splits the deepest leaf of a depth vector in two."""
     if k < 3:
         raise ValueError("embedding needs k >= 3")
-    one = Fraction(1) if backend == EXACT else 1.0
-    zero = Fraction(0) if backend == EXACT else 0.0
+    one = Fraction(1)
+    zero = Fraction(0)
     rows = []
     for i in range(k - 2):
         row = [zero] * (k - 1)
@@ -281,7 +284,7 @@ def embedding_map(k: int, backend: str = EXACT) -> AffineMap:
     rows.append(tuple(last))
     rows.append(tuple(last))
     t = (zero,) * (k - 2) + (one, one)
-    return AffineMap(tuple(rows), t, backend)
+    return AffineMap(tuple(rows), t)
 
 
 def _huffman_chain(n: int, level_seq) -> list:
@@ -454,10 +457,7 @@ RECIPES = (
 
 def _point_base(params, n):
     base = params.get("base")
-    if isinstance(base, HPolyhedron):
-        return base
-    coords = range(1, n + 1) if base is None else base
-    return HPolyhedron.point([Fraction(c) for c in coords])
+    return HPolyhedron.point(range(1, n + 1) if base is None else base)
 
 
 def build_recipe(name: str, params: dict) -> ExtendedFormulation:
@@ -469,15 +469,9 @@ def build_recipe(name: str, params: dict) -> ExtendedFormulation:
     if name == "mgon":
         return mgon_ef(int(params["m"]))
     if name == "i2_permutahedron":
-        m = int(params["m"])
         base = params.get("base")
-        if isinstance(base, HPolyhedron):
-            P = base
-        elif base is None:
-            P = HPolyhedron.point((1.0, 0.0), FLOAT)
-        else:
-            P = HPolyhedron.point([float(c) for c in base], FLOAT)
-        return i2_permutahedron_ef(P, m)
+        P = HPolyhedron.point((1.0, 0.0) if base is None else base, FLOAT)
+        return i2_permutahedron_ef(P, int(params["m"]))
     if name == "signing":
         n = int(params["n"])
         return signing_ef(_point_base(params, n), n)
@@ -498,7 +492,7 @@ def build_recipe(name: str, params: dict) -> ExtendedFormulation:
         n = int(params["n"])
         return huffman_ef_nlogn(n, make_network(net_kind, n))
     if name == "completion_time":
-        return completion_time_ef([Fraction(str(c)) for c in params["p"]])
+        return completion_time_ef(params["p"])
     raise AssertionError("unreachable")
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, affine_solution_space, dot
-from .numeric import int_scale, vec_sub, vector
+from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError
+from .numeric import affine_solution_space, dot, int_scale, to_scalar, unit_vector, vec_sub, vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -139,7 +139,8 @@ class _ExactCore:
 
 def _split(coeffs, nonneg, exact):
     """Coefficients over the split variables (x, then -x unless nonneg)."""
-    out = [Fraction(c) if exact else float(c) for c in coeffs]
+    backend = EXACT if exact else FLOAT
+    out = [to_scalar(c, backend) for c in coeffs]
     return out if nonneg else out + [-c for c in out]
 
 
@@ -165,7 +166,7 @@ def _stage(n_vars, ineqs, eqs, nonneg, exact):
     for kind, system in ((1, ineqs), (0, eqs)):
         for coeffs, rhs in system:
             row, mult, sign = _split(coeffs, nonneg, exact), 1, kind
-            row.append(Fraction(rhs) if exact else float(rhs))
+            row.append(to_scalar(rhs, EXACT if exact else FLOAT))
             if exact:
                 row, mult = int_scale(row)
             if row[-1] < 0:
@@ -423,21 +424,16 @@ def solve(problem: LPProblem, want_duals: bool = False) -> LPResult:
 
 
 def pinned(Q, pins):
-    """Copy of Q with coordinates fixed by (index, value) pairs as equations."""
-    from .polyhedra import HPolyhedron  # circular-import guard
-
-    one = Fraction(1) if Q.backend == EXACT else 1.0
-    zero = Fraction(0) if Q.backend == EXACT else 0.0
+    """Copy of Q with coordinates fixed by (index, value) pairs as equations;
+    each value enters Q's backend through :func:`~reflekt.numeric.to_scalar`."""
     C = list(Q.C)
     d = list(Q.d)
     for idx, val in pins:
         if not 0 <= idx < Q.dim:
             raise IndexError(f"pin index {idx} out of range for dim {Q.dim}")
-        row = [zero] * Q.dim
-        row[idx] = one
-        C.append(tuple(row))
-        d.append(val if Q.backend == FLOAT else Fraction(val))
-    return HPolyhedron(Q.dim, Q.A, Q.b, tuple(C), tuple(d), Q.backend)
+        C.append(unit_vector(idx, Q.dim, Q.backend))
+        d.append(to_scalar(val, Q.backend))
+    return type(Q)(Q.dim, Q.A, Q.b, tuple(C), tuple(d), Q.backend)
 
 
 def feasible(Q, pins=()) -> bool:
@@ -502,8 +498,6 @@ class ProjectionChecker:
     """
 
     def __init__(self, ef):
-        from .polyhedra import EmptyPolyhedronError  # circular-import guard
-
         Q = ef.Q
         self.backend = Q.backend
         self.w_feas = None

@@ -10,14 +10,17 @@ Two numeric backends live behind one scalar vocabulary:
   which also takes plain ``int`` input) -- scale their data once to
   ``int`` (:func:`int_scale`, :class:`ScaledPoint`) and never build a
   Fraction per operation.
-* ``FLOAT`` -- binary64 floats, opt-in, needed only for constructions whose
-  data is irrational (the regular m-gon normals).  Comparisons use a
-  symmetric tolerance: ``a <= b`` means ``a - b <= tol``.  Row reduction
-  and the simplex pivot at ``DEFAULT_TOL`` and take no tolerance.
+* ``FLOAT`` -- binary64 floats, used only where the data is irrational:
+  the regular m-gon / dihedral chain, whose normals are (-sin phi, cos phi).
+  Comparisons use a symmetric tolerance: ``a <= b`` means ``a - b <= tol``.
+  Row reduction and the simplex pivot at ``DEFAULT_TOL`` and take no
+  tolerance.
 
-A computation never mixes backends; mixing raises :class:`BackendError`.
-Vectors are tuples of scalars, matrices are tuples of row tuples.  Everything
-here is a pure function over immutable inputs.
+The backend is a property of the data, never an argument of exact-only
+code.  A computation never mixes backends; mixing raises
+:class:`BackendError`, and every scalar enters a backend through
+:func:`to_scalar`.  Vectors are tuples of scalars, matrices are tuples of
+row tuples.  Everything here is a pure function over immutable inputs.
 """
 
 from __future__ import annotations
@@ -43,11 +46,18 @@ class DimensionError(ValueError):
     """Raised on shape mismatches."""
 
 
+class EmptyPolyhedronError(ValueError):
+    """Raised when an equation system turns out inconsistent."""
+
+
 def to_scalar(value, backend: str) -> Scalar:
-    """Coerce ``value`` into the given backend.
+    """Coerce ``value`` into the given backend: the one way a scalar enters
+    one, from the API, a point or a JSON document.
 
     Exact mode accepts ints, Fractions and rational strings; floats are
     rejected because ``Fraction(0.1)`` silently captures binary noise.
+    Float mode accepts numbers and numeric or ``'p/q'`` strings.  Anything
+    else (``None``, a list) raises :class:`BackendError` in both.
     """
     if backend == EXACT:
         if isinstance(value, float):
@@ -373,12 +383,3 @@ def scalar_to_json(x: Scalar):
         return str(x)
     return x
 
-
-def scalar_from_json(atom, backend: str) -> Scalar:
-    if backend == EXACT:
-        if isinstance(atom, str):
-            return Fraction(atom)
-        if isinstance(atom, int):
-            return Fraction(atom)
-        raise BackendError(f"exact scalar expected, got {atom!r}")
-    return float(Fraction(atom)) if isinstance(atom, str) else float(atom)

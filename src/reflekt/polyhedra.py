@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import numeric
+from .lp import ProjectionChecker
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
@@ -41,10 +42,6 @@ from .numeric import (
     vector,
     zero_vector,
 )
-
-
-class EmptyPolyhedronError(ValueError):
-    """Raised when an equation system turns out inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -149,14 +146,15 @@ class HPolyhedron:
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Membership of x, a tuple of scalars or a :class:`ScaledPoint`.
 
-        Exact data is tested on integers, sum(c*X) <= rhs*D and
-        sum(c*X) = rhs*D row by row; float data (a float backend or a float
-        point) within ``tol``.
+        An exact polyhedron tests on integers, sum(c*X) <= rhs*D and
+        sum(c*X) = rhs*D row by row, and raises
+        :class:`~reflekt.numeric.BackendError` for a float point; a float
+        polyhedron tests within ``tol``.
         """
         if not isinstance(x, ScaledPoint):
             if len(x) != self.dim:
                 raise DimensionError("point dimension mismatch")
-            if self.backend == FLOAT or any(isinstance(e, float) for e in x):
+            if self.backend == FLOAT:
                 ineq, eq = self._sparse_system()
                 for row, rhs in ineq:
                     if not leq(sum(c * x[j] for j, c in row), rhs, tol):
@@ -165,7 +163,7 @@ class HPolyhedron:
                     if not scalars_eq(sum(c * x[j] for j, c in row), rhs, tol):
                         return False
                 return True
-            x = ScaledPoint.of(x)
+            x = ScaledPoint.of(vector(x, EXACT))
         nums, den = x
         if len(nums) != self.dim:
             raise DimensionError("point dimension mismatch")
@@ -342,8 +340,8 @@ class ExtendedFormulation:
     available; they let membership queries assemble an explicit feasibility
     witness before falling back to the LP.  ``block_dims`` is None once the
     block structure has been destroyed (after equation elimination), else
-    integers summing to Q.dim; every projection row has Q.dim entries, and
-    ``reduced_variable_bound`` is a nonnegative ``int``
+    nonnegative ``int``s summing to Q.dim; every projection row has Q.dim
+    entries, and ``reduced_variable_bound`` is a nonnegative ``int``
     (:class:`~reflekt.numeric.DimensionError` otherwise).
     """
 
@@ -362,8 +360,12 @@ class ExtendedFormulation:
             raise DimensionError(f"reduced variable bound {bound!r} is not a nonnegative integer")
         if any(len(row) != dim for row in self.projection.M):
             raise DimensionError(f"projection row width != Q dim {dim}")
-        if dims is not None and (any(type(k) is not int for k in dims) or sum(dims) != dim):
-            raise DimensionError(f"block dims {dims} are not integers summing to Q dim {dim}")
+        if dims is not None and (
+            any(type(k) is not int or k < 0 for k in dims) or sum(dims) != dim
+        ):
+            raise DimensionError(
+                f"block dims {dims} are not nonnegative integers summing to Q dim {dim}"
+            )
 
     @property
     def backend(self) -> str:
@@ -459,8 +461,9 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     z = z0 + Nw into the inequalities and the projection.  The result's
     ledger reads the free-variable count as ``raw_variables``, the same
     inequality count and ``equations`` 0, and keeps the reduced-variable
-    bound.  Raises :class:`EmptyPolyhedronError` when the equations are
-    inconsistent and ValueError when the free variables outnumber the bound.
+    bound.  Raises :class:`~reflekt.numeric.EmptyPolyhedronError` when the
+    equations are inconsistent and ValueError when the free variables
+    outnumber the bound.
     """
     checker = projection_checker(ef)
     if not checker.consistent:
@@ -531,8 +534,6 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
 
 def projection_checker(ef: ExtendedFormulation):
     """Cached LP-based membership/optimization helper for one formulation."""
-    from .lp import ProjectionChecker  # local import: lp builds on these types
-
     if ef._checker is None:
         ef._checker = ProjectionChecker(ef)
     return ef._checker

@@ -18,8 +18,12 @@ travels as a :class:`~reflekt.numeric.ScaledPoint` (numerators X over a
 denominator D).  The point is in the domain when <a,X> <= beta*D, and its
 mirror image is X + (2(beta*D - <a,X>) / <a,a>) a over D, so D grows only
 when <a,a> does not divide 2(beta*D - <a,X>), as the preimage contract of
-:class:`~reflekt.polyhedra.PolyhedralRelation` allows.  Float data keeps the
-tolerance tests of :mod:`reflekt.numeric`.
+:class:`~reflekt.polyhedra.PolyhedralRelation` allows.  An exact spec takes
+exact points only: a float coordinate raises
+:class:`~reflekt.numeric.BackendError`.  Float specs, which only the m-gon /
+dihedral chain builds, keep the tolerance tests of :mod:`reflekt.numeric`.
+The sign-change, transposition and even-sign-pair constructors below are
+integral by nature and always exact.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .numeric import (
     unit_vector,
     vec_add,
     vec_scale,
+    vector,
 )
 from .polyhedra import AffineMap, HPolyhedron, PolyhedralRelation
 
@@ -78,19 +83,16 @@ class ReflectionSpec:
 
     def in_domain(self, x, tol: float = DEFAULT_TOL) -> bool:
         """Whether x lies in the halfspace <a,x> <= beta."""
-        if _is_float(self, x):
+        if self.backend == FLOAT:
             return leq(dot(self.a, x), self.beta, tol)
         return _slack(self.int_form(), _scaled(self, x)) >= 0
 
 
-def _is_float(spec: ReflectionSpec, x) -> bool:
-    return spec.backend == FLOAT or any(isinstance(e, float) for e in x)
-
-
 def _scaled(spec: ReflectionSpec, x) -> ScaledPoint:
+    """An exact point as a ScaledPoint; a float coordinate raises BackendError."""
     if len(x) != spec.dim:
         raise DimensionError("point dimension != reflection dimension")
-    return ScaledPoint.of(x)
+    return ScaledPoint.of(vector(x, EXACT))
 
 
 def _slack(form, p: ScaledPoint) -> int:
@@ -124,7 +126,7 @@ def reflect_point(spec: ReflectionSpec, x):
     An involution that fixes the hyperplane pointwise and satisfies
     <a, reflect(x)> = 2*beta - <a,x>.
     """
-    if _is_float(spec, x):
+    if spec.backend == FLOAT:
         if len(x) != spec.dim:
             raise DimensionError("point dimension != reflection dimension")
         a = spec.a
@@ -154,11 +156,13 @@ def canonical_preimage(spec: ReflectionSpec, y, tol: float = DEFAULT_TOL):
     the output always lies in the halfspace and its fiber contains y.
 
     A :class:`ScaledPoint` input gives a ScaledPoint output; other exact
-    input is scaled to one for the step and returned as Fractions.
+    input is scaled to one for the step and returned as Fractions.  An
+    exact spec raises :class:`~reflekt.numeric.BackendError` for a float
+    point; only a float spec compares within ``tol``.
     """
     if isinstance(y, ScaledPoint):
         return _preimage_step(spec, y)
-    if _is_float(spec, y):
+    if spec.backend == FLOAT:
         if spec.in_domain(y, tol):
             return tuple(y)
         return reflect_point(spec, y)
@@ -207,36 +211,34 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     )
 
 
-def sign_spec(k: int, n: int, backend: str = EXACT) -> ReflectionSpec:
+def sign_spec(k: int, n: int) -> ReflectionSpec:
     """Normal -e_k, offset 0: domain x_k >= 0, reflection flips coordinate k."""
     if not 1 <= k <= n:
         raise IndexError(f"coordinate {k} out of range 1..{n}")
-    a = tuple(-e for e in unit_vector(k - 1, n, backend))
-    return ReflectionSpec(a, Fraction(0) if backend == EXACT else 0.0, backend)
+    a = tuple(-e for e in unit_vector(k - 1, n, EXACT))
+    return ReflectionSpec(a, Fraction(0))
 
 
-def sign_relation(k: int, n: int, backend: str = EXACT) -> PolyhedralRelation:
-    return reflection_relation(sign_spec(k, n, backend))
+def sign_relation(k: int, n: int) -> PolyhedralRelation:
+    return reflection_relation(sign_spec(k, n))
 
 
-def transposition_spec(k: int, ell: int, n: int, backend: str = EXACT) -> ReflectionSpec:
+def transposition_spec(k: int, ell: int, n: int) -> ReflectionSpec:
     """Normal e_k - e_ell, offset 0: domain x_k <= x_ell, reflection swaps
     coordinates k and ell."""
     if k == ell:
         raise ValueError("transposition needs two distinct coordinates")
     if not (1 <= k <= n and 1 <= ell <= n):
         raise IndexError(f"coordinates ({k},{ell}) out of range 1..{n}")
-    a = tuple(
-        x - y for x, y in zip(unit_vector(k - 1, n, backend), unit_vector(ell - 1, n, backend))
-    )
-    return ReflectionSpec(a, Fraction(0) if backend == EXACT else 0.0, backend)
+    a = tuple(x - y for x, y in zip(unit_vector(k - 1, n, EXACT), unit_vector(ell - 1, n, EXACT)))
+    return ReflectionSpec(a, Fraction(0))
 
 
-def transposition_relation(k: int, ell: int, n: int, backend: str = EXACT) -> PolyhedralRelation:
-    return reflection_relation(transposition_spec(k, ell, n, backend))
+def transposition_relation(k: int, ell: int, n: int) -> PolyhedralRelation:
+    return reflection_relation(transposition_spec(k, ell, n))
 
 
-def even_sign_pair_specs(k: int, ell: int, n: int, backend: str = EXACT):
+def even_sign_pair_specs(k: int, ell: int, n: int):
     """Ordered pair of specs (e_k - e_ell, 0) then (-e_k - e_ell, 0).
 
     Chained as two consecutive relations; the composed canonical preimage
@@ -244,17 +246,16 @@ def even_sign_pair_specs(k: int, ell: int, n: int, backend: str = EXACT):
     """
     if k == ell:
         raise ValueError("pair needs two distinct coordinates")
-    first = transposition_spec(k, ell, n, backend)
-    ek = unit_vector(k - 1, n, backend)
-    el = unit_vector(ell - 1, n, backend)
-    a = tuple(-x - y for x, y in zip(ek, el))
-    second = ReflectionSpec(a, Fraction(0) if backend == EXACT else 0.0, backend)
+    first = transposition_spec(k, ell, n)
+    ek = unit_vector(k - 1, n, EXACT)
+    el = unit_vector(ell - 1, n, EXACT)
+    second = ReflectionSpec(tuple(-x - y for x, y in zip(ek, el)), Fraction(0))
     return first, second
 
 
-def even_sign_pair(k: int, ell: int, n: int, backend: str = EXACT):
+def even_sign_pair(k: int, ell: int, n: int):
     """The two reflection relations of :func:`even_sign_pair_specs`, in order."""
-    s1, s2 = even_sign_pair_specs(k, ell, n, backend)
+    s1, s2 = even_sign_pair_specs(k, ell, n)
     return reflection_relation(s1), reflection_relation(s2)
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-from .numeric import EXACT, FLOAT, scalar_from_json, scalar_to_json
+from .numeric import EXACT, FLOAT, scalar_to_json, to_scalar
 from .polyhedra import AffineMap, ExtendedFormulation, HPolyhedron
 
 SCHEMA = "reflekt/1"
@@ -58,7 +58,11 @@ def ef_to_dict(ef: ExtendedFormulation) -> dict:
 
 def ef_from_dict(data: dict) -> ExtendedFormulation:
     """The formulation a document describes.  Its size counts are read off
-    Q; of the document's ledger only ``reduced_variable_bound`` is read."""
+    Q; of the document's ledger only ``reduced_variable_bound`` is read.
+    Every coefficient enters the document's backend through
+    :func:`~reflekt.numeric.to_scalar`, so a malformed atom (a float in an
+    exact document, ``None`` or a list in either) raises
+    :class:`~reflekt.numeric.BackendError`."""
     if data.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {data.get('schema')!r}, need {SCHEMA}")
     if data.get("kind") != "extended_formulation":
@@ -70,8 +74,8 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
 
     def row(entry):
         return (
-            tuple(scalar_from_json(c, backend) for c in entry["coeffs"]),
-            scalar_from_json(entry["rhs"], backend),
+            tuple(to_scalar(c, backend) for c in entry["coeffs"]),
+            to_scalar(entry["rhs"], backend),
         )
 
     ineqs = [row(e) for e in data["ineqs"]]
@@ -86,8 +90,8 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
     )
     proj = data["projection"]
     projection = AffineMap(
-        tuple(tuple(scalar_from_json(c, backend) for c in r) for r in proj["matrix"]),
-        tuple(scalar_from_json(c, backend) for c in proj["offset"]),
+        tuple(tuple(to_scalar(c, backend) for c in r) for r in proj["matrix"]),
+        tuple(to_scalar(c, backend) for c in proj["offset"]),
         backend,
     )
     block_dims = data.get("block_dims")

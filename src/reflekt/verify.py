@@ -141,7 +141,7 @@ def random_objectives(dim: int, count: int, rng: Random, backend: str = EXACT):
 
 def actual_sizes(ef: ExtendedFormulation) -> dict:
     """Ledger counts plus the equation-eliminated variable count of the
-    cached checker; raises :class:`~reflekt.polyhedra.EmptyPolyhedronError`
+    cached checker; raises :class:`~reflekt.numeric.EmptyPolyhedronError`
     when Q's equations are inconsistent."""
     checker = projection_checker(ef)
     if not checker.consistent:
@@ -178,7 +178,8 @@ def verify_projection_equality(
         over Q must equal the brute-force maximum over V -- exactly in the
         rational backend, within ``tol`` in float mode.
 
-    ``tol`` is a comparison tolerance (witness steps and float optima); the
+    ``tol`` is a comparison tolerance (witness steps and float optima) and
+    must satisfy ``tol >= 0`` (ValueError otherwise, NaN included); the
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once Q contains
@@ -196,6 +197,8 @@ def verify_projection_equality(
         raise DimensionError("vertex dimension != projection output dimension")
     if n_objectives < 0:
         raise ValueError(f"n_objectives must be nonnegative, not {n_objectives}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, not {tol}")
     backend = ef.backend
     report = VerificationReport(
         label=label or ef.label or "formulation", backend=backend, seed=seed

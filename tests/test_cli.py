@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from reflekt.cli import main
 from reflekt.constructions import build_recipe
 from reflekt.polyhedra import HPolyhedron, compose_extension
@@ -38,8 +40,11 @@ class TestBuild:
     def test_missing_parameter_is_usage_error(self, capsys):
         assert run(["build", "--recipe", "mgon"]) == 2
 
-    def test_backend_mismatch_is_numeric_error(self, capsys):
-        assert run(["build", "--recipe", "mgon", "--m", "8", "--backend", "exact"]) == 3
+    @pytest.mark.parametrize("command", ["build", "stats"])
+    def test_backend_flag_is_a_usage_error(self, command, capsys):
+        # the recipe fixes the backend; there is no flag to restate it
+        assert run([command, "--recipe", "mgon", "--m", "8", "--backend", "exact"]) == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -116,6 +121,15 @@ class TestVerify:
         code = run(["verify", "--recipe", "mgon", "--m", "8", "--oracle", "mgon",
                     "--m", "8", "--objectives", "25", "--tol", "1e-6"])
         assert code == 0
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_is_a_usage_error(self, tol, capsys):
+        code = run(["verify", "--recipe", "mgon", "--m", "8", "--oracle", "mgon",
+                    "--objectives", "5", "--tol", tol])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "tol must be nonnegative" in captured.err
+        assert "overall" not in captured.out
 
 
 class TestOracle:
@@ -236,6 +250,26 @@ class TestDoctoredDocuments:
         for doc in (float_dim, string_bound):
             assert run(["stats", "--ef", self.write(tmp_path, doc)]) == 2
             assert "not a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_block_dims_are_a_usage_error(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        assert doc["dim"] == 12
+        doc["block_dims"] = [13, -1, 0, 0]
+        src = self.write(tmp_path, doc)
+        assert run(["stats", "--ef", src]) == 2
+        assert run(["export", "--ef", src, "--format", "lp", "--out", src + ".lp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("not nonnegative integers") == 2
+        assert not os.path.exists(src + ".lp")
+
+    def test_malformed_float_coefficient_is_a_numeric_error(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("mgon", {"m": 4}))
+        doc["ineqs"][0]["coeffs"][0] = None
+        assert run(["stats", "--ef", self.write(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric error: cannot coerce NoneType to a float" in captured.err
 
     def test_stats_takes_no_tolerance(self):
         assert run(["stats", "--recipe", "signing", "--n", "2", "--tol", "1e-6"]) == 2

@@ -68,6 +68,11 @@ class TestSigning:
             ef = signing_ef(HPolyhedron.point(tuple(F(k + 1) for k in range(n))), n)
             assert ef.ledger.inequalities == 2 * n
 
+    def test_float_box_base_rejected(self):
+        box = HPolyhedron.box((0.0, 0.0), (1.0, 2.0), FLOAT)
+        with pytest.raises(BackendError, match="backend mix"):
+            signing_ef(box, 2)
+
     def test_non_canonical_point_base_rejected(self):
         # (-1, 2) is not its own |.|: it used to build and verify 0/4 vertices
         with pytest.raises(ValueError, match="not in canonical form"):
@@ -173,6 +178,11 @@ class TestAPermutahedron:
             HPolyhedron.point((F(1), F(2), F(3), F(4))), 4, insertion_network(4)
         )
         assert_equality(ef, permutation_orbit((1, 2, 3, 4)), n_obj=40)
+
+    def test_float_point_base_rejected(self):
+        # only the dihedral chain is float; the transposition walk takes exact points
+        with pytest.raises(BackendError, match="cannot enter the exact backend"):
+            a_permutahedron_ef(HPolyhedron.point((1.0, 2.0, 3.0), FLOAT), 3, batcher(3))
 
     def test_invalid_network_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reflekt import lp, numeric
+from reflekt import constructions, lp, numeric, reflections
 from reflekt.networks import ComparatorSeq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reflekt"
@@ -80,9 +80,64 @@ def test_redundant_local_import_is_found():
     assert redundant_local_imports(ast.parse(source)) == [(4, ".numeric"), (7, ".numeric")]
 
 
+def import_graph(sources):
+    """Module name -> package modules it imports, at top level or inside a
+    function, from ``{name: source}``."""
+    graph = {}
+    for name, source in sources.items():
+        deps = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                deps |= {m.lstrip(".") for m in _imported_modules(node)}
+        graph[name] = (deps & set(sources)) - {name}
+    return graph
+
+
+def import_cycles(graph):
+    """Each import cycle once, as the sorted tuple of its modules."""
+    cycles = set()
+
+    def walk(path):
+        for dep in sorted(graph[path[-1]]):
+            if dep == path[0]:
+                cycles.add(tuple(sorted(path)))
+            elif dep not in path and dep > path[0]:
+                walk(path + [dep])
+
+    for start in sorted(graph):
+        walk([start])
+    return sorted(cycles)
+
+
+def test_no_import_cycle():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert import_cycles(import_graph(sources)) == []
+
+
+def test_import_cycle_is_found():
+    sources = {
+        "lp": "def pinned(Q):\n    from .polyhedra import HPolyhedron\n",
+        "polyhedra": "from . import numeric\nfrom .lp import solve\n",
+        "numeric": "",
+        "verify": "from . import lp\nfrom .polyhedra import point\n",
+    }
+    assert import_cycles(import_graph(sources)) == [("lp", "polyhedra")]
+
+
 def test_nothing_that_pivots_takes_a_tolerance():
     pivoting = (numeric.rref, numeric.rank, numeric.kernel_dim, numeric.affine_solution_space,
                 lp.solve_system, lp.solve, lp.feasible, lp.in_hull)
     assert [f.__name__ for f in pivoting if "tol" in inspect.signature(f).parameters] == []
     assert [f.name for f in dataclasses.fields(ComparatorSeq)] == ["n", "comparators"]
     assert list(inspect.signature(numeric.orthogonal_complement_basis).parameters) == ["a"]
+
+
+def test_exact_only_constructors_take_no_backend():
+    exact_only = (reflections.sign_spec, reflections.sign_relation,
+                  reflections.transposition_spec, reflections.transposition_relation,
+                  reflections.even_sign_pair_specs, reflections.even_sign_pair,
+                  constructions.sign_chain_specs, constructions.transposition_chain_specs,
+                  constructions.even_pair_chain_specs, constructions.embedding_map,
+                  constructions._affine_unit_remap)
+    takes_backend = [f.__name__ for f in exact_only if "backend" in inspect.signature(f).parameters]
+    assert takes_backend == []

@@ -5,15 +5,18 @@ common denominator (``ScaledPoint``); the references here are the textbook
 Fraction formulas, evaluated row by row, and a fresh rational solve.
 Non-unit normals, fractional offsets and points with denominators exercise
 the branch where <a,a> does not divide the step and the denominator grows.
-Float data must keep its tolerance semantics.
+Float data must keep its tolerance semantics, and exact objects reject
+float points.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflekt.numeric import EXACT, FLOAT, ScaledPoint, affine_solution_space, dot, int_scale, vec_sub
+from reflekt.numeric import EXACT, FLOAT, BackendError, ScaledPoint, affine_solution_space, dot
+from reflekt.numeric import int_scale, vec_sub
 from reflekt.polyhedra import AffineMap, HPolyhedron, graph_relation
 from reflekt.reflections import ReflectionSpec, canonical_preimage, reflect_point
 
@@ -143,10 +146,20 @@ class TestContains:
         assert not P.contains((1.0, 2.0 + 1e-6))
         assert P.contains((1.0 + 1e-6, 2.0), tol=1e-5)
 
-    def test_float_point_in_exact_polyhedron_keeps_tolerance(self):
-        P = HPolyhedron.from_rows(1, [((F(1),), F(1))])
-        assert P.contains((1.0 + 1e-10,))
-        assert not P.contains((1.0 + 1e-6,))
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: HPolyhedron.from_rows(2, [((F(1), F(0)), F(1))]).contains(x),
+            lambda x: ReflectionSpec((F(1), F(0)), F(0)).in_domain(x),
+            lambda x: reflect_point(ReflectionSpec((F(1), F(0)), F(0)), x),
+            lambda x: canonical_preimage(ReflectionSpec((F(1), F(0)), F(0)), x),
+        ],
+        ids=["contains", "in_domain", "reflect_point", "canonical_preimage"],
+    )
+    def test_exact_object_rejects_float_point(self, call):
+        call((F(1, 2), 5))  # rational and int coordinates are exact input
+        with pytest.raises(BackendError, match="cannot enter the exact backend"):
+            call((0.5, 5.0))
 
     def test_float_preimage_keeps_tolerance(self):
         spec = ReflectionSpec((1.0, 0.0), 0.0, FLOAT)

@@ -11,6 +11,7 @@ from reflekt.numeric import (
     FLOAT,
     BackendError,
     DimensionError,
+    EmptyPolyhedronError,
     ScaledPoint,
     affine_solution_space,
     dot,
@@ -19,7 +20,6 @@ from reflekt.numeric import (
 )
 from reflekt.polyhedra import (
     AffineMap,
-    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedralRelation,
     _witness_blocks,

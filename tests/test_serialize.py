@@ -201,11 +201,19 @@ class TestDocumentChecks:
 
     def test_block_dims_must_be_integers_summing_to_dim(self):
         dims = ef_to_dict(perm3_ef())["block_dims"]
-        for bad in (dims[:-1], [str(k) for k in dims]):
+        assert sum(dims) == 12
+        for bad in (dims[:-1], [str(k) for k in dims], [13, -1, 0, 0]):
             doc = ef_to_dict(perm3_ef())
             doc["block_dims"] = bad
             with pytest.raises(ValueError, match="block dims"):
                 ef_from_dict(doc)
+
+    @pytest.mark.parametrize("atom", [None, [1.0], {"num": 1}], ids=["null", "list", "object"])
+    def test_malformed_float_atom_is_a_backend_error(self, atom):
+        doc = ef_to_dict(mgon_ef(4))
+        doc["ineqs"][0]["coeffs"][0] = atom
+        with pytest.raises(numeric.BackendError, match="cannot coerce"):
+            ef_from_dict(doc)
 
     @pytest.mark.parametrize(
         "edit", [float, str, lambda dim: -1, lambda dim: True],

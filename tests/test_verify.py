@@ -17,7 +17,7 @@ from reflekt.constructions import (
     transposition_chain_specs,
 )
 from reflekt.networks import ComparatorSeq, batcher
-from reflekt.numeric import ScaledPoint
+from reflekt.numeric import EmptyPolyhedronError, ScaledPoint
 from reflekt.oracles import (
     VertexSet,
     completion_time_vertices,
@@ -29,7 +29,6 @@ from reflekt.oracles import (
 )
 from reflekt.polyhedra import (
     AffineMap,
-    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedralRelation,
     _witness_blocks,
@@ -100,6 +99,13 @@ class TestProjectionEquality:
             verify_projection_equality(perm3_ef(), V, n_objectives=-3)
         rep = verify_projection_equality(perm3_ef(), V, n_objectives=0)
         assert rep.passed and rep.objective_total == 0
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        ef, V = mgon_ef(8), mgon_orbit(8)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            verify_projection_equality(ef, V, n_objectives=5, tol=tol)
+        assert verify_projection_equality(perm3_ef(), permutation_orbit((1, 2, 3)), 5, tol=0).passed
 
     def test_deterministic_reports(self):
         a = verify_projection_equality(perm3_ef(), permutation_orbit((1, 2, 3)), 30, seed=5)
