@@ -62,13 +62,10 @@ from .reflections import (
     apply_preimage_chain,
     canonical_preimage,
     dn_canonical,
-    even_sign_pair,
     reflect_point,
     reflection_relation,
-    sign_relation,
     sort_vec,
     sortabs_vec,
-    transposition_relation,
 )
 from .verify import (
     VerificationReport,

@@ -12,7 +12,7 @@ dihedral and permutation-type orbits), checked up front to be canonical.
 Only the m-gon / dihedral chain (:func:`i2_chain_specs`) is float, because
 its normals are irrational; every other chain and map here is exact and
 takes no backend, so a float base for any other builder raises
-:class:`~reflekt.numeric.BackendError` at build.
+:class:`~reflekt.numeric.BackendError` before its chain is built.
 """
 
 from __future__ import annotations
@@ -117,8 +117,7 @@ def _validated(net: ComparatorSeq, n: int) -> ComparatorSeq:
 def _check_point_base(P: HPolyhedron, specs) -> None:
     """Reject a one-point base (as :meth:`HPolyhedron.point` writes it)
     that the chain's canonical-preimage pass moves: that point is not its
-    own canonical form, so the formulation could not contain its orbit.
-    An exact chain's walk raises BackendError for a float point."""
+    own canonical form, so the formulation could not contain its orbit."""
     if P.A or P.C != identity_matrix(P.dim, P.backend):
         return
     canonical = apply_preimage_chain(specs, P.d)
@@ -129,6 +128,15 @@ def _check_point_base(P: HPolyhedron, specs) -> None:
             f"base point ({given}) is not in canonical form for this chain; "
             f"its canonical-preimage pass gives ({moved})"
         )
+
+
+def _exact_base(P: HPolyhedron, n: int) -> None:
+    """Reject a float base, or one not in dimension n, for an exact chain,
+    before the chain is built, so an empty chain rejects it too."""
+    if P.backend != EXACT:
+        raise BackendError("this construction is exact; its base must be exact, not float")
+    if P.dim != n:
+        raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
 
 
 def _orbit_ef(P: HPolyhedron, specs, label: str) -> ExtendedFormulation:
@@ -154,8 +162,7 @@ def signing_ef(P: HPolyhedron, n: Optional[int] = None) -> ExtendedFormulation:
     """
     if n is None:
         n = P.dim
-    if P.dim != n:
-        raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
+    _exact_base(P, n)
     return _orbit_ef(P, sign_chain_specs(n), f"signing(n={n})")
 
 
@@ -196,8 +203,7 @@ def a_permutahedron_ef(
     that is not sorted raises ValueError.  The base point (1,..,n) yields
     the permutahedron with 2|net| inequalities.
     """
-    if P.dim != n:
-        raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
+    _exact_base(P, n)
     net = _validated(net, n)
     return _orbit_ef(P, transposition_chain_specs(net), f"a_permutahedron(n={n})")
 
@@ -212,8 +218,7 @@ def b_permutahedron_ef(
     that is not its own sortabs raises ValueError.  Adds 2|net| + 2n
     inequalities.
     """
-    if P.dim != n:
-        raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
+    _exact_base(P, n)
     net = _validated(net, n)
     specs = transposition_chain_specs(net) + sign_chain_specs(n)
     return _orbit_ef(P, specs, f"b_permutahedron(n={n})")
@@ -229,10 +234,9 @@ def d_permutahedron_ef(
     P; a one-point base that is not its own canonical form raises
     ValueError.  Adds 2|net| + 4(n-1) inequalities.
     """
+    _exact_base(P, n)
     if n < 2:
         raise DimensionError("even-signed orbits need dimension >= 2")
-    if P.dim != n:
-        raise DimensionError(f"base lives in dim {P.dim}, expected {n}")
     net = _validated(net, n)
     specs = transposition_chain_specs(net) + even_pair_chain_specs(n)
     return _orbit_ef(P, specs, f"d_permutahedron(n={n})")
@@ -263,7 +267,7 @@ def parity_polytope_ef(n: int, parity: str) -> ExtendedFormulation:
     first = Fraction(-1) if parity == "odd" else Fraction(1)
     base = HPolyhedron.point((first,) + (Fraction(1),) * (n - 1))
     chain = _reflection_chain(even_pair_chain_specs(n))
-    chain.append(graph_relation(_affine_unit_remap(n), label="unit_remap"))
+    chain.append(graph_relation(_affine_unit_remap(n)))
     return compose_extension(base, chain, label=f"parity(n={n},{parity})")
 
 
@@ -292,7 +296,7 @@ def _huffman_chain(n: int, level_seq) -> list:
     transposition relations, for k = 3..n."""
     chain = []
     for k in range(3, n + 1):
-        chain.append(graph_relation(embedding_map(k), label=f"embed({k})"))
+        chain.append(graph_relation(embedding_map(k)))
         specs = transposition_chain_specs(level_seq(k))
         chain.extend(_reflection_chain(specs))
     return chain
@@ -418,7 +422,7 @@ def _box_lift_relation(k: int) -> PolyhedralRelation:
     def preimage(y, tol=1e-9, _kk=kk):
         return ScaledPoint(y.nums[:_kk], y.den) if isinstance(y, ScaledPoint) else tuple(y[:_kk])
 
-    return PolyhedralRelation(kk, 2 * kk, body, preimage=preimage, label=f"box_lift({k})")
+    return PolyhedralRelation(kk, 2 * kk, body, preimage=preimage)
 
 
 def completion_time_ef(p: Sequence) -> ExtendedFormulation:
@@ -436,7 +440,7 @@ def completion_time_ef(p: Sequence) -> ExtendedFormulation:
     chain = []
     for k in range(2, n + 1):
         chain.append(_box_lift_relation(k))
-        step = graph_relation(_job_step_map(p, k), label=f"schedule({k})")
+        step = graph_relation(_job_step_map(p, k))
         chain.append(replace(step, preimage=_job_step_preimage(p, k)))
     return compose_extension(base, chain, label=f"completion_time(n={n})")
 

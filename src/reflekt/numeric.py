@@ -26,7 +26,7 @@ row tuples.  Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, isfinite
 from typing import Iterable, NamedTuple, Sequence, Union
 
 EXACT = "exact"
@@ -56,8 +56,9 @@ def to_scalar(value, backend: str) -> Scalar:
 
     Exact mode accepts ints, Fractions and rational strings; floats are
     rejected because ``Fraction(0.1)`` silently captures binary noise.
-    Float mode accepts numbers and numeric or ``'p/q'`` strings.  Anything
-    else (``None``, a list) raises :class:`BackendError` in both.
+    Float mode accepts finite numbers and numeric or ``'p/q'`` strings.
+    NaN, +-inf, values past the float range and anything else (``None``, a
+    list) raise :class:`BackendError`.
     """
     if backend == EXACT:
         if isinstance(value, float):
@@ -71,11 +72,18 @@ def to_scalar(value, backend: str) -> Scalar:
             return Fraction(value)
         raise BackendError(f"cannot coerce {type(value).__name__} to a rational")
     if backend == FLOAT:
-        if isinstance(value, (int, float, Fraction)):
-            return float(value)
-        if isinstance(value, str):
-            return float(Fraction(value)) if "/" in value else float(value)
-        raise BackendError(f"cannot coerce {type(value).__name__} to a float")
+        try:
+            if isinstance(value, (int, float, Fraction)):
+                out = float(value)
+            elif isinstance(value, str):
+                out = float(Fraction(value)) if "/" in value else float(value)
+            else:
+                raise BackendError(f"cannot coerce {type(value).__name__} to a float")
+        except OverflowError:
+            out = inf
+        if isfinite(out):
+            return out
+        raise BackendError(f"{value!r} is not a finite float")
     raise BackendError(f"unknown backend {backend!r}")
 
 

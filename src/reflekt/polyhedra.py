@@ -26,6 +26,7 @@ from .numeric import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    BackendError,
     DimensionError,
     ScaledPoint,
     dot,
@@ -217,20 +218,17 @@ def _graph_preimage(f: AffineMap):
 
     f is factored on the first call: rref([M | I]) = [R | E] has EM = R, so
     x is E(y - t) on the pivot columns of R, and y is in the image exactly
-    when E(y - t) is zero past the rank.  On exact data q(E | Et) is scaled
-    once to integers, and (Y, D) maps to q(EY - Et D) over qD.
+    when E(y - t) is zero past the rank.  q(E | Et) is scaled once to
+    integers, and (Y, D) maps to q(EY - Et D) over qD.
     """
     n, m = f.in_dim, f.out_dim
-    exact = f.backend == EXACT
     factored = []
 
     def factor():
         # numeric.rref is looked up per call, so a wrapper installed on the module sees it
-        R, pivots = numeric.rref([row + unit_vector(i, m, f.backend) for i, row in enumerate(f.M)])
-        rows, q = [row[n:] + (dot(row[n:], f.t),) for row in R], 1
-        if exact:
-            ints, q = int_scale(e for row in rows for e in row)
-            rows = [ints[i : i + m + 1] for i in range(0, len(ints), m + 1)]
+        R, pivots = numeric.rref([row + unit_vector(i, m, EXACT) for i, row in enumerate(f.M)])
+        ints, q = int_scale(e for row in R for e in row[n:] + (dot(row[n:], f.t),))
+        rows = [ints[i : i + m + 1] for i in range(0, len(ints), m + 1)]
         return [p for p in pivots if p < n], rows, q
 
     def preimage(y, tol: float = DEFAULT_TOL):
@@ -240,16 +238,13 @@ def _graph_preimage(f: AffineMap):
         if not isinstance(y, ScaledPoint):
             if len(y) != m:
                 raise DimensionError(f"map has output dim {m}, got {len(y)}")
-            if exact:
-                x = preimage(ScaledPoint.of(y))
-                return None if x is None else x.fractions()
-        Y, D = y if exact else (y, 1)
+            x = preimage(ScaledPoint.of(y))
+            return None if x is None else x.fractions()
+        Y, D = y
         vals = [dot(row[:m], Y) - row[m] * D for row in rows]
-        if any(v if exact else abs(v) > tol for v in vals[len(pivots) :]):
+        if any(vals[len(pivots) :]):
             return None
         x = dict(zip(pivots, vals))
-        if not exact:
-            return tuple(x.get(j, 0.0) for j in range(n))
         return ScaledPoint(tuple(x.get(j, 0) for j in range(n)), q * D)
 
     return preimage
@@ -260,21 +255,19 @@ class PolyhedralRelation:
     """A non-empty polyhedron over R^n x R^m acting on sets by
     R(X) = {y : (x, y) in R for some x in X}.
 
-    ``generators``, when present, are affine maps whose images generate each
-    fiber's convex hull.  ``preimage(y, tol)`` maps y to a canonical x whose
-    fiber contains y, or to None.  On exact data it takes a
-    :class:`ScaledPoint` or a tuple of rationals and returns the same kind;
-    a ScaledPoint output's denominator is a multiple of the input's, which
-    :func:`_witness_blocks` relies on.  Emptiness is checked lazily by the
-    LP layer, never at construction.
+    ``preimage(y, tol)`` maps y to a canonical x whose fiber contains y, or
+    to None.  On exact data it takes a :class:`ScaledPoint` or a tuple of
+    rationals and returns the same kind; a ScaledPoint output's denominator
+    is a multiple of the input's, which :func:`_witness_blocks` relies on.
+    Emptiness is checked lazily by the LP layer, never at construction.
+    Affinely generated fibers are a property, not a part, of a relation:
+    :func:`~reflekt.verify.check_affine_generators` tests claimed maps.
     """
 
     n: int
     m: int
     body: HPolyhedron
-    generators: Optional[tuple] = None
     preimage: Optional[Callable] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.body.dim != self.n + self.m:
@@ -285,15 +278,15 @@ class PolyhedralRelation:
         return self.body.backend
 
 
-def graph_relation(f: AffineMap, label: str = "") -> PolyhedralRelation:
-    """The relation {(x, y) : y = f(x)}: pure equations, no inequalities."""
+def graph_relation(f: AffineMap) -> PolyhedralRelation:
+    """The relation {(x, y) : y = f(x)}: pure equations, no inequalities.
+    Graph relations are exact; a float map raises BackendError."""
+    if f.backend != EXACT:
+        raise BackendError("graph relations are exact; got a float map")
     n, m = f.in_dim, f.out_dim
-    eqs = [(tuple(-e for e in f.M[i]) + unit_vector(i, m, f.backend), f.t[i]) for i in range(m)]
-    body = HPolyhedron.from_rows(n + m, (), eqs, f.backend)
-    return PolyhedralRelation(
-        n, m, body, generators=(f,), preimage=_graph_preimage(f),
-        label=label or "graph",
-    )
+    eqs = [(tuple(-e for e in f.M[i]) + unit_vector(i, m, EXACT), f.t[i]) for i in range(m)]
+    body = HPolyhedron.from_rows(n + m, (), eqs)
+    return PolyhedralRelation(n, m, body, preimage=_graph_preimage(f))
 
 
 def deltas(rel: PolyhedralRelation):

@@ -22,8 +22,9 @@ when <a,a> does not divide 2(beta*D - <a,X>), as the preimage contract of
 exact points only: a float coordinate raises
 :class:`~reflekt.numeric.BackendError`.  Float specs, which only the m-gon /
 dihedral chain builds, keep the tolerance tests of :mod:`reflekt.numeric`.
-The sign-change, transposition and even-sign-pair constructors below are
-integral by nature and always exact.
+The sign-change, transposition and even-sign-pair spec constructors below
+are integral by nature and always exact; :func:`reflection_relation` turns
+any spec into its relation.
 """
 
 from __future__ import annotations
@@ -181,10 +182,11 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     """Type (n, n) relation whose fiber over a domain point x is the segment
     conv{x, reflect(x)}; empty over points outside the halfspace.
 
-    Generated by the identity map and the reflection.  Uses n-1 explicit
-    difference equations from a complement basis rather than an auxiliary
-    scalar variable, which keeps block sizes equal to n and makes the
-    two-inequalities-per-relation count literal.
+    Generated by the identity map and :func:`reflection_map`, which only
+    :func:`~reflekt.verify.check_affine_generators` callers build.  Uses n-1
+    explicit difference equations from a complement basis rather than an
+    auxiliary scalar variable, which keeps block sizes equal to n and makes
+    the two-inequalities-per-relation count literal.
     """
     n = spec.dim
     a = spec.a
@@ -200,15 +202,11 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
         (tuple(a) + tuple(a), 2 * spec.beta),  # <a,y> <= 2 beta - <a,x>
     ]
     body = HPolyhedron.from_rows(2 * n, ineqs, eqs, backend)
-    gens = (AffineMap.identity(n, backend), reflection_map(spec))
 
     def preimage(y, tol=DEFAULT_TOL, _spec=spec):
         return canonical_preimage(_spec, y, tol)
 
-    return PolyhedralRelation(
-        n, n, body, generators=gens, preimage=preimage,
-        label=f"reflect({spec.a}, {spec.beta})",
-    )
+    return PolyhedralRelation(n, n, body, preimage=preimage)
 
 
 def sign_spec(k: int, n: int) -> ReflectionSpec:
@@ -217,10 +215,6 @@ def sign_spec(k: int, n: int) -> ReflectionSpec:
         raise IndexError(f"coordinate {k} out of range 1..{n}")
     a = tuple(-e for e in unit_vector(k - 1, n, EXACT))
     return ReflectionSpec(a, Fraction(0))
-
-
-def sign_relation(k: int, n: int) -> PolyhedralRelation:
-    return reflection_relation(sign_spec(k, n))
 
 
 def transposition_spec(k: int, ell: int, n: int) -> ReflectionSpec:
@@ -232,10 +226,6 @@ def transposition_spec(k: int, ell: int, n: int) -> ReflectionSpec:
         raise IndexError(f"coordinates ({k},{ell}) out of range 1..{n}")
     a = tuple(x - y for x, y in zip(unit_vector(k - 1, n, EXACT), unit_vector(ell - 1, n, EXACT)))
     return ReflectionSpec(a, Fraction(0))
-
-
-def transposition_relation(k: int, ell: int, n: int) -> PolyhedralRelation:
-    return reflection_relation(transposition_spec(k, ell, n))
 
 
 def even_sign_pair_specs(k: int, ell: int, n: int):
@@ -251,12 +241,6 @@ def even_sign_pair_specs(k: int, ell: int, n: int):
     el = unit_vector(ell - 1, n, EXACT)
     second = ReflectionSpec(tuple(-x - y for x, y in zip(ek, el)), Fraction(0))
     return first, second
-
-
-def even_sign_pair(k: int, ell: int, n: int):
-    """The two reflection relations of :func:`even_sign_pair_specs`, in order."""
-    s1, s2 = even_sign_pair_specs(k, ell, n)
-    return reflection_relation(s1), reflection_relation(s2)
 
 
 def apply_preimage_chain(chain: Iterable, y, tol: float = DEFAULT_TOL):

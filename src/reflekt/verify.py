@@ -126,7 +126,10 @@ class VerificationReport:
 
 
 def random_objectives(dim: int, count: int, rng: Random, backend: str = EXACT):
-    """Seeded integer objectives in [-10,10]^dim, zero vector rejected."""
+    """Seeded integer objectives in [-10,10]^dim, zero vector rejected, so
+    a positive count in dimension < 1 raises ValueError."""
+    if dim < 1 and count > 0:
+        raise ValueError(f"no nonzero objective exists in dimension {dim}")
     out = []
     while len(out) < count:
         c = tuple(rng.randint(-10, 10) for _ in range(dim))
@@ -190,11 +193,15 @@ def verify_projection_equality(
     as one pivot tree that shares phase-2 pivots until their paths split.
     In the rational backend V is scaled once to one integer matrix over a
     common denominator and every brute-force maximum is taken on integers.
-    A negative ``n_objectives`` raises ValueError; 0 skips part (b).
+    A negative ``n_objectives`` raises ValueError; 0 skips part (b).  A
+    0-dimensional projection, with no objective to sample, raises
+    DimensionError.
     """
     t0 = time.perf_counter()
     if V.dim != ef.projection.out_dim:
         raise DimensionError("vertex dimension != projection output dimension")
+    if V.dim < 1:
+        raise DimensionError(f"cannot certify a projection of dimension {V.dim}")
     if n_objectives < 0:
         raise ValueError(f"n_objectives must be nonnegative, not {n_objectives}")
     if not tol >= 0:
@@ -303,16 +310,19 @@ def check_chain_conditions(
 
 def check_affine_generators(
     rel: PolyhedralRelation,
+    maps: Sequence,
     samples: int = 20,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> bool:
-    """Spot-check that the relation's declared generators really generate
-    its fibers: each generator image must lie in the fiber, and random
-    fiber optimizations must peak at a generator image.  ``tol`` compares
+    """Spot-check that the affine ``maps`` generate the relation's fibers:
+    each map's image must lie in the fiber, and random fiber optimizations
+    must peak at a map's image.  A reflection relation's pair is
+    ``(AffineMap.identity(n), reflection_map(spec))``, a graph relation's
+    is its one map.  Empty ``maps`` raises ValueError.  ``tol`` compares
     the images and optima; the fiber LPs pivot at ``DEFAULT_TOL``."""
-    if not rel.generators:
-        raise ValueError("relation carries no generators to check")
+    if not maps:
+        raise ValueError("no generator maps to check")
     rng = Random(seed)
     backend = rel.backend
     exact = backend == EXACT
@@ -328,7 +338,7 @@ def check_affine_generators(
         x = rel.preimage(rand_vec(rel.m), tol) if rel.preimage else rand_vec(rel.n)
         if x is None:
             x = rand_vec(rel.n)
-        images = [g.apply(x) for g in rel.generators]
+        images = [g.apply(x) for g in maps]
         for img in images:
             if not rel.body.contains(tuple(x) + tuple(img), tol):
                 return False

@@ -38,13 +38,19 @@ from reflekt.oracles import (
     signed_orbit,
 )
 from reflekt.polyhedra import (
+    AffineMap,
     HPolyhedron,
     compose_extension,
     deltas,
     point_in_projection,
     projection_checker,
 )
-from reflekt.reflections import ReflectionSpec, reflect_point, reflection_relation
+from reflekt.reflections import (
+    ReflectionSpec,
+    reflect_point,
+    reflection_map,
+    reflection_relation,
+)
 from reflekt.verify import (
     check_affine_generators,
     random_objectives,
@@ -271,8 +277,11 @@ def test_criterion_10b_generator_property():
     ok = True
     for _ in range(100):
         n = rng.randint(1, 4)
-        rel = reflection_relation(_random_spec(rng, n))
-        if not check_affine_generators(rel, samples=2, seed=rng.randint(0, 10 ** 6)):
+        spec = _random_spec(rng, n)
+        maps = (AffineMap.identity(n), reflection_map(spec))
+        if not check_affine_generators(
+            reflection_relation(spec), maps, samples=2, seed=rng.randint(0, 10 ** 6)
+        ):
             ok = False
             break
     _report("10b (fiber generators, 100 random relations)", ok)

@@ -271,5 +271,23 @@ class TestDoctoredDocuments:
         assert captured.out == ""
         assert "numeric error: cannot coerce NoneType to a float" in captured.err
 
+    @pytest.mark.parametrize("bad", [float("nan"), "inf"])
+    def test_non_finite_float_coefficient_is_a_numeric_error(self, tmp_path, capsys, bad):
+        doc = ef_to_dict(build_recipe("mgon", {"m": 8}))
+        doc["ineqs"][0]["coeffs"][0] = bad
+        src = self.write(tmp_path, doc)
+        assert run(["stats", "--ef", src]) == 3
+        argv = ["verify", "--ef", src, "--oracle", "mgon", "--m", "8", "--objectives", "5"]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("is not a finite float") == 2
+
+    def test_zero_dimensional_projection_is_a_usage_error(self, capsys):
+        argv = ["verify", "--recipe", "signing", "--n", "0", "--base", ",",
+                "--oracle", "signed", "--objectives", "3"]
+        assert run(argv) == 2
+        assert "projection of dimension 0" in capsys.readouterr().err
+
     def test_stats_takes_no_tolerance(self):
         assert run(["stats", "--recipe", "signing", "--n", "2", "--tol", "1e-6"]) == 2

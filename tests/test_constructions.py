@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from reflekt import reflections
 from reflekt.constructions import (
+    RECIPES,
     a_permutahedron_ef,
     b_permutahedron_ef,
     build_recipe,
@@ -70,7 +72,7 @@ class TestSigning:
 
     def test_float_box_base_rejected(self):
         box = HPolyhedron.box((0.0, 0.0), (1.0, 2.0), FLOAT)
-        with pytest.raises(BackendError, match="backend mix"):
+        with pytest.raises(BackendError, match="base must be exact"):
             signing_ef(box, 2)
 
     def test_non_canonical_point_base_rejected(self):
@@ -180,8 +182,8 @@ class TestAPermutahedron:
         assert_equality(ef, permutation_orbit((1, 2, 3, 4)), n_obj=40)
 
     def test_float_point_base_rejected(self):
-        # only the dihedral chain is float; the transposition walk takes exact points
-        with pytest.raises(BackendError, match="cannot enter the exact backend"):
+        # only the dihedral chain is float; an exact chain takes an exact base
+        with pytest.raises(BackendError, match="base must be exact"):
             a_permutahedron_ef(HPolyhedron.point((1.0, 2.0, 3.0), FLOAT), 3, batcher(3))
 
     def test_invalid_network_rejected(self):
@@ -373,3 +375,42 @@ class TestRecipes:
     def test_missing_parameter(self):
         with pytest.raises(KeyError):
             build_recipe("mgon", {})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: a_permutahedron_ef(HPolyhedron.point((1.0, 2.0, 3.0), FLOAT), 3,
+                                       ComparatorSeq(3, ())),
+            lambda: a_permutahedron_ef(HPolyhedron.point((1.0,), FLOAT), 1, batcher(1)),
+            lambda: b_permutahedron_ef(HPolyhedron.point((1.0,), FLOAT), 1, batcher(1)),
+            lambda: d_permutahedron_ef(HPolyhedron.point((1.0, 2.0), FLOAT), 2, batcher(2)),
+            lambda: signing_ef(HPolyhedron.point((), FLOAT), 0),
+        ],
+        ids=["a-empty-net", "a-n1", "b-n1", "d-n2", "signing-n0"],
+    )
+    def test_exact_builder_rejects_float_base_whatever_its_chain(self, build):
+        with pytest.raises(BackendError, match="base must be exact"):
+            build()
+
+    def test_no_recipe_builds_a_reflection_map(self, monkeypatch):
+        # a relation is its body and its canonical preimage; generator maps
+        # are built only by callers that check them
+        def refuse(spec):
+            raise AssertionError("reflection_map called while building")
+
+        monkeypatch.setattr(reflections, "reflection_map", refuse)
+        smallest = {
+            "signing": {"n": 2},
+            "mgon": {"m": 3},
+            "i2_permutahedron": {"m": 3},
+            "a_permutahedron": {"n": 3},
+            "b_permutahedron": {"n": 3},
+            "d_permutahedron": {"n": 3},
+            "parity": {"n": 2, "parity": "odd"},
+            "huffman_quadratic": {"n": 3},
+            "huffman_nlogn": {"n": 4},
+            "completion_time": {"p": [1, 2, 3]},
+        }
+        assert sorted(smallest) == sorted(RECIPES)
+        for name in RECIPES:
+            assert build_recipe(name, smallest[name]).relations, name

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from reflekt import constructions, lp, numeric, reflections
+from reflekt.polyhedra import PolyhedralRelation
 from reflekt.networks import ComparatorSeq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reflekt"
@@ -132,10 +133,14 @@ def test_nothing_that_pivots_takes_a_tolerance():
     assert list(inspect.signature(numeric.orthogonal_complement_basis).parameters) == ["a"]
 
 
+def test_a_relation_is_its_body_and_preimage():
+    fields = [f.name for f in dataclasses.fields(PolyhedralRelation)]
+    assert fields == ["n", "m", "body", "preimage"]
+
+
 def test_exact_only_constructors_take_no_backend():
-    exact_only = (reflections.sign_spec, reflections.sign_relation,
-                  reflections.transposition_spec, reflections.transposition_relation,
-                  reflections.even_sign_pair_specs, reflections.even_sign_pair,
+    exact_only = (reflections.sign_spec, reflections.transposition_spec,
+                  reflections.even_sign_pair_specs,
                   constructions.sign_chain_specs, constructions.transposition_chain_specs,
                   constructions.even_pair_chain_specs, constructions.embedding_map,
                   constructions._affine_unit_remap)

@@ -35,6 +35,16 @@ class TestScalars:
         assert to_scalar(F(1, 2), FLOAT) == 0.5
         assert to_scalar("1/4", FLOAT) == 0.25
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), "nan", "NaN", "inf", "-inf",
+         "Infinity", "1e400", 10 ** 400],
+        ids=lambda v: "10**400" if isinstance(v, int) else repr(v),
+    )
+    def test_float_rejects_non_finite(self, value):
+        with pytest.raises(BackendError, match="not a finite float"):
+            to_scalar(value, FLOAT)
+
     def test_lowest_terms_after_arithmetic(self):
         x = F(2, 4) + F(3, 6)
         assert (x.numerator, x.denominator) == (1, 1)

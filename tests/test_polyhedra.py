@@ -48,7 +48,7 @@ def triangle_relation():
         2,
         ineqs=[((-1, 1), 0), ((1, 1), 2), ((0, -1), 0)],
     )
-    return PolyhedralRelation(1, 1, body, label="triangle")
+    return PolyhedralRelation(1, 1, body)
 
 
 class TestAffineMap:
@@ -126,13 +126,14 @@ class TestGraphRelation:
             assert out.fractions() == x
             assert out.den % start.den == 0
 
-    def test_float_preimage_keeps_tolerance(self):
-        rel = graph_relation(AffineMap.from_rows([[1, 1], [2, 2]], [0, 1], FLOAT))
-        assert rel.preimage((7.0, 15.0)) == (7.0, 0.0)
-        assert rel.preimage((7.0, 15.0 + 1e-12)) is not None
-        assert rel.preimage((7.0, 15.001)) is None
+    def test_float_map_raises(self):
+        with pytest.raises(BackendError, match="graph relations are exact"):
+            graph_relation(AffineMap.from_rows([[1, 1], [2, 2]], [0, 1], FLOAT))
+
+    def test_preimage_checks_output_dim(self):
+        rel = graph_relation(AffineMap.from_rows([[1, 1], [2, 2]], [0, 1]))
         with pytest.raises(DimensionError):
-            rel.preimage((7.0,))
+            rel.preimage((F(7),))
 
 
 class TestDeltas:

@@ -14,15 +14,12 @@ from reflekt.reflections import (
     apply_preimage_chain,
     canonical_preimage,
     dn_canonical,
-    even_sign_pair,
     even_sign_pair_specs,
     reflect_point,
     reflection_relation,
-    sign_relation,
     sign_spec,
     sort_vec,
     sortabs_vec,
-    transposition_relation,
     transposition_spec,
 )
 from reflekt.constructions import (
@@ -157,21 +154,21 @@ class TestReflectionRelation:
 
 class TestSignRelation:
     def test_fiber_is_segment(self):
-        rel = sign_relation(1, 2)
+        rel = reflection_relation(sign_spec(1, 2))
         fiber = pinned(rel.body, [(0, F(1)), (1, F(5))])
         obj = (F(0), F(0), F(1), F(0))
         assert solve(LPProblem(fiber, obj, "max")).value == 1
         assert solve(LPProblem(fiber, obj, "min")).value == -1
 
     def test_fiber_on_hyperplane_is_point(self):
-        rel = sign_relation(1, 2)
+        rel = reflection_relation(sign_spec(1, 2))
         fiber = pinned(rel.body, [(0, F(0)), (1, F(3))])
         obj = (F(0), F(0), F(1), F(0))
         assert solve(LPProblem(fiber, obj, "max")).value == 0
         assert solve(LPProblem(fiber, obj, "min")).value == 0
 
     def test_one_dim_segment_and_empty_fiber(self):
-        rel = sign_relation(1, 1)
+        rel = reflection_relation(sign_spec(1, 1))
         fiber = pinned(rel.body, [(0, F(2))])
         assert solve(LPProblem(fiber, (F(0), F(1)), "max")).value == 2
         assert solve(LPProblem(fiber, (F(0), F(1)), "min")).value == -2
@@ -183,19 +180,19 @@ class TestSignRelation:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            sign_relation(3, 2)
+            reflection_relation(sign_spec(3, 2))
 
 
 class TestTranspositionRelation:
     def test_fiber_over_ordered_point(self):
-        rel = transposition_relation(1, 2, 2)
+        rel = reflection_relation(transposition_spec(1, 2, 2))
         fiber = pinned(rel.body, [(0, F(1)), (1, F(3))])
         obj = (F(0), F(0), F(1), F(0))
         assert solve(LPProblem(fiber, obj, "max")).value == 3
         assert solve(LPProblem(fiber, obj, "min")).value == 1
 
     def test_tie_is_fixed_point(self):
-        rel = transposition_relation(1, 2, 2)
+        rel = reflection_relation(transposition_spec(1, 2, 2))
         fiber = pinned(rel.body, [(0, F(2)), (1, F(2))])
         obj = (F(0), F(0), F(1), F(0))
         assert solve(LPProblem(fiber, obj, "max")).value == 2
@@ -207,7 +204,7 @@ class TestTranspositionRelation:
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
-            transposition_relation(2, 2, 3)
+            reflection_relation(transposition_spec(2, 2, 3))
 
 
 class TestEvenSignPair:
@@ -229,7 +226,7 @@ class TestEvenSignPair:
         assert apply_preimage_chain(specs, (F(1), F(2))) == (F(1), F(2))
 
     def test_relations_expose_both_reflections(self):
-        r1, r2 = even_sign_pair(1, 2, 2)
+        r1, r2 = map(reflection_relation, even_sign_pair_specs(1, 2, 2))
         assert r1.body.n_inequalities == 2
         assert r2.body.n_inequalities == 2
 

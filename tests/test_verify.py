@@ -1,8 +1,10 @@
 import hashlib
 import itertools
 import json
+import signal
 from dataclasses import replace
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -17,7 +19,7 @@ from reflekt.constructions import (
     transposition_chain_specs,
 )
 from reflekt.networks import ComparatorSeq, batcher
-from reflekt.numeric import EmptyPolyhedronError, ScaledPoint
+from reflekt.numeric import DimensionError, EmptyPolyhedronError, ScaledPoint
 from reflekt.oracles import (
     VertexSet,
     completion_time_vertices,
@@ -35,11 +37,12 @@ from reflekt.polyhedra import (
     compose_extension,
     graph_relation,
 )
-from reflekt.reflections import ReflectionSpec, reflection_relation
+from reflekt.reflections import ReflectionSpec, reflection_map, reflection_relation
 from reflekt.verify import (
     actual_sizes,
     check_affine_generators,
     check_chain_conditions,
+    random_objectives,
     size_report,
     verify_projection_equality,
 )
@@ -201,6 +204,27 @@ def test_graph_and_lift_chains_walk_on_integers(recipe, params, V):
     assert (rep.witness_hits, rep.lp_fallbacks) == (len(V), 0)
 
 
+class TestZeroDimension:
+    def test_no_objective_in_dimension_zero(self):
+        def stop(signum, frame):
+            raise TimeoutError("random_objectives(0, 1) did not return")
+
+        old = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="dimension 0"):
+                random_objectives(0, 1, Random(0))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert random_objectives(0, 0, Random(0)) == []
+
+    def test_zero_dimensional_projection_is_rejected_up_front(self):
+        ef = signing_ef(HPolyhedron.point(()), 0)
+        with pytest.raises(DimensionError, match="projection of dimension 0"):
+            verify_projection_equality(ef, sign_flip_orbit(()), 0)
+
+
 class TestChainConditions:
     def test_signing_chain(self):
         base = VertexSet(2, ((F(1), F(2)),), "base")
@@ -234,25 +258,24 @@ class TestChainConditions:
 
 class TestAffineGenerators:
     def test_reflection_relation(self):
-        rel = reflection_relation(ReflectionSpec((F(1), F(-2), F(1)), F(3)))
-        assert check_affine_generators(rel, samples=10, seed=4)
+        spec = ReflectionSpec((F(1), F(-2), F(1)), F(3))
+        maps = (AffineMap.identity(3), reflection_map(spec))
+        assert check_affine_generators(reflection_relation(spec), maps, samples=10, seed=4)
 
     def test_graph_relation_single_generator(self):
         f = AffineMap.from_rows([[1, 1], [0, 2]], [1, 0])
-        assert check_affine_generators(graph_relation(f), samples=10, seed=4)
+        assert check_affine_generators(graph_relation(f), (f,), samples=10, seed=4)
 
     def test_triangle_with_wrong_generators_fails(self):
         body = HPolyhedron.from_rows(2, ineqs=[((-1, 1), 0), ((1, 1), 2), ((0, -1), 0)])
-        rel = PolyhedralRelation(
-            1, 1, body, generators=(AffineMap.identity(1),), label="triangle"
-        )
-        assert not check_affine_generators(rel, samples=20, seed=4)
+        rel = PolyhedralRelation(1, 1, body)
+        assert not check_affine_generators(rel, (AffineMap.identity(1),), samples=20, seed=4)
 
     def test_requires_generators(self):
         body = HPolyhedron.from_rows(2, ineqs=[((-1, 1), 0)])
         rel = PolyhedralRelation(1, 1, body)
         with pytest.raises(ValueError):
-            check_affine_generators(rel)
+            check_affine_generators(rel, ())
 
 
 class TestSizeReport:
