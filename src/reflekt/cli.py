@@ -14,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import constructions, oracles, serialize
 from .lp import LPNumericError
-from .numeric import DEFAULT_TOL, BackendError
+from .numeric import DEFAULT_TOL, EXACT, BackendError, to_scalar
 from .verify import actual_sizes, verify_projection_equality
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ class UsageError(ValueError):
 
 
 def _parse_number_list(text: str):
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    return [to_scalar(part.strip(), EXACT) for part in text.split(",") if part.strip()]
 
 
 def _seed_from(args) -> int:

@@ -422,7 +422,7 @@ def _box_lift_relation(k: int) -> PolyhedralRelation:
     def preimage(y, tol=1e-9, _kk=kk):
         return ScaledPoint(y.nums[:_kk], y.den) if isinstance(y, ScaledPoint) else tuple(y[:_kk])
 
-    return PolyhedralRelation(kk, 2 * kk, body, preimage=preimage)
+    return PolyhedralRelation(kk, 2 * kk, body, preimage=preimage, step=("box", kk))
 
 
 def completion_time_ef(p: Sequence) -> ExtendedFormulation:

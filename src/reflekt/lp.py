@@ -18,8 +18,10 @@ rather than split into inequality pairs.  Both backends stage their tableau
 in one function.
 
 :class:`ProjectionChecker` does each query's objective-independent work
-once per formulation, and caches nothing else.  Exact queries use a
-vertex-start dictionary: from a feasible point (a registered seed, else one
+once per formulation, and caches nothing else.  Its reduced system has one
+column per reflection of an exact built chain, written from the chain's
+steps; any other formulation has Q's equations eliminated.  Exact queries
+use a vertex-start dictionary: from a feasible point (a registered seed, else one
 exact solve) every free variable is pivoted into the basis and only the
 slack rows are kept, with one integer projection row per output coordinate
 priced into that basis.  An objective is an integer combination of the
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError
+from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError, ScaledPoint
 from .numeric import affine_solution_space, dot, int_scale, to_scalar, unit_vector, vec_sub, vector
 
 OPTIMAL = "optimal"
@@ -436,21 +438,6 @@ def pinned(Q, pins):
     return type(Q)(Q.dim, Q.A, Q.b, tuple(C), tuple(d), Q.backend)
 
 
-def feasible(Q, pins=()) -> bool:
-    """Phase-1 feasibility of Q with optionally pinned coordinates."""
-    system = pinned(Q, pins) if pins else Q
-    zero = Fraction(0) if Q.backend == EXACT else 0.0
-    res = solve_system(
-        system.dim,
-        list(zip(system.A, system.b)),
-        list(zip(system.C, system.d)),
-        [zero] * system.dim,
-        backend=system.backend,
-        feasibility_only=True,
-    )
-    return res.status == OPTIMAL
-
-
 def in_hull(y, V) -> bool:
     """Membership of y in conv(V) for a :class:`~reflekt.oracles.VertexSet`
     V, whose points need not be extreme, via the multiplier LP
@@ -473,28 +460,48 @@ def in_hull(y, V) -> bool:
     return res.status == OPTIMAL
 
 
+def _int_row(row, rhs):
+    """``(nonzeros, rhs', f)``: row and rhs times f, their least common
+    denominator, with the row as sparse ``(index, int)`` pairs."""
+    ints, f = int_scale(row + (rhs,))
+    return [(j, c) for j, c in enumerate(ints[:-1]) if c], ints[-1], f
+
+
 class ProjectionChecker:
     """Per-formulation LP helper over the reduced system A_red w <= b_red.
 
-    The constructor is the one elimination of Q's equations, read from the
-    cached checker by :func:`~reflekt.polyhedra.eliminate_equations` and
-    :func:`~reflekt.verify.actual_sizes`: Cz = d is solved as z = z_part +
-    N w (N's columns in ``N_cols``) and substituted into Q's inequality
-    rows, in order, and into the projection, M_red w + t_red, over each
-    row's nonzeros in coordinate order, so float results are the bits of
-    dense dot products.  An inconsistent system leaves ``consistent`` False
-    and its error in ``inconsistency``.
+    The constructor writes the reduced system once, read from the cached
+    checker by :func:`~reflekt.polyhedra.eliminate_equations` and
+    :func:`~reflekt.verify.actual_sizes`, in one of two ways chosen from
+    the input:
+
+    * an exact formulation with
+      :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` (every chain the
+      package builds but the float m-gon / dihedral one) is parametrised
+      from its steps by its
+      :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`, one
+      column per reflection, and ``E`` reads a point of Q's equations back
+      as w;
+    * any other (float, loaded from JSON, or with a relation without a
+      step) has Cz = d solved as z = z_part + N w (N's columns in
+      ``N_cols``) and substituted into Q's inequality rows, in order, and
+      into the projection, over each row's nonzeros in coordinate order, so
+      float results are the bits of dense dot products.
+
+    Either way A_red w <= b_red are Q's inequality rows and M_red w + t_red
+    its projection.  An inconsistent system leaves ``consistent`` False and
+    its error in ``inconsistency``.
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
-    (:meth:`_factor`); it is the only state a checker caches.  An objective
-    is an integer combination of these projection rows and pivots only
-    among slack columns; a membership query adds them as artificial
-    equations and runs one phase 1.  The float objectives of one
-    :meth:`maximize_projected_all` call share one phase 1 and are solved as
-    one pivot tree (:func:`_float_optima`); float membership queries take
-    one two-phase solve each.  Float elimination and pivots run at
-    ``DEFAULT_TOL``; a checker takes no tolerance.
+    (:meth:`_factor`); with the integer rows of :meth:`certifies`, it is all
+    a checker caches.  An objective is an integer combination of these
+    projection rows and pivots only among slack columns; a membership query
+    adds them as artificial equations and runs one phase 1.  The float
+    objectives of one :meth:`maximize_projected_all` call share one phase 1
+    and are solved as one pivot tree (:func:`_float_optima`); float
+    membership queries take one two-phase solve each.  Float elimination
+    and pivots run at ``DEFAULT_TOL``; a checker takes no tolerance.
     """
 
     def __init__(self, ef):
@@ -504,12 +511,27 @@ class ProjectionChecker:
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
-        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
-        self.consistent = part is not None
-        if not self.consistent:
-            self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
-            return
+        self._ints = None
+        self.E = self.z_part = self.N_cols = None
+        self.consistent = True
         self.inconsistency = None
+        if ef.steps is not None:
+            system = ef.parametrised()
+            if system is not None:
+                self.E, self.A_red, self.b_red, self.M_red, self.t_red = system
+                self.n_free = len(self.E)
+                return
+        else:
+            part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
+            if part is not None:
+                self._substitute(ef, part, basis)
+                return
+        self.consistent = False
+        self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
+
+    def _substitute(self, ef, part, basis):
+        """The reduced system of Q's equations solved as z = part + N w."""
+        Q = ef.Q
         zero = Fraction(0) if Q.backend == EXACT else 0.0
 
         def times_basis(row):
@@ -525,6 +547,42 @@ class ProjectionChecker:
         self.b_red = tuple(rhs - at_part(row) for row, rhs in ineq)
         self.M_red = tuple(times_basis(row) for row in proj)
         self.t_red = tuple(at_part(row) + t for row, t in zip(proj, ef.projection.t))
+
+    def reduced_point(self, z):
+        """Ez, the reduced point that a point z of Q's equations stands for,
+        as Fractions; needs ``E``, so a parametrised checker."""
+        if not isinstance(z, ScaledPoint):
+            z = ScaledPoint.of(vector(z, EXACT))
+        U, den = self._reduced(z)
+        return tuple(Fraction(e, den) for e in U)
+
+    def _reduced(self, z):
+        """``(U, den)`` with Ez = U/den for a :class:`ScaledPoint` z, on the
+        integer rows of E, A_red and M_red, scaled once."""
+        if self._ints is None:
+            flat, L = int_scale(c for row in self.E for c in row.values())
+            it = iter(flat)
+            E = [[(j, next(it)) for j in row] for row in self.E]
+            A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
+                    for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
+            self._ints = E, L, A, M
+        E, L, _, _ = self._ints
+        Z, D = z
+        return [sum(c * Z[j] for j, c in row) for row in E], L * D
+
+    def certifies(self, z) -> bool:
+        """Whether the :class:`ScaledPoint` z, whose last block is y, proves y
+        feasible on a parametrised checker: u = Ez must satisfy
+        A_red u <= b_red and M_red u + t_red = y, both tested on integers.  A
+        walk that ends off the base fails the second test."""
+        U, den = self._reduced(z)  # u = U / den
+        _, L, A, M = self._ints
+        if any(sum(c * U[j] for j, c in row) > rhs * den for row, rhs, _ in A):
+            return False
+        # f(M u + t) = f y times L*D, with y = Y/D the last block of z
+        Z = z.nums
+        return all(sum(c * U[j] for j, c in row) + t * den == f * L * y
+                   for (row, t, f), y in zip(M, Z[len(Z) - len(M):]))
 
     def _exact_input(self, v):
         """``v`` as an exact vector of the projection's output dimension."""
@@ -564,17 +622,24 @@ class ProjectionChecker:
         return core.rows[-1][-1] == 0
 
     def seed_from_raw(self, z_raw) -> bool:
-        """Register a known feasible raw point w_feas, with the shifted
-        right-hand sides b_shift = b_red - A_red w_feas >= 0; objective
-        solves then start from it and skip phase 1 entirely."""
+        """Register the reduced point w_feas of a raw point of Q, with the
+        shifted right-hand sides b_shift = b_red - A_red w_feas; objective
+        solves then start from it and skip phase 1 entirely when
+        b_shift >= 0 (:meth:`_factor` solves for a start otherwise).  A
+        parametrised checker reads w_feas off z_raw as :meth:`reduced_point`;
+        an eliminated one solves N w = z_raw - z_part, and returns False when
+        z_raw is off Q's equations."""
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
-        target = vec_sub(z_raw, self.z_part)
-        part, _ = affine_solution_space(
-            tuple(zip(*self.N_cols)), target, dim=self.n_free, backend=self.backend
-        )
-        if part is None:
-            return False
+        if self.E is not None:
+            part = self.reduced_point(z_raw)
+        else:
+            target = vec_sub(z_raw, self.z_part)
+            part, _ = affine_solution_space(
+                tuple(zip(*self.N_cols)), target, dim=self.n_free, backend=self.backend
+            )
+            if part is None:
+                return False
         self.w_feas = part
         self.b_shift = tuple(
             rhs - dot(row, part) for row, rhs in zip(self.A_red, self.b_red)

@@ -57,8 +57,8 @@ def to_scalar(value, backend: str) -> Scalar:
     Exact mode accepts ints, Fractions and rational strings; floats are
     rejected because ``Fraction(0.1)`` silently captures binary noise.
     Float mode accepts finite numbers and numeric or ``'p/q'`` strings.
-    NaN, +-inf, values past the float range and anything else (``None``, a
-    list) raise :class:`BackendError`.
+    NaN, +-inf, values past the float range, a zero denominator (``'1/0'``)
+    and anything else (``None``, a list) raise :class:`BackendError`.
     """
     if backend == EXACT:
         if isinstance(value, float):
@@ -69,7 +69,10 @@ def to_scalar(value, backend: str) -> Scalar:
         if isinstance(value, Fraction):
             return value
         if isinstance(value, (int, str)):
-            return Fraction(value)
+            try:
+                return Fraction(value)
+            except ZeroDivisionError:
+                raise BackendError(f"{value!r} has a zero denominator") from None
         raise BackendError(f"cannot coerce {type(value).__name__} to a rational")
     if backend == FLOAT:
         try:
@@ -81,6 +84,8 @@ def to_scalar(value, backend: str) -> Scalar:
                 raise BackendError(f"cannot coerce {type(value).__name__} to a float")
         except OverflowError:
             out = inf
+        except ZeroDivisionError:
+            raise BackendError(f"{value!r} has a zero denominator") from None
         if isfinite(out):
             return out
         raise BackendError(f"{value!r} is not a finite float")

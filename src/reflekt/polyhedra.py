@@ -29,6 +29,7 @@ from .numeric import (
     BackendError,
     DimensionError,
     ScaledPoint,
+    affine_solution_space,
     dot,
     identity_matrix,
     int_scale,
@@ -262,12 +263,20 @@ class PolyhedralRelation:
     Emptiness is checked lazily by the LP layer, never at construction.
     Affinely generated fibers are a property, not a part, of a relation:
     :func:`~reflekt.verify.check_affine_generators` tests claimed maps.
+
+    ``step`` is the step the body was written from, as ``(kind, data)``:
+    ``("reflection", spec)``, ``("map", f)`` for the graph of f, or
+    ``("box", k)`` for the lift x -> (x, u) with u in [0,1]^k.  The
+    checker of an exact chain whose every relation keeps one parametrises
+    Q from the steps (:class:`~reflekt.lp.ProjectionChecker`); a relation
+    built from a bare body has none.
     """
 
     n: int
     m: int
     body: HPolyhedron
     preimage: Optional[Callable] = None
+    step: Optional[tuple] = None
 
     def __post_init__(self):
         if self.body.dim != self.n + self.m:
@@ -286,7 +295,7 @@ def graph_relation(f: AffineMap) -> PolyhedralRelation:
     n, m = f.in_dim, f.out_dim
     eqs = [(tuple(-e for e in f.M[i]) + unit_vector(i, m, EXACT), f.t[i]) for i in range(m)]
     body = HPolyhedron.from_rows(n + m, (), eqs)
-    return PolyhedralRelation(n, m, body, preimage=_graph_preimage(f))
+    return PolyhedralRelation(n, m, body, preimage=_graph_preimage(f), step=("map", f))
 
 
 def deltas(rel: PolyhedralRelation):
@@ -303,6 +312,18 @@ def deltas(rel: PolyhedralRelation):
     x_block = tuple(row[: rel.n] for row in rel.body.C)
     y_block = tuple(row[rel.n :] for row in rel.body.C)
     return kernel_dim(y_block), kernel_dim(x_block)
+
+
+def _step_deltas(rel: PolyhedralRelation):
+    """:func:`deltas` as the relation's step fixes them, with no rank
+    computed: (1, 1) for a reflection, (k, 0) for a box lift of width k;
+    other relations are read off the body."""
+    kind, data = rel.step or (None, None)
+    if kind == "reflection":
+        return 1, 1
+    if kind == "box":
+        return data, 0
+    return deltas(rel)
 
 
 @dataclass(frozen=True)
@@ -331,7 +352,10 @@ class ExtendedFormulation:
 
     ``base`` and ``relations`` retain the construction provenance when
     available; they let membership queries assemble an explicit feasibility
-    witness before falling back to the LP.  ``block_dims`` is None once the
+    witness before falling back to the LP, and with :attr:`steps` they give
+    the checker its reduced system without eliminating Q's equations.
+    The cached checker is not an init field, so :func:`dataclasses.replace`
+    gives a copy without it.  ``block_dims`` is None once the
     block structure has been destroyed (after equation elimination), else
     nonnegative ``int``s summing to Q.dim; every projection row has Q.dim
     entries, and ``reduced_variable_bound`` is a nonnegative ``int``
@@ -345,7 +369,8 @@ class ExtendedFormulation:
     base: Optional[HPolyhedron] = None
     relations: Optional[tuple] = None
     label: str = ""
-    _checker: object = field(default=None, repr=False, compare=False)
+    _checker: object = field(default=None, init=False, repr=False, compare=False)
+    _chain: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound, dims, dim = self.reduced_variable_bound, self.block_dims, self.Q.dim
@@ -363,6 +388,104 @@ class ExtendedFormulation:
     @property
     def backend(self) -> str:
         return self.Q.backend
+
+    @property
+    def steps(self) -> Optional[tuple]:
+        """The relations' steps in chain order when :func:`compose_extension`
+        composed Q, its projection, base and relations (still these very
+        objects) from an exact chain whose every relation keeps a step, else
+        None.  With steps, the checker reads its reduced system from
+        :meth:`parametrised`; a formulation whose Q was replaced keeps its
+        relations but not its steps."""
+        chain = self._chain
+        current = (self.Q, self.projection, self.base, self.relations)
+        if chain is None or any(a is not b for a, b in zip(chain, current)):
+            return None
+        return chain[-1]
+
+    def parametrised(self):
+        """The reduced system written from :attr:`steps`, with no
+        elimination of Q's equations; None when the base's equations are
+        inconsistent.  :class:`~reflekt.lp.ProjectionChecker` reads it.
+
+        The current block is carried as x = s + T u over the columns u so
+        far, starting from the base's own solution space (no column for a
+        one-point base).  A reflection (a, beta) adds one column lambda, with
+        y = x + lambda*a and the rows -<a,a>lambda <= 0 and
+        2<a,Tu> + <a,a>lambda <= 2*beta - 2<a,s>; a map f gives y = f(x) and
+        no column; a box lift of width k adds k columns with their rows
+        u <= 1 and -u <= 0.  These are Q's inequality rows with z = s + T u
+        substituted, in Q's order.  Returns ``(E, A, b, M, t)``: E's row for
+        each column is the ``{coordinate of z: coefficient}`` form that reads
+        it off z (the base's free coordinate, <a, y - x>/<a,a>, or a box
+        coordinate), so E(s + Tu) = u; A u <= b are the rows and M u + t the
+        last block.
+        """
+        base = self.base
+        part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=EXACT)
+        if part is None:
+            return None
+        one, zero = Fraction(1), Fraction(0)
+        s, T, E, lhss, rhss = list(part), [{} for _ in part], [], [], []
+        for k, col in enumerate(basis):
+            for j, v in enumerate(col):
+                if v:
+                    T[j][k] = v
+                    free = j  # in reduced row echelon form, the last nonzero
+            E.append({free: one})
+
+        def substituted(pairs):  # <row, x> as ({column: coefficient}, <row, s>)
+            lhs, at_s = {}, zero
+            for j, c in pairs:
+                if c:
+                    at_s += c * s[j]
+                    for col, v in T[j].items():
+                        lhs[col] = lhs.get(col, zero) + c * v
+            return lhs, at_s
+
+        for row, rhs in zip(base.A, base.b):
+            lhs, at_s = substituted(enumerate(row))
+            lhss.append(lhs)
+            rhss.append(rhs - at_s)
+        offset = 0  # of the current block in z
+        for kind, data in self.steps:
+            out = offset + len(s)  # of the step's output block
+            if kind == "reflection":
+                a = [(j, Fraction(c)) for j, c in enumerate(data.a) if c]
+                aa, lam, read = sum(c * c for _, c in a), len(E), {}
+                lhs, at_s = substituted((j, 2 * c) for j, c in a)
+                lhs[lam] = aa
+                lhss += [{lam: -aa}, lhs]
+                rhss += [zero, 2 * data.beta - at_s]
+                for j, c in a:
+                    T[j][lam] = c
+                    read[offset + j], read[out + j] = -c / aa, c / aa
+                E.append(read)
+            elif kind == "map":
+                new_s, new_T = [], []
+                for row, t in zip(data.M, data.t):
+                    lhs, at_s = substituted(enumerate(row))
+                    new_s.append(at_s + t)
+                    new_T.append(lhs)
+                s, T = new_s, new_T
+            else:  # a box lift of width data
+                for _ in range(data):
+                    col = len(E)
+                    lhss += [{col: one}, {col: -one}]
+                    rhss += [one, zero]
+                    E.append({out + len(s): one})
+                    s.append(zero)
+                    T.append({col: one})
+            offset = out
+        zeros = [zero] * len(E)
+
+        def dense(lhs):
+            row = zeros[:]
+            for j, v in lhs.items():
+                row[j] = v
+            return tuple(row)
+
+        return E, tuple(map(dense, lhss)), tuple(rhss), tuple(map(dense, T)), tuple(s)
 
     @property
     def ledger(self) -> SizeLedger:
@@ -436,21 +559,25 @@ def compose_extension(
         sel.append(tuple(row))
     projection = AffineMap(tuple(sel), zero_vector(k_last, backend), backend)
 
-    delta_pairs = [deltas(r) for r in rels]
+    delta_pairs = [_step_deltas(r) for r in rels]
     bound = min(
         dims[0] + sum(d1 for d1, _ in delta_pairs),
         dims[-1] + sum(d2 for _, d2 in delta_pairs),
     )
-    return ExtendedFormulation(
+    ef = ExtendedFormulation(
         Q, projection, bound, tuple(dims), base=P, relations=rels, label=label
     )
+    if backend == EXACT and all(rel.step is not None for rel in rels):
+        ef._chain = (Q, projection, P, rels, tuple(rel.step for rel in rels))
+    return ef
 
 
 def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     """Equivalent formulation over the free variables of Q's equation system.
 
     Reads the reduced system of the formulation's cached
-    :func:`projection_checker`, which solves Cz = d once and substitutes
+    :func:`projection_checker`, which writes it from the chain's steps (one
+    column per reflection) or else solves Cz = d once and substitutes
     z = z0 + Nw into the inequalities and the projection.  The result's
     ledger reads the free-variable count as ``raw_variables``, the same
     inequality count and ``equations`` 0, and keeps the reduced-variable
@@ -478,13 +605,18 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     """A point of Q projecting to y, assembled from canonical preimages, or
     None.
 
-    The chain is walked from y back to the base block, and the assembled
-    point is returned only when Q contains it, which covers the base's rows
-    too, since P's rows are Q's first rows; any None preimage or violated
-    row gives None.  An exact chain is walked on integers and gives a
+    The chain is walked from y back to the base block; any None preimage
+    gives None.  An exact chain is walked on integers and gives a
     :class:`ScaledPoint` over the denominator of its base block, which every
     step keeps or multiplies (the preimage contract of
     :class:`PolyhedralRelation`); a float chain gives a tuple of floats.
+    The assembled point z is returned only when it is a certificate.  With
+    :attr:`ExtendedFormulation.steps` the checker reads its reduced point
+    u (one lambda per reflection, the box coordinates per lift) off z, and
+    A_red u <= b_red and M_red u + t_red = y must hold on integers
+    (:meth:`~reflekt.lp.ProjectionChecker.certifies`); otherwise Q must
+    contain z, which covers the base's rows too, since P's rows are Q's
+    first rows.
     """
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
@@ -504,6 +636,8 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
         z = ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
     else:
         z = tuple(e for blk in blocks for e in blk)
+    if ef.steps is not None:
+        return z if projection_checker(ef).certifies(z) else None
     return z if ef.Q.contains(z, tol) else None
 
 
@@ -512,11 +646,11 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
     Q together with projection(z) = y.
 
     When construction provenance is available, :func:`_witness_blocks` tries
-    a canonical-preimage witness first; it returns one only after Q contains
-    it, so a witness is a feasibility certificate and skips the LP.  ``tol``
-    is the witness step's comparison tolerance only.  Without a witness the
-    cached checker runs an exact phase 1, or a float one at the package's
-    pivot tolerance ``DEFAULT_TOL``, whatever ``tol`` is.
+    a canonical-preimage witness first; it returns only a certificate, so a
+    witness skips the LP.  ``tol`` is the witness step's comparison
+    tolerance only.  Without a witness the cached checker runs an exact
+    phase 1, or a float one at the package's pivot tolerance
+    ``DEFAULT_TOL``, whatever ``tol`` is.
     """
     if len(y) != ef.projection.out_dim:
         raise DimensionError("point dimension != projection output dimension")

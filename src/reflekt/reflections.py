@@ -44,6 +44,7 @@ from .numeric import (
     int_scale,
     leq,
     orthogonal_complement_basis,
+    to_scalar,
     unit_vector,
     vec_add,
     vec_scale,
@@ -186,27 +187,24 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     :func:`~reflekt.verify.check_affine_generators` callers build.  Uses n-1
     explicit difference equations from a complement basis rather than an
     auxiliary scalar variable, which keeps block sizes equal to n and makes
-    the two-inequalities-per-relation count literal.
+    the two-inequalities-per-relation count literal.  The relation keeps
+    ``spec`` as its step: its fiber is y = x + lambda*a, which the exact
+    checker writes as one column lambda with the rows -<a,a>lambda <= 0 and
+    2<a,x> + <a,a>lambda <= 2*beta.
     """
     n = spec.dim
-    a = spec.a
     backend = spec.backend
-    comp = orthogonal_complement_basis(a)
+    a = vector(spec.a, backend)  # the one coercion: every row below is built from it
     zero = Fraction(0) if backend == EXACT else 0.0
-    eqs = []
-    for brow in comp:
-        eqs.append((tuple(-e for e in brow) + tuple(brow), zero))
-    neg_a = tuple(-e for e in a)
-    ineqs = [
-        (tuple(a) + neg_a, zero),          # <a,x> <= <a,y>
-        (tuple(a) + tuple(a), 2 * spec.beta),  # <a,y> <= 2 beta - <a,x>
-    ]
-    body = HPolyhedron.from_rows(2 * n, ineqs, eqs, backend)
+    C = tuple(tuple(-e for e in brow) + brow for brow in orthogonal_complement_basis(a))
+    A = (a + tuple(-e for e in a), a + a)  # <a,x> <= <a,y>, <a,y> <= 2 beta - <a,x>
+    b = (zero, 2 * to_scalar(spec.beta, backend))
+    body = HPolyhedron(2 * n, A, b, C, (zero,) * len(C), backend)
 
     def preimage(y, tol=DEFAULT_TOL, _spec=spec):
         return canonical_preimage(_spec, y, tol)
 
-    return PolyhedralRelation(n, n, body, preimage=preimage)
+    return PolyhedralRelation(n, n, body, preimage=preimage, step=("reflection", spec))
 
 
 def sign_spec(k: int, n: int) -> ReflectionSpec:

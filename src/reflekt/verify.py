@@ -185,8 +185,9 @@ def verify_projection_equality(
     must satisfy ``tol >= 0`` (ValueError otherwise, NaN included); the
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
     A vertex passes (a) through a canonical-preimage witness, which
-    :func:`~reflekt.polyhedra._witness_blocks` returns only once Q contains
-    it (``witness_hits``), or else through an LP (``lp_fallbacks``);
+    :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
+    certificate (``witness_hits``), or else through an LP (``lp_fallbacks``);
+    the first witness seeds the objective LPs;
     ``lp_pivots`` counts the exact simplex pivots of the objective LPs, and
     ``phases`` holds the seconds of the vertex, objective and size checks.
     All objectives go to the checker in one call, so float ones are solved

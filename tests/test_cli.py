@@ -283,6 +283,22 @@ class TestDoctoredDocuments:
         assert captured.out == ""
         assert captured.err.count("is not a finite float") == 2
 
+    @pytest.mark.parametrize("recipe, params", [("a_permutahedron", {"n": 3}),
+                                                ("mgon", {"m": 8})])
+    def test_zero_denominator_is_a_numeric_error(self, tmp_path, capsys, recipe, params):
+        doc = ef_to_dict(build_recipe(recipe, params))
+        doc["ineqs"][0]["coeffs"][0] = "1/0"
+        assert run(["stats", "--ef", self.write(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric error: '1/0' has a zero denominator" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--base", "1/0,2,3"), ("--p", "1,0/0")])
+    def test_zero_denominator_flag_is_a_numeric_error(self, capsys, flag, value):
+        recipe = "a_permutahedron" if flag == "--base" else "completion_time"
+        assert run(["stats", "--recipe", recipe, "--n", "3", flag, value]) == 3
+        assert "has a zero denominator" in capsys.readouterr().err
+
     def test_zero_dimensional_projection_is_a_usage_error(self, capsys):
         argv = ["verify", "--recipe", "signing", "--n", "0", "--base", ",",
                 "--oracle", "signed", "--objectives", "3"]

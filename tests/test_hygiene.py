@@ -127,7 +127,7 @@ def test_import_cycle_is_found():
 
 def test_nothing_that_pivots_takes_a_tolerance():
     pivoting = (numeric.rref, numeric.rank, numeric.kernel_dim, numeric.affine_solution_space,
-                lp.solve_system, lp.solve, lp.feasible, lp.in_hull)
+                lp.solve_system, lp.solve, lp.in_hull)
     assert [f.__name__ for f in pivoting if "tol" in inspect.signature(f).parameters] == []
     assert [f.name for f in dataclasses.fields(ComparatorSeq)] == ["n", "comparators"]
     assert list(inspect.signature(numeric.orthogonal_complement_basis).parameters) == ["a"]
@@ -135,7 +135,7 @@ def test_nothing_that_pivots_takes_a_tolerance():
 
 def test_a_relation_is_its_body_and_preimage():
     fields = [f.name for f in dataclasses.fields(PolyhedralRelation)]
-    assert fields == ["n", "m", "body", "preimage"]
+    assert fields == ["n", "m", "body", "preimage", "step"]
 
 
 def test_exact_only_constructors_take_no_backend():

@@ -18,8 +18,8 @@ from reflekt.lp import (
     _float_optima,
     _FloatCore,
     _stage,
-    feasible,
     in_hull,
+    pinned,
     solve,
     solve_system,
 )
@@ -143,16 +143,24 @@ class TestDualityAudit:
                     assert dot(rows[i], res.point) == rhss[i]
 
 
+def pinned_feasible(Q, pins):
+    """Phase-1 feasibility of Q with coordinates pinned by (index, value) pairs."""
+    system = pinned(Q, pins)
+    res = solve_system(system.dim, list(zip(system.A, system.b)), list(zip(system.C, system.d)),
+                       (F(0),) * system.dim, backend=system.backend, feasibility_only=True)
+    return res.status == OPTIMAL
+
+
 class TestFeasible:
     def test_pin_inside(self):
-        assert feasible(box01(2), [(0, F(1, 2))])
+        assert pinned_feasible(box01(2), [(0, F(1, 2))])
 
     def test_pin_outside(self):
-        assert not feasible(box01(2), [(0, F(2))])
+        assert not pinned_feasible(box01(2), [(0, F(2))])
 
     def test_pin_index_range(self):
         with pytest.raises(IndexError):
-            feasible(box01(2), [(5, F(0))])
+            pinned_feasible(box01(2), [(5, F(0))])
 
 
 class TestPinnedProjection:
@@ -163,8 +171,8 @@ class TestPinnedProjection:
         ef = a_permutahedron_ef(HPolyhedron.point((F(1), F(2), F(3))), 3, batcher(3))
         last_block = range(ef.Q.dim - 3, ef.Q.dim)
         target = (F(3), F(2), F(1))
-        assert feasible(ef.Q, list(zip(last_block, target)))
-        assert not feasible(ef.Q, list(zip(last_block, (F(1), F(1), F(4)))))
+        assert pinned_feasible(ef.Q, list(zip(last_block, target)))
+        assert not pinned_feasible(ef.Q, list(zip(last_block, (F(1), F(1), F(4)))))
 
 
 class TestInHull:
@@ -814,12 +822,29 @@ class TestCondensedDictionary:
         ],
     )
     def test_benchmark_pivot_counts(self, recipe, params, oracle, args, pivots):
-        from reflekt.verify import verify_projection_equality
+        """Bland's path on both reduced systems of a built chain: the
+        parametrised one that certification takes (``direct``), and the
+        elimination of the same Q, loaded from JSON and seeded with the same
+        raw point (``pivots``)."""
+        from reflekt import serialize
+        from reflekt.verify import random_objectives, verify_projection_equality
 
+        direct = {"huffman_quadratic": 1181, "huffman_nlogn": 1078, "parity": 631,
+                  "a_permutahedron": 596, "b_permutahedron": 461}[recipe]
         ef = build_recipe(recipe, params)
-        report = verify_projection_equality(ef, getattr(oracles, oracle)(*args), 50, seed=7)
+        V = getattr(oracles, oracle)(*args)
+        report = verify_projection_equality(ef, V, 50, seed=7)
         assert report.passed and report.objective_max_deviation == 0
-        assert report.lp_pivots == pivots
+        assert report.witness_hits == len(V.points)
+        assert ef._checker.E is not None and report.lp_pivots == direct
+        # certification seeds from the first vertex's witness
+        checker = ProjectionChecker(serialize.ef_from_dict(serialize.ef_to_dict(ef)))
+        assert checker.E is None
+        assert checker.seed_from_raw(_witness_blocks(ef, V.points[0], 1e-9).fractions())
+        objectives = random_objectives(V.dim, 50, random.Random(7))
+        optima = checker.maximize_projected_all(objectives)
+        assert optima == ef._checker.maximize_projected_all(objectives)
+        assert checker.pivots == pivots
 
     def test_float_input_on_the_exact_backend(self):
         from reflekt import serialize

@@ -45,6 +45,12 @@ class TestScalars:
         with pytest.raises(BackendError, match="not a finite float"):
             to_scalar(value, FLOAT)
 
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("value", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_is_a_backend_error(self, value, backend):
+        with pytest.raises(BackendError, match="zero denominator"):
+            to_scalar(value, backend)
+
     def test_lowest_terms_after_arithmetic(self):
         x = F(2, 4) + F(3, 6)
         assert (x.numerator, x.denominator) == (1, 1)

@@ -40,6 +40,7 @@ from reflekt.constructions import (
 )
 from reflekt.reflections import reflection_relation, sign_spec
 from reflekt.oracles import permutation_orbit, sign_flip_orbit
+from reflekt.serialize import ef_from_dict, ef_to_dict
 
 
 def triangle_relation():
@@ -259,9 +260,14 @@ class TestEliminate:
         ],
     )
     def test_checker_and_elimination_share_the_reduction(self, name, params):
+        # the elimination path: the float m-gon chain as built, an exact
+        # chain loaded from JSON (no steps)
         ef = build_recipe(name, params)
+        if ef.backend != FLOAT:
+            ef = ef_from_dict(ef_to_dict(ef))
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
+        assert checker.E is None
         assert checker.n_free == red.Q.dim == red.ledger.raw_variables
         assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
         assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
@@ -273,6 +279,32 @@ class TestEliminate:
         assert red.Q.b == tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b))
         assert red.projection.M == tuple(tuple(dot(row, col) for col in basis) for row in M)
         assert red.projection.t == vec_add(mat_vec(M, part), ef.projection.t)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("a_permutahedron", {"n": 4}), ("huffman_quadratic", {"n": 4}), ("parity", {"n": 5}),
+         ("completion_time", {"p": [1, 2, 3]})],
+    )
+    def test_parametrised_chain_is_q_on_its_equations(self, name, params):
+        # the direct path: on every point z of Q's equations, with u = Ez,
+        # Q's rows and projection are the reduced ones, A z - b =
+        # A_red u - b_red and Mz + t = M_red u + t_red; the identity is
+        # affine in z, so the particular point and one step along each
+        # null-space direction cover it
+        ef = build_recipe(name, params)
+        red = eliminate_equations(ef)
+        checker = projection_checker(ef)
+        assert checker.E is not None and checker.z_part is None
+        assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
+        assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
+        Q, proj = ef.Q, ef.projection
+        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
+        assert checker.n_free == len(basis) == red.ledger.raw_variables
+        for z in [part] + [vec_add(part, col) for col in basis]:
+            u = checker.reduced_point(z)
+            assert [dot(row, z) - rhs for row, rhs in zip(Q.A, Q.b)] == [
+                dot(row, u) - rhs for row, rhs in zip(checker.A_red, checker.b_red)]
+            assert proj.apply(z) == vec_add(mat_vec(checker.M_red, u), checker.t_red)
 
     def test_reads_the_cached_checker(self, monkeypatch):
         ef = build_recipe("huffman_quadratic", {"n": 4})

@@ -91,6 +91,19 @@ class TestProjectionEquality:
         assert rep.objective_max_deviation > 0
         assert not rep.passed
 
+    def test_replaced_q_gets_its_own_checker(self):
+        # a copy made after certification neither shares the cached checker
+        # nor parametrises the loosened Q from the original chain's steps
+        ef = perm3_ef()
+        V = permutation_orbit((1, 2, 3))
+        assert verify_projection_equality(ef, V, 20, seed=7).passed
+        Q = ef.Q
+        loose = replace(ef, Q=HPolyhedron(Q.dim, Q.A, Q.b[:-1] + (Q.b[-1] + 1,), Q.C, Q.d))
+        assert loose._checker is None and loose.steps is None and ef.steps is not None
+        rep = verify_projection_equality(loose, V, 20, seed=7)
+        assert rep.objective_passed < rep.objective_total
+        assert loose._checker is not ef._checker and loose._checker.E is None
+
     def test_mgon_float_mode(self):
         rep = verify_projection_equality(mgon_ef(4), mgon_orbit(4), 25, seed=1, tol=1e-6)
         assert rep.passed
