@@ -18,9 +18,11 @@ rather than split into inequality pairs.  Both backends stage their tableau
 in one function.
 
 :class:`ProjectionChecker` does each query's objective-independent work
-once per formulation, and caches nothing else.  Its reduced system has one
-column per reflection of an exact built chain, written from the chain's
-steps; any other formulation has Q's equations eliminated.  Exact queries
+once per formulation, and caches nothing else.  Its reduced system comes
+from one writer, :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`:
+one column per reflection of an exact built chain, written from the
+chain's steps, or one per free coordinate of Q's equations for any other
+formulation, which is parametrised as its own base.  Exact queries
 use a vertex-start dictionary: from a feasible point (a registered seed, else one
 exact solve) every free variable is pivoted into the basis and only the
 slack rows are kept, with one integer projection row per output coordinate
@@ -470,27 +472,18 @@ def _int_row(row, rhs):
 class ProjectionChecker:
     """Per-formulation LP helper over the reduced system A_red w <= b_red.
 
-    The constructor writes the reduced system once, read from the cached
-    checker by :func:`~reflekt.polyhedra.eliminate_equations` and
-    :func:`~reflekt.verify.actual_sizes`, in one of two ways chosen from
-    the input:
-
-    * an exact formulation with
-      :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` (every chain the
-      package builds but the float m-gon / dihedral one) is parametrised
-      from its steps by its
-      :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`, one
-      column per reflection, and ``E`` reads a point of Q's equations back
-      as w;
-    * any other (float, loaded from JSON, or with a relation without a
-      step) has Cz = d solved as z = z_part + N w (N's columns in
-      ``N_cols``) and substituted into Q's inequality rows, in order, and
-      into the projection, over each row's nonzeros in coordinate order, so
-      float results are the bits of dense dot products.
-
-    Either way A_red w <= b_red are Q's inequality rows and M_red w + t_red
-    its projection.  An inconsistent system leaves ``consistent`` False and
-    its error in ``inconsistency``.
+    The constructor reads the reduced system once from its one writer,
+    :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`: one column
+    per reflection for a formulation with
+    :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` (every chain the
+    package builds but the float m-gon / dihedral one), else one per free
+    coordinate of Q's equations.  :func:`~reflekt.polyhedra.eliminate_equations`
+    and :func:`~reflekt.verify.actual_sizes` read it from the cached checker.
+    A_red w <= b_red are Q's inequality rows and M_red w + t_red its
+    projection.  On exact data ``E`` reads a point of Q's equations back as
+    w; a float seed solves N w = z - z_part, with z_part + N w (N's columns
+    in ``N_cols``) the points of Q's equations.  An inconsistent system
+    leaves ``consistent`` False and its error in ``inconsistency``.
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
@@ -500,57 +493,32 @@ class ProjectionChecker:
     adds them as artificial equations and runs one phase 1.  The float
     objectives of one :meth:`maximize_projected_all` call share one phase 1
     and are solved as one pivot tree (:func:`_float_optima`); float
-    membership queries take one two-phase solve each.  Float elimination
-    and pivots run at ``DEFAULT_TOL``; a checker takes no tolerance.
+    membership queries take one two-phase solve each.  Float equation
+    solves and pivots run at ``DEFAULT_TOL``; a checker takes no tolerance.
     """
 
     def __init__(self, ef):
-        Q = ef.Q
-        self.backend = Q.backend
+        self.backend = ef.backend
+        self.raw_dim = ef.Q.dim
         self.w_feas = None
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
         self._ints = None
         self.E = self.z_part = self.N_cols = None
-        self.consistent = True
+        system = ef.parametrised()
+        self.consistent = system is not None
         self.inconsistency = None
-        if ef.steps is not None:
-            system = ef.parametrised()
-            if system is not None:
-                self.E, self.A_red, self.b_red, self.M_red, self.t_red = system
-                self.n_free = len(self.E)
-                return
-        else:
-            part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
-            if part is not None:
-                self._substitute(ef, part, basis)
-                return
-        self.consistent = False
-        self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
-
-    def _substitute(self, ef, part, basis):
-        """The reduced system of Q's equations solved as z = part + N w."""
-        Q = ef.Q
-        zero = Fraction(0) if Q.backend == EXACT else 0.0
-
-        def times_basis(row):
-            return tuple(sum((c * col[j] for j, c in row), zero) for col in basis)
-
-        def at_part(row):
-            return sum((c * part[j] for j, c in row), zero)
-
-        ineq, _ = Q._sparse_system()
-        proj = [tuple((j, c) for j, c in enumerate(row) if c != 0) for row in ef.projection.M]
-        self.n_free, self.z_part, self.N_cols = len(basis), part, basis
-        self.A_red = tuple(times_basis(row) for row, _ in ineq)
-        self.b_red = tuple(rhs - at_part(row) for row, rhs in ineq)
-        self.M_red = tuple(times_basis(row) for row in proj)
-        self.t_red = tuple(at_part(row) + t for row, t in zip(proj, ef.projection.t))
+        if system is None:
+            self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
+            return
+        self.E, self.A_red, self.b_red, self.M_red, self.t_red, self.z_part, self.N_cols = system
+        # float data has no steps, so its columns are those of Q's equations
+        self.n_free = len(self.N_cols if self.E is None else self.E)
 
     def reduced_point(self, z):
         """Ez, the reduced point that a point z of Q's equations stands for,
-        as Fractions; needs ``E``, so a parametrised checker."""
+        as Fractions; exact only."""
         if not isinstance(z, ScaledPoint):
             z = ScaledPoint.of(vector(z, EXACT))
         U, den = self._reduced(z)
@@ -558,7 +526,11 @@ class ProjectionChecker:
 
     def _reduced(self, z):
         """``(U, den)`` with Ez = U/den for a :class:`ScaledPoint` z, on the
-        integer rows of E, A_red and M_red, scaled once."""
+        integer rows of E, A_red and M_red, scaled once.  A z whose length
+        is not Q's dimension raises DimensionError."""
+        Z, D = z
+        if len(Z) != self.raw_dim:
+            raise DimensionError(f"{len(Z)} coordinates for a point of Q in R^{self.raw_dim}")
         if self._ints is None:
             flat, L = int_scale(c for row in self.E for c in row.values())
             it = iter(flat)
@@ -567,14 +539,17 @@ class ProjectionChecker:
                     for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
             self._ints = E, L, A, M
         E, L, _, _ = self._ints
-        Z, D = z
         return [sum(c * Z[j] for j, c in row) for row in E], L * D
 
     def certifies(self, z) -> bool:
-        """Whether the :class:`ScaledPoint` z, whose last block is y, proves y
-        feasible on a parametrised checker: u = Ez must satisfy
-        A_red u <= b_red and M_red u + t_red = y, both tested on integers.  A
-        walk that ends off the base fails the second test."""
+        """Whether the exact :class:`ScaledPoint` z, whose last block is y,
+        proves y feasible: u = Ez must satisfy A_red u <= b_red and
+        M_red u + t_red = y, both tested on integers.  Then the point of Q's
+        equations that u stands for lies in Q and projects to y, whether or
+        not z itself lies on Q's equations; a walk that ends off the base
+        fails the second test.  An inconsistent checker certifies nothing."""
+        if not self.consistent:
+            return False
         U, den = self._reduced(z)  # u = U / den
         _, L, A, M = self._ints
         if any(sum(c * U[j] for j, c in row) > rhs * den for row, rhs, _ in A):
@@ -625,10 +600,11 @@ class ProjectionChecker:
         """Register the reduced point w_feas of a raw point of Q, with the
         shifted right-hand sides b_shift = b_red - A_red w_feas; objective
         solves then start from it and skip phase 1 entirely when
-        b_shift >= 0 (:meth:`_factor` solves for a start otherwise).  A
-        parametrised checker reads w_feas off z_raw as :meth:`reduced_point`;
-        an eliminated one solves N w = z_raw - z_part, and returns False when
-        z_raw is off Q's equations."""
+        b_shift >= 0 (:meth:`_factor` solves for a start otherwise).  An
+        exact seed, a :class:`ScaledPoint` or a tuple, is read as
+        :meth:`reduced_point` (a start only when it satisfies
+        A_red w <= b_red); a float one solves N w = z_raw - z_part, and
+        returns False when z_raw is off Q's equations."""
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
         if self.E is not None:

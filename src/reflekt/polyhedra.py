@@ -39,6 +39,7 @@ from .numeric import (
     mat_vec,
     matrix,
     scalars_eq,
+    to_scalar,
     unit_vector,
     vec_add,
     vector,
@@ -353,7 +354,7 @@ class ExtendedFormulation:
     ``base`` and ``relations`` retain the construction provenance when
     available; they let membership queries assemble an explicit feasibility
     witness before falling back to the LP, and with :attr:`steps` they give
-    the checker its reduced system without eliminating Q's equations.
+    :meth:`parametrised` one column per reflection.
     The cached checker is not an init field, so :func:`dataclasses.replace`
     gives a copy without it.  ``block_dims`` is None once the
     block structure has been destroyed (after equation elimination), else
@@ -394,9 +395,9 @@ class ExtendedFormulation:
         """The relations' steps in chain order when :func:`compose_extension`
         composed Q, its projection, base and relations (still these very
         objects) from an exact chain whose every relation keeps a step, else
-        None.  With steps, the checker reads its reduced system from
-        :meth:`parametrised`; a formulation whose Q was replaced keeps its
-        relations but not its steps."""
+        None.  They pick the input of :meth:`parametrised`: the base and
+        these steps, or else Q itself under its projection.  A formulation
+        whose Q was replaced keeps its relations but not its steps."""
         chain = self._chain
         current = (self.Q, self.projection, self.base, self.relations)
         if chain is None or any(a is not b for a, b in zip(chain, current)):
@@ -404,9 +405,10 @@ class ExtendedFormulation:
         return chain[-1]
 
     def parametrised(self):
-        """The reduced system written from :attr:`steps`, with no
-        elimination of Q's equations; None when the base's equations are
-        inconsistent.  :class:`~reflekt.lp.ProjectionChecker` reads it.
+        """The reduced system, written here only, or None when the base's
+        equations are inconsistent.  With :attr:`steps` the input is the
+        chain's base and steps; without, Q itself is the base and its
+        projection one graph step.
 
         The current block is carried as x = s + T u over the columns u so
         far, starting from the base's own solution space (no column for a
@@ -415,23 +417,30 @@ class ExtendedFormulation:
         2<a,Tu> + <a,a>lambda <= 2*beta - 2<a,s>; a map f gives y = f(x) and
         no column; a box lift of width k adds k columns with their rows
         u <= 1 and -u <= 0.  These are Q's inequality rows with z = s + T u
-        substituted, in Q's order.  Returns ``(E, A, b, M, t)``: E's row for
-        each column is the ``{coordinate of z: coefficient}`` form that reads
-        it off z (the base's free coordinate, <a, y - x>/<a,a>, or a box
-        coordinate), so E(s + Tu) = u; A u <= b are the rows and M u + t the
-        last block.
+        substituted, in Q's order and over each row's nonzeros in coordinate
+        order, so float results are the bits of dense dot products.  Returns
+        ``(E, A, b, M, t, part, basis)``: A u <= b are the rows, M u + t the
+        last block and part + N w (N's columns in ``basis``) the points of
+        the base's equations.  E's row for each column is the
+        ``{coordinate of z: coefficient}`` form that reads it off z (the
+        base's free coordinate, <a, y - x>/<a,a>, or a box coordinate), so
+        E(s + Tu) = u.  E is None on float data, where reduced row echelon
+        form can leave a tiny entry past a free coordinate, which is
+        otherwise the last nonzero of its basis column.
         """
-        base = self.base
-        part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=EXACT)
+        steps = self.steps
+        base, steps = (self.Q, (("map", self.projection),)) if steps is None else (self.base, steps)
+        backend = base.backend
+        part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=backend)
         if part is None:
             return None
-        one, zero = Fraction(1), Fraction(0)
+        one, zero = to_scalar(1, backend), to_scalar(0, backend)
         s, T, E, lhss, rhss = list(part), [{} for _ in part], [], [], []
         for k, col in enumerate(basis):
             for j, v in enumerate(col):
                 if v:
                     T[j][k] = v
-                    free = j  # in reduced row echelon form, the last nonzero
+                    free = j  # in exact reduced row echelon form, the last nonzero
             E.append({free: one})
 
         def substituted(pairs):  # <row, x> as ({column: coefficient}, <row, s>)
@@ -448,10 +457,10 @@ class ExtendedFormulation:
             lhss.append(lhs)
             rhss.append(rhs - at_s)
         offset = 0  # of the current block in z
-        for kind, data in self.steps:
+        for kind, data in steps:
             out = offset + len(s)  # of the step's output block
             if kind == "reflection":
-                a = [(j, Fraction(c)) for j, c in enumerate(data.a) if c]
+                a = [(j, c) for j, c in enumerate(data.a) if c]
                 aa, lam, read = sum(c * c for _, c in a), len(E), {}
                 lhs, at_s = substituted((j, 2 * c) for j, c in a)
                 lhs[lam] = aa
@@ -485,7 +494,8 @@ class ExtendedFormulation:
                 row[j] = v
             return tuple(row)
 
-        return E, tuple(map(dense, lhss)), tuple(rhss), tuple(map(dense, T)), tuple(s)
+        return (E if backend == EXACT else None, tuple(map(dense, lhss)), tuple(rhss),
+                tuple(map(dense, T)), tuple(s), part, basis)
 
     @property
     def ledger(self) -> SizeLedger:
@@ -576,9 +586,9 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     """Equivalent formulation over the free variables of Q's equation system.
 
     Reads the reduced system of the formulation's cached
-    :func:`projection_checker`, which writes it from the chain's steps (one
-    column per reflection) or else solves Cz = d once and substitutes
-    z = z0 + Nw into the inequalities and the projection.  The result's
+    :func:`projection_checker`, which takes it from
+    :meth:`ExtendedFormulation.parametrised`: one column per reflection of a
+    chain with steps, or else one per free coordinate of Cz = d.  The result's
     ledger reads the free-variable count as ``raw_variables``, the same
     inequality count and ``equations`` 0, and keeps the reduced-variable
     bound.  Raises :class:`~reflekt.numeric.EmptyPolyhedronError` when the
@@ -610,13 +620,14 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     :class:`ScaledPoint` over the denominator of its base block, which every
     step keeps or multiplies (the preimage contract of
     :class:`PolyhedralRelation`); a float chain gives a tuple of floats.
-    The assembled point z is returned only when it is a certificate.  With
-    :attr:`ExtendedFormulation.steps` the checker reads its reduced point
-    u (one lambda per reflection, the box coordinates per lift) off z, and
-    A_red u <= b_red and M_red u + t_red = y must hold on integers
-    (:meth:`~reflekt.lp.ProjectionChecker.certifies`); otherwise Q must
-    contain z, which covers the base's rows too, since P's rows are Q's
-    first rows.
+    The assembled point z is returned only when it is a certificate.  On
+    exact data the checker reads its reduced point u off z (one lambda per
+    reflection and the box coordinates per lift, or Q's free coordinates
+    for a formulation without steps), and A_red u <= b_red and
+    M_red u + t_red = y must hold on integers
+    (:meth:`~reflekt.lp.ProjectionChecker.certifies`); on float data Q must
+    contain z within ``tol``.  Either test raises DimensionError for a z
+    whose length is not Q's dimension.
     """
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
@@ -634,10 +645,8 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     if exact:
         den = blocks[0].den
         z = ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
-    else:
-        z = tuple(e for blk in blocks for e in blk)
-    if ef.steps is not None:
         return z if projection_checker(ef).certifies(z) else None
+    z = tuple(e for blk in blocks for e in blk)
     return z if ef.Q.contains(z, tol) else None
 
 
@@ -646,8 +655,9 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
     Q together with projection(z) = y.
 
     When construction provenance is available, :func:`_witness_blocks` tries
-    a canonical-preimage witness first; it returns only a certificate, so a
-    witness skips the LP.  ``tol`` is the witness step's comparison
+    a canonical-preimage witness first; it returns only a certificate (an
+    exact one tested on the checker's reduced system, a float one on Q), so
+    a witness skips the LP.  ``tol`` is the witness step's comparison
     tolerance only.  Without a witness the cached checker runs an exact
     phase 1, or a float one at the package's pivot tolerance
     ``DEFAULT_TOL``, whatever ``tol`` is.

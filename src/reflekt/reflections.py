@@ -56,7 +56,10 @@ from .polyhedra import AffineMap, HPolyhedron, PolyhedralRelation
 @dataclass(frozen=True)
 class ReflectionSpec:
     """Normal/offset pair (a, beta); positive rescaling defines the same
-    relation, so no normalization is ever applied."""
+    relation, so no normalization is ever applied.  Both enter ``backend``
+    through :func:`~reflekt.numeric.to_scalar` (a float in an exact spec
+    raises :class:`~reflekt.numeric.BackendError`), and a zero normal
+    raises ValueError."""
 
     a: tuple
     beta: object
@@ -64,8 +67,11 @@ class ReflectionSpec:
     _int: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if all(e == 0 for e in self.a):
+        a = tuple(to_scalar(e, self.backend) for e in self.a)
+        if all(e == 0 for e in a):
             raise ValueError("reflection normal must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "beta", to_scalar(self.beta, self.backend))
 
     def int_form(self):
         """``(nonzeros, beta, aa)``: (a, beta) scaled to integers by the
@@ -194,11 +200,11 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     """
     n = spec.dim
     backend = spec.backend
-    a = vector(spec.a, backend)  # the one coercion: every row below is built from it
+    a = spec.a
     zero = Fraction(0) if backend == EXACT else 0.0
     C = tuple(tuple(-e for e in brow) + brow for brow in orthogonal_complement_basis(a))
     A = (a + tuple(-e for e in a), a + a)  # <a,x> <= <a,y>, <a,y> <= 2 beta - <a,x>
-    b = (zero, 2 * to_scalar(spec.beta, backend))
+    b = (zero, 2 * spec.beta)
     body = HPolyhedron(2 * n, A, b, C, (zero,) * len(C), backend)
 
     def preimage(y, tol=DEFAULT_TOL, _spec=spec):

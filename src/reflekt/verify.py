@@ -26,7 +26,6 @@ from .numeric import (
     EXACT,
     FLOAT,
     DimensionError,
-    ScaledPoint,
     int_scale,
     scalar_to_json,
     scalars_eq,
@@ -222,8 +221,7 @@ def verify_projection_equality(
             report.vertex_passed += 1
             report.witness_hits += 1
             if checker.w_feas is None:
-                raw = z.fractions() if isinstance(z, ScaledPoint) else z
-                checker.seed_from_raw(raw)
+                checker.seed_from_raw(z)
         else:
             report.lp_fallbacks += 1
             if checker.feasible(v):

@@ -1,9 +1,10 @@
 """The reduced system an exact chain's checker writes from its steps, one
-column per reflection, against the elimination of the same Q's equations.
+column per reflection, against the same Q parametrised as its own base.
 
 Everything here is exact: no float enters and no tolerance is read."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,10 +12,21 @@ import pytest
 from reflekt import oracles
 from reflekt.constructions import RECIPES, _box_lift_relation, build_recipe
 from reflekt.lp import ProjectionChecker
-from reflekt.numeric import ScaledPoint, dot, mat_vec, unit_vector, vec_add, vec_scale
+from reflekt.numeric import (
+    DimensionError,
+    ScaledPoint,
+    affine_solution_space,
+    dot,
+    mat_vec,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from reflekt.polyhedra import (
     AffineMap,
     HPolyhedron,
+    PolyhedralRelation,
     _witness_blocks,
     _step_deltas,
     compose_extension,
@@ -45,21 +57,88 @@ def test_built_chain_matches_the_elimination_of_its_q(name, params, oracle, args
     built = build_recipe(name, params)
     loaded = ef_from_dict(ef_to_dict(built))  # the same Q, without steps
     direct, eliminated = projection_checker(built), projection_checker(loaded)
-    assert direct.E is not None and eliminated.E is None
+    assert built.steps is not None and loaded.steps is None
     assert direct.n_free == eliminated.n_free
     V = getattr(oracles, oracle)(*args)
     objectives = random_objectives(V.dim, 20, random.Random(16))
     for sense in ("max", "min"):
         optima = direct.maximize_projected_all(objectives, sense)
         assert optima == eliminated.maximize_projected_all(objectives, sense)
-    # every vertex, and each vertex moved half a unit along one axis
-    points = list(V.points)
-    points += [vec_add(v, vec_scale(F(1, 2), unit_vector(i % V.dim, V.dim, "exact")))
-               for i, v in enumerate(V.points)]
+    points = _moved(V)
     verdicts = [point_in_projection(built, y) for y in points]
     assert verdicts == [point_in_projection(loaded, y) for y in points]
     assert verdicts == [direct.feasible(y) for y in points]
     assert all(verdicts[: len(V.points)])
+
+
+def _moved(V):
+    """Every vertex, then each vertex moved half a unit along one axis."""
+    return list(V.points) + [vec_add(v, vec_scale(F(1, 2), unit_vector(i % V.dim, V.dim, "exact")))
+                             for i, v in enumerate(V.points)]
+
+
+@pytest.mark.parametrize("name, params, oracle, args", EXACT_RECIPES,
+                         ids=[r[0] for r in EXACT_RECIPES])
+def test_a_loaded_chain_reads_each_witness_as_its_elimination_solves_it(
+        name, params, oracle, args):
+    # E on Q's free coordinates against N w = z - part, solved as the
+    # checker of a loaded document once did
+    built = build_recipe(name, params)
+    loaded = ef_from_dict(ef_to_dict(built))
+    checker = projection_checker(loaded)
+    Q = loaded.Q
+    part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend="exact")
+    N = tuple(zip(*basis))
+    for v in getattr(oracles, oracle)(*args).points:
+        z = _witness_blocks(built, v, 0)
+        w, _ = affine_solution_space(N, vec_sub(z.fractions(), part), dim=len(basis),
+                                     backend="exact")
+        assert checker.reduced_point(z) == w
+        assert checker.certifies(z)
+
+
+def test_a_bare_relation_chain_certifies_as_the_lp_decides():
+    built = build_recipe("a_permutahedron", {"n": 4})
+    bare = compose_extension(
+        built.base, [PolyhedralRelation(r.n, r.m, r.body, r.preimage) for r in built.relations])
+    assert bare.steps is None
+    checker = projection_checker(bare)
+    points = _moved(oracles.permutation_orbit((1, 2, 3, 4)))
+    verdicts = [checker.feasible(y) for y in points]
+    assert verdicts == [checker.certifies(_walk(bare, y)) for y in points]
+    assert verdicts == [_witness_blocks(bare, y, 0) is not None for y in points]
+    assert verdicts.count(True) == 24
+
+
+def test_a_copy_with_a_new_projection_takes_no_witness_for_the_old_one():
+    # the walk still ends at y, so only the reduced projection rows show
+    # that the doubled projection of z is 2y, not y
+    ef = build_recipe("a_permutahedron", {"n": 3})
+    P = ef.projection
+    doubled = replace(ef, projection=AffineMap(tuple(tuple(2 * e for e in r) for r in P.M), P.t))
+    assert doubled.steps is None
+    y = (F(1), F(2), F(3))
+    assert _witness_blocks(doubled, y, 0) is None
+    assert not point_in_projection(doubled, y)
+    assert point_in_projection(doubled, (F(2), F(4), F(6)))
+
+
+def test_a_witness_of_the_wrong_length_raises():
+    ef = build_recipe("a_permutahedron", {"n": 3})
+    dim = ef.Q.dim
+    for checker in (projection_checker(ef), projection_checker(ef_from_dict(ef_to_dict(ef)))):
+        for k in (dim - 1, dim + 1):
+            with pytest.raises(DimensionError):
+                checker.certifies(ScaledPoint((1,) * k, 1))
+    # a copy whose Q has one coordinate more than the chain's blocks
+    Q, proj, zero = ef.Q, ef.projection, F(0)
+    wide = replace(
+        ef, Q=HPolyhedron(dim + 1, tuple(r + (zero,) for r in Q.A), Q.b,
+                          tuple(r + (zero,) for r in Q.C), Q.d),
+        projection=AffineMap(tuple(r + (zero,) for r in proj.M), proj.t),
+        block_dims=ef.block_dims[:-1] + (ef.block_dims[-1] + 1,))
+    with pytest.raises(DimensionError):
+        point_in_projection(wide, (F(1), F(2), F(3)))
 
 
 def _rows(ef, u, z):

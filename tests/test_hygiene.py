@@ -146,3 +146,43 @@ def test_exact_only_constructors_take_no_backend():
                   constructions._affine_unit_remap)
     takes_backend = [f.__name__ for f in exact_only if "backend" in inspect.signature(f).parameters]
     assert takes_backend == []
+
+
+def callers(tree, name):
+    """``Class.function`` (or ``function``) for each call of ``name``, in
+    source order."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(tree, [])
+    return found
+
+
+def test_one_writer_solves_the_equations():
+    # the reduced system is written once, by parametrised; only the float
+    # seed solves against the solution space it returns
+    calls = {p.stem: callers(ast.parse(p.read_text(), str(p)), "affine_solution_space")
+             for p in MODULES}
+    assert {stem: found for stem, found in calls.items() if found} == {
+        "polyhedra": ["ExtendedFormulation.parametrised"],
+        "lp": ["ProjectionChecker.seed_from_raw"],
+    }
+
+
+def test_callers_are_found():
+    source = (
+        "def f():\n    g()\n"
+        "class C:\n    def m(self):\n        return [numeric.g(x) for x in h()]\n"
+        "g()\n"
+    )
+    assert callers(ast.parse(source), "g") == ["f", "C.m", ""]

@@ -838,8 +838,9 @@ class TestCondensedDictionary:
         assert report.witness_hits == len(V.points)
         assert ef._checker.E is not None and report.lp_pivots == direct
         # certification seeds from the first vertex's witness
-        checker = ProjectionChecker(serialize.ef_from_dict(serialize.ef_to_dict(ef)))
-        assert checker.E is None
+        loaded = serialize.ef_from_dict(serialize.ef_to_dict(ef))
+        assert loaded.steps is None
+        checker = ProjectionChecker(loaded)
         assert checker.seed_from_raw(_witness_blocks(ef, V.points[0], 1e-9).fractions())
         objectives = random_objectives(V.dim, 50, random.Random(7))
         optima = checker.maximize_projected_all(objectives)

@@ -241,6 +241,7 @@ class TestEliminate:
         checker = projection_checker(ef)
         assert not checker.consistent
         assert not checker.feasible((F(0),))
+        assert not point_in_projection(ef, (F(0),))  # its walk is no witness
 
     def test_checker_rejects_points_of_the_wrong_length(self):
         checker = projection_checker(build_recipe("a_permutahedron", {"n": 3}))
@@ -257,17 +258,20 @@ class TestEliminate:
             ("huffman_quadratic", {"n": 4}),
             ("parity", {"n": 5}),
             ("mgon", {"m": 8}),
+            ("mgon", {"m": 3}),
+            ("mgon", {"m": 17}),
+            ("mgon", {"m": 64}),
         ],
     )
     def test_checker_and_elimination_share_the_reduction(self, name, params):
-        # the elimination path: the float m-gon chain as built, an exact
-        # chain loaded from JSON (no steps)
+        # Q parametrised as its own base: the float m-gon chain as built, an
+        # exact chain loaded from JSON (no steps); repr tells -0.0 from 0.0
         ef = build_recipe(name, params)
         if ef.backend != FLOAT:
             ef = ef_from_dict(ef_to_dict(ef))
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
-        assert checker.E is None
+        assert ef.steps is None
         assert checker.n_free == red.Q.dim == red.ledger.raw_variables
         assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
         assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
@@ -275,10 +279,11 @@ class TestEliminate:
         Q, M = ef.Q, ef.projection.M
         part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
         assert (checker.z_part, checker.N_cols) == (part, basis)
-        assert red.Q.A == tuple(tuple(dot(row, col) for col in basis) for row in Q.A)
-        assert red.Q.b == tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b))
-        assert red.projection.M == tuple(tuple(dot(row, col) for col in basis) for row in M)
-        assert red.projection.t == vec_add(mat_vec(M, part), ef.projection.t)
+        dense = (tuple(tuple(dot(row, col) for col in basis) for row in Q.A),
+                 tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b)),
+                 tuple(tuple(dot(row, col) for col in basis) for row in M),
+                 vec_add(mat_vec(M, part), ef.projection.t))
+        assert repr((red.Q.A, red.Q.b, red.projection.M, red.projection.t)) == repr(dense)
 
     @pytest.mark.parametrize(
         "name, params",
@@ -294,7 +299,7 @@ class TestEliminate:
         ef = build_recipe(name, params)
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
-        assert checker.E is not None and checker.z_part is None
+        assert ef.steps is not None
         assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
         assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
         Q, proj = ef.Q, ef.projection

@@ -6,8 +6,9 @@ import pytest
 
 from reflekt.lp import LPProblem, OPTIMAL, pinned, solve, solve_system
 from reflekt.networks import batcher
-from reflekt.numeric import dot
-from reflekt.polyhedra import deltas
+from reflekt.numeric import BackendError, dot
+from reflekt.oracles import VertexSet
+from reflekt.polyhedra import HPolyhedron, compose_extension, deltas
 from reflekt.reflections import (
     ReflectionSpec,
     abs_vec,
@@ -16,6 +17,7 @@ from reflekt.reflections import (
     dn_canonical,
     even_sign_pair_specs,
     reflect_point,
+    reflection_map,
     reflection_relation,
     sign_spec,
     sort_vec,
@@ -27,6 +29,7 @@ from reflekt.constructions import (
     sign_chain_specs,
     transposition_chain_specs,
 )
+from reflekt.verify import verify_projection_equality
 
 
 def pinned_feasible(Q, pins):
@@ -46,6 +49,40 @@ def rand_spec(rng, n):
 
 def rand_point(rng, n):
     return tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+
+
+class TestSpecInput:
+    def test_exact_spec_coerces_its_input(self):
+        spec = ReflectionSpec((1, -1), "1/2")
+        assert (spec.a, spec.beta) == ((F(1), F(-1)), F(1, 2))
+        assert all(type(e) is F for e in spec.a + (spec.beta,))
+        assert reflect_point(spec, (F(1), F(0))) == (F(1, 2), F(1, 2))
+        assert canonical_preimage(spec, (F(1), F(0))) == (F(1, 2), F(1, 2))
+        f = reflection_map(spec)
+        assert f.M == ((0, 1), (1, 0)) and f.t == (F(1, 2), F(-1, 2))
+        assert all(type(e) is F for row in f.M + (f.t,) for e in row)
+        # the segment from (0, 1) to its mirror image (3/2, -1/2)
+        ef = compose_extension(HPolyhedron.point((0, 1)), [reflection_relation(spec)])
+        V = VertexSet(2, ((F(0), F(1)), (F(3, 2), F(-1, 2))), "segment")
+        report = verify_projection_equality(ef, V, 10, seed=7)
+        assert report.passed and report.witness_hits == 2
+
+    def test_float_entry_of_an_exact_spec_raises_backend_error(self):
+        with pytest.raises(BackendError):
+            ReflectionSpec((0.5, 1), 0)
+        with pytest.raises(BackendError):
+            ReflectionSpec((1, 1), 0.5)
+
+    def test_zero_normal_is_found_after_coercion(self):
+        for a in (("0", "0/3"), (0.0, -0.0)):
+            with pytest.raises(ValueError, match="nonzero"):
+                ReflectionSpec(a, 1, "exact" if isinstance(a[0], str) else "float")
+
+    def test_float_spec_keeps_its_bits(self):
+        a, beta = (-0.0, 0.1 + 0.2), 1 / 3
+        spec = ReflectionSpec(a, beta, "float")
+        assert repr((spec.a, spec.beta)) == repr((a, beta))
+        assert ReflectionSpec((1, "1/2"), 0, "float").a == (1.0, 0.5)
 
 
 class TestReflectPoint:

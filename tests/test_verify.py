@@ -102,7 +102,7 @@ class TestProjectionEquality:
         assert loose._checker is None and loose.steps is None and ef.steps is not None
         rep = verify_projection_equality(loose, V, 20, seed=7)
         assert rep.objective_passed < rep.objective_total
-        assert loose._checker is not ef._checker and loose._checker.E is None
+        assert loose._checker is not ef._checker and loose.steps is None
 
     def test_mgon_float_mode(self):
         rep = verify_projection_equality(mgon_ef(4), mgon_orbit(4), 25, seed=1, tol=1e-6)
