@@ -29,6 +29,11 @@ slack rows are kept, with one integer projection row per output coordinate
 priced into that basis.  An objective is an integer combination of the
 projection rows, solved by Bland's rule with no phase 1; a membership query
 adds the projection rows as artificial equations and runs phase 1 alone.
+Before any of that, an exact objective can be proved at a certified witness
+(:meth:`ProjectionChecker.proves_max`): a dual y >= 0 on the rows tight
+there, found by back substitution over the chain's triangular rows, closes
+the maximum with no pivot, so the dictionary is factored only when some
+objective or membership query falls back to it.
 The float objectives of one call share one phase 1 and are solved as one
 pivot tree: objectives share each phase-2 pivot until their paths split,
 and each keeps the bits of its own solve.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError, ScaledPoint
@@ -487,8 +493,11 @@ class ProjectionChecker:
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
-    (:meth:`_factor`); with the integer rows of :meth:`certifies`, it is all
-    a checker caches.  An objective is an integer combination of these
+    (:meth:`_factor`); with the integer rows of :meth:`certifies` and their
+    grouping by last nonzero column for :meth:`proves_max`, it is all a
+    checker caches.  :meth:`proves_max` needs no dictionary, so one is
+    factored only when an objective gets no certificate or a membership
+    query runs.  An objective is an integer combination of these
     projection rows and pivots only among slack columns; a membership query
     adds them as artificial equations and runs one phase 1.  The float
     objectives of one :meth:`maximize_projected_all` call share one phase 1
@@ -504,7 +513,7 @@ class ProjectionChecker:
         self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = None
-        self._ints = None
+        self._ints = self._by_last = None
         self.E = self.z_part = self.N_cols = None
         system = ef.parametrised()
         self.consistent = system is not None
@@ -538,6 +547,10 @@ class ProjectionChecker:
             A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
                     for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
             self._ints = E, L, A, M
+            self._by_last = [[] for _ in self.E]  # the rows of A whose last nonzero is column j
+            for row in A:
+                if row[0]:
+                    self._by_last[row[0][-1][0]].append(row)
         E, L, _, _ = self._ints
         return [sum(c * Z[j] for j, c in row) for row in E], L * D
 
@@ -558,6 +571,42 @@ class ProjectionChecker:
         Z = z.nums
         return all(sum(c * U[j] for j, c in row) + t * den == f * L * y
                    for (row, t, f), y in zip(M, Z[len(Z) - len(M):]))
+
+    def proves_max(self, z, c_ints) -> bool:
+        """Whether a dual certificate proves max <c, y> over the projection
+        equal to <c, y*>, for a :class:`ScaledPoint` z that :meth:`certifies`
+        y* and c = c_ints up to a positive scale.  With u = Ez, R = M_red^T c
+        is cancelled column by column from the last, each nonzero R_j by a row
+        of A_red whose last nonzero is in column j, has R_j's sign and is
+        tight at u; a column with no such row gives False.  The multipliers
+        are a y >= 0 on rows tight at u with A_red^T y = R, so by weak duality
+        nothing beats u.  Sound on any reduced system, complete where the
+        greedy finds y, as on a chain's triangular rows at a canonical preimage.
+        """
+        if not self.consistent:
+            return False
+        U, den = self._reduced(z)
+        _, _, _, M = self._ints
+        F = lcm(*(f for _, _, f in M))
+        R = [0] * self.n_free
+        for ci, (row, _, f) in zip(c_ints, M):
+            for j, e in row:
+                R[j] += ci * (F // f) * e
+        for j in reversed(range(self.n_free)):
+            r = R.pop()
+            if not r:
+                continue
+            for row, rhs, _ in self._by_last[j]:
+                a = row[-1][1]
+                if (a > 0) == (r > 0) and sum(c * U[i] for i, c in row) == rhs * den:
+                    break
+            else:
+                return False
+            s = abs(r)  # R <- |a| R - sign(a) r row keeps the multiplier s / |a| >= 0
+            R = [abs(a) * e for e in R]
+            for i, c in row[:-1]:
+                R[i] -= s * c
+        return True
 
     def _exact_input(self, v):
         """``v`` as an exact vector of the projection's output dimension."""

@@ -7,7 +7,10 @@ must be feasible for the formulation (containment), and for a batch of
 seeded random integer objectives the LP optimum over the formulation must
 match the brute-force maximum over the oracle vertices (support-function
 equality on sampled directions).  In the exact backend both halves are
-zero-tolerance, so a passing report is a proof for the sampled data.
+zero-tolerance, so a passing report is a proof for the sampled data.  An
+exact objective is first proved by a dual certificate at the witness of its
+brute-force maximiser, which shows that no point of the formulation beats
+that vertex; only an objective without one is solved by the simplex method.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class VerificationReport:
     witness_hits: int = 0
     lp_fallbacks: int = 0
     lp_pivots: int = 0
+    lp_certified: int = 0
+    lp_exact: int = 0
     phases: dict = field(default_factory=dict)  # seconds per certification phase
 
     @property
@@ -99,6 +104,8 @@ class VerificationReport:
             out["witness_hits"] = self.witness_hits
             out["lp_fallbacks"] = self.lp_fallbacks
             out["lp_pivots"] = self.lp_pivots
+            out["lp_certified"] = self.lp_certified
+            out["lp_exact"] = self.lp_exact
             out["phases"] = dict(self.phases)
         return out
 
@@ -187,15 +194,19 @@ def verify_projection_equality(
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
     certificate (``witness_hits``), or else through an LP (``lp_fallbacks``);
     the first witness seeds the objective LPs;
-    ``lp_pivots`` counts the exact simplex pivots of the objective LPs, and
-    ``phases`` holds the seconds of the vertex, objective and size checks.
-    All objectives go to the checker in one call, so float ones are solved
-    as one pivot tree that shares phase-2 pivots until their paths split.
     In the rational backend V is scaled once to one integer matrix over a
-    common denominator and every brute-force maximum is taken on integers.
-    A negative ``n_objectives`` raises ValueError; 0 skips part (b).  A
-    0-dimensional projection, with no objective to sample, raises
-    DimensionError.
+    common denominator, every brute-force maximum is taken on integers and
+    is first proved at its first maximiser's witness (``lp_certified``, by
+    :meth:`~reflekt.lp.ProjectionChecker.proves_max`): such a passing
+    objective is a proof, not just a sampled LP match.  The rest
+    (``lp_exact``), and all float objectives, go to the checker in one call;
+    float ones are solved as one pivot tree that shares phase-2 pivots until
+    their paths split.  ``lp_pivots`` counts the exact simplex pivots of the
+    objective LPs, and ``phases`` holds the seconds of the vertex, objective
+    and size checks.
+    A negative ``n_objectives`` or an empty V raises ValueError; 0 objectives
+    skip part (b).  A 0-dimensional projection, with no objective to sample,
+    raises DimensionError.
     """
     t0 = time.perf_counter()
     if V.dim != ef.projection.out_dim:
@@ -204,6 +215,8 @@ def verify_projection_equality(
         raise DimensionError(f"cannot certify a projection of dimension {V.dim}")
     if n_objectives < 0:
         raise ValueError(f"n_objectives must be nonnegative, not {n_objectives}")
+    if not V.points:
+        raise ValueError("an empty vertex set has no projection to certify")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, not {tol}")
     backend = ef.backend
@@ -214,9 +227,11 @@ def verify_projection_equality(
     pivots = checker.pivots  # a fallback may trigger the objectives' factoring
 
     t_vertex = time.perf_counter()
+    witnesses = []  # each vertex's certified witness, or None
     for v in V.points:
         report.vertex_total += 1
         z = _witness_blocks(ef, v, tol)
+        witnesses.append(z)
         if z is not None:
             report.vertex_passed += 1
             report.witness_hits += 1
@@ -231,19 +246,31 @@ def verify_projection_equality(
     rng = Random(seed)
     exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
+    objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
+    optima = [None] * len(objectives)  # (status, value), once known
     if exact:
         flat, v_den = int_scale(e for v in V.points for e in v)
         v_rows = [flat[i : i + V.dim] for i in range(0, len(flat), V.dim)]
-    objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
-    optima = checker.maximize_projected_all(objectives, "max")
-    for c, (status, value) in zip(objectives, optima):
+        brutes = []
+        for k, c in enumerate(objectives):
+            c_ints, c_den = int_scale(c)
+            dots = [sum(map(mul, c_ints, row)) for row in v_rows]
+            best = max(dots)
+            brutes.append(Fraction(best, v_den * c_den))
+            z = witnesses[dots.index(best)]
+            if z is not None and checker.proves_max(z, c_ints):
+                optima[k] = (lp.OPTIMAL, brutes[k])
+    rest = [c for c, known in zip(objectives, optima) if known is None]
+    solved = iter(checker.maximize_projected_all(rest, "max"))
+    optima = [known or next(solved) for known in optima]
+    report.lp_certified = len(objectives) - len(rest)
+    report.lp_exact = len(rest) if exact else 0
+    for k, (c, (status, value)) in enumerate(zip(objectives, optima)):
         report.objective_total += 1
         if status != lp.OPTIMAL:
             continue
         if exact:
-            c_ints, c_den = int_scale(c)
-            best = max(sum(map(mul, c_ints, row)) for row in v_rows)
-            brute = Fraction(best, v_den * c_den)
+            brute = brutes[k]
         else:
             brute = max(sum(map(mul, c, v)) for v in V.points)
         dev = abs(value - brute)

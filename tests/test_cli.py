@@ -115,6 +115,9 @@ class TestVerify:
         # check takes the LP fallback
         assert report["lp_fallbacks"] == 6 and report["witness_hits"] == 0
         assert report["lp_pivots"] > 0
+        # nor witnesses to prove an objective's maximum at
+        assert (report["lp_certified"], report["lp_exact"]) == (0, 10)
+        assert "lp_certified" not in default and "lp_exact" not in default
         assert {k: v for k, v in report.items() if k in default} == default
 
     def test_verify_mgon_with_tolerance(self, capsys):

@@ -97,6 +97,27 @@ def test_a_loaded_chain_reads_each_witness_as_its_elimination_solves_it(
         assert checker.certifies(z)
 
 
+@pytest.mark.parametrize("name, params, oracle, args", EXACT_RECIPES,
+                         ids=[r[0] for r in EXACT_RECIPES])
+def test_a_proved_maximum_is_the_lp_maximum(name, params, oracle, args):
+    # at every vertex's witness, maximisers or not: a certificate holds only
+    # where Bland's rule finds the same value
+    ef = build_recipe(name, params)
+    checker = projection_checker(ef)
+    V = getattr(oracles, oracle)(*args)
+    objectives = random_objectives(V.dim, 20, random.Random(18))
+    optima = [checker.maximize_projected(c) for c in objectives]
+    proved = 0
+    for v in V.points:
+        z = _witness_blocks(ef, v, 0)
+        assert z is not None
+        for c, optimum in zip(objectives, optima):
+            if checker.proves_max(z, [int(e) for e in c]):
+                assert optimum == ("optimal", dot(c, v))
+                proved += 1
+    assert proved >= len(objectives)
+
+
 def test_a_bare_relation_chain_certifies_as_the_lp_decides():
     built = build_recipe("a_permutahedron", {"n": 4})
     bare = compose_extension(

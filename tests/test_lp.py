@@ -822,10 +822,11 @@ class TestCondensedDictionary:
         ],
     )
     def test_benchmark_pivot_counts(self, recipe, params, oracle, args, pivots):
-        """Bland's path on both reduced systems of a built chain: the
-        parametrised one that certification takes (``direct``), and the
-        elimination of the same Q, loaded from JSON and seeded with the same
-        raw point (``pivots``)."""
+        """Certification proves every objective with a dual certificate and
+        pivots nowhere; Bland's path stays pinned on both reduced systems of
+        a built chain: the parametrised one that certification seeds
+        (``direct``), and the elimination of the same Q, loaded from JSON and
+        seeded with the same raw point (``pivots``)."""
         from reflekt import serialize
         from reflekt.verify import random_objectives, verify_projection_equality
 
@@ -836,15 +837,17 @@ class TestCondensedDictionary:
         report = verify_projection_equality(ef, V, 50, seed=7)
         assert report.passed and report.objective_max_deviation == 0
         assert report.witness_hits == len(V.points)
-        assert ef._checker.E is not None and report.lp_pivots == direct
-        # certification seeds from the first vertex's witness
+        assert (report.lp_certified, report.lp_exact, report.lp_pivots) == (50, 0, 0)
+        # certification seeds from the first vertex's witness; no objective
+        # fell back, so these solves factor the dictionary too
+        objectives = random_objectives(V.dim, 50, random.Random(7))
+        optima = ef._checker.maximize_projected_all(objectives)
+        assert ef._checker.E is not None and ef._checker.pivots == direct
         loaded = serialize.ef_from_dict(serialize.ef_to_dict(ef))
         assert loaded.steps is None
         checker = ProjectionChecker(loaded)
         assert checker.seed_from_raw(_witness_blocks(ef, V.points[0], 1e-9).fractions())
-        objectives = random_objectives(V.dim, 50, random.Random(7))
-        optima = checker.maximize_projected_all(objectives)
-        assert optima == ef._checker.maximize_projected_all(objectives)
+        assert checker.maximize_projected_all(objectives) == optima
         assert checker.pivots == pivots
 
     def test_float_input_on_the_exact_backend(self):

@@ -38,6 +38,7 @@ from reflekt.polyhedra import (
     graph_relation,
 )
 from reflekt.reflections import ReflectionSpec, reflection_map, reflection_relation
+from reflekt.serialize import ef_from_dict, ef_to_dict
 from reflekt.verify import (
     actual_sizes,
     check_affine_generators,
@@ -109,6 +110,27 @@ class TestProjectionEquality:
         assert rep.passed
         assert float(rep.objective_max_deviation) <= 1e-6
 
+    def test_empty_oracle_is_rejected_up_front(self):
+        # conv of no points is empty: no formulation projects onto it
+        for n_objectives in (0, 5):
+            with pytest.raises(ValueError, match="empty vertex set"):
+                verify_projection_equality(perm3_ef(), VertexSet(3, (), "exact"), n_objectives)
+
+    @pytest.mark.parametrize("recipe, params, V", [
+        ("a_permutahedron", {"n": 4}, permutation_orbit((1, 2, 3, 4))),
+        ("huffman_quadratic", {"n": 5}, huffman_vectors(5)),
+    ])
+    def test_a_certificate_refuses_every_wrong_maximum(self, recipe, params, V, monkeypatch):
+        # every other vertex: the brute-force maximum is often below the LP's,
+        # and the report must be the one that Bland's rule alone gives
+        half = VertexSet(V.dim, V.points[::2], "every other vertex")
+        report = verify_projection_equality(build_recipe(recipe, params), half, 50, seed=7)
+        assert report.lp_exact > 0 and report.lp_certified + report.lp_exact == 50
+        monkeypatch.setattr("reflekt.lp.ProjectionChecker.proves_max", lambda *a: False)
+        bland = verify_projection_equality(build_recipe(recipe, params), half, 50, seed=7)
+        assert bland.lp_certified == 0
+        assert report.to_json() == bland.to_json()
+
     def test_objective_count_must_be_nonnegative(self):
         V = permutation_orbit((1, 2, 3))
         with pytest.raises(ValueError, match="n_objectives"):
@@ -159,7 +181,9 @@ class TestProjectionEquality:
             assert plain == {k: v for k, v in timed.items() if k in plain}
 
     def test_lp_pivots_only_with_timing(self):
-        ef = perm3_ef()
+        # a formulation loaded from JSON has no witnesses, so every objective
+        # falls back to Bland's rule
+        ef = ef_from_dict(ef_to_dict(perm3_ef()))
         V = permutation_orbit((1, 2, 3))
         first = verify_projection_equality(ef, V, 20, seed=4)
         again = verify_projection_equality(ef, V, 20, seed=4)
@@ -167,6 +191,7 @@ class TestProjectionEquality:
         assert "lp_pivots" not in json.loads(first.to_json())
         timed = first.to_dict(include_timing=True)
         assert timed["lp_pivots"] == first.lp_pivots > 0
+        assert (timed["lp_certified"], timed["lp_exact"]) == (0, 20)
         # the cached checker factors its tableau once: one pivot per free
         # variable (the reduced system is bounded, so none is lineality)
         assert first.lp_pivots - again.lp_pivots == ef._checker.n_free
