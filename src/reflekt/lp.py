@@ -29,7 +29,8 @@ slack rows are kept, with one integer projection row per output coordinate
 priced into that basis.  An objective is an integer combination of the
 projection rows, solved by Bland's rule with no phase 1; a membership query
 adds the projection rows as artificial equations and runs phase 1 alone.
-Before any of that, an exact objective can be proved at a certified witness
+Before any of that, an exact objective can be proved at a certified witness,
+the reduced point that the canonical-preimage walk reads
 (:meth:`ProjectionChecker.proves_max`): a dual y >= 0 on the rows tight
 there, found by back substitution over the chain's triangular rows, closes
 the maximum with no pivot, so the dictionary is factored only when some
@@ -486,107 +487,97 @@ class ProjectionChecker:
     coordinate of Q's equations.  :func:`~reflekt.polyhedra.eliminate_equations`
     and :func:`~reflekt.verify.actual_sizes` read it from the cached checker.
     A_red w <= b_red are Q's inequality rows and M_red w + t_red its
-    projection.  On exact data ``E`` reads a point of Q's equations back as
-    w; a float seed solves N w = z - z_part, with z_part + N w (N's columns
+    projection, over ``n_free`` columns.  An exact witness is such a w
+    already, read by the canonical-preimage walk
+    (:func:`~reflekt.polyhedra._witness_blocks`); a float seed, a raw
+    point z of Q, solves N w = z - z_part, with z_part + N w (N's columns
     in ``N_cols``) the points of Q's equations.  An inconsistent system
     leaves ``consistent`` False and its error in ``inconsistency``.
 
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
-    (:meth:`_factor`); with the integer rows of :meth:`certifies` and their
-    grouping by last nonzero column for :meth:`proves_max`, it is all a
-    checker caches.  :meth:`proves_max` needs no dictionary, so one is
-    factored only when an objective gets no certificate or a membership
-    query runs.  An objective is an integer combination of these
-    projection rows and pivots only among slack columns; a membership query
-    adds them as artificial equations and runs one phase 1.  The float
-    objectives of one :meth:`maximize_projected_all` call share one phase 1
-    and are solved as one pivot tree (:func:`_float_optima`); float
-    membership queries take one two-phase solve each.  Float equation
-    solves and pivots run at ``DEFAULT_TOL``; a checker takes no tolerance.
+    (:meth:`_factor`); with the integer rows of A_red and M_red that
+    :meth:`certifies` tests, grouped by last nonzero column for
+    :meth:`proves_max`, it is all a checker caches.  :meth:`proves_max`
+    needs no dictionary, so one is factored only when an objective gets no
+    certificate or a membership query runs.  An objective is an integer
+    combination of these projection rows and pivots only among slack
+    columns; a membership query adds them as artificial equations and runs
+    one phase 1.  The float objectives of one :meth:`maximize_projected_all`
+    call share one phase 1 and are solved as one pivot tree
+    (:func:`_float_optima`); float membership queries take one two-phase
+    solve each.  Float equation solves and pivots run at ``DEFAULT_TOL``; a
+    checker takes no tolerance.
     """
 
     def __init__(self, ef):
         self.backend = ef.backend
-        self.raw_dim = ef.Q.dim
-        self.w_feas = None
-        self.b_shift = None
+        self.w_feas = self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
-        self._factored = None
-        self._ints = self._by_last = None
-        self.E = self.z_part = self.N_cols = None
+        self._factored = self._ints = self._by_last = None  # caches
+        self.z_part = self.N_cols = None
         system = ef.parametrised()
         self.consistent = system is not None
         self.inconsistency = None
         if system is None:
             self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
             return
-        self.E, self.A_red, self.b_red, self.M_red, self.t_red, self.z_part, self.N_cols = system
-        # float data has no steps, so its columns are those of Q's equations
-        self.n_free = len(self.N_cols if self.E is None else self.E)
+        self.n_free, self.A_red, self.b_red, self.M_red, self.t_red, self.z_part, self.N_cols = system
 
-    def reduced_point(self, z):
-        """Ez, the reduced point that a point z of Q's equations stands for,
-        as Fractions; exact only."""
-        if not isinstance(z, ScaledPoint):
-            z = ScaledPoint.of(vector(z, EXACT))
-        U, den = self._reduced(z)
-        return tuple(Fraction(e, den) for e in U)
-
-    def _reduced(self, z):
-        """``(U, den)`` with Ez = U/den for a :class:`ScaledPoint` z, on the
-        integer rows of E, A_red and M_red, scaled once.  A z whose length
-        is not Q's dimension raises DimensionError."""
-        Z, D = z
-        if len(Z) != self.raw_dim:
-            raise DimensionError(f"{len(Z)} coordinates for a point of Q in R^{self.raw_dim}")
+    def _scaled(self, u, v=None) -> ScaledPoint:
+        """A reduced point u, a :class:`ScaledPoint` or a tuple of rationals,
+        as a ScaledPoint, with the integer rows of A_red and M_red scaled on
+        first use.  DimensionError unless u has ``n_free`` coordinates and v,
+        if given, one per output coordinate."""
+        if not isinstance(u, ScaledPoint):
+            u = ScaledPoint.of(vector(u, EXACT))
+        m = len(self.t_red) if v is None else len(v)
+        if (len(u.nums), m) != (self.n_free, len(self.t_red)):
+            raise DimensionError(f"{len(u.nums)} and {m} coordinates, not {self.n_free} "
+                                 f"(reduced) and {len(self.t_red)} (projected)")
         if self._ints is None:
-            flat, L = int_scale(c for row in self.E for c in row.values())
-            it = iter(flat)
-            E = [[(j, next(it)) for j in row] for row in self.E]
             A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
                     for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
-            self._ints = E, L, A, M
-            self._by_last = [[] for _ in self.E]  # the rows of A whose last nonzero is column j
+            self._ints = A, M
+            self._by_last = [[] for _ in range(self.n_free)]  # rows of A by last nonzero column
             for row in A:
                 if row[0]:
                     self._by_last[row[0][-1][0]].append(row)
-        E, L, _, _ = self._ints
-        return [sum(c * Z[j] for j, c in row) for row in E], L * D
+        return u
 
-    def certifies(self, z) -> bool:
-        """Whether the exact :class:`ScaledPoint` z, whose last block is y,
-        proves y feasible: u = Ez must satisfy A_red u <= b_red and
-        M_red u + t_red = y, both tested on integers.  Then the point of Q's
-        equations that u stands for lies in Q and projects to y, whether or
-        not z itself lies on Q's equations; a walk that ends off the base
-        fails the second test.  An inconsistent checker certifies nothing."""
+    def certifies(self, u, y) -> bool:
+        """Whether the exact reduced point u proves y feasible: A_red u <= b_red
+        and M_red u + t_red = y hold on integers, so the point of Q's
+        equations that u stands for lies in Q and projects to y.  u and y
+        are :class:`ScaledPoint` s or tuples of rationals (DimensionError for
+        a wrong length); an inconsistent checker certifies nothing."""
         if not self.consistent:
             return False
-        U, den = self._reduced(z)  # u = U / den
-        _, L, A, M = self._ints
+        Y, D = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
+        U, den = self._scaled(u, Y)
+        A, M = self._ints
         if any(sum(c * U[j] for j, c in row) > rhs * den for row, rhs, _ in A):
             return False
-        # f(M u + t) = f y times L*D, with y = Y/D the last block of z
-        Z = z.nums
-        return all(sum(c * U[j] for j, c in row) + t * den == f * L * y
-                   for (row, t, f), y in zip(M, Z[len(Z) - len(M):]))
+        # f(M u + t) = f y times D * den, with u = U/den and y = Y/D
+        return all((sum(c * U[j] for j, c in row) + t * den) * D == f * den * yi
+                   for (row, t, f), yi in zip(M, Y))
 
-    def proves_max(self, z, c_ints) -> bool:
+    def proves_max(self, u, c_ints) -> bool:
         """Whether a dual certificate proves max <c, y> over the projection
-        equal to <c, y*>, for a :class:`ScaledPoint` z that :meth:`certifies`
-        y* and c = c_ints up to a positive scale.  With u = Ez, R = M_red^T c
-        is cancelled column by column from the last, each nonzero R_j by a row
-        of A_red whose last nonzero is in column j, has R_j's sign and is
-        tight at u; a column with no such row gives False.  The multipliers
-        are a y >= 0 on rows tight at u with A_red^T y = R, so by weak duality
-        nothing beats u.  Sound on any reduced system, complete where the
-        greedy finds y, as on a chain's triangular rows at a canonical preimage.
+        equal to <c, y*>, for a reduced point u that :meth:`certifies` y* and
+        c = c_ints up to a positive scale.  R = M_red^T c is cancelled column
+        by column from the last, each nonzero R_j by a row of A_red whose
+        last nonzero is in column j, has R_j's sign and is tight at u; a
+        column with no such row gives False.  The multipliers are a y >= 0
+        on rows tight at u with A_red^T y = R, so by weak duality nothing
+        beats u.  Sound on any reduced system, complete where the greedy
+        finds y, as on a chain's triangular rows at a canonical preimage.  u
+        and c_ints of the wrong length raise DimensionError.
         """
         if not self.consistent:
             return False
-        U, den = self._reduced(z)
-        _, _, _, M = self._ints
+        U, den = self._scaled(u, c_ints)
+        _, M = self._ints
         F = lcm(*(f for _, _, f in M))
         R = [0] * self.n_free
         for ci, (row, _, f) in zip(c_ints, M):
@@ -646,18 +637,17 @@ class ProjectionChecker:
         return core.rows[-1][-1] == 0
 
     def seed_from_raw(self, z_raw) -> bool:
-        """Register the reduced point w_feas of a raw point of Q, with the
-        shifted right-hand sides b_shift = b_red - A_red w_feas; objective
-        solves then start from it and skip phase 1 entirely when
-        b_shift >= 0 (:meth:`_factor` solves for a start otherwise).  An
-        exact seed, a :class:`ScaledPoint` or a tuple, is read as
-        :meth:`reduced_point` (a start only when it satisfies
-        A_red w <= b_red); a float one solves N w = z_raw - z_part, and
-        returns False when z_raw is off Q's equations."""
+        """Register a start w_feas for the objective solves, with b_shift =
+        b_red - A_red w_feas; they skip phase 1 when b_shift >= 0
+        (:meth:`_factor` solves for a start otherwise).  An exact witness (a
+        :class:`ScaledPoint` or a tuple) is already a reduced point and is
+        registered as it is; a float one is a raw point of Q, solved from
+        N w = z_raw - z_part (False when z_raw is off Q's equations).  The
+        name is kept for perfbench's ``lp.seed`` span."""
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
-        if self.E is not None:
-            part = self.reduced_point(z_raw)
+        if self.backend == EXACT:
+            part = self._scaled(z_raw).fractions()
         else:
             target = vec_sub(z_raw, self.z_part)
             part, _ = affine_solution_space(

@@ -352,8 +352,8 @@ class ExtendedFormulation:
     :attr:`ledger` reads every other count off Q.
 
     ``base`` and ``relations`` retain the construction provenance when
-    available; they let membership queries assemble an explicit feasibility
-    witness before falling back to the LP, and with :attr:`steps` they give
+    available; they let membership queries read a witness off canonical
+    preimages before falling back to the LP, and with :attr:`steps` they give
     :meth:`parametrised` one column per reflection.
     The cached checker is not an init field, so :func:`dataclasses.replace`
     gives a copy without it.  ``block_dims`` is None once the
@@ -419,14 +419,11 @@ class ExtendedFormulation:
         u <= 1 and -u <= 0.  These are Q's inequality rows with z = s + T u
         substituted, in Q's order and over each row's nonzeros in coordinate
         order, so float results are the bits of dense dot products.  Returns
-        ``(E, A, b, M, t, part, basis)``: A u <= b are the rows, M u + t the
-        last block and part + N w (N's columns in ``basis``) the points of
-        the base's equations.  E's row for each column is the
-        ``{coordinate of z: coefficient}`` form that reads it off z (the
-        base's free coordinate, <a, y - x>/<a,a>, or a box coordinate), so
-        E(s + Tu) = u.  E is None on float data, where reduced row echelon
-        form can leave a tiny entry past a free coordinate, which is
-        otherwise the last nonzero of its basis column.
+        ``(n, A, b, M, t, part, basis)``: n columns, A u <= b the rows,
+        M u + t the last block and part + N w (N's columns in ``basis``) the
+        points of the base's equations.  The base's columns come first, in
+        basis order, then each step's in chain order; :func:`_witness_blocks`
+        reads u in this order.
         """
         steps = self.steps
         base, steps = (self.Q, (("map", self.projection),)) if steps is None else (self.base, steps)
@@ -435,13 +432,12 @@ class ExtendedFormulation:
         if part is None:
             return None
         one, zero = to_scalar(1, backend), to_scalar(0, backend)
-        s, T, E, lhss, rhss = list(part), [{} for _ in part], [], [], []
+        s, T, lhss, rhss = list(part), [{} for _ in part], [], []
         for k, col in enumerate(basis):
             for j, v in enumerate(col):
                 if v:
                     T[j][k] = v
-                    free = j  # in exact reduced row echelon form, the last nonzero
-            E.append({free: one})
+        n = len(basis)  # columns so far
 
         def substituted(pairs):  # <row, x> as ({column: coefficient}, <row, s>)
             lhs, at_s = {}, zero
@@ -456,20 +452,17 @@ class ExtendedFormulation:
             lhs, at_s = substituted(enumerate(row))
             lhss.append(lhs)
             rhss.append(rhs - at_s)
-        offset = 0  # of the current block in z
         for kind, data in steps:
-            out = offset + len(s)  # of the step's output block
             if kind == "reflection":
                 a = [(j, c) for j, c in enumerate(data.a) if c]
-                aa, lam, read = sum(c * c for _, c in a), len(E), {}
+                aa = sum(c * c for _, c in a)
                 lhs, at_s = substituted((j, 2 * c) for j, c in a)
-                lhs[lam] = aa
-                lhss += [{lam: -aa}, lhs]
+                lhs[n] = aa  # the column lambda
+                lhss += [{n: -aa}, lhs]
                 rhss += [zero, 2 * data.beta - at_s]
                 for j, c in a:
-                    T[j][lam] = c
-                    read[offset + j], read[out + j] = -c / aa, c / aa
-                E.append(read)
+                    T[j][n] = c
+                n += 1
             elif kind == "map":
                 new_s, new_T = [], []
                 for row, t in zip(data.M, data.t):
@@ -478,15 +471,13 @@ class ExtendedFormulation:
                     new_T.append(lhs)
                 s, T = new_s, new_T
             else:  # a box lift of width data
-                for _ in range(data):
-                    col = len(E)
+                for col in range(n, n + data):
                     lhss += [{col: one}, {col: -one}]
                     rhss += [one, zero]
-                    E.append({out + len(s): one})
                     s.append(zero)
                     T.append({col: one})
-            offset = out
-        zeros = [zero] * len(E)
+                n += data
+        zeros = [zero] * n
 
         def dense(lhs):
             row = zeros[:]
@@ -494,8 +485,7 @@ class ExtendedFormulation:
                 row[j] = v
             return tuple(row)
 
-        return (E if backend == EXACT else None, tuple(map(dense, lhss)), tuple(rhss),
-                tuple(map(dense, T)), tuple(s), part, basis)
+        return n, tuple(map(dense, lhss)), tuple(rhss), tuple(map(dense, T)), tuple(s), part, basis
 
     @property
     def ledger(self) -> SizeLedger:
@@ -612,52 +602,66 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
 
 
 def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
-    """A point of Q projecting to y, assembled from canonical preimages, or
-    None.
-
-    The chain is walked from y back to the base block; any None preimage
-    gives None.  An exact chain is walked on integers and gives a
-    :class:`ScaledPoint` over the denominator of its base block, which every
-    step keeps or multiplies (the preimage contract of
-    :class:`PolyhedralRelation`); a float chain gives a tuple of floats.
-    The assembled point z is returned only when it is a certificate.  On
-    exact data the checker reads its reduced point u off z (one lambda per
-    reflection and the box coordinates per lift, or Q's free coordinates
-    for a formulation without steps), and A_red u <= b_red and
-    M_red u + t_red = y must hold on integers
-    (:meth:`~reflekt.lp.ProjectionChecker.certifies`); on float data Q must
-    contain z within ``tol``.  Either test raises DimensionError for a z
-    whose length is not Q's dimension.
-    """
+    """A certificate that y lies in the projection, read off canonical
+    preimages walked from y back to the base block, or None (also for any
+    None preimage).  An exact formulation with
+    :attr:`~ExtendedFormulation.steps` is walked on integers and gives its
+    reduced point u as a :class:`ScaledPoint` over the base block's
+    denominator, read during the walk: the base block's free coordinates,
+    then one lambda = (y_j - x_j)/a_j per reflection (a_j the first nonzero
+    of a; an integer over x's denominator when x is canonical) and the k
+    output coordinates per box lift.  u is returned only when
+    :meth:`~reflekt.lp.ProjectionChecker.certifies` it, so it stands for a
+    point of Q projecting to y however it was read.  An exact formulation
+    without steps takes no witness.  A float chain gives the raw point z,
+    returned only when Q contains it within ``tol`` (DimensionError for a z
+    whose length is not Q's dimension)."""
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
-    exact = ef.backend == EXACT
-    current = ScaledPoint.of(vector(y, EXACT)) if exact else tuple(y)
-    blocks = [current]
-    for rel in reversed(ef.relations):
-        if rel.preimage is None:
+    if ef.backend != EXACT:
+        blocks = [tuple(y)]
+        for rel in reversed(ef.relations):
+            blocks.append(rel.preimage(blocks[-1], tol) if rel.preimage else None)
+            if blocks[-1] is None:
+                return None
+        z = tuple(e for blk in reversed(blocks) for e in blk)
+        return z if ef.Q.contains(z, tol) else None
+    steps, checker = ef.steps, projection_checker(ef)
+    if steps is None or not checker.consistent:
+        return None
+    target = current = ScaledPoint.of(vector(y, EXACT))
+    cols = []  # numerators over the current block's denominator, last column first
+    for rel, (kind, data) in zip(reversed(ef.relations), reversed(steps)):
+        x = rel.preimage(current, tol) if rel.preimage else None
+        if x is None:
             return None
-        current = rel.preimage(current, tol)
-        if current is None:
-            return None
-        blocks.append(current)
-    blocks.reverse()
-    if exact:
-        den = blocks[0].den
-        z = ScaledPoint(tuple(e * (den // blk.den) for blk in blocks for e in blk.nums), den)
-        return z if projection_checker(ef).certifies(z) else None
-    z = tuple(e for blk in blocks for e in blk)
-    return z if ef.Q.contains(z, tol) else None
+        Y, g = current.nums, x.den // current.den
+        if g != 1:
+            cols = [e * g for e in cols]
+        if kind == "reflection" and x is not current:  # lambda * x.den, integral when canonical
+            j = data.int_form()[0][0][0]
+            a = data.a[j]
+            cols.append((Y[j] * g - x.nums[j]) * a.denominator // a.numerator)
+        elif kind == "reflection":  # the point was kept
+            cols.append(0)
+        elif kind == "box":
+            cols.extend(Y[j] * g for j in reversed(range(len(Y) - data, len(Y))))
+        current = x
+    X, D = current
+    cols.extend(X[max(j for j, v in enumerate(col) if v)] for col in reversed(checker.N_cols))
+    u = ScaledPoint(tuple(reversed(cols)), D)
+    return u if checker.certifies(u, target) else None
 
 
 def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) -> bool:
     """Membership of y in the projection of Q, i.e. LP feasibility of
     Q together with projection(z) = y.
 
-    When construction provenance is available, :func:`_witness_blocks` tries
-    a canonical-preimage witness first; it returns only a certificate (an
-    exact one tested on the checker's reduced system, a float one on Q), so
-    a witness skips the LP.  ``tol`` is the witness step's comparison
+    :func:`_witness_blocks` tries a canonical-preimage witness first, on an
+    exact formulation with :attr:`~ExtendedFormulation.steps` or a float
+    one that keeps its base and relations; it returns only a certificate (an
+    exact reduced point tested on the checker's reduced system, a float raw
+    point on Q), so a witness skips the LP.  ``tol`` is the witness step's comparison
     tolerance only.  Without a witness the cached checker runs an exact
     phase 1, or a float one at the package's pivot tolerance
     ``DEFAULT_TOL``, whatever ``tol`` is.

@@ -146,8 +146,11 @@ def _lp_expr(coeffs, names) -> str:
 
 
 def write_lp_format(ef: ExtendedFormulation) -> str:
-    """CPLEX-style LP file with a zero objective; every variable is free."""
+    """CPLEX-style LP file with a zero objective; every variable is free.
+    The objective names a variable, so a 0-dimensional Q raises ValueError."""
     names = ef.var_names()
+    if not names:
+        raise ValueError("an LP file needs a variable; this formulation has dimension 0")
     Q = ef.Q
     lines = [f"\\ {SCHEMA} formulation: {ef.label or 'unnamed'}", "Maximize", f" obj: 0 {names[0]}", "Subject To"]
     for i, (row, rhs) in enumerate(zip(Q.A, Q.b), start=1):

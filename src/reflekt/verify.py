@@ -192,11 +192,13 @@ def verify_projection_equality(
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
-    certificate (``witness_hits``), or else through an LP (``lp_fallbacks``);
-    the first witness seeds the objective LPs;
-    In the rational backend V is scaled once to one integer matrix over a
-    common denominator, every brute-force maximum is taken on integers and
-    is first proved at its first maximiser's witness (``lp_certified``, by
+    certificate (``witness_hits``), or else through an LP
+    (``lp_fallbacks``); an exact witness is the checker's reduced point,
+    read during the walk, and an exact formulation without steps takes none.
+    The first witness seeds the objective LPs.  In the rational backend V is
+    scaled once to one integer matrix over a common denominator, every
+    brute-force maximum is taken on integers and is first proved at its
+    first maximiser's witness (``lp_certified``, by
     :meth:`~reflekt.lp.ProjectionChecker.proves_max`): such a passing
     objective is a proof, not just a sampled LP match.  The rest
     (``lp_exact``), and all float objectives, go to the checker in one call;
@@ -230,13 +232,13 @@ def verify_projection_equality(
     witnesses = []  # each vertex's certified witness, or None
     for v in V.points:
         report.vertex_total += 1
-        z = _witness_blocks(ef, v, tol)
-        witnesses.append(z)
-        if z is not None:
+        w = _witness_blocks(ef, v, tol)
+        witnesses.append(w)
+        if w is not None:
             report.vertex_passed += 1
             report.witness_hits += 1
             if checker.w_feas is None:
-                checker.seed_from_raw(z)
+                checker.seed_from_raw(w)
         else:
             report.lp_fallbacks += 1
             if checker.feasible(v):
@@ -257,8 +259,8 @@ def verify_projection_equality(
             dots = [sum(map(mul, c_ints, row)) for row in v_rows]
             best = max(dots)
             brutes.append(Fraction(best, v_den * c_den))
-            z = witnesses[dots.index(best)]
-            if z is not None and checker.proves_max(z, c_ints):
+            u = witnesses[dots.index(best)]
+            if u is not None and checker.proves_max(u, c_ints):
                 optima[k] = (lp.OPTIMAL, brutes[k])
     rest = [c for c, known in zip(objectives, optima) if known is None]
     solved = iter(checker.maximize_projected_all(rest, "max"))

@@ -266,6 +266,22 @@ class TestDoctoredDocuments:
         assert captured.err.count("not nonnegative integers") == 2
         assert not os.path.exists(src + ".lp")
 
+    def test_zero_dimensional_document_exports_no_lp_file(self, tmp_path, capsys):
+        doc = ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))
+        doc.update(dim=0, ineqs=[], eqs=[], block_dims=[0],
+                   projection={"matrix": [], "offset": []})
+        doc["ledger"]["reduced_variable_bound"] = 0
+        src = self.write(tmp_path, doc)
+        assert run(["stats", "--ef", src]) == 0
+        for fmt in ("mps", "json"):
+            assert run(["export", "--ef", src, "--format", fmt, "--out", src + "." + fmt]) == 0
+        capsys.readouterr()
+        assert run(["export", "--ef", src, "--format", "lp", "--out", src + ".lp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and "dimension 0" in captured.err
+        assert not os.path.exists(src + ".lp")
+
     def test_malformed_float_coefficient_is_a_numeric_error(self, tmp_path, capsys):
         doc = ef_to_dict(build_recipe("mgon", {"m": 4}))
         doc["ineqs"][0]["coeffs"][0] = None

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from reflekt import oracles
-from reflekt.constructions import RECIPES, _box_lift_relation, build_recipe
+from reflekt.constructions import RECIPES, _box_lift_relation, a_permutahedron_ef, build_recipe
+from reflekt.networks import batcher
 from reflekt.lp import ProjectionChecker
 from reflekt.numeric import (
     DimensionError,
@@ -37,7 +38,7 @@ from reflekt.polyhedra import (
 )
 from reflekt.reflections import ReflectionSpec, reflection_relation
 from reflekt.serialize import ef_from_dict, ef_to_dict
-from reflekt.verify import random_objectives
+from reflekt.verify import random_objectives, verify_projection_equality
 
 EXACT_RECIPES = [
     ("signing", {"n": 3}, "sign_flip_orbit", ((1, 2, 3),)),
@@ -81,20 +82,25 @@ def _moved(V):
                          ids=[r[0] for r in EXACT_RECIPES])
 def test_a_loaded_chain_reads_each_witness_as_its_elimination_solves_it(
         name, params, oracle, args):
-    # E on Q's free coordinates against N w = z - part, solved as the
-    # checker of a loaded document once did
+    # the walk reads the built chain's u as the reference reads its raw
+    # point; the loaded chain takes no witness, but its reading of the same
+    # raw point is the w that N w = z - part solves for, and certifies
     built = build_recipe(name, params)
     loaded = ef_from_dict(ef_to_dict(built))
-    checker = projection_checker(loaded)
+    direct, checker = projection_checker(built), projection_checker(loaded)
     Q = loaded.Q
     part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend="exact")
     N = tuple(zip(*basis))
     for v in getattr(oracles, oracle)(*args).points:
-        z = _witness_blocks(built, v, 0)
+        z = _walk(built, v)
+        u = _witness_blocks(built, v, 0)
+        assert u.fractions() == _read(built, z)
+        assert direct.certifies(u, v)
         w, _ = affine_solution_space(N, vec_sub(z.fractions(), part), dim=len(basis),
                                      backend="exact")
-        assert checker.reduced_point(z) == w
-        assert checker.certifies(z)
+        assert _read(loaded, z) == w
+        assert checker.certifies(w, v)
+        assert _witness_blocks(loaded, v, 0) is None
 
 
 @pytest.mark.parametrize("name, params, oracle, args", EXACT_RECIPES,
@@ -109,10 +115,10 @@ def test_a_proved_maximum_is_the_lp_maximum(name, params, oracle, args):
     optima = [checker.maximize_projected(c) for c in objectives]
     proved = 0
     for v in V.points:
-        z = _witness_blocks(ef, v, 0)
-        assert z is not None
+        u = _witness_blocks(ef, v, 0)
+        assert u is not None
         for c, optimum in zip(objectives, optima):
-            if checker.proves_max(z, [int(e) for e in c]):
+            if checker.proves_max(u, [int(e) for e in c]):
                 assert optimum == ("optimal", dot(c, v))
                 proved += 1
     assert proved >= len(objectives)
@@ -126,9 +132,27 @@ def test_a_bare_relation_chain_certifies_as_the_lp_decides():
     checker = projection_checker(bare)
     points = _moved(oracles.permutation_orbit((1, 2, 3, 4)))
     verdicts = [checker.feasible(y) for y in points]
-    assert verdicts == [checker.certifies(_walk(bare, y)) for y in points]
-    assert verdicts == [_witness_blocks(bare, y, 0) is not None for y in points]
+    assert verdicts == [point_in_projection(bare, y) for y in points]
+    assert all(_witness_blocks(bare, y, 0) is None for y in points)
     assert verdicts.count(True) == 24
+
+
+@pytest.mark.parametrize("form", ["bare", "replaced", "loaded"])
+def test_a_formulation_without_steps_certifies_as_its_built_chain(form):
+    built = build_recipe("a_permutahedron", {"n": 4})
+    other = {
+        "bare": lambda: compose_extension(built.base, [
+            PolyhedralRelation(r.n, r.m, r.body, r.preimage) for r in built.relations],
+            built.label),
+        "replaced": lambda: replace(built, Q=replace(built.Q)),
+        "loaded": lambda: ef_from_dict(ef_to_dict(built)),
+    }[form]()
+    assert other.steps is None
+    V = oracles.permutation_orbit((1, 2, 3, 4))
+    want = verify_projection_equality(built, V, 50, seed=7)
+    got = verify_projection_equality(other, V, 50, seed=7)
+    assert got.to_json() == want.to_json()
+    assert (got.witness_hits, got.lp_fallbacks) == (0, 24)
 
 
 def test_a_copy_with_a_new_projection_takes_no_witness_for_the_old_one():
@@ -146,20 +170,38 @@ def test_a_copy_with_a_new_projection_takes_no_witness_for_the_old_one():
 
 def test_a_witness_of_the_wrong_length_raises():
     ef = build_recipe("a_permutahedron", {"n": 3})
-    dim = ef.Q.dim
+    y = (F(1), F(2), F(3))
     for checker in (projection_checker(ef), projection_checker(ef_from_dict(ef_to_dict(ef)))):
-        for k in (dim - 1, dim + 1):
+        for k in (checker.n_free - 1, checker.n_free + 1):
             with pytest.raises(DimensionError):
-                checker.certifies(ScaledPoint((1,) * k, 1))
-    # a copy whose Q has one coordinate more than the chain's blocks
-    Q, proj, zero = ef.Q, ef.projection, F(0)
+                checker.certifies(ScaledPoint((1,) * k, 1), y)
+    # a copy whose Q has one coordinate more than the chain's blocks has no
+    # steps, so no walk reads it: the LP decides, with the new coordinate free
+    dim, Q, proj, zero = ef.Q.dim, ef.Q, ef.projection, F(0)
     wide = replace(
         ef, Q=HPolyhedron(dim + 1, tuple(r + (zero,) for r in Q.A), Q.b,
                           tuple(r + (zero,) for r in Q.C), Q.d),
         projection=AffineMap(tuple(r + (zero,) for r in proj.M), proj.t),
         block_dims=ef.block_dims[:-1] + (ef.block_dims[-1] + 1,))
-    with pytest.raises(DimensionError):
-        point_in_projection(wide, (F(1), F(2), F(3)))
+    assert wide.steps is None and _witness_blocks(wide, y, 0) is None
+    assert point_in_projection(wide, y)
+
+
+def test_a_wrong_length_objective_or_target_raises():
+    # zip once truncated an objective one entry too long, and proved it
+    ef = build_recipe("a_permutahedron", {"n": 3})
+    checker = projection_checker(ef)
+    y = (F(1), F(2), F(3))
+    u = _witness_blocks(ef, y, 0)
+    assert checker.proves_max(u, [0, 0, 1])
+    for c in ([0, 0, 1, 5, 7], [0, 0]):
+        with pytest.raises(DimensionError):
+            checker.proves_max(u, c)
+        with pytest.raises(DimensionError):
+            checker.maximize_projected(c)
+    for target in (y[:2], y + (F(0),)):
+        with pytest.raises(DimensionError):
+            checker.certifies(u, target)
 
 
 def _rows(ef, u, z):
@@ -205,7 +247,7 @@ def test_each_step_substitutes_into_its_body(kind):
         checker, at_z, at_u, residuals = _rows(ef, u, z)
         assert residuals == [0] * len(ef.Q.C)  # 0 on every equation row
         assert at_z == at_u  # exactly the parametrised inequality rows
-        assert checker.reduced_point(z) == u
+        assert _read(ef, z) == u
         assert ef.projection.apply(z) == vec_add(mat_vec(checker.M_red, u), checker.t_red)
 
 
@@ -235,20 +277,60 @@ def _walk(ef, y):
     return ScaledPoint(tuple(e * (den // b.den) for b in blocks for e in b.nums), den)
 
 
+def _read(ef, z):
+    """The reduced point that the raw point z stands for, over the checker's
+    columns: the base's free coordinates (the last nonzero of each basis
+    column), then <a, y - x>/<a,a> per reflection and the k output
+    coordinates per box lift; a map adds none.  A formulation without steps
+    is Q over its own free coordinates."""
+    z = z.fractions() if isinstance(z, ScaledPoint) else tuple(F(e) for e in z)
+    base, steps = (ef.Q, ()) if ef.steps is None else (ef.base, ef.steps)
+    _, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend="exact")
+    u = [z[max(j for j, v in enumerate(col) if v)] for col in basis]
+    x = 0  # the offset of the step's input block in z
+    for (kind, data), rel in zip(steps, ef.relations or ()):
+        y = x + rel.n
+        if kind == "reflection":
+            a = data.a
+            u.append(dot(a, vec_sub(z[y : y + rel.m], z[x:y])) / dot(a, a))
+        elif kind == "box":
+            u.extend(z[y + rel.m - data : y + rel.m])
+        x = y
+    return tuple(u)
+
+
+def test_a_base_with_equations_is_read_at_its_free_coordinates():
+    # the sorted part of the permutahedron of (1,2,3): sum 6 leaves x1 a
+    # pivot of the base's equations, and each basis column is nonzero there
+    # too, so only its last nonzero is the free coordinate
+    base = HPolyhedron.from_rows(3, [((-1, 0, 0), -1), ((-1, -1, 0), -3), ((1, -1, 0), 0),
+                                     ((0, 1, -1), 0)], [((1, 1, 1), 6)])
+    ef = a_permutahedron_ef(base, 3, batcher(3))
+    checker = projection_checker(ef)
+    assert ef.steps is not None and len(checker.N_cols) == 2
+    points = _moved(oracles.permutation_orbit((1, 2, 3)))
+    points += [(F(2), F(2), F(2)), (F(3, 2), F(3), F(3, 2))]
+    for y in points:
+        u = _witness_blocks(ef, y, 0)
+        assert (u is not None) is checker.feasible(y)
+        if u is not None:
+            assert u.fractions() == _read(ef, _walk(ef, y))
+
+
 @pytest.mark.parametrize("y, inside", [((1, 1, 4), False), ((2, 2, 2), True)])
 def test_a_walk_off_the_base_is_no_witness(y, inside):
     ef = build_recipe("a_permutahedron", {"n": 3})
     checker = projection_checker(ef)
-    assert checker.E is not None
+    assert ef.steps is not None
     y = tuple(F(e) for e in y)
     z = _walk(ef, y)
     assert z.fractions()[:3] != (1, 2, 3)  # the walk ends off the base point
-    u = checker.reduced_point(z)
+    u = _read(ef, z)
     if y == (1, 1, 4):
         # every reduced row holds at u: only the projection test rejects it
         assert all(dot(row, u) <= rhs for row, rhs in zip(checker.A_red, checker.b_red))
     assert vec_add(mat_vec(checker.M_red, u), checker.t_red) != y
-    assert not checker.certifies(z)
+    assert not checker.certifies(u, y)
     assert _witness_blocks(ef, y, 0) is None
     assert checker.feasible(y) is inside
     assert point_in_projection(ef, y) is inside

@@ -186,3 +186,11 @@ def test_callers_are_found():
         "g()\n"
     )
     assert callers(ast.parse(source), "g") == ["f", "C.m", ""]
+
+
+def test_certification_calls_the_traced_names():
+    # perfbench's polyhedra.witness and lp.seed spans wrap these two names,
+    # so the vertex pass must reach them by name to be measured
+    tree = ast.parse((SRC / "verify.py").read_text())
+    for name in ("_witness_blocks", "seed_from_raw"):
+        assert "verify_projection_equality" in callers(tree, name), name

@@ -23,7 +23,15 @@ from reflekt.lp import (
     solve,
     solve_system,
 )
-from reflekt.numeric import DEFAULT_TOL, FLOAT, BackendError, DimensionError, ScaledPoint, dot, vec_sub
+from reflekt.numeric import (
+    DEFAULT_TOL,
+    FLOAT,
+    BackendError,
+    DimensionError,
+    affine_solution_space,
+    dot,
+    vec_sub,
+)
 from reflekt.oracles import VertexSet, permutation_orbit
 from reflekt.polyhedra import (
     AffineMap,
@@ -32,6 +40,7 @@ from reflekt.polyhedra import (
     compose_extension,
     graph_relation,
 )
+from test_direct_system import _read, _walk
 
 
 def box01(n):
@@ -242,11 +251,12 @@ def reference_projected(ef, c, sense):
 
 
 def checkers(ef, seed_point=None):
-    """An unseeded checker and, given a feasible raw point, a seeded one."""
+    """An unseeded checker and, given a feasible raw point, one seeded with
+    the reduced point it stands for."""
     out = [ProjectionChecker(ef)]
     if seed_point is not None:
         seeded = ProjectionChecker(ef)
-        assert seeded.seed_from_raw(seed_point)
+        assert seeded.seed_from_raw(_read(ef, seed_point))
         out.append(seeded)
     return out
 
@@ -276,8 +286,7 @@ class TestProjectedObjective:
     def test_recipes_match_the_full_lp(self, name, params, oracle, args):
         ef = build_recipe(name, params)
         V = getattr(oracles, oracle)(*args)
-        z = _witness_blocks(ef, V.points[0], 1e-9)
-        seed_point = z.fractions() if isinstance(z, ScaledPoint) else z
+        seed_point = _walk(ef, V.points[0]).fractions()
         rng = random.Random(5)
         objectives = [
             tuple(F(rng.randint(-10, 10)) for _ in range(V.dim)) for _ in range(3)
@@ -826,7 +835,8 @@ class TestCondensedDictionary:
         pivots nowhere; Bland's path stays pinned on both reduced systems of
         a built chain: the parametrised one that certification seeds
         (``direct``), and the elimination of the same Q, loaded from JSON and
-        seeded with the same raw point (``pivots``)."""
+        seeded with the point N w = z - part solves for the same raw point z
+        (``pivots``)."""
         from reflekt import serialize
         from reflekt.verify import random_objectives, verify_projection_equality
 
@@ -842,11 +852,16 @@ class TestCondensedDictionary:
         # fell back, so these solves factor the dictionary too
         objectives = random_objectives(V.dim, 50, random.Random(7))
         optima = ef._checker.maximize_projected_all(objectives)
-        assert ef._checker.E is not None and ef._checker.pivots == direct
+        assert ef.steps is not None and ef._checker.pivots == direct
         loaded = serialize.ef_from_dict(serialize.ef_to_dict(ef))
         assert loaded.steps is None
         checker = ProjectionChecker(loaded)
-        assert checker.seed_from_raw(_witness_blocks(ef, V.points[0], 1e-9).fractions())
+        Q = loaded.Q
+        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend="exact")
+        z = _walk(ef, V.points[0]).fractions()
+        w, _ = affine_solution_space(tuple(zip(*basis)), vec_sub(z, part), dim=len(basis),
+                                     backend="exact")
+        assert checker.seed_from_raw(w)
         assert checker.maximize_projected_all(objectives) == optima
         assert checker.pivots == pivots
 

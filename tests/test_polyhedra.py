@@ -41,6 +41,7 @@ from reflekt.constructions import (
 from reflekt.reflections import reflection_relation, sign_spec
 from reflekt.oracles import permutation_orbit, sign_flip_orbit
 from reflekt.serialize import ef_from_dict, ef_to_dict
+from test_direct_system import _read
 
 
 def triangle_relation():
@@ -291,7 +292,8 @@ class TestEliminate:
          ("completion_time", {"p": [1, 2, 3]})],
     )
     def test_parametrised_chain_is_q_on_its_equations(self, name, params):
-        # the direct path: on every point z of Q's equations, with u = Ez,
+        # the direct path: on every point z of Q's equations, with u the
+        # reduced point z stands for (the reference reading of its columns),
         # Q's rows and projection are the reduced ones, A z - b =
         # A_red u - b_red and Mz + t = M_red u + t_red; the identity is
         # affine in z, so the particular point and one step along each
@@ -306,7 +308,7 @@ class TestEliminate:
         part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
         assert checker.n_free == len(basis) == red.ledger.raw_variables
         for z in [part] + [vec_add(part, col) for col in basis]:
-            u = checker.reduced_point(z)
+            u = _read(ef, z)
             assert [dot(row, z) - rhs for row, rhs in zip(Q.A, Q.b)] == [
                 dot(row, u) - rhs for row, rhs in zip(checker.A_red, checker.b_red)]
             assert proj.apply(z) == vec_add(mat_vec(checker.M_red, u), checker.t_red)
@@ -352,7 +354,7 @@ class TestPointInProjection:
             preimage=lambda y, tol=1e-9: ScaledPoint((0, 0), 1),
         )
         ef = compose_extension(P, [rel])
-        assert _witness_blocks(ef, (F(0), F(0)), 1e-9) == ScaledPoint((0, 0, 0, 0), 1)
+        assert _witness_blocks(ef, (F(0), F(0)), 1e-9) == ScaledPoint((0, 0), 1)
         for y, inside in [((F(1), F(1)), True), ((F(2), F(0)), False)]:
             assert _witness_blocks(ef, y, 1e-9) is None
             assert point_in_projection(ef, y) is inside
