@@ -45,6 +45,8 @@ def _recipe_params(args) -> dict:
     params = {}
     if getattr(args, "recipe_file", None):
         doc = serialize.load_json(args.recipe_file)
+        if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+            raise UsageError(f"{args.recipe_file}: need a JSON object with a params object")
         params.update(doc.get("params", {}))
         if not getattr(args, "recipe", None):
             args.recipe = doc.get("recipe")

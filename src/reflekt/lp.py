@@ -1,4 +1,6 @@
-"""Self-contained two-phase simplex over both numeric backends.
+"""Self-contained two-phase simplex over both numeric backends, behind one
+entry point on raw rows, :func:`solve_system`.  Every solve maximises; a
+minimum is minus the maximum of the negated objective.
 
 The exact path pivots on a condensed integer dictionary, as in Avis's lrs:
 every row is scaled to integers up front and holds only the nonbasic columns
@@ -48,7 +50,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError, ScaledPoint
-from .numeric import affine_solution_space, dot, int_scale, to_scalar, unit_vector, vec_sub, vector
+from .numeric import affine_solution_space, dot, int_scale, to_scalar, vec_sub, vector
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -63,18 +65,10 @@ class LPNumericError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LPProblem:
-    constraints: "HPolyhedron"  # noqa: F821 - duck-typed, see polyhedra
-    objective: tuple
-    sense: str = "max"
-
-
-@dataclass(frozen=True)
 class LPResult:
     status: str
     value: Optional[object] = None
     point: Optional[tuple] = None
-    dual: Optional[tuple] = None
 
 
 class _ExactCore:
@@ -155,11 +149,10 @@ def _split(coeffs, nonneg, exact):
     return out if nonneg else out + [-c for c in out]
 
 
-def _cost_row(objective, sense, nonneg, exact, width):
+def _cost_row(objective, nonneg, exact, width):
     """The phase-2 row, ``width`` entries wide, of a staged tableau: the split
-    objective, negated for ``min`` and integer-scaled on the exact backend;
-    returns ``(row, scale)``."""
-    row = _split([-c for c in objective] if sense == "min" else objective, nonneg, exact)
+    objective, integer-scaled on the exact backend; returns ``(row, scale)``."""
+    row = _split(objective, nonneg, exact)
     row, scale = int_scale(row) if exact else (row, 1)
     return row + [0 if exact else 0.0] * (width - len(row)), scale
 
@@ -167,31 +160,31 @@ def _cost_row(objective, sense, nonneg, exact, width):
 def _stage(n_vars, ineqs, eqs, nonneg, exact):
     """Phase-1 tableau shared by both backends.
 
-    Returns ``(rows, basis, art_of_row, nv, mults)``: the rows
+    Returns ``(rows, basis, art_of_row, nv)``: the rows
     [split variables | slacks | artificials | rhs], each flipped to a
-    nonnegative rhs, followed by the phase-1 row; the starting basis; the
-    artificial column of each row that needs one; the split variable count;
-    and, on the exact backend, each row's integer multiplier (1 on floats).
+    nonnegative rhs (and scaled to integers on the exact backend), followed
+    by the phase-1 row; the starting basis; the artificial column of each
+    row that needs one; and the split variable count.
     """
-    staged = []  # (row over the split variables + rhs, slack sign or 0, mult)
+    staged = []  # (row over the split variables + rhs, slack sign or 0)
     for kind, system in ((1, ineqs), (0, eqs)):
         for coeffs, rhs in system:
-            row, mult, sign = _split(coeffs, nonneg, exact), 1, kind
+            row, sign = _split(coeffs, nonneg, exact), kind
             row.append(to_scalar(rhs, EXACT if exact else FLOAT))
             if exact:
-                row, mult = int_scale(row)
+                row = int_scale(row)[0]
             if row[-1] < 0:
                 row, sign = [-e for e in row], -sign
-            staged.append((row, sign, mult))
+            staged.append((row, sign))
 
     nv = n_vars if nonneg else 2 * n_vars
     n_slack = len(ineqs)
-    n_art = sum(1 for _, sign, _ in staged if sign != 1)
+    n_art = sum(1 for _, sign in staged if sign != 1)
     ncols = nv + n_slack + n_art
     num = int if exact else float
     zero = num(0)
     rows, basis, art_of_row = [], [], {}
-    for i, (row, sign, _) in enumerate(staged):
+    for i, (row, sign) in enumerate(staged):
         full = row[:-1] + [zero] * (n_slack + n_art) + row[-1:]
         if sign != 0:
             full[nv + i] = num(sign)  # rows are ordered inequalities-first
@@ -210,13 +203,12 @@ def _stage(n_vars, ineqs, eqs, nonneg, exact):
     for col in art_of_row.values():
         p1[col] -= num(1)
     rows.append(p1)
-    return rows, basis, art_of_row, nv, [mult for _, _, mult in staged]
+    return rows, basis, art_of_row, nv
 
 
-def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
-                 feasibility_only, want_duals):
-    rows, basis, art_of_row, nv, mults = _stage(n_vars, ineqs, eqs, nonneg, True)
-    obj, obj_scale = _cost_row(objective, sense, nonneg, True, len(rows[-1]))
+def _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
+    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
+    obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
     basic = set(basis)  # staged basic columns are unit columns in every row
     cols = [j for j in range(len(obj) - 1) if j not in basic]
     core = _ExactCore([[row[j] for j in cols] + row[-1:] for row in rows + [obj]], basis, cols)
@@ -260,24 +252,7 @@ def _solve_exact(n_vars, ineqs, eqs, objective, sense, nonneg,
             vals.get(j, Fraction(0)) - vals.get(n_vars + j, Fraction(0))
             for j in range(n_vars)
         )
-    p2row = core.rows[m + 1]
-    value = Fraction(-p2row[-1], q) / obj_scale
-    if sense == "min":
-        value = -value
-
-    dual = None
-    if want_duals and not art_of_row:
-        # clean extraction only for pure, unflipped inequality systems; a
-        # basic slack has reduced cost 0
-        slot = {label: k for k, label in enumerate(core.cols)}
-        dual = tuple(
-            Fraction(-p2row[slot[nv + i]], q) / obj_scale * mults[i]
-            if nv + i in slot else Fraction(0)
-            for i in range(len(ineqs))
-        )
-        if sense == "min":
-            dual = tuple(-y for y in dual)
-    return LPResult(OPTIMAL, value, x, dual)
+    return LPResult(OPTIMAL, Fraction(-core.rows[m + 1][-1], q) / obj_scale, x)
 
 
 def _updated(row, col, lead):
@@ -335,7 +310,7 @@ class _FloatCore:
         raise LPNumericError("float simplex failed to converge")
 
 
-def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg):
+def _float_optima(n_vars, ineqs, eqs, objectives, nonneg):
     """Two-phase float solves of each objective over one system; returns one
     :class:`LPResult` per objective, or None when phase 1 finds the system
     infeasible.
@@ -348,9 +323,9 @@ def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg):
     child, pivoted once on a shallow copy, and each of their rows is updated
     from its lead row as a pivot updates any other row, so every objective
     keeps the bits of its own two-phase solve."""
-    rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, eqs, nonneg, False)
+    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, False)
     m, width = len(basis), len(rows[0])
-    rows += [_cost_row(c, sense, nonneg, False, width)[0] for c in objectives]
+    rows += [_cost_row(c, nonneg, False, width)[0] for c in objectives]
     if art_of_row:
         feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
         _FloatCore(rows, basis).run_phase(m, range(width - 1))
@@ -374,7 +349,7 @@ def _float_optima(n_vars, ineqs, eqs, objectives, sense, nonneg):
                     x = tuple(vals.get(j, 0.0) for j in range(n_vars))
                 else:
                     x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
-                results[k] = LPResult(OPTIMAL, row[-1] if sense == "min" else -row[-1], x)
+                results[k] = LPResult(OPTIMAL, -row[-1], x)
         if children and depth == _MAX_PIVOTS_FLOAT:
             raise LPNumericError("float simplex failed to converge")
         for (r, col), members in children.items():
@@ -390,61 +365,25 @@ def solve_system(
     ineqs: Sequence,
     eqs: Sequence,
     objective: Sequence,
-    sense: str = "max",
     backend: str = EXACT,
     nonneg: bool = False,
     feasibility_only: bool = False,
-    want_duals: bool = False,
 ) -> LPResult:
-    """Low-level entry point on raw rows; the public API wraps polyhedra."""
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+    """Maximise <objective, x> over ``(coeffs, rhs)`` rows: ``ineqs`` as
+    coeffs x <= rhs and ``eqs`` as coeffs x = rhs, over ``n_vars`` free
+    variables (nonnegative ones with ``nonneg``).  The exact backend pivots
+    by Bland's rule and returns exact optima; the float one prices by
+    largest coefficient at ``DEFAULT_TOL`` and raises :class:`LPNumericError`
+    (never a silent wrong status) when it cannot converge."""
     if backend == EXACT:
-        return _solve_exact(
-            n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only, want_duals
-        )
+        return _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only)
     if backend == FLOAT:
         results = _float_optima(n_vars, ineqs, eqs, [] if feasibility_only else [objective],
-                                sense, nonneg)
+                                nonneg)
         if results is None:
             return LPResult(INFEASIBLE)
         return results[0] if results else LPResult(OPTIMAL)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-def solve(problem: LPProblem, want_duals: bool = False) -> LPResult:
-    """Two-phase simplex over the problem's polyhedron.
-
-    Rational mode pivots by Bland's rule and returns exact optima; float
-    mode prices by largest coefficient at ``DEFAULT_TOL`` and raises
-    :class:`LPNumericError` (never a silent wrong status) when it cannot
-    converge.
-    """
-    Q = problem.constraints
-    if len(problem.objective) != Q.dim:
-        raise ValueError("objective dimension != constraint dimension")
-    return solve_system(
-        Q.dim,
-        list(zip(Q.A, Q.b)),
-        list(zip(Q.C, Q.d)),
-        problem.objective,
-        sense=problem.sense,
-        backend=Q.backend,
-        want_duals=want_duals,
-    )
-
-
-def pinned(Q, pins):
-    """Copy of Q with coordinates fixed by (index, value) pairs as equations;
-    each value enters Q's backend through :func:`~reflekt.numeric.to_scalar`."""
-    C = list(Q.C)
-    d = list(Q.d)
-    for idx, val in pins:
-        if not 0 <= idx < Q.dim:
-            raise IndexError(f"pin index {idx} out of range for dim {Q.dim}")
-        C.append(unit_vector(idx, Q.dim, Q.backend))
-        d.append(to_scalar(val, Q.backend))
-    return type(Q)(Q.dim, Q.A, Q.b, tuple(C), tuple(d), Q.backend)
 
 
 def in_hull(y, V) -> bool:
@@ -717,19 +656,17 @@ class ProjectionChecker:
             self._factored = self._factor() or ()
         return self._factored
 
-    def maximize_projected_all(self, objectives, sense: str = "max"):
+    def maximize_projected_all(self, objectives):
         """:meth:`maximize_projected` of each objective, as a list; float
         objectives are solved as one pivot tree (:func:`_float_optima`)."""
-        if sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
         if self.backend != FLOAT or not self.consistent:
-            return [self.maximize_projected(c, sense) for c in objectives]
+            return [self.maximize_projected(c) for c in objectives]
         consts = [dot(c, self.t_red) for c in objectives]
         cols = list(zip(*self.M_red))
         objs = [tuple(dot(c, col) for col in cols) for c in objectives]
         seeded = self.w_feas is not None
         rows = list(zip(self.A_red, self.b_shift if seeded else self.b_red))
-        results = (_float_optima(self.n_free, rows, (), objs, sense, False)
+        results = (_float_optima(self.n_free, rows, (), objs, False)
                    or [LPResult(INFEASIBLE)] * len(objs))
         out = []
         for obj, const, res in zip(objs, consts, results):
@@ -740,27 +677,23 @@ class ProjectionChecker:
             out.append((OPTIMAL, value + const))
         return out
 
-    def maximize_projected(self, c, sense: str = "max"):
-        """Optimize <c, projection(z)> over Q; returns (status, value)."""
-        if sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', not {sense!r}")
+    def maximize_projected(self, c):
+        """Maximise <c, projection(z)> over Q; returns (status, value)."""
         if not self.consistent:
             return INFEASIBLE, None
         if self.backend == FLOAT:
-            return self.maximize_projected_all([c], sense)[0]
+            return self.maximize_projected_all([c])[0]
         c_ints, c_den = int_scale(self._exact_input(c))
         if not self._tableau():
             return INFEASIBLE, None
         slack, labels, cols, proj, q, scale = self._factored
-        sgn = 1 if sense == "max" else -1
         top = [0] * (len(cols) + 1)
         for ci, row in zip(c_ints, proj):
             if ci:
-                ci *= sgn
                 top = [t + ci * e for t, e in zip(top, row)]
         core = _ExactCore(slack + [top], labels[:], cols[:], q)
         optimal = core.run_phase(len(slack), len(slack), self.n_free + len(self.b_red))
         self.pivots += core.pivots
         if not optimal:
             return UNBOUNDED, None
-        return OPTIMAL, Fraction(-sgn * core.rows[-1][-1], core.q * scale * c_den)
+        return OPTIMAL, Fraction(-core.rows[-1][-1], core.q * scale * c_den)

@@ -25,7 +25,6 @@ from .lp import ProjectionChecker
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
-    FLOAT,
     BackendError,
     DimensionError,
     ScaledPoint,
@@ -53,9 +52,9 @@ class HPolyhedron:
     tracked separately because the size arithmetic counts inequalities only.
 
     ``dim`` must be a nonnegative ``int`` and every row ``dim`` wide
-    (:class:`~reflekt.numeric.DimensionError` otherwise).  Exact membership
-    tests run on a copy of the system with every row scaled to integers,
-    built on first use and cached.
+    (:class:`~reflekt.numeric.DimensionError` otherwise).  Membership tests
+    walk the nonzeros of each row, kept in a sparse copy of the system that
+    is built on first use and cached.
     """
 
     dim: int
@@ -65,7 +64,6 @@ class HPolyhedron:
     d: tuple = ()
     backend: str = EXACT
     _sparse: object = field(default=None, repr=False, compare=False)
-    _int: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.dim) is not int or self.dim < 0:
@@ -90,21 +88,6 @@ class HPolyhedron:
             )
             object.__setattr__(self, "_sparse", (ineq, eq))
         return self._sparse
-
-    def _int_system(self):
-        # each sparse row times the least common denominator of its
-        # coefficients and right-hand side; positive scaling keeps the row
-        if self._int is None:
-            def scaled(rows):
-                out = []
-                for row, rhs in rows:
-                    ints, _ = int_scale([c for _, c in row] + [rhs])
-                    out.append((tuple((j, k) for (j, _), k in zip(row, ints)), ints[-1]))
-                return tuple(out)
-
-            ineq, eq = self._sparse_system()
-            object.__setattr__(self, "_int", (scaled(ineq), scaled(eq)))
-        return self._int
 
     @classmethod
     def from_rows(cls, dim, ineqs=(), eqs=(), backend=EXACT):
@@ -147,35 +130,22 @@ class HPolyhedron:
         return len(self.C)
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        """Membership of x, a tuple of scalars or a :class:`ScaledPoint`.
-
-        An exact polyhedron tests on integers, sum(c*X) <= rhs*D and
-        sum(c*X) = rhs*D row by row, and raises
-        :class:`~reflekt.numeric.BackendError` for a float point; a float
-        polyhedron tests within ``tol``.
+        """Membership of the point x, a tuple of scalars, row by row: exactly
+        on an exact polyhedron, which takes x through
+        :func:`~reflekt.numeric.vector` (so a float point raises
+        :class:`~reflekt.numeric.BackendError`), and within ``tol`` on a
+        float one.
         """
-        if not isinstance(x, ScaledPoint):
-            if len(x) != self.dim:
-                raise DimensionError("point dimension mismatch")
-            if self.backend == FLOAT:
-                ineq, eq = self._sparse_system()
-                for row, rhs in ineq:
-                    if not leq(sum(c * x[j] for j, c in row), rhs, tol):
-                        return False
-                for row, rhs in eq:
-                    if not scalars_eq(sum(c * x[j] for j, c in row), rhs, tol):
-                        return False
-                return True
-            x = ScaledPoint.of(vector(x, EXACT))
-        nums, den = x
-        if len(nums) != self.dim:
+        if len(x) != self.dim:
             raise DimensionError("point dimension mismatch")
-        ineq, eq = self._int_system()
+        if self.backend == EXACT:
+            x = vector(x, EXACT)
+        ineq, eq = self._sparse_system()
         for row, rhs in ineq:
-            if sum(c * nums[j] for j, c in row) > rhs * den:
+            if not leq(sum(c * x[j] for j, c in row), rhs, tol):
                 return False
         for row, rhs in eq:
-            if sum(c * nums[j] for j, c in row) != rhs * den:
+            if not scalars_eq(sum(c * x[j] for j, c in row), rhs, tol):
                 return False
         return True
 

@@ -56,14 +56,24 @@ def ef_to_dict(ef: ExtendedFormulation) -> dict:
     }
 
 
+def _typed(value, kind, what):
+    """value, or ValueError when it is not a JSON object (``kind`` dict) or
+    array (``kind`` list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
 def ef_from_dict(data: dict) -> ExtendedFormulation:
     """The formulation a document describes.  Its size counts are read off
     Q; of the document's ledger only ``reduced_variable_bound`` is read.
     Every coefficient enters the document's backend through
     :func:`~reflekt.numeric.to_scalar`, so a malformed atom (a float in an
     exact document, ``None`` or a list in either) raises
-    :class:`~reflekt.numeric.BackendError`."""
-    if data.get("schema") != SCHEMA:
+    :class:`~reflekt.numeric.BackendError`; a field of the wrong JSON type
+    (a list for the document, a number for ``ineqs``) raises ValueError."""
+    if _typed(data, dict, "the document").get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {data.get('schema')!r}, need {SCHEMA}")
     if data.get("kind") != "extended_formulation":
         raise ValueError("not an extended-formulation document")
@@ -73,13 +83,14 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
     dim = data["dim"]
 
     def row(entry):
+        entry = _typed(entry, dict, "a row")
         return (
-            tuple(to_scalar(c, backend) for c in entry["coeffs"]),
+            tuple(to_scalar(c, backend) for c in _typed(entry["coeffs"], list, "coeffs")),
             to_scalar(entry["rhs"], backend),
         )
 
-    ineqs = [row(e) for e in data["ineqs"]]
-    eqs = [row(e) for e in data["eqs"]]
+    ineqs = [row(e) for e in _typed(data["ineqs"], list, "ineqs")]
+    eqs = [row(e) for e in _typed(data["eqs"], list, "eqs")]
     Q = HPolyhedron(
         dim,
         tuple(r for r, _ in ineqs),
@@ -88,18 +99,19 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
         tuple(v for _, v in eqs),
         backend,
     )
-    proj = data["projection"]
+    proj = _typed(data["projection"], dict, "projection")
     projection = AffineMap(
-        tuple(tuple(to_scalar(c, backend) for c in r) for r in proj["matrix"]),
-        tuple(to_scalar(c, backend) for c in proj["offset"]),
+        tuple(tuple(to_scalar(c, backend) for c in _typed(r, list, "a projection row"))
+              for r in _typed(proj["matrix"], list, "projection.matrix")),
+        tuple(to_scalar(c, backend) for c in _typed(proj["offset"], list, "projection.offset")),
         backend,
     )
     block_dims = data.get("block_dims")
     return ExtendedFormulation(
         Q,
         projection,
-        data["ledger"]["reduced_variable_bound"],
-        block_dims=tuple(block_dims) if block_dims is not None else None,
+        _typed(data["ledger"], dict, "ledger")["reduced_variable_bound"],
+        block_dims=None if block_dims is None else tuple(_typed(block_dims, list, "block_dims")),
         label=data.get("label", ""),
     )
 

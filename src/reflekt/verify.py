@@ -263,7 +263,7 @@ def verify_projection_equality(
             if u is not None and checker.proves_max(u, c_ints):
                 optima[k] = (lp.OPTIMAL, brutes[k])
     rest = [c for c, known in zip(objectives, optima) if known is None]
-    solved = iter(checker.maximize_projected_all(rest, "max"))
+    solved = iter(checker.maximize_projected_all(rest))
     optima = [known or next(solved) for known in optima]
     report.lp_certified = len(objectives) - len(rest)
     report.lp_exact = len(rest) if exact else 0
@@ -345,15 +345,19 @@ def check_affine_generators(
 ) -> bool:
     """Spot-check that the affine ``maps`` generate the relation's fibers:
     each map's image must lie in the fiber, and random fiber optimizations
-    must peak at a map's image.  A reflection relation's pair is
-    ``(AffineMap.identity(n), reflection_map(spec))``, a graph relation's
-    is its one map.  Empty ``maps`` raises ValueError.  ``tol`` compares
-    the images and optima; the fiber LPs pivot at ``DEFAULT_TOL``."""
+    must peak at a map's image.  The fiber over a sampled x is the body's
+    rows over y with x moved into the right-hand side; each objective c is
+    maximised, and minimised as minus the maximum of -c.  A reflection
+    relation's pair is ``(AffineMap.identity(n), reflection_map(spec))``, a
+    graph relation's is its one map.  Empty ``maps`` or a negative
+    ``samples`` raises ValueError.  ``tol`` compares the images and optima;
+    the fiber LPs pivot at ``DEFAULT_TOL``."""
     if not maps:
         raise ValueError("no generator maps to check")
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, not {samples}")
     rng = Random(seed)
-    backend = rel.backend
-    exact = backend == EXACT
+    backend, n, body = rel.backend, rel.n, rel.body
 
     def rand_vec(k):
         vals = [rng.randint(-10, 10) for _ in range(k)]
@@ -361,25 +365,21 @@ def check_affine_generators(
             Fraction(v) for v in vals
         )
 
-    zero = Fraction(0) if exact else 0.0
     for _ in range(samples):
-        x = rel.preimage(rand_vec(rel.m), tol) if rel.preimage else rand_vec(rel.n)
+        x = rel.preimage(rand_vec(rel.m), tol) if rel.preimage else rand_vec(n)
         if x is None:
-            x = rand_vec(rel.n)
+            x = rand_vec(n)
         images = [g.apply(x) for g in maps]
         for img in images:
-            if not rel.body.contains(tuple(x) + tuple(img), tol):
+            if not body.contains(tuple(x) + tuple(img), tol):
                 return False
-        pins = [(i, x[i]) for i in range(rel.n)]
-        fiber = lp.pinned(rel.body, pins)
+        ineqs, eqs = ([(row[n:], rhs - dot(row[:n], x)) for row, rhs in zip(rows, rhss)]
+                      for rows, rhss in ((body.A, body.b), (body.C, body.d)))
         for _ in range(_FIBER_OBJECTIVES):
             c = rand_vec(rel.m)
-            objective = (zero,) * rel.n + c
-            for sense, pick in (("max", max), ("min", min)):
-                res = lp.solve(lp.LPProblem(fiber, objective, sense))
-                if res.status != lp.OPTIMAL:
-                    return False
-                best = pick(dot(c, img) for img in images)
-                if not scalars_eq(res.value, best, tol):
+            for obj in (c, tuple(-e for e in c)):
+                res = lp.solve_system(rel.m, ineqs, eqs, obj, backend=backend)
+                if res.status != lp.OPTIMAL or not scalars_eq(
+                        res.value, max(dot(obj, img) for img in images), tol):
                     return False
     return True

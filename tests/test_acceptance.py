@@ -10,8 +10,6 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
-import pytest
-
 from reflekt.constructions import (
     a_permutahedron_ef,
     b_permutahedron_ef,

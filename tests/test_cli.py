@@ -282,6 +282,35 @@ class TestDoctoredDocuments:
         assert captured.err.startswith("error: ") and "dimension 0" in captured.err
         assert not os.path.exists(src + ".lp")
 
+    @pytest.mark.parametrize("command", ["stats", "verify", "export"])
+    @pytest.mark.parametrize("doctor", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "block_dims": 4},
+        lambda doc: {**doc, "ineqs": 7},
+        lambda doc: {**doc, "ineqs": ["1 <= 2"] + doc["ineqs"]},
+        lambda doc: {**doc, "ineqs": [{"coeffs": "1234", "rhs": 0}]},
+        lambda doc: {**doc, "projection": {**doc["projection"], "matrix": 3}},
+    ], ids=["list", "block_dims", "ineqs", "ineq_entry", "coeffs", "projection_matrix"])
+    def test_wrong_json_type_is_a_usage_error(self, tmp_path, capsys, command, doctor):
+        src = self.write(tmp_path, doctor(ef_to_dict(build_recipe("a_permutahedron", {"n": 3}))))
+        argv = {"stats": ["stats", "--ef", src],
+                "verify": ["verify", "--ef", src, "--oracle", "permutation", "--base", "1,2,3"],
+                "export": ["export", "--ef", src, "--format", "lp", "--out", src + ".lp"]}[command]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and " must be an " in captured.err
+        assert not os.path.exists(src + ".lp")
+
+    @pytest.mark.parametrize("doc", [[{"recipe": "mgon", "params": {"m": 4}}],
+                                     {"recipe": "mgon", "params": 4}], ids=["list", "params"])
+    def test_wrong_json_type_in_a_recipe_file_is_a_usage_error(self, tmp_path, capsys, doc):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps(doc))
+        assert run(["build", "--recipe-file", str(recipe)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "params object" in captured.err
+
     def test_malformed_float_coefficient_is_a_numeric_error(self, tmp_path, capsys):
         doc = ef_to_dict(build_recipe("mgon", {"m": 4}))
         doc["ineqs"][0]["coeffs"][0] = None

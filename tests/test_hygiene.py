@@ -13,6 +13,7 @@ from reflekt.networks import ComparatorSeq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "reflekt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(tree):
@@ -29,7 +30,8 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else "tests/" + p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
@@ -127,8 +129,13 @@ def test_import_cycle_is_found():
 
 def test_nothing_that_pivots_takes_a_tolerance():
     pivoting = (numeric.rref, numeric.rank, numeric.kernel_dim, numeric.affine_solution_space,
-                lp.solve_system, lp.solve, lp.in_hull)
+                lp.solve_system, lp.in_hull)
     assert [f.__name__ for f in pivoting if "tol" in inspect.signature(f).parameters] == []
+    # every LP maximises and reads no dual
+    entries = (lp.solve_system, lp._solve_exact, lp._float_optima, lp._cost_row,
+               lp.ProjectionChecker.maximize_projected, lp.ProjectionChecker.maximize_projected_all)
+    assert [f.__name__ for f in entries
+            if {"sense", "want_duals"} & set(inspect.signature(f).parameters)] == []
     assert [f.name for f in dataclasses.fields(ComparatorSeq)] == ["n", "comparators"]
     assert list(inspect.signature(numeric.orthogonal_complement_basis).parameters) == ["a"]
 

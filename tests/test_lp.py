@@ -11,7 +11,6 @@ from reflekt.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LPProblem,
     LPResult,
     ProjectionChecker,
     _cost_row,
@@ -19,8 +18,6 @@ from reflekt.lp import (
     _FloatCore,
     _stage,
     in_hull,
-    pinned,
-    solve,
     solve_system,
 )
 from reflekt.numeric import (
@@ -30,6 +27,7 @@ from reflekt.numeric import (
     DimensionError,
     affine_solution_space,
     dot,
+    unit_vector,
     vec_sub,
 )
 from reflekt.oracles import VertexSet, permutation_orbit
@@ -47,25 +45,35 @@ def box01(n):
     return HPolyhedron.box([0] * n, [1] * n)
 
 
+def solve(Q, c):
+    """max <c, x> over the polyhedron Q."""
+    return solve_system(Q.dim, list(zip(Q.A, Q.b)), list(zip(Q.C, Q.d)), c, backend=Q.backend)
+
+
+def neg(c):
+    return tuple(-e for e in c)
+
+
 class TestSolve:
     def test_max_over_unit_square(self):
-        res = solve(LPProblem(box01(2), (F(1), F(1)), "max"))
+        res = solve(box01(2), (F(1), F(1)))
         assert res.status == OPTIMAL
         assert res.value == 2
         assert res.point == (F(1), F(1))
 
     def test_unbounded(self):
         Q = HPolyhedron.from_rows(1, ineqs=[((-1,), 0)])
-        assert solve(LPProblem(Q, (F(1),), "max")).status == UNBOUNDED
+        assert solve(Q, (F(1),)).status == UNBOUNDED
 
     def test_infeasible(self):
         Q = HPolyhedron.from_rows(1, ineqs=[((1,), -1), ((-1,), 0)])
-        assert solve(LPProblem(Q, (F(0),), "max")).status == INFEASIBLE
+        assert solve(Q, (F(0),)).status == INFEASIBLE
 
     def test_min_sense(self):
-        res = solve(LPProblem(box01(2), (F(1), F(3)), "min"))
+        # min <c, x> is -max <-c, x>
+        res = solve(box01(2), neg((F(1), F(3))))
         assert res.status == OPTIMAL
-        assert res.value == 0
+        assert -res.value == 0
         assert res.point == (F(0), F(0))
 
     def test_equations_handled_natively(self):
@@ -74,7 +82,7 @@ class TestSolve:
             ineqs=[((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)],
             eqs=[((1, 1), 1)],
         )
-        res = solve(LPProblem(Q, (F(2), F(1)), "max"))
+        res = solve(Q, (F(2), F(1)))
         assert res.status == OPTIMAL
         assert res.value == 2
         assert res.point == (F(1), F(0))
@@ -82,8 +90,8 @@ class TestSolve:
     def test_free_variables(self):
         # min x st x >= -7 (negative optimum needs the split representation)
         Q = HPolyhedron.from_rows(1, ineqs=[((-1,), 7)])
-        res = solve(LPProblem(Q, (F(1),), "min"))
-        assert res.value == -7
+        res = solve(Q, neg((F(1),)))
+        assert -res.value == -7
 
     def test_optimal_point_is_feasible_and_consistent(self):
         rng = random.Random(3)
@@ -105,7 +113,7 @@ class TestSolve:
                 rhss.append(F(6))
             Q = HPolyhedron(n, tuple(rows), tuple(rhss))
             c = tuple(F(rng.randint(-9, 9)) for _ in range(n))
-            res = solve(LPProblem(Q, c, "max"))
+            res = solve(Q, c)
             assert res.status == OPTIMAL
             assert Q.contains(res.point)
             assert dot(c, res.point) == res.value
@@ -113,50 +121,16 @@ class TestSolve:
     def test_deterministic(self):
         Q = box01(3)
         c = (F(1), F(-2), F(1))
-        r1 = solve(LPProblem(Q, c, "max"))
-        r2 = solve(LPProblem(Q, c, "max"))
+        r1 = solve(Q, c)
+        r2 = solve(Q, c)
         assert (r1.value, r1.point) == (r2.value, r2.point)
-
-
-class TestDualityAudit:
-    def test_exact_certificates_on_random_lps(self):
-        rng = random.Random(42)
-        for _ in range(100):
-            n = rng.randint(2, 4)
-            rows, rhss = [], []
-            for _ in range(rng.randint(2, 5)):
-                rows.append(tuple(F(rng.randint(-5, 5)) for _ in range(n)))
-                rhss.append(F(rng.randint(0, 10)))
-            for j in range(n):
-                e = [F(0)] * n
-                e[j] = F(1)
-                rows.append(tuple(e))
-                rhss.append(F(10))
-                e2 = [F(0)] * n
-                e2[j] = F(-1)
-                rows.append(tuple(e2))
-                rhss.append(F(10))
-            Q = HPolyhedron(n, tuple(rows), tuple(rhss))
-            c = tuple(F(rng.randint(-10, 10)) for _ in range(n))
-            res = solve(LPProblem(Q, c, "max"), want_duals=True)
-            assert res.status == OPTIMAL
-            y = res.dual
-            assert y is not None
-            # dual feasibility, strong duality, complementary slackness: exact
-            assert all(yi >= 0 for yi in y)
-            for j in range(n):
-                assert sum(y[i] * rows[i][j] for i in range(len(rows))) == c[j]
-            assert sum(y[i] * rhss[i] for i in range(len(rows))) == res.value
-            for i, yi in enumerate(y):
-                if yi > 0:
-                    assert dot(rows[i], res.point) == rhss[i]
 
 
 def pinned_feasible(Q, pins):
     """Phase-1 feasibility of Q with coordinates pinned by (index, value) pairs."""
-    system = pinned(Q, pins)
-    res = solve_system(system.dim, list(zip(system.A, system.b)), list(zip(system.C, system.d)),
-                       (F(0),) * system.dim, backend=system.backend, feasibility_only=True)
+    eqs = list(zip(Q.C, Q.d)) + [(unit_vector(i, Q.dim, Q.backend), v) for i, v in pins]
+    res = solve_system(Q.dim, list(zip(Q.A, Q.b)), eqs, (F(0),) * Q.dim, backend=Q.backend,
+                       feasibility_only=True)
     return res.status == OPTIMAL
 
 
@@ -166,10 +140,6 @@ class TestFeasible:
 
     def test_pin_outside(self):
         assert not pinned_feasible(box01(2), [(0, F(2))])
-
-    def test_pin_index_range(self):
-        with pytest.raises(IndexError):
-            pinned_feasible(box01(2), [(5, F(0))])
 
 
 class TestPinnedProjection:
@@ -225,7 +195,7 @@ class TestInHull:
 class TestFloatBackend:
     def test_float_square(self):
         Q = HPolyhedron.box([0.0, 0.0], [1.0, 1.0], backend=FLOAT)
-        res = solve(LPProblem(Q, (1.0, 1.0), "max"))
+        res = solve(Q, (1.0, 1.0))
         assert res.status == OPTIMAL
         assert abs(res.value - 2.0) < 1e-9
 
@@ -233,18 +203,18 @@ class TestFloatBackend:
         Q = HPolyhedron.from_rows(
             1, ineqs=[((1.0,), -1.0), ((-1.0,), 0.0)], backend=FLOAT
         )
-        assert solve(LPProblem(Q, (0.0,), "max")).status == INFEASIBLE
+        assert solve(Q, (0.0,)).status == INFEASIBLE
 
     def test_float_unbounded(self):
         Q = HPolyhedron.from_rows(1, ineqs=[((-1.0,), 0.0)], backend=FLOAT)
-        assert solve(LPProblem(Q, (1.0,), "max")).status == UNBOUNDED
+        assert solve(Q, (1.0,)).status == UNBOUNDED
 
 
-def reference_projected(ef, c, sense):
+def reference_projected(ef, c):
     """Two-phase LP over the full Q with the objective c composed with the
     projection: an independent check of ProjectionChecker.maximize_projected."""
     objective = tuple(dot(c, col) for col in zip(*ef.projection.M))
-    res = solve(LPProblem(ef.Q, objective, sense))
+    res = solve(ef.Q, objective)
     if res.status != OPTIMAL:
         return res.status, None
     return OPTIMAL, res.value + dot(c, ef.projection.t)
@@ -264,9 +234,8 @@ def checkers(ef, seed_point=None):
 def assert_matches_reference(ef, objectives, seed_point=None):
     for checker in checkers(ef, seed_point):
         for c in objectives:
-            for sense in ("max", "min"):
-                got = checker.maximize_projected(c, sense)
-                assert got == reference_projected(ef, c, sense), (c, sense)
+            for obj in (c, neg(c)):
+                assert checker.maximize_projected(obj) == reference_projected(ef, obj), obj
 
 
 def identity_ef(P):
@@ -309,9 +278,9 @@ class TestProjectedObjective:
         pivots = checker.pivots
         # a lineality slot or its negated copy enters first and is unblocked
         assert checker.maximize_projected((F(1), F(0))) == (UNBOUNDED, None)
-        assert checker.maximize_projected((F(2), F(-1)), "min") == (UNBOUNDED, None)
+        assert checker.maximize_projected(neg((F(2), F(-1)))) == (UNBOUNDED, None)
         assert checker.pivots == pivots
-        assert checker.maximize_projected((F(3), F(3)), "min") == (OPTIMAL, F(0))
+        assert checker.maximize_projected(neg((F(3), F(3)))) == (OPTIMAL, -F(0))
         objectives = [(F(1), F(0)), (F(2), F(-1)), (F(3), F(3)), (F(0), F(0))]
         assert_matches_reference(ef, objectives, (F(5), F(-5)))
 
@@ -322,7 +291,7 @@ class TestProjectedObjective:
         checker = ProjectionChecker(identity_ef(P))
         assert checker.seed_from_raw((F(0), F(-3)))
         assert checker.maximize_projected((F(2), F(0))) == (OPTIMAL, F(1))
-        assert checker.maximize_projected((F(-2), F(1)), "min") == (OPTIMAL, F(-1))
+        assert checker.maximize_projected(neg((F(-2), F(1)))) == (OPTIMAL, -F(-1))
 
     def test_free_coordinate_is_lineality(self):
         # y never appears in a constraint
@@ -332,7 +301,7 @@ class TestProjectedObjective:
         assert checker.maximize_projected((F(4), F(0))) == (OPTIMAL, F(2))
         pivots = checker.pivots
         assert checker.maximize_projected((F(0), F(1))) == (UNBOUNDED, None)
-        assert checker.maximize_projected((F(0), F(-1)), "min") == (UNBOUNDED, None)
+        assert checker.maximize_projected(neg((F(0), F(-1)))) == (UNBOUNDED, None)
         assert checker.pivots == pivots
         assert_matches_reference(ef, [(F(0), F(1)), (F(4), F(0))], (F(0), F(7)))
 
@@ -361,11 +330,9 @@ class TestProjectedObjective:
         assert ProjectionChecker(ef).maximize_projected((F(1), F(1))) == (INFEASIBLE, None)
         assert_matches_reference(ef, [(F(1), F(1)), (F(-1), F(2))])
 
-    def test_bad_sense_and_wrong_length(self):
+    def test_wrong_length(self):
         ef = build_recipe("a_permutahedron", {"n": 3})
         checker = ProjectionChecker(ef)
-        with pytest.raises(ValueError):
-            checker.maximize_projected((F(1), F(2), F(3)), "maximize")
         with pytest.raises(DimensionError):
             checker.maximize_projected((F(1), F(2)))
         with pytest.raises(DimensionError):
@@ -390,7 +357,7 @@ class TestProjectedObjective:
         ef = compose_extension(P, [graph_relation(AffineMap.from_rows(M, t))])
         objectives = data.draw(st.lists(st.tuples(*[coeff] * out), min_size=1, max_size=3))
         objectives = [tuple(F(e) for e in c) for c in objectives]
-        start = solve(LPProblem(ef.Q, (F(0),) * ef.Q.dim))
+        start = solve(ef.Q, (F(0),) * ef.Q.dim)
         seed_point = start.point if start.status == OPTIMAL else None
         assert_matches_reference(ef, objectives, seed_point)
 
@@ -441,7 +408,7 @@ class TestExactMembership:
         coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
         points = data.draw(st.lists(st.tuples(*[coord] * out), max_size=4))
         for c in data.draw(st.lists(st.tuples(*[coeff] * ef.Q.dim), max_size=3)):
-            res = solve(LPProblem(ef.Q, tuple(F(e) for e in c)))
+            res = solve(ef.Q, tuple(F(e) for e in c))
             if res.status == OPTIMAL:
                 y = ef.projection.apply(res.point)
                 points += [y, y[:-1] + (y[-1] + F(1, 2),)]
@@ -501,11 +468,11 @@ class TestExactMembership:
         assert checker.feasible(centre) == reference_feasible(checker, centre)
 
 
-def carried_float_solve(n_vars, ineqs, objective, sense):
+def carried_float_solve(n_vars, ineqs, objective):
     """The float two-phase solve with its objective row carried through
     phase 1, as one tableau: the one-objective reference for the float solves."""
-    rows, basis, art_of_row, nv, _ = _stage(n_vars, ineqs, (), False, False)
-    row, _ = _cost_row(objective, sense, False, False, len(rows[-1]))
+    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, (), False, False)
+    row, _ = _cost_row(objective, False, False, len(rows[-1]))
     core = _FloatCore(rows + [row], basis)
     m = len(basis)
     if art_of_row:
@@ -515,18 +482,16 @@ def carried_float_solve(n_vars, ineqs, objective, sense):
             return INFEASIBLE, None
     if not core.run_phase(m + 1, range(nv + len(ineqs))):
         return UNBOUNDED, None
-    value = -core.rows[m + 1][-1]
-    return OPTIMAL, -value if sense == "min" else value
+    return OPTIMAL, -core.rows[m + 1][-1]
 
 
-def fresh_projected(checker, c, sense):
+def fresh_projected(checker, c):
     """One two-phase float solve of the checker's staged data per objective."""
     obj = tuple(dot(c, col) for col in zip(*checker.M_red))
     const = dot(c, checker.t_red)
     seeded = checker.w_feas is not None
     b = checker.b_shift if seeded else checker.b_red
-    res = solve_system(checker.n_free, list(zip(checker.A_red, b)), (), obj,
-                       sense=sense, backend=FLOAT)
+    res = solve_system(checker.n_free, list(zip(checker.A_red, b)), (), obj, backend=FLOAT)
     if res.status != OPTIMAL:
         return res.status, None
     if seeded:
@@ -548,9 +513,9 @@ class TestFloatSharedPhase1:
             z = _witness_blocks(ef, mgon_orbit(m).points[0], 1e-6)
             assert checker.seed_from_raw(z)
             for c in random_objectives(2, 25, random.Random(m), FLOAT):
-                for sense in ("max", "min"):
-                    got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense))
+                for obj in (c, neg(c)):
+                    got = checker.maximize_projected(obj)
+                    assert repr(got) == repr(fresh_projected(checker, obj))
 
     def test_seed_registered_after_unseeded_calls(self):
         from reflekt.constructions import mgon_ef
@@ -566,9 +531,9 @@ class TestFloatSharedPhase1:
                 if k == 3:
                     z = _witness_blocks(ef, mgon_orbit(m).points[1], 1e-6)
                     assert checker.seed_from_raw(z)
-                for sense in ("max", "min"):
-                    got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense))
+                for obj in (c, neg(c)):
+                    got = checker.maximize_projected(obj)
+                    assert repr(got) == repr(fresh_projected(checker, obj))
 
     def test_unbounded_and_infeasible(self):
         unbounded = identity_ef(HPolyhedron.from_rows(
@@ -580,9 +545,9 @@ class TestFloatSharedPhase1:
         for ef in (unbounded, empty):
             checker = ProjectionChecker(ef)
             for c in objectives:
-                for sense in ("max", "min"):
-                    got = checker.maximize_projected(c, sense)
-                    assert repr(got) == repr(fresh_projected(checker, c, sense))
+                for obj in (c, neg(c)):
+                    got = checker.maximize_projected(obj)
+                    assert repr(got) == repr(fresh_projected(checker, obj))
         assert ProjectionChecker(unbounded).maximize_projected((1.0, 0.0)) == (UNBOUNDED, None)
         assert ProjectionChecker(unbounded).maximize_projected((-1.0, 1.0)) == (OPTIMAL, 2.5)
         assert ProjectionChecker(empty).maximize_projected((1.0, 0.0)) == (INFEASIBLE, None)
@@ -595,10 +560,10 @@ class TestFloatSharedPhase1:
         ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
                                    max_size=6))
         objective = data.draw(row)
-        for sense in ("max", "min"):
-            res = solve_system(dim, ineqs, (), objective, sense=sense, backend=FLOAT)
+        for obj in (objective, neg(objective)):
+            res = solve_system(dim, ineqs, (), obj, backend=FLOAT)
             got = (res.status, res.value)
-            assert repr(got) == repr(carried_float_solve(dim, ineqs, objective, sense))
+            assert repr(got) == repr(carried_float_solve(dim, ineqs, obj))
 
 
 def mgon_checkers(m):
@@ -622,14 +587,14 @@ class TestFloatPivotTree:
         for m in range(3, 65):
             objectives = random_objectives(2, 25, random.Random(m), FLOAT)
             unseeded, seeded = mgon_checkers(m)
-            for sense in ("max", "min"):
+            for objs in (objectives, list(map(neg, objectives))):
                 for checker in (unseeded, seeded):
-                    got = checker.maximize_projected_all(objectives, sense)
-                    per_call = [checker.maximize_projected(c, sense) for c in objectives]
-                    assert repr(got) == repr(per_call), (m, sense, checker is seeded)
+                    got = checker.maximize_projected_all(objs)
+                    per_call = [checker.maximize_projected(c) for c in objs]
+                    assert repr(got) == repr(per_call), (m, objs is objectives, checker is seeded)
                 # TestFloatSharedPhase1 compares the seeded calls with fresh solves
-                fresh = [fresh_projected(unseeded, c, sense) for c in objectives]
-                assert repr(unseeded.maximize_projected_all(objectives, sense)) == repr(fresh)
+                fresh = [fresh_projected(unseeded, c) for c in objs]
+                assert repr(unseeded.maximize_projected_all(objs)) == repr(fresh)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
@@ -648,16 +613,16 @@ class TestFloatPivotTree:
             else:
                 c = data.draw(st.sampled_from(objectives))
                 objectives.append(c if kind == "repeat" else tuple(-e for e in c))
-        for sense in ("max", "min"):
-            want = [carried_float_solve(dim, ineqs, c, sense) for c in objectives]
-            got = _float_optima(dim, ineqs, (), objectives, sense, False)
+        for objs in (objectives, list(map(neg, objectives))):
+            want = [carried_float_solve(dim, ineqs, c) for c in objs]
+            got = _float_optima(dim, ineqs, (), objs, False)
             if got is None:
-                assert want == [(INFEASIBLE, None)] * len(objectives)
+                assert want == [(INFEASIBLE, None)] * len(objs)
                 continue
-            assert repr([(res.status, res.value) for res in got]) == repr(want), sense
+            assert repr([(res.status, res.value) for res in got]) == repr(want), objs
             # a one-objective tree is one path; its point comes from the same basis
-            single = [solve_system(dim, ineqs, (), c, sense, FLOAT) for c in objectives]
-            assert repr(got) == repr(single), sense
+            single = [solve_system(dim, ineqs, (), c, FLOAT) for c in objs]
+            assert repr(got) == repr(single), objs
 
     def test_unbounded_and_infeasible_batches(self):
         unbounded = identity_ef(HPolyhedron.from_rows(
@@ -668,9 +633,9 @@ class TestFloatPivotTree:
         objectives = [(1.0, 0.0), (0.0, 1.0), (-1.0, 2.5), (0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]
         for ef in (unbounded, empty):
             checker = ProjectionChecker(ef)
-            for sense in ("max", "min"):
-                got = checker.maximize_projected_all(objectives, sense)
-                assert repr(got) == repr([checker.maximize_projected(c, sense) for c in objectives])
+            for objs in (objectives, list(map(neg, objectives))):
+                got = checker.maximize_projected_all(objs)
+                assert repr(got) == repr([checker.maximize_projected(c) for c in objs])
         assert ProjectionChecker(unbounded).maximize_projected_all(objectives[:3]) == [
             (UNBOUNDED, None), (OPTIMAL, 2.0), (OPTIMAL, 5.5)]
         assert ProjectionChecker(empty).maximize_projected_all(objectives[:2]) == [
@@ -681,11 +646,11 @@ class TestFloatPivotTree:
                                     ("huffman_quadratic", {"n": 4}, 4)):
             rng = random.Random(5)
             objectives = [tuple(F(rng.randint(-10, 10)) for _ in range(dim)) for _ in range(12)]
-            for sense in ("max", "min"):
+            for objs in (objectives, list(map(neg, objectives))):
                 batch = ProjectionChecker(build_recipe(recipe, params))
                 single = ProjectionChecker(build_recipe(recipe, params))
-                got = batch.maximize_projected_all(objectives, sense)
-                assert got == [single.maximize_projected(c, sense) for c in objectives]
+                got = batch.maximize_projected_all(objs)
+                assert got == [single.maximize_projected(c) for c in objs]
                 assert batch.pivots == single.pivots > 0
 
     def test_empty_lists_and_bad_objectives(self):
@@ -695,8 +660,6 @@ class TestFloatPivotTree:
                                                   [(1,)], [0]))
         for checker in (exact, *floats, inconsistent):
             assert checker.maximize_projected_all([]) == []
-            with pytest.raises(ValueError):
-                checker.maximize_projected_all([], "maximize")
         good = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
         with pytest.raises(DimensionError):
             exact.maximize_projected_all(good + [(F(1), F(2))])
@@ -705,8 +668,6 @@ class TestFloatPivotTree:
         for checker in floats:
             with pytest.raises(DimensionError):
                 checker.maximize_projected_all([(1.0, 0.0), (0.0, 1.0, 2.0), (1.0, 1.0)])
-        with pytest.raises(ValueError):
-            exact.maximize_projected_all(good, "maximize")
 
     def test_ledger_mgons_share_their_phase2_pivots(self, monkeypatch):
         from reflekt.constructions import mgon_ef
@@ -728,16 +689,16 @@ class TestFloatPivotTree:
         objectives = random_objectives(2, 25, random.Random(7), FLOAT)
         for ef in efs:
             for c in objectives:
-                ef._checker.maximize_projected(c, "max")
+                ef._checker.maximize_projected(c)
         assert count[0] == 14978  # one path per objective
 
 
-def full_width_solve(n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_only):
+def full_width_solve(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
     """The exact two-phase solve on a full-width fraction-free tableau, which
     stores and updates every basic column: the reference for the condensed
     dictionary, whose Bland runs must pivot the same way."""
-    rows, basis, art_of_row, nv, mults = _stage(n_vars, ineqs, eqs, nonneg, True)
-    obj, obj_scale = _cost_row(objective, sense, nonneg, True, len(rows[-1]))
+    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
+    obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
     rows.append(obj)
     state = {"q": 1}
 
@@ -790,12 +751,7 @@ def full_width_solve(n_vars, ineqs, eqs, objective, sense, nonneg, feasibility_o
     vals = {basis[i]: F(rows[i][-1], q) for i in range(m)}
     x = tuple(vals.get(j, F(0)) - (0 if nonneg else vals.get(n_vars + j, F(0)))
               for j in range(n_vars))
-    sgn = -1 if sense == "min" else 1
-    dual = None
-    if not art_of_row:
-        dual = tuple(sgn * F(-rows[m + 1][nv + i], q) / obj_scale * mults[i]
-                     for i in range(len(ineqs)))
-    return LPResult(OPTIMAL, sgn * F(-rows[m + 1][-1], q) / obj_scale, x, dual)
+    return LPResult(OPTIMAL, F(-rows[m + 1][-1], q) / obj_scale, x)
 
 
 class TestCondensedDictionary:
@@ -812,13 +768,12 @@ class TestCondensedDictionary:
         eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
         objective = data.draw(row)
         nonneg = data.draw(st.booleans())
-        for sense in ("max", "min"):
+        for obj in (objective, neg(objective)):
             for feasibility_only in (False, True):
-                got = solve_system(dim, ineqs, eqs, objective, sense, nonneg=nonneg,
-                                   feasibility_only=feasibility_only, want_duals=True)
-                want = full_width_solve(dim, ineqs, eqs, objective, sense, nonneg,
-                                        feasibility_only)
-                assert got == want, (sense, feasibility_only)
+                got = solve_system(dim, ineqs, eqs, obj, nonneg=nonneg,
+                                   feasibility_only=feasibility_only)
+                want = full_width_solve(dim, ineqs, eqs, obj, nonneg, feasibility_only)
+                assert got == want, (obj, feasibility_only)
 
     @pytest.mark.parametrize(
         "recipe, params, oracle, args, pivots",

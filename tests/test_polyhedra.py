@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from reflekt import numeric
-from reflekt.lp import LPProblem, OPTIMAL, solve
+from reflekt.lp import OPTIMAL
 from reflekt.networks import batcher
 from reflekt.numeric import (
     FLOAT,
@@ -42,6 +42,7 @@ from reflekt.reflections import reflection_relation, sign_spec
 from reflekt.oracles import permutation_orbit, sign_flip_orbit
 from reflekt.serialize import ef_from_dict, ef_to_dict
 from test_direct_system import _read
+from test_lp import solve
 
 
 def triangle_relation():
@@ -221,8 +222,8 @@ class TestEliminate:
             c = tuple(F(rng.randint(-10, 10)) for _ in range(3))
             raw_obj = tuple(dot(c, col) for col in zip(*ef.projection.M))
             red_obj = tuple(dot(c, col) for col in zip(*red.projection.M)) if red.Q.dim else ()
-            raw = solve(LPProblem(ef.Q, raw_obj, "max"))
-            reduced = solve(LPProblem(red.Q, red_obj, "max"))
+            raw = solve(ef.Q, raw_obj)
+            reduced = solve(red.Q, red_obj)
             assert raw.status == OPTIMAL and reduced.status == OPTIMAL
             assert raw.value + dot(c, ef.projection.t) == reduced.value + dot(
                 c, red.projection.t

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from reflekt.lp import LPProblem, OPTIMAL, pinned, solve, solve_system
+from reflekt.lp import OPTIMAL, solve_system
 from reflekt.networks import batcher
-from reflekt.numeric import BackendError, dot
+from reflekt.numeric import EXACT, BackendError, dot, unit_vector
 from reflekt.oracles import VertexSet
 from reflekt.polyhedra import HPolyhedron, compose_extension, deltas
 from reflekt.reflections import (
@@ -32,12 +32,27 @@ from reflekt.constructions import (
 from reflekt.verify import verify_projection_equality
 
 
+def pinned_rows(Q, pins):
+    """Q's exact rows as ``(ineqs, eqs)``, with the coordinates of the
+    (index, value) pairs pinned by appended unit equations."""
+    pins = [(unit_vector(i, Q.dim, EXACT), v) for i, v in pins]
+    return list(zip(Q.A, Q.b)), list(zip(Q.C, Q.d)) + pins
+
+
 def pinned_feasible(Q, pins):
     """Phase-1 feasibility of Q with coordinates pinned by (index, value) pairs."""
-    system = pinned(Q, pins)
-    res = solve_system(system.dim, list(zip(system.A, system.b)), list(zip(system.C, system.d)),
-                       (F(0),) * system.dim, backend=system.backend, feasibility_only=True)
+    res = solve_system(Q.dim, *pinned_rows(Q, pins), (F(0),) * Q.dim, feasibility_only=True)
     return res.status == OPTIMAL
+
+
+def fiber_extremes(rel, x, c):
+    """(max, min) of <c, y> over the fiber of ``rel`` over x, the body with
+    x pinned; the min is -max <-c, y>."""
+    rows = pinned_rows(rel.body, enumerate(x))
+    obj = (F(0),) * rel.n + tuple(c)
+    hi, lo = (solve_system(rel.body.dim, *rows, o) for o in (obj, tuple(-e for e in obj)))
+    assert hi.status == OPTIMAL and lo.status == OPTIMAL
+    return hi.value, -lo.value
 
 
 def rand_spec(rng, n):
@@ -174,16 +189,10 @@ class TestReflectionRelation:
             rel = reflection_relation(spec)
             x = canonical_preimage(spec, rand_point(rng, n))
             refl = reflect_point(spec, x)
-            fiber = pinned(rel.body, [(i, x[i]) for i in range(n)])
             for _ in range(5):
                 c = rand_point(rng, n)
-                obj = (F(0),) * n + tuple(c)
-                hi = solve(LPProblem(fiber, obj, "max"))
-                lo = solve(LPProblem(fiber, obj, "min"))
-                assert hi.status == OPTIMAL and lo.status == OPTIMAL
                 vals = (dot(c, x), dot(c, refl))
-                assert hi.value == max(vals)
-                assert lo.value == min(vals)
+                assert fiber_extremes(rel, x, c) == (max(vals), min(vals))
 
     def test_domain_exactness(self):
         # fiber non-empty exactly over the halfspace
@@ -200,23 +209,15 @@ class TestReflectionRelation:
 class TestSignRelation:
     def test_fiber_is_segment(self):
         rel = reflection_relation(sign_spec(1, 2))
-        fiber = pinned(rel.body, [(0, F(1)), (1, F(5))])
-        obj = (F(0), F(0), F(1), F(0))
-        assert solve(LPProblem(fiber, obj, "max")).value == 1
-        assert solve(LPProblem(fiber, obj, "min")).value == -1
+        assert fiber_extremes(rel, (F(1), F(5)), (F(1), F(0))) == (1, -1)
 
     def test_fiber_on_hyperplane_is_point(self):
         rel = reflection_relation(sign_spec(1, 2))
-        fiber = pinned(rel.body, [(0, F(0)), (1, F(3))])
-        obj = (F(0), F(0), F(1), F(0))
-        assert solve(LPProblem(fiber, obj, "max")).value == 0
-        assert solve(LPProblem(fiber, obj, "min")).value == 0
+        assert fiber_extremes(rel, (F(0), F(3)), (F(1), F(0))) == (0, 0)
 
     def test_one_dim_segment_and_empty_fiber(self):
         rel = reflection_relation(sign_spec(1, 1))
-        fiber = pinned(rel.body, [(0, F(2))])
-        assert solve(LPProblem(fiber, (F(0), F(1)), "max")).value == 2
-        assert solve(LPProblem(fiber, (F(0), F(1)), "min")).value == -2
+        assert fiber_extremes(rel, (F(2),), (F(1),)) == (2, -2)
         assert not pinned_feasible(rel.body, [(0, F(-2))])
 
     def test_preimage_takes_absolute_value(self):
@@ -231,17 +232,11 @@ class TestSignRelation:
 class TestTranspositionRelation:
     def test_fiber_over_ordered_point(self):
         rel = reflection_relation(transposition_spec(1, 2, 2))
-        fiber = pinned(rel.body, [(0, F(1)), (1, F(3))])
-        obj = (F(0), F(0), F(1), F(0))
-        assert solve(LPProblem(fiber, obj, "max")).value == 3
-        assert solve(LPProblem(fiber, obj, "min")).value == 1
+        assert fiber_extremes(rel, (F(1), F(3)), (F(1), F(0))) == (3, 1)
 
     def test_tie_is_fixed_point(self):
         rel = reflection_relation(transposition_spec(1, 2, 2))
-        fiber = pinned(rel.body, [(0, F(2)), (1, F(2))])
-        obj = (F(0), F(0), F(1), F(0))
-        assert solve(LPProblem(fiber, obj, "max")).value == 2
-        assert solve(LPProblem(fiber, obj, "min")).value == 2
+        assert fiber_extremes(rel, (F(2), F(2)), (F(1), F(0))) == (2, 2)
 
     def test_preimage_sorts_two_entries(self):
         spec = transposition_spec(1, 2, 2)

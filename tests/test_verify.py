@@ -12,6 +12,7 @@ from reflekt.constructions import (
     a_permutahedron_ef,
     build_recipe,
     even_pair_chain_specs,
+    i2_chain_specs,
     mgon_ef,
     parity_polytope_ef,
     sign_chain_specs,
@@ -295,9 +296,12 @@ class TestChainConditions:
 
 
 class TestAffineGenerators:
-    def test_reflection_relation(self):
-        spec = ReflectionSpec((F(1), F(-2), F(1)), F(3))
-        maps = (AffineMap.identity(3), reflection_map(spec))
+    @pytest.mark.parametrize(
+        "spec", [ReflectionSpec((F(1), F(-2), F(1)), F(3)), *i2_chain_specs(5)],
+        ids=["exact", *(f"float_mgon5_{i}" for i in range(len(i2_chain_specs(5))))])
+    def test_reflection_relation(self, spec):
+        # the m-gon chain's relations run the fiber LPs on the float backend
+        maps = (AffineMap.identity(spec.dim, spec.backend), reflection_map(spec))
         assert check_affine_generators(reflection_relation(spec), maps, samples=10, seed=4)
 
     def test_graph_relation_single_generator(self):
@@ -314,6 +318,8 @@ class TestAffineGenerators:
         rel = PolyhedralRelation(1, 1, body)
         with pytest.raises(ValueError):
             check_affine_generators(rel, ())
+        with pytest.raises(ValueError, match="samples"):
+            check_affine_generators(rel, (AffineMap.identity(1),), samples=-1)
 
 
 class TestSizeReport:
