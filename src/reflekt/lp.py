@@ -206,7 +206,9 @@ def _stage(n_vars, ineqs, eqs, nonneg, exact):
     return rows, basis, art_of_row, nv
 
 
-def _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
+def _solve_exact(n_vars, ineqs, eqs, objective, nonneg):
+    """:func:`solve_system` on the exact backend: phase 1, leftover
+    artificials driven out, then phase 2, which a zero objective never pivots."""
     rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
     obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
     basic = set(basis)  # staged basic columns are unit columns in every row
@@ -219,8 +221,6 @@ def _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
         core.run_phase(m, m, len(obj))
         if core.rows[m][-1] != 0:
             return LPResult(INFEASIBLE)
-        if feasibility_only:
-            return LPResult(OPTIMAL)
         # drive leftover artificials out of the basis or drop their rows
         for i in range(m - 1, -1, -1):
             if core.basis[i] < n_struct:
@@ -236,9 +236,6 @@ def _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
             if row[col] < 0:  # negates the artificial, which never re-enters
                 core.rows[i] = [-e for e in row]
             core.pivot(i, col)
-
-    if feasibility_only:
-        return LPResult(OPTIMAL)
 
     if not core.run_phase(m + 1, m, n_struct):
         return LPResult(UNBOUNDED)
@@ -367,44 +364,41 @@ def solve_system(
     objective: Sequence,
     backend: str = EXACT,
     nonneg: bool = False,
-    feasibility_only: bool = False,
 ) -> LPResult:
     """Maximise <objective, x> over ``(coeffs, rhs)`` rows: ``ineqs`` as
     coeffs x <= rhs and ``eqs`` as coeffs x = rhs, over ``n_vars`` free
     variables (nonnegative ones with ``nonneg``).  The exact backend pivots
     by Bland's rule and returns exact optima; the float one prices by
     largest coefficient at ``DEFAULT_TOL`` and raises :class:`LPNumericError`
-    (never a silent wrong status) when it cannot converge."""
+    (never a silent wrong status) when it cannot converge.  A zero objective
+    asks whether the rows are feasible: phase 1 decides it, and phase 2
+    stops at once, with status OPTIMAL and value 0 when they are."""
     if backend == EXACT:
-        return _solve_exact(n_vars, ineqs, eqs, objective, nonneg, feasibility_only)
+        return _solve_exact(n_vars, ineqs, eqs, objective, nonneg)
     if backend == FLOAT:
-        results = _float_optima(n_vars, ineqs, eqs, [] if feasibility_only else [objective],
-                                nonneg)
-        if results is None:
-            return LPResult(INFEASIBLE)
-        return results[0] if results else LPResult(OPTIMAL)
+        results = _float_optima(n_vars, ineqs, eqs, [objective], nonneg)
+        return LPResult(INFEASIBLE) if results is None else results[0]
     raise ValueError(f"unknown backend {backend!r}")
 
 
 def in_hull(y, V) -> bool:
     """Membership of y in conv(V) for a :class:`~reflekt.oracles.VertexSet`
     V, whose points need not be extreme, via the multiplier LP
-    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y}, whose float phase 1
-    pivots at ``DEFAULT_TOL``.  Raises ValueError when V is empty or when y
-    or a point of V has the wrong length."""
+    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = y} with a zero
+    objective, decided by phase 1, whose float pivots run at ``DEFAULT_TOL``.
+    Raises ValueError when V is empty or when y or a point of V has the
+    wrong length."""
     if not V.points:
         raise ValueError("conv of an empty point set")
     if any(len(p) != V.dim for p in (y, *V.points)):
         raise DimensionError("point dimension != point set dimension")
     k = len(V.points)
-    one = Fraction(1) if V.backend == EXACT else 1.0
+    zero, one = (Fraction(0), Fraction(1)) if V.backend == EXACT else (0.0, 1.0)
     eqs = []
     for dcoord in range(V.dim):
         eqs.append((tuple(v[dcoord] for v in V.points), y[dcoord]))
     eqs.append(((one,) * k, one))
-    res = solve_system(
-        k, (), eqs, (one,) * k, backend=V.backend, nonneg=True, feasibility_only=True,
-    )
+    res = solve_system(k, (), eqs, (zero,) * k, backend=V.backend, nonneg=True)
     return res.status == OPTIMAL
 
 
@@ -466,8 +460,10 @@ class ProjectionChecker:
     def _scaled(self, u, v=None) -> ScaledPoint:
         """A reduced point u, a :class:`ScaledPoint` or a tuple of rationals,
         as a ScaledPoint, with the integer rows of A_red and M_red scaled on
-        first use.  DimensionError unless u has ``n_free`` coordinates and v,
-        if given, one per output coordinate."""
+        first use: each M_red row is F times the row, for F the lcm of their
+        denominators, a positive scale that keeps the equation
+        :meth:`certifies` tests.  DimensionError unless u has ``n_free``
+        coordinates and v, if given, one per output coordinate."""
         if not isinstance(u, ScaledPoint):
             u = ScaledPoint.of(vector(u, EXACT))
         m = len(self.t_red) if v is None else len(v)
@@ -477,6 +473,8 @@ class ProjectionChecker:
         if self._ints is None:
             A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
                     for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
+            F = lcm(*(f for _, _, f in M))
+            M = [([(j, c * (F // f)) for j, c in row], t * (F // f), F) for row, t, f in M]
             self._ints = A, M
             self._by_last = [[] for _ in range(self.n_free)]  # rows of A by last nonzero column
             for row in A:
@@ -517,11 +515,10 @@ class ProjectionChecker:
             return False
         U, den = self._scaled(u, c_ints)
         _, M = self._ints
-        F = lcm(*(f for _, _, f in M))
-        R = [0] * self.n_free
-        for ci, (row, _, f) in zip(c_ints, M):
+        R = [0] * self.n_free  # F M_red^T c, with M_red's rows over their common F
+        for ci, (row, _, _) in zip(c_ints, M):
             for j, e in row:
-                R[j] += ci * (F // f) * e
+                R[j] += ci * e
         for j in reversed(range(self.n_free)):
             r = R.pop()
             if not r:
@@ -545,18 +542,18 @@ class ProjectionChecker:
         return vector(v, EXACT)
 
     def feasible(self, y) -> bool:
-        """Is A_red w <= b_red, M_red w = y - t_red feasible?  On exact data,
-        with y = Y/D, phase 1 runs on a copy of the factored dictionary with
-        every right-hand side scaled by D > 0 (which keeps integers and
-        feasibility) and the projection rows as artificial equations."""
+        """Is A_red w <= b_red, M_red w = y - t_red feasible?  On float data one
+        :func:`solve_system` with a zero objective decides it in phase 1.  On
+        exact data, with y = Y/D, phase 1 runs on a copy of the factored
+        dictionary with every right-hand side scaled by D > 0 (which keeps
+        integers and feasibility) and the projection rows as artificial
+        equations."""
         if not self.consistent:
             return False
         if self.backend == FLOAT:
-            res = solve_system(
-                self.n_free, list(zip(self.A_red, self.b_red)),
-                list(zip(self.M_red, vec_sub(y, self.t_red))), [0.0] * self.n_free,
-                backend=FLOAT, feasibility_only=True,
-            )
+            res = solve_system(self.n_free, list(zip(self.A_red, self.b_red)),
+                               list(zip(self.M_red, vec_sub(y, self.t_red))),
+                               [0.0] * self.n_free, backend=FLOAT)
             return res.status == OPTIMAL
         Y, D = int_scale(self._exact_input(y))
         if not self._tableau():

@@ -57,10 +57,10 @@ def ef_to_dict(ef: ExtendedFormulation) -> dict:
 
 
 def _typed(value, kind, what):
-    """value, or ValueError when it is not a JSON object (``kind`` dict) or
-    array (``kind`` list)."""
+    """value, or ValueError when it is not a JSON object (``kind`` dict),
+    array (``kind`` list) or string (``kind`` str)."""
     if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
         raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
     return value
 
@@ -72,7 +72,8 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
     :func:`~reflekt.numeric.to_scalar`, so a malformed atom (a float in an
     exact document, ``None`` or a list in either) raises
     :class:`~reflekt.numeric.BackendError`; a field of the wrong JSON type
-    (a list for the document, a number for ``ineqs``) raises ValueError."""
+    (a list for the document, a number for ``ineqs`` or ``label``) raises
+    ValueError."""
     if _typed(data, dict, "the document").get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {data.get('schema')!r}, need {SCHEMA}")
     if data.get("kind") != "extended_formulation":
@@ -112,7 +113,7 @@ def ef_from_dict(data: dict) -> ExtendedFormulation:
         projection,
         _typed(data["ledger"], dict, "ledger")["reduced_variable_bound"],
         block_dims=None if block_dims is None else tuple(_typed(block_dims, list, "block_dims")),
-        label=data.get("label", ""),
+        label=_typed(data.get("label", ""), str, "label"),
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reflekt import constructions, lp, numeric, reflections
+from reflekt import constructions, lp, numeric, reflections, verify
 from reflekt.polyhedra import PolyhedralRelation
 from reflekt.networks import ComparatorSeq
 
@@ -138,6 +138,18 @@ def test_nothing_that_pivots_takes_a_tolerance():
             if {"sense", "want_duals"} & set(inspect.signature(f).parameters)] == []
     assert [f.name for f in dataclasses.fields(ComparatorSeq)] == ["n", "comparators"]
     assert list(inspect.signature(numeric.orthogonal_complement_basis).parameters) == ["a"]
+
+
+def test_certification_takes_only_the_options_callers_use():
+    # a zero objective asks what feasibility_only asked; sizes are checked by
+    # size_report, the label is ef.label and a report passes on its own checks
+    entries = (lp.solve_system, lp._solve_exact, lp._float_optima)
+    assert [f.__name__ for f in entries
+            if "feasibility_only" in inspect.signature(f).parameters] == []
+    params = inspect.signature(verify.verify_projection_equality).parameters
+    assert list(params) == ["ef", "V", "n_objectives", "seed", "tol"]
+    fields = {f.name for f in dataclasses.fields(verify.VerificationReport)}
+    assert fields & {"size_expected", "size_actual", "size_passed", "hypothesis_checks"} == set()
 
 
 def test_a_relation_is_its_body_and_preimage():

@@ -127,10 +127,10 @@ class TestSolve:
 
 
 def pinned_feasible(Q, pins):
-    """Phase-1 feasibility of Q with coordinates pinned by (index, value) pairs."""
+    """Feasibility of Q with coordinates pinned by (index, value) pairs: a
+    zero objective, decided in phase 1."""
     eqs = list(zip(Q.C, Q.d)) + [(unit_vector(i, Q.dim, Q.backend), v) for i, v in pins]
-    res = solve_system(Q.dim, list(zip(Q.A, Q.b)), eqs, (F(0),) * Q.dim, backend=Q.backend,
-                       feasibility_only=True)
+    res = solve_system(Q.dim, list(zip(Q.A, Q.b)), eqs, (F(0),) * Q.dim, backend=Q.backend)
     return res.status == OPTIMAL
 
 
@@ -363,8 +363,8 @@ class TestProjectedObjective:
 
 
 def reference_feasible(checker, y):
-    """One two-phase exact solve of A_red w <= b_red, M_red w = y - t_red:
-    an independent check of ProjectionChecker.feasible."""
+    """One two-phase exact solve of A_red w <= b_red, M_red w = y - t_red,
+    with a zero objective: an independent check of ProjectionChecker.feasible."""
     if not checker.consistent:
         return False
     res = solve_system(
@@ -372,7 +372,6 @@ def reference_feasible(checker, y):
         list(zip(checker.A_red, checker.b_red)),
         list(zip(checker.M_red, vec_sub(y, checker.t_red))),
         (F(0),) * checker.n_free,
-        feasibility_only=True,
     )
     return res.status == OPTIMAL
 
@@ -693,7 +692,7 @@ class TestFloatPivotTree:
         assert count[0] == 14978  # one path per objective
 
 
-def full_width_solve(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
+def full_width_solve(n_vars, ineqs, eqs, objective, nonneg):
     """The exact two-phase solve on a full-width fraction-free tableau, which
     stores and updates every basic column: the reference for the condensed
     dictionary, whose Bland runs must pivot the same way."""
@@ -730,8 +729,6 @@ def full_width_solve(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
         run_phase(m, m, range(len(obj) - 1))
         if rows[m][-1] != 0:
             return LPResult(INFEASIBLE)
-        if feasibility_only:
-            return LPResult(OPTIMAL)
         for i in range(m - 1, -1, -1):
             if basis[i] < n_struct:
                 continue
@@ -743,8 +740,6 @@ def full_width_solve(n_vars, ineqs, eqs, objective, nonneg, feasibility_only):
             if rows[i][col] < 0:
                 rows[i] = [-e for e in rows[i]]
             pivot(i, col)
-    if feasibility_only:
-        return LPResult(OPTIMAL)
     if not run_phase(m + 1, m, range(n_struct)):
         return LPResult(UNBOUNDED)
     q = state["q"]
@@ -768,12 +763,10 @@ class TestCondensedDictionary:
         eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
         objective = data.draw(row)
         nonneg = data.draw(st.booleans())
-        for obj in (objective, neg(objective)):
-            for feasibility_only in (False, True):
-                got = solve_system(dim, ineqs, eqs, obj, nonneg=nonneg,
-                                   feasibility_only=feasibility_only)
-                want = full_width_solve(dim, ineqs, eqs, obj, nonneg, feasibility_only)
-                assert got == want, (obj, feasibility_only)
+        # the zero objective asks for feasibility alone
+        for obj in (objective, neg(objective), (F(0),) * dim):
+            got = solve_system(dim, ineqs, eqs, obj, nonneg=nonneg)
+            assert got == full_width_solve(dim, ineqs, eqs, obj, nonneg), obj
 
     @pytest.mark.parametrize(
         "recipe, params, oracle, args, pivots",

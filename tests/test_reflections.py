@@ -40,8 +40,9 @@ def pinned_rows(Q, pins):
 
 
 def pinned_feasible(Q, pins):
-    """Phase-1 feasibility of Q with coordinates pinned by (index, value) pairs."""
-    res = solve_system(Q.dim, *pinned_rows(Q, pins), (F(0),) * Q.dim, feasibility_only=True)
+    """Feasibility of Q with coordinates pinned by (index, value) pairs: a
+    zero objective, decided in phase 1."""
+    res = solve_system(Q.dim, *pinned_rows(Q, pins), (F(0),) * Q.dim)
     return res.status == OPTIMAL
 
 

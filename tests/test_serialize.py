@@ -59,7 +59,8 @@ class TestJsonRoundTrip:
         oracle = permutation_orbit((1, 2, 3))
         direct = verify_projection_equality(ef, oracle, 25, seed=3)
         back = ef_from_dict(ef_to_dict(ef))  # provenance is gone: pure LP path
-        again = verify_projection_equality(back, oracle, 25, seed=3, label=ef.label)
+        assert back.label == ef.label
+        again = verify_projection_equality(back, oracle, 25, seed=3)
         assert direct.to_json() == again.to_json()
 
     def test_membership_agrees_after_reimport(self):

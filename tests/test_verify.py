@@ -157,13 +157,11 @@ class TestProjectionEquality:
             permutation_orbit((1, 2, 3)),
             10,
             seed=2,
-            expected_sizes={"inequalities": 6},
-            extra_checks=(("chain-conditions", True),),
         )
         data = rep.to_dict()
         assert data["passed"] is True
-        assert data["size_check"]["passed"] is True
-        assert data["hypothesis_checks"] == [["chain-conditions", True]]
+        assert "size_check" not in data
+        assert data["hypothesis_checks"] == []
         assert "wall_time_s" not in data
         assert "wall_time_s" in rep.to_dict(include_timing=True)
 
@@ -201,17 +199,13 @@ class TestProjectionEquality:
 
     def test_phases_only_with_timing(self):
         ef = build_recipe("a_permutahedron", {"n": 4})
-        rep = verify_projection_equality(
-            ef, permutation_orbit((1, 2, 3, 4)), 20, seed=7,
-            expected_sizes={"inequalities": ef.ledger.inequalities},
-            extra_checks=(("chain-conditions", True),),
-        )
+        rep = verify_projection_equality(ef, permutation_orbit((1, 2, 3, 4)), 20, seed=7)
         # the default bytes are those of a report without per-phase timing
         digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
-        assert digest == "4e1abc61fdd892f46231973ce8b0393fabed46895607dd8f2c6c31eff352e129"
+        assert digest == "3fe4cdac648677585ca8e7ab0ccc58b7142003f131bba5bb9cf1eb0d95f0d1a1"
         assert "phases" not in json.loads(rep.to_json())
         phases = rep.to_dict(include_timing=True)["phases"]
-        assert set(phases) == {"vertex_checks_s", "objective_checks_s", "size_check_s"}
+        assert set(phases) == {"vertex_checks_s", "objective_checks_s"}
         assert all(s >= 0 for s in phases.values())
         assert sum(phases.values()) <= rep.wall_time_s
         assert json.loads(rep.to_json(include_timing=True))["phases"] == phases
