@@ -2,16 +2,14 @@
 entry point on raw rows, :func:`solve_system`.  Every solve maximises; a
 minimum is minus the maximum of the negated objective.
 
-The exact path pivots on a condensed integer dictionary, as in Avis's lrs:
-every row is scaled to integers up front and holds only the nonbasic columns
-and the rhs, and each pivot uses the previous-pivot division rule, so
-entries stay integers (they are subdeterminants of the input) and no
-per-operation gcd normalization is paid.  Entry/selection rules are
-Bland's, by variable label, which guarantees termination without
-perturbation.  The float path is a classic dense tableau with
-largest-coefficient pricing and the symmetric tolerance ``DEFAULT_TOL``
-(no solver takes a tolerance); a batch of objectives is staged as cost rows
-below the phase-1 row and carried through one phase 1.
+Both paths pivot on a condensed dictionary, as in Avis's lrs: rows hold
+only the nonbasic columns and the rhs.  Exact rows are scaled to integers up
+front and each pivot uses the previous-pivot division rule, so entries stay
+integers (subdeterminants of the input) with no gcd normalization; Bland's
+rule, by variable label, terminates without perturbation.  Float pivots
+price by largest coefficient at the symmetric tolerance ``DEFAULT_TOL`` (no
+solver takes a tolerance), with the bits of a dense tableau; a batch of
+objectives is staged as cost rows and carried through one phase 1.
 
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
@@ -46,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Optional, Sequence
 
 from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError, ScaledPoint
@@ -206,14 +204,20 @@ def _stage(n_vars, ineqs, eqs, nonneg, exact):
     return rows, basis, art_of_row, nv
 
 
+def _condensed(rows, basis):
+    """``(rows, basis, cols)`` of a core: staged rows over their nonbasic
+    columns and the rhs (basic columns are unit columns), and each slot's label."""
+    basic = set(basis)
+    cols = [j for j in range(len(rows[0]) - 1) if j not in basic]
+    return [[row[j] for j in cols] + row[-1:] for row in rows], basis, cols
+
+
 def _solve_exact(n_vars, ineqs, eqs, objective, nonneg):
     """:func:`solve_system` on the exact backend: phase 1, leftover
     artificials driven out, then phase 2, which a zero objective never pivots."""
     rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
     obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
-    basic = set(basis)  # staged basic columns are unit columns in every row
-    cols = [j for j in range(len(obj) - 1) if j not in basic]
-    core = _ExactCore([[row[j] for j in cols] + row[-1:] for row in rows + [obj]], basis, cols)
+    core = _ExactCore(*_condensed(rows + [obj], basis))
     n_struct = nv + len(ineqs)  # artificial labels rank after these
     m = len(basis)  # the phase-1 row is row m, the cost row m + 1
 
@@ -252,58 +256,58 @@ def _solve_exact(n_vars, ineqs, eqs, objective, nonneg):
     return LPResult(OPTIMAL, Fraction(-core.rows[m + 1][-1], q) / obj_scale, x)
 
 
-def _updated(row, col, lead):
-    """``row`` after a pivot on column ``col`` with normalized ``lead`` row."""
-    f = row[col]
-    return [a - f * b for a, b in zip(row, lead)] if abs(f) > 0.0 else row
-
-
 class _FloatCore:
-    """Float simplex phases on a dense tableau: largest-coefficient pricing
-    and a ratio test under the symmetric tolerance ``DEFAULT_TOL``.  A pivot
-    replaces rows and never edits one, so a shallow copy of ``rows`` is an
-    independent tableau."""
+    """Float simplex phases on :class:`_ExactCore`'s condensed dictionary with
+    q = 1, and the bits of a dense tableau, whose basic columns are exact unit
+    vectors.  A pivot replaces rows and never edits one, so shallow copies of
+    the three lists are an independent dictionary."""
 
-    def __init__(self, rows, basis):
-        self.rows, self.basis = rows, basis  # as in _ExactCore
+    def __init__(self, rows, basis, cols):
+        self.rows, self.basis, self.cols = rows, basis, cols  # as in _ExactCore
 
-    def pivot(self, r, c):
+    def pivot(self, r, c, riders=()):
+        """Swap row r's basic variable and slot c's: row r becomes e / p, any
+        other row or row of the list ``riders`` with f = row[c] nonzero a - f * b,
+        and slot c, the leaving unit column, 1.0 / p and -(f * (1.0 / p))."""
         rows = self.rows
-        lead = rows[r]
-        piv = lead[c]
-        rows[r] = lead = [e / piv for e in lead]
-        for i in range(len(rows)):
-            if i != r:
-                rows[i] = _updated(rows[i], c, lead)
-        self.basis[r] = c
+        piv = rows[r][c]
+        rows[r] = lead = [e / piv for e in rows[r]]
+        lead[c] = inv = 1.0 / piv
+        for part in (rows, riders):
+            for i, row in enumerate(part):
+                f = row[c]
+                if f and row is not lead:
+                    part[i] = row = [a - f * b for a, b in zip(row, lead)]
+                    row[c] = -f * inv
+        self.basis[r], self.cols[c] = self.cols[c], self.basis[r]
 
-    def choose(self, objrow, allowed):
-        """The pivot ``(row, column)`` for ``objrow``: the first largest reduced
-        cost among ``allowed``, column -1 when none is above ``DEFAULT_TOL``,
-        and the smallest ratio within ``DEFAULT_TOL``, row -1 when the column
-        is unblocked."""
-        col, tol = max(allowed, key=objrow.__getitem__, default=-1), DEFAULT_TOL
-        if col < 0 or not objrow[col] > tol:
-            return -1, -1
-        rows, r, best_ratio = self.rows, -1, None
+    def priced(self, limit):
+        """The slots with labels below ``limit`` in label order, so the first
+        with the largest reduced cost, the one that enters, has the least label."""
+        cols = self.cols
+        return sorted((s for s, lab in enumerate(cols) if lab < limit), key=cols.__getitem__)
+
+    def leaving(self, c):
+        """The first row of least ratio within ``DEFAULT_TOL`` for slot c, -1 if none."""
+        rows, r, best_ratio, tol = self.rows, -1, None, DEFAULT_TOL
         for i in range(len(self.basis)):
-            a = rows[i][col]
+            a = rows[i][c]
             if a > tol:
                 ratio = rows[i][-1] / a
                 if best_ratio is None or ratio < best_ratio - tol:
                     r, best_ratio = i, ratio
-        return r, col
+        return r
 
-    def run_phase(self, obj_idx, allowed):
-        """Pivot until the objective row ``obj_idx`` has no reduced cost above
-        ``DEFAULT_TOL`` among ``allowed``; returns False on unboundedness."""
+    def run_phase(self, obj_idx):
+        """Phase 1: pivot until row ``obj_idx`` prices no slot, or the slot
+        it prices is unblocked."""
         for _ in range(_MAX_PIVOTS_FLOAT):
-            r, col = self.choose(self.rows[obj_idx], allowed)
-            if col < 0:
-                return True
+            objrow = self.rows[obj_idx]
+            c = max(self.priced(inf), key=objrow.__getitem__, default=-1)
+            r = self.leaving(c) if c >= 0 and objrow[c] > DEFAULT_TOL else -1
             if r < 0:
-                return False
-            self.pivot(r, col)
+                return
+            self.pivot(r, c)
         raise LPNumericError("float simplex failed to converge")
 
 
@@ -312,48 +316,51 @@ def _float_optima(n_vars, ineqs, eqs, objectives, nonneg):
     :class:`LPResult` per objective, or None when phase 1 finds the system
     infeasible.
 
-    The cost rows are staged below the phase-1 row and carried through
-    phase 1, whose decisions read only the constraint rows and the phase-1
-    row.  Phase 2 is one pivot tree walked depth first.  A node holds
-    constraint rows, their basis and the objective rows that reached it; the
-    objectives that pick the same pivot by :meth:`_FloatCore.choose` share a
-    child, pivoted once on a shallow copy, and each of their rows is updated
-    from its lead row as a pivot updates any other row, so every objective
-    keeps the bits of its own two-phase solve."""
+    The cost rows are staged below the phase-1 row, condensed with it and
+    carried through phase 1, whose decisions read only the constraint rows
+    and the phase-1 row.  Phase 2 is one pivot tree walked depth first.  A
+    node is a :class:`_FloatCore` of constraint rows with the rows of the
+    objectives that reached it.  Those that enter the same slot share a
+    child: one ratio test, then one pivot on shallow copies with their rows
+    as riders, so every objective keeps the bits of its own solve."""
     rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, False)
     m, width = len(basis), len(rows[0])
     rows += [_cost_row(c, nonneg, False, width)[0] for c in objectives]
+    rows, basis, cols = _condensed(rows, basis)
     if art_of_row:
         feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
-        _FloatCore(rows, basis).run_phase(m, range(width - 1))
+        _FloatCore(rows, basis, cols).run_phase(m)
         if rows[m][-1] > feas_eps:
             return None
-    allowed = range(nv + len(ineqs))
+    limit = nv + len(ineqs)
     results = [None] * len(objectives)
-    stack = [(_FloatCore(rows[:m], basis), list(enumerate(rows[m + 1:])), 0)]
+    stack = [(_FloatCore(rows[:m], basis, cols), list(range(len(objectives))), rows[m + 1:], 0)]
     while stack:
-        node, group, depth = stack.pop()
-        children = {}
-        for k, row in group:
-            r, col = node.choose(row, allowed)
-            if r >= 0:
-                children.setdefault((r, col), []).append((k, row))
-            elif col >= 0:
-                results[k] = LPResult(UNBOUNDED)
+        node, ks, objrows, depth = stack.pop()
+        priced, children = node.priced(limit), {}
+        for k, row in zip(ks, objrows):
+            c = max(priced, key=row.__getitem__, default=-1)
+            if c >= 0 and row[c] > DEFAULT_TOL:
+                children.setdefault(c, []).append((k, row))
+                continue
+            vals = {j: t[-1] for j, t in zip(node.basis, node.rows)}
+            if nonneg:
+                x = tuple(vals.get(j, 0.0) for j in range(n_vars))
             else:
-                vals = {j: t[-1] for j, t in zip(node.basis, node.rows)}
-                if nonneg:
-                    x = tuple(vals.get(j, 0.0) for j in range(n_vars))
-                else:
-                    x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
-                results[k] = LPResult(OPTIMAL, -row[-1], x)
-        if children and depth == _MAX_PIVOTS_FLOAT:
-            raise LPNumericError("float simplex failed to converge")
-        for (r, col), members in children.items():
-            child = _FloatCore(node.rows[:], node.basis[:])
-            child.pivot(r, col)
-            lead = child.rows[r]
-            stack.append((child, [(k, _updated(row, col, lead)) for k, row in members], depth + 1))
+                x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
+            results[k] = LPResult(OPTIMAL, -row[-1], x)
+        for c, members in children.items():
+            ks, riders = map(list, zip(*members))
+            r = node.leaving(c)
+            if r < 0:
+                for k in ks:
+                    results[k] = LPResult(UNBOUNDED)
+            elif depth == _MAX_PIVOTS_FLOAT:
+                raise LPNumericError("float simplex failed to converge")
+            else:
+                child = _FloatCore(node.rows[:], node.basis[:], node.cols[:])
+                child.pivot(r, c, riders)
+                stack.append((child, ks, riders, depth + 1))
     return results
 
 
@@ -436,11 +443,11 @@ class ProjectionChecker:
     certificate or a membership query runs.  An objective is an integer
     combination of these projection rows and pivots only among slack
     columns; a membership query adds them as artificial equations and runs
-    one phase 1.  The float objectives of one :meth:`maximize_projected_all`
-    call share one phase 1 and are solved as one pivot tree
-    (:func:`_float_optima`); float membership queries take one two-phase
-    solve each.  Float equation solves and pivots run at ``DEFAULT_TOL``; a
-    checker takes no tolerance.
+    one phase 1.  Float queries pivot on the same condensed layout: the
+    objectives of one :meth:`maximize_projected_all` call as one pivot tree
+    (:func:`_float_optima`), a membership query as one two-phase solve.
+    Float equation solves and pivots run at ``DEFAULT_TOL``; a checker takes
+    no tolerance.
     """
 
     def __init__(self, ef):

@@ -171,7 +171,7 @@ def verify_projection_equality(
         rational backend, within ``tol`` in float mode.
 
     ``tol`` is a comparison tolerance (witness steps and float optima) and
-    must satisfy ``tol >= 0`` (ValueError otherwise, NaN included); the
+    must be finite and ``>= 0`` (ValueError otherwise, NaN included); the
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
@@ -203,8 +203,8 @@ def verify_projection_equality(
         raise ValueError(f"n_objectives must be nonnegative, not {n_objectives}")
     if not V.points:
         raise ValueError("an empty vertex set has no projection to certify")
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, not {tol}")
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tol must be nonnegative and finite, not {tol}")
     backend = ef.backend
     report = VerificationReport(label=ef.label or "formulation", backend=backend, seed=seed)
     checker = projection_checker(ef)

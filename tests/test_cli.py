@@ -135,6 +135,19 @@ class TestVerify:
         assert "tol must be nonnegative" in captured.err
         assert "overall" not in captured.out
 
+    def test_infinite_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        # at tol=inf every float optimum would match: the 5-gon's formulation
+        # against the 7-gon's vertices would score 10 of 10 objectives
+        src = str(tmp_path / "g5.json")
+        assert run(["build", "--recipe", "mgon", "--m", "5", "--out", src]) == 0
+        capsys.readouterr()
+        code = run(["verify", "--ef", src, "--oracle", "mgon", "--m", "7",
+                    "--objectives", "10", "--tol", "inf"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: tol must be nonnegative and finite, not inf" in captured.err
+        assert "overall" not in captured.out
+
 
 class TestOracle:
     def test_permutation_oracle_stdout(self, capsys):

@@ -198,6 +198,16 @@ def test_one_writer_solves_the_equations():
     }
 
 
+def test_both_lp_cores_pivot_on_one_condensed_dictionary():
+    # no dense float tableau: both cores are built from the condensed rows,
+    # the basis labels and the slot labels that one helper cuts from _stage
+    for core in (lp._ExactCore, lp._FloatCore):
+        assert list(inspect.signature(core).parameters)[:3] == ["rows", "basis", "cols"], core
+    assert not hasattr(lp, "_updated")
+    tree = ast.parse((SRC / "lp.py").read_text())
+    assert callers(tree, "_condensed") == ["_solve_exact", "_float_optima"]
+
+
 def test_callers_are_found():
     source = (
         "def f():\n    g()\n"

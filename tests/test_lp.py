@@ -11,6 +11,7 @@ from reflekt.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LPNumericError,
     LPResult,
     ProjectionChecker,
     _cost_row,
@@ -467,21 +468,84 @@ class TestExactMembership:
         assert checker.feasible(centre) == reference_feasible(checker, centre)
 
 
-def carried_float_solve(n_vars, ineqs, objective):
-    """The float two-phase solve with its objective row carried through
-    phase 1, as one tableau: the one-objective reference for the float solves."""
-    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, (), False, False)
-    row, _ = _cost_row(objective, False, False, len(rows[-1]))
-    core = _FloatCore(rows + [row], basis)
+def full_width_float_solve(n_vars, ineqs, eqs, objective, nonneg):
+    """The float two-phase solve on a dense tableau that stores and updates
+    every basic column, with the cost row carried through phase 1: the bit
+    reference for the condensed float dictionary and its pivot tree."""
+    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, False)
+    rows.append(_cost_row(objective, nonneg, False, len(rows[-1]))[0])
     m = len(basis)
+
+    def pivot(r, c):
+        lead = rows[r]
+        rows[r] = lead = [e / lead[c] for e in lead]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and abs(f) > 0.0:
+                rows[i] = [a - f * b for a, b in zip(row, lead)]
+        basis[r] = c
+
+    def run_phase(obj_idx, allowed):
+        for _ in range(20_000):
+            # the first largest reduced cost, so ties go to the smallest column
+            col = max(allowed, key=rows[obj_idx].__getitem__, default=-1)
+            if col < 0 or not rows[obj_idx][col] > DEFAULT_TOL:
+                return True
+            r, best_ratio = -1, None
+            for i in range(m):
+                a = rows[i][col]
+                if a > DEFAULT_TOL:
+                    ratio = rows[i][-1] / a
+                    if best_ratio is None or ratio < best_ratio - DEFAULT_TOL:
+                        r, best_ratio = i, ratio
+            if r < 0:
+                return False
+            pivot(r, col)
+        raise LPNumericError("float simplex failed to converge")
+
     if art_of_row:
         feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
-        core.run_phase(m, range(len(rows[0]) - 1))
-        if core.rows[m][-1] > feas_eps:
-            return INFEASIBLE, None
-    if not core.run_phase(m + 1, range(nv + len(ineqs))):
-        return UNBOUNDED, None
-    return OPTIMAL, -core.rows[m + 1][-1]
+        run_phase(m, range(len(rows[0]) - 1))
+        if rows[m][-1] > feas_eps:
+            return LPResult(INFEASIBLE)
+    if not run_phase(m + 1, range(nv + len(ineqs))):
+        return LPResult(UNBOUNDED)
+    vals = {j: row[-1] for j, row in zip(basis, rows)}
+    if nonneg:
+        x = tuple(vals.get(j, 0.0) for j in range(n_vars))
+    else:
+        x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
+    return LPResult(OPTIMAL, -rows[m + 1][-1], x)
+
+
+# small integers make equal reduced costs likely after pivots, too
+FLOAT_COEFF = (st.floats(-3, 3, allow_nan=False).map(lambda e: round(e, 2))
+               | st.integers(-2, 2).map(float))
+
+
+def float_system(data, dim):
+    """A drawn float LP: ``(ineqs, eqs, nonneg)``, with equations, nonnegative
+    variables and, on some draws, a contradictory pair of rows that leaves
+    phase 1 infeasible; flipped rows bring artificials."""
+    row = st.tuples(*[FLOAT_COEFF] * dim)
+    ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
+                               max_size=6))
+    eqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 3).map(lambda e: round(e, 2))),
+                             max_size=2))
+    if data.draw(st.booleans()):
+        a = data.draw(row)
+        ineqs += [(a, -1.0), (neg(a), -1.0)]  # <a, x> <= -1 and >= 1
+    return ineqs, eqs, data.draw(st.booleans())
+
+
+def float_objective(data, dim):
+    """A drawn objective, on some draws with a forced pricing tie: two equal
+    largest coefficients, of which the smaller label must enter."""
+    c = list(data.draw(st.tuples(*[FLOAT_COEFF] * dim)))
+    if dim > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        c[i] = c[j] = max(map(abs, c)) or 1.0
+    return tuple(c)
 
 
 def fresh_projected(checker, c):
@@ -554,15 +618,23 @@ class TestFloatSharedPhase1:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
     def test_replayed_pivots_match_a_carried_objective_row(self, dim, data):
-        coeff = st.floats(-3, 3, allow_nan=False).map(lambda e: round(e, 2))
-        row = st.tuples(*[coeff] * dim)
-        ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
-                                   max_size=6))
-        objective = data.draw(row)
+        ineqs, eqs, nonneg = float_system(data, dim)
+        objective = float_objective(data, dim)
         for obj in (objective, neg(objective)):
-            res = solve_system(dim, ineqs, (), obj, backend=FLOAT)
-            got = (res.status, res.value)
-            assert repr(got) == repr(carried_float_solve(dim, ineqs, obj))
+            got = solve_system(dim, ineqs, eqs, obj, backend=FLOAT, nonneg=nonneg)
+            assert repr(got) == repr(full_width_float_solve(dim, ineqs, eqs, obj, nonneg))
+
+    def test_a_pricing_tie_enters_the_smaller_label(self):
+        # after the first pivot the tied labels sit in slots out of label
+        # order; entering the earlier slot ends at (0, 0, 4.000000000000001)
+        ineqs = [((1.0, -1.0, -2.0), 0.0), ((2.0, 1.0, 1.0), 4.0)]
+        want = full_width_float_solve(3, ineqs, (), (2.0, 2.0, 2.0), True)
+        point = (0.0, 4.000000000000002, 0.0)
+        assert repr(want) == repr(LPResult(OPTIMAL, 8.000000000000005, point))
+        assert repr(solve_system(3, ineqs, (), (2.0, 2.0, 2.0), FLOAT, nonneg=True)) == repr(want)
+        core = _FloatCore([[1.0, 1.0, 3.0], [2.0, 2.0, 0.0]], [0], [2, 1])
+        core.run_phase(1)
+        assert (core.basis, core.cols) == ([1], [2, 0])
 
 
 def mgon_checkers(m):
@@ -598,29 +670,26 @@ class TestFloatPivotTree:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
     def test_tree_matches_carried_objective_rows(self, dim, data):
-        coeff = st.floats(-3, 3, allow_nan=False).map(lambda e: round(e, 2))
-        row = st.tuples(*[coeff] * dim)
-        ineqs = data.draw(st.lists(st.tuples(row, st.floats(-3, 5).map(lambda e: round(e, 3))),
-                                   max_size=6))
-        objectives = [data.draw(row)]
+        ineqs, eqs, nonneg = float_system(data, dim)
+        objectives = [float_objective(data, dim)]
         for kind in data.draw(st.lists(st.sampled_from(("new", "zero", "repeat", "negate")),
                                        max_size=7)):
             if kind == "new":
-                objectives.append(data.draw(row))
+                objectives.append(float_objective(data, dim))
             elif kind == "zero":
                 objectives.append((0.0,) * dim)
             else:
                 c = data.draw(st.sampled_from(objectives))
                 objectives.append(c if kind == "repeat" else tuple(-e for e in c))
         for objs in (objectives, list(map(neg, objectives))):
-            want = [carried_float_solve(dim, ineqs, c) for c in objs]
-            got = _float_optima(dim, ineqs, (), objs, False)
+            want = [full_width_float_solve(dim, ineqs, eqs, c, nonneg) for c in objs]
+            got = _float_optima(dim, ineqs, eqs, objs, nonneg)
             if got is None:
-                assert want == [(INFEASIBLE, None)] * len(objs)
+                assert want == [LPResult(INFEASIBLE)] * len(objs)
                 continue
-            assert repr([(res.status, res.value) for res in got]) == repr(want), objs
-            # a one-objective tree is one path; its point comes from the same basis
-            single = [solve_system(dim, ineqs, (), c, FLOAT) for c in objs]
+            assert repr(got) == repr(want), objs
+            # a one-objective tree is one path, as in solve_system
+            single = [solve_system(dim, ineqs, eqs, c, FLOAT, nonneg) for c in objs]
             assert repr(got) == repr(single), objs
 
     def test_unbounded_and_infeasible_batches(self):
@@ -675,9 +744,9 @@ class TestFloatPivotTree:
 
         pivot, count = _FloatCore.pivot, [0]
 
-        def counted(core, r, c):
+        def counted(core, r, c, riders=()):
             count[0] += len(core.rows) == len(core.basis)  # tree nodes hold constraint rows only
-            pivot(core, r, c)
+            pivot(core, r, c, riders)
 
         monkeypatch.setattr(_FloatCore, "pivot", counted)
         efs = [mgon_ef(m) for m in range(3, 65)]

@@ -139,7 +139,7 @@ class TestProjectionEquality:
         rep = verify_projection_equality(perm3_ef(), V, n_objectives=0)
         assert rep.passed and rep.objective_total == 0
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")])
     def test_tolerance_must_be_nonnegative(self, tol):
         ef, V = mgon_ef(8), mgon_orbit(8)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
