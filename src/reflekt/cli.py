@@ -116,15 +116,26 @@ def _oracle_from_args(args):
     raise UsageError(f"unknown oracle {name!r}")
 
 
+class _Once(argparse.Action):
+    """Store a flag's value.  The recipe and the oracle of ``verify`` read
+    the same value, so giving the flag again with another value is a usage
+    error, not a value silently dropped; repeating the same value is fine."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) not in (None, values):
+            raise argparse.ArgumentError(self, "given twice with different values")
+        setattr(namespace, self.dest, values)
+
+
 def _add_recipe_flags(parser):
-    parser.add_argument("--recipe", help="construction name")
-    parser.add_argument("--recipe-file", help="JSON recipe document")
-    parser.add_argument("--m", type=int, help="m-gon parameter")
-    parser.add_argument("--n", type=int, help="dimension / leaf count")
-    parser.add_argument("--parity", choices=["odd", "even"])
-    parser.add_argument("--base", help="comma-separated base point")
-    parser.add_argument("--p", help="comma-separated processing times")
-    parser.add_argument("--network", choices=["batcher", "insertion"])
+    parser.add_argument("--recipe", action=_Once, help="construction name")
+    parser.add_argument("--recipe-file", action=_Once, help="JSON recipe document")
+    parser.add_argument("--m", type=int, action=_Once, help="m-gon parameter")
+    parser.add_argument("--n", type=int, action=_Once, help="dimension / leaf count")
+    parser.add_argument("--parity", choices=["odd", "even"], action=_Once)
+    parser.add_argument("--base", action=_Once, help="comma-separated base point")
+    parser.add_argument("--p", action=_Once, help="comma-separated processing times")
+    parser.add_argument("--network", choices=["batcher", "insertion"], action=_Once)
 
 
 def cmd_build(args) -> int:

@@ -437,10 +437,11 @@ class ProjectionChecker:
     Exact queries share one condensed integer dictionary, factored on first
     use, and one integer row per output coordinate priced into it
     (:meth:`_factor`); with the integer rows of A_red and M_red that
-    :meth:`certifies` tests, grouped by last nonzero column for
-    :meth:`proves_max`, it is all a checker caches.  :meth:`proves_max`
-    needs no dictionary, so one is factored only when an objective gets no
-    certificate or a membership query runs.  An objective is an integer
+    :meth:`certifies` tests, A_red's grouped by last nonzero column for
+    :meth:`rows_hold` and :meth:`proves_max`, it is all a checker caches.
+    :meth:`proves_max` needs no dictionary, so one is factored only when an
+    objective gets no certificate or a membership query runs.  An objective
+    is an integer
     combination of these projection rows and pivots only among slack
     columns; a membership query adds them as artificial equations and runs
     one phase 1.  Float queries pivot on the same condensed layout: the
@@ -454,7 +455,7 @@ class ProjectionChecker:
         self.backend = ef.backend
         self.w_feas = self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
-        self._factored = self._ints = self._by_last = None  # caches
+        self._factored = self._ints = None  # caches
         self.z_part = self.N_cols = None
         system = ef.parametrised()
         self.consistent = system is not None
@@ -466,45 +467,74 @@ class ProjectionChecker:
 
     def _scaled(self, u, v=None) -> ScaledPoint:
         """A reduced point u, a :class:`ScaledPoint` or a tuple of rationals,
-        as a ScaledPoint, with the integer rows of A_red and M_red scaled on
-        first use: each M_red row is F times the row, for F the lcm of their
-        denominators, a positive scale that keeps the equation
-        :meth:`certifies` tests.  DimensionError unless u has ``n_free``
-        coordinates and v, if given, one per output coordinate."""
+        as a ScaledPoint.  DimensionError unless u has ``n_free`` coordinates
+        and v, if given, one per output coordinate."""
         if not isinstance(u, ScaledPoint):
             u = ScaledPoint.of(vector(u, EXACT))
         m = len(self.t_red) if v is None else len(v)
         if (len(u.nums), m) != (self.n_free, len(self.t_red)):
             raise DimensionError(f"{len(u.nums)} and {m} coordinates, not {self.n_free} "
                                  f"(reduced) and {len(self.t_red)} (projected)")
+        return u
+
+    def _int_rows(self):
+        """``(by_last, blank, M)``, scaled on first use: the integer rows of
+        A_red grouped by last nonzero column, the rhs of its all-zero rows,
+        and M_red's rows, each F times the row for F the lcm of their
+        denominators, a positive scale that keeps the equation
+        :meth:`projects_to` tests."""
         if self._ints is None:
             A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
                     for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
             F = lcm(*(f for _, _, f in M))
             M = [([(j, c * (F // f)) for j, c in row], t * (F // f), F) for row, t, f in M]
-            self._ints = A, M
-            self._by_last = [[] for _ in range(self.n_free)]  # rows of A by last nonzero column
-            for row in A:
-                if row[0]:
-                    self._by_last[row[0][-1][0]].append(row)
-        return u
+            by_last, blank = [[] for _ in range(self.n_free)], []
+            for row, rhs, _ in A:
+                if row:
+                    by_last[row[-1][0]].append((row, rhs))
+                else:
+                    blank.append(rhs)
+            self._ints = by_last, blank, M
+        return self._ints
 
-    def certifies(self, u, y) -> bool:
-        """Whether the exact reduced point u proves y feasible: A_red u <= b_red
-        and M_red u + t_red = y hold on integers, so the point of Q's
-        equations that u stands for lies in Q and projects to y.  u and y
-        are :class:`ScaledPoint` s or tuples of rationals (DimensionError for
-        a wrong length); an inconsistent checker certifies nothing."""
-        if not self.consistent:
-            return False
-        Y, D = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
-        U, den = self._scaled(u, Y)
-        A, M = self._ints
-        if any(sum(c * U[j] for j, c in row) > rhs * den for row, rhs, _ in A):
+    def rows_hold(self, U, den, lo, hi) -> bool:
+        """Whether the rows of A_red whose last nonzero column is in
+        ``range(lo, hi)`` hold at u = U/den, for integers U and den > 0.
+        Such a row reads U[:hi] only, so a canonical-preimage walk checks
+        it once per distinct tail below the level that reads column hi - 1
+        (:func:`~reflekt.polyhedra._witness_blocks`).  The all-zero rows are
+        in no group; :meth:`projects_to` checks them."""
+        by_last = self._int_rows()[0]
+        for k in range(lo, hi):
+            for row, rhs in by_last[k]:
+                if sum(c * U[j] for j, c in row) > rhs * den:
+                    return False
+        return True
+
+    def projects_to(self, U, den, y) -> bool:
+        """Whether u = U/den meets the rows that read no column group: the
+        all-zero rows of A_red (0 <= rhs) and M_red u + t_red = y, with y a
+        :class:`ScaledPoint` of the output dimension."""
+        _, blank, M = self._int_rows()
+        Y, D = y
+        if any(rhs * den < 0 for rhs in blank):
             return False
         # f(M u + t) = f y times D * den, with u = U/den and y = Y/D
         return all((sum(c * U[j] for j, c in row) + t * den) * D == f * den * yi
                    for (row, t, f), yi in zip(M, Y))
+
+    def certifies(self, u, y) -> bool:
+        """Whether the exact reduced point u proves y feasible: A_red u <= b_red
+        (:meth:`rows_hold` over every column) and :meth:`projects_to` y hold
+        on integers, so the point of Q's equations that u stands for lies in
+        Q and projects to y.  u and y are :class:`ScaledPoint` s or tuples
+        of rationals (DimensionError for a wrong length); an inconsistent
+        checker certifies nothing."""
+        if not self.consistent:
+            return False
+        y = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
+        U, den = self._scaled(u, y.nums)
+        return self.rows_hold(U, den, 0, self.n_free) and self.projects_to(U, den, y)
 
     def proves_max(self, u, c_ints) -> bool:
         """Whether a dual certificate proves max <c, y> over the projection
@@ -521,7 +551,7 @@ class ProjectionChecker:
         if not self.consistent:
             return False
         U, den = self._scaled(u, c_ints)
-        _, M = self._ints
+        by_last, _, M = self._int_rows()
         R = [0] * self.n_free  # F M_red^T c, with M_red's rows over their common F
         for ci, (row, _, _) in zip(c_ints, M):
             for j, e in row:
@@ -530,7 +560,7 @@ class ProjectionChecker:
             r = R.pop()
             if not r:
                 continue
-            for row, rhs, _ in self._by_last[j]:
+            for row, rhs in by_last[j]:
                 a = row[-1][1]
                 if (a > 0) == (r > 0) and sum(c * U[i] for i, c in row) == rhs * den:
                     break
@@ -580,24 +610,25 @@ class ProjectionChecker:
         return core.rows[-1][-1] == 0
 
     def seed_from_raw(self, z_raw) -> bool:
-        """Register a start w_feas for the objective solves, with b_shift =
-        b_red - A_red w_feas; they skip phase 1 when b_shift >= 0
-        (:meth:`_factor` solves for a start otherwise).  An exact witness (a
-        :class:`ScaledPoint` or a tuple) is already a reduced point and is
-        registered as it is; a float one is a raw point of Q, solved from
-        N w = z_raw - z_part (False when z_raw is off Q's equations).  The
-        name is kept for perfbench's ``lp.seed`` span."""
+        """Register a start w_feas for the objective solves.  An exact
+        witness (a :class:`ScaledPoint` or a tuple) is already a reduced
+        point and is registered as it is; :meth:`_factor` shifts the rows by
+        it when it runs, and solves for a start when the shift is not >= 0.
+        A float one is a raw point of Q, solved from N w = z_raw - z_part
+        (False when z_raw is off Q's equations), and registered with b_shift
+        = b_red - A_red w_feas, the rows the float pivot tree starts from.
+        The name is kept for perfbench's ``lp.seed`` span."""
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
         if self.backend == EXACT:
-            part = self._scaled(z_raw).fractions()
-        else:
-            target = vec_sub(z_raw, self.z_part)
-            part, _ = affine_solution_space(
-                tuple(zip(*self.N_cols)), target, dim=self.n_free, backend=self.backend
-            )
-            if part is None:
-                return False
+            self.w_feas = self._scaled(z_raw).fractions()
+            return True
+        target = vec_sub(z_raw, self.z_part)
+        part, _ = affine_solution_space(
+            tuple(zip(*self.N_cols)), target, dim=self.n_free, backend=self.backend
+        )
+        if part is None:
+            return False
         self.w_feas = part
         self.b_shift = tuple(
             rhs - dot(row, part) for row, rhs in zip(self.A_red, self.b_red)
@@ -608,14 +639,15 @@ class ProjectionChecker:
         """Factor the exact dictionary once; returns None when A_red w <= b_red
         is infeasible.
 
-        The start w0 is the registered seed, else the point of one exact
-        solve, so the slack basis of A_red d + s = b_red - A_red w0 is
-        feasible.  Each free column d_j is pivoted into the basis once: a
-        ratio test over the slack rows keeps them feasible, and the column is
-        negated when only its minus direction is blocked.  A column that is
-        zero in every slack row cannot enter and is a lineality direction;
-        its slot gets a negated copy, labelled below every column, so Bland's
-        rule enters a lineality direction first and finds it unblocked.  The
+        The start w0 is the registered seed when b_red - A_red w0 >= 0,
+        else the point of one exact solve, so the slack basis of
+        A_red d + s = b_red - A_red w0 is feasible.  Each free column d_j is
+        pivoted into the basis once: a ratio test over the slack rows keeps
+        them feasible, and the column is negated when only its minus
+        direction is blocked.  A column that is zero in every slack row
+        cannot enter and is a lineality direction; its slot gets a negated
+        copy, labelled below every column, so Bland's rule enters a
+        lineality direction first and finds it unblocked.  The
         projection rows [L M_i | -L y0_i], with y0 = M_red w0 + t_red and
         L > 0 making them integers, ride along as objective rows, so each
         ends as q times its row in the factored basis.  What is left is
@@ -624,14 +656,19 @@ class ProjectionChecker:
         is n + i, copy t is -1 - t) of the basic variables and of the slots,
         and the last pivot q.
         """
-        w0, b = self.w_feas, self.b_shift
-        if w0 is None or any(v < 0 for v in b):
+
+        def shift(w):  # b_red - A_red w
+            return tuple(rhs - dot(row, w) for row, rhs in zip(self.A_red, self.b_red))
+
+        w0 = self.w_feas
+        b = None if w0 is None else shift(w0)
+        if b is None or any(v < 0 for v in b):
             zero = (Fraction(0),) * self.n_free
             res = solve_system(self.n_free, list(zip(self.A_red, self.b_red)), (), zero)
             if res.status != OPTIMAL:
                 return None
             w0 = res.point
-            b = tuple(rhs - dot(row, w0) for row, rhs in zip(self.A_red, self.b_red))
+            b = shift(w0)
         n, m = self.n_free, len(b)
         rows = [int_scale(tuple(row) + (rhs,))[0] for row, rhs in zip(self.A_red, b)]
         y0 = [dot(row, w0) + t for row, t in zip(self.M_red, self.t_red)]

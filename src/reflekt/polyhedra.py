@@ -571,21 +571,34 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     )
 
 
-def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
+def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     """A certificate that y lies in the projection, read off canonical
     preimages walked from y back to the base block, or None (also for any
     None preimage).  An exact formulation with
-    :attr:`~ExtendedFormulation.steps` is walked on integers and gives its
-    reduced point u as a :class:`ScaledPoint` over the base block's
-    denominator, read during the walk: the base block's free coordinates,
-    then one lambda = (y_j - x_j)/a_j per reflection (a_j the first nonzero
-    of a; an integer over x's denominator when x is canonical) and the k
-    output coordinates per box lift.  u is returned only when
-    :meth:`~reflekt.lp.ProjectionChecker.certifies` it, so it stands for a
-    point of Q projecting to y however it was read.  An exact formulation
-    without steps takes no witness.  A float chain gives the raw point z,
-    returned only when Q contains it within ``tol`` (DimensionError for a z
-    whose length is not Q's dimension)."""
+    :attr:`~ExtendedFormulation.steps` is walked on integers from y, a
+    :class:`ScaledPoint` or a tuple of rationals, and gives its reduced point
+    u as a ScaledPoint over the base block's denominator, read during the
+    walk: the base block's free coordinates, then one lambda = (y_j - x_j)/a_j
+    per reflection (a_j the first nonzero of a; an integer over x's
+    denominator when x is canonical) and the k output coordinates per box
+    lift.  u is returned only when
+    :meth:`~reflekt.lp.ProjectionChecker.certifies` would accept it, so it
+    stands for a point of Q projecting to y however it was read.
+
+    The walk below a point is fixed by the point, and so are the columns it
+    reads, a prefix of u, and the rows of A_red whose last nonzero column
+    lies in that prefix.  ``memo`` maps (level, point), level the number of
+    steps walked, to that tail: the prefix as ``(nums, den)`` over the base
+    block's denominator once those rows hold
+    (:meth:`~reflekt.lp.ProjectionChecker.rows_hold`), else None.  Calls
+    that share a memo (the vertices of one certification) run each preimage
+    and check each such row once per distinct point; a lone call walks with
+    a memo of its own.  Level 0, y itself, is never stored: the rows of the
+    last step's columns, A_red's all-zero rows and the projection
+    (:meth:`~reflekt.lp.ProjectionChecker.projects_to`) are checked for
+    every y.  An exact formulation without steps takes no witness.  A float chain gives the raw point z, walked per call with no
+    memo and returned only when Q contains it within ``tol``
+    (DimensionError for a z whose length is not Q's dimension)."""
     if ef.relations is None or ef.base is None or ef.block_dims is None:
         return None
     if ef.backend != EXACT:
@@ -599,28 +612,52 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float):
     steps, checker = ef.steps, projection_checker(ef)
     if steps is None or not checker.consistent:
         return None
-    target = current = ScaledPoint.of(vector(y, EXACT))
-    cols = []  # numerators over the current block's denominator, last column first
-    for rel, (kind, data) in zip(reversed(ef.relations), reversed(steps)):
-        x = rel.preimage(current, tol) if rel.preimage else None
+    target = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
+    if len(target.nums) != len(checker.t_red):
+        raise DimensionError(f"{len(target.nums)} coordinates for a projection "
+                             f"to R^{len(checker.t_red)}")
+    memo = {} if memo is None else memo
+    rels = ef.relations
+    level, point, walked = 0, target, []  # walked: (level, point, columns, their denominator)
+    while not level or (level, point) not in memo:
+        if level == len(rels):  # the base block's free coordinates
+            X, D = point
+            cols = [X[max(j for j, v in enumerate(col) if v)] for col in checker.N_cols]
+            walked.append((level, point, cols, D))
+            tail = (), D
+            break
+        kind, data = steps[-1 - level]
+        rel = rels[-1 - level]
+        x = rel.preimage(point, tol) if rel.preimage else None
         if x is None:
-            return None
-        Y, g = current.nums, x.den // current.den
-        if g != 1:
-            cols = [e * g for e in cols]
-        if kind == "reflection" and x is not current:  # lambda * x.den, integral when canonical
+            tail = None
+            break
+        Y, g = point.nums, x.den // point.den
+        if kind == "reflection" and x is not point:  # lambda * x.den, integral when canonical
             j = data.int_form()[0][0][0]
             a = data.a[j]
-            cols.append((Y[j] * g - x.nums[j]) * a.denominator // a.numerator)
+            cols = [(Y[j] * g - x.nums[j]) * a.denominator // a.numerator]
         elif kind == "reflection":  # the point was kept
-            cols.append(0)
+            cols = [0]
         elif kind == "box":
-            cols.extend(Y[j] * g for j in reversed(range(len(Y) - data, len(Y))))
-        current = x
-    X, D = current
-    cols.extend(X[max(j for j, v in enumerate(col) if v)] for col in reversed(checker.N_cols))
-    u = ScaledPoint(tuple(reversed(cols)), D)
-    return u if checker.certifies(u, target) else None
+            cols = [Y[j] * g for j in range(len(Y) - data, len(Y))]
+        else:
+            cols = []
+        walked.append((level, point, cols, x.den))
+        level, point = level + 1, x
+    else:
+        tail = memo[level, point]
+    for level, point, cols, den in reversed(walked):
+        if tail is not None:
+            nums, D = tail
+            scale = D // den
+            U = nums + tuple(c * scale for c in cols)
+            tail = (U, D) if checker.rows_hold(U, D, len(nums), len(U)) else None
+        if level:
+            memo[level, point] = tail
+    if tail is None or not checker.projects_to(*tail, target):
+        return None
+    return ScaledPoint(*tail)
 
 
 def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) -> bool:

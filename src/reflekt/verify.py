@@ -29,6 +29,7 @@ from .numeric import (
     EXACT,
     FLOAT,
     DimensionError,
+    ScaledPoint,
     int_scale,
     scalar_to_json,
     scalars_eq,
@@ -173,15 +174,20 @@ def verify_projection_equality(
     ``tol`` is a comparison tolerance (witness steps and float optima) and
     must be finite and ``>= 0`` (ValueError otherwise, NaN included); the
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
+    In the rational backend V is first scaled to one integer matrix over a
+    common denominator, and each vertex is walked from its row as a
+    :class:`~reflekt.numeric.ScaledPoint`.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
     certificate (``witness_hits``), or else through an LP
     (``lp_fallbacks``); an exact witness is the checker's reduced point,
     read during the walk, and an exact formulation without steps takes none.
-    The first witness seeds the objective LPs.  In the rational backend V is
-    scaled once to one integer matrix over a common denominator, every
-    brute-force maximum is taken on integers and is first proved at its
-    first maximiser's witness (``lp_certified``, by
+    Each vertex gets its own ``_witness_blocks`` call, but the exact walks of
+    one call share a memo of walk tails, dropped when the call returns: each
+    distinct point below a vertex is walked, and each reduced row its tail
+    fixes is checked, once.  The first witness seeds the objective LPs.
+    Every brute-force maximum is taken on the same integer rows and is first
+    proved at its first maximiser's witness (``lp_certified``, by
     :meth:`~reflekt.lp.ProjectionChecker.proves_max`): such a passing
     objective is a proof, not just a sampled LP match.  The rest
     (``lp_exact``), and all float objectives, go to the checker in one call;
@@ -211,10 +217,17 @@ def verify_projection_equality(
     pivots = checker.pivots  # a fallback may trigger the objectives' factoring
 
     t_vertex = time.perf_counter()
+    exact = backend == EXACT
+    walked = V.points
+    if exact:
+        flat, v_den = int_scale(e for v in V.points for e in v)
+        v_rows = [tuple(flat[i : i + V.dim]) for i in range(0, len(flat), V.dim)]
+        walked = [ScaledPoint(row, v_den) for row in v_rows]
+    memo = {}  # the exact walk's tails, shared by this call's vertices only
     witnesses = []  # each vertex's certified witness, or None
-    for v in V.points:
+    for v, y in zip(V.points, walked):
         report.vertex_total += 1
-        w = _witness_blocks(ef, v, tol)
+        w = _witness_blocks(ef, y, tol, memo)
         witnesses.append(w)
         if w is not None:
             report.vertex_passed += 1
@@ -228,13 +241,10 @@ def verify_projection_equality(
 
     t_objective = time.perf_counter()
     rng = Random(seed)
-    exact = backend == EXACT
     max_dev = Fraction(0) if exact else 0.0
     objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
     optima = [None] * len(objectives)  # (status, value), once known
     if exact:
-        flat, v_den = int_scale(e for v in V.points for e in v)
-        v_rows = [flat[i : i + V.dim] for i in range(0, len(flat), V.dim)]
         brutes = []
         for k, c in enumerate(objectives):
             c_ints, c_den = int_scale(c)

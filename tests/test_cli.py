@@ -48,6 +48,19 @@ class TestBuild:
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--recipe", "mgon", "--m", "5", "--oracle", "mgon", "--m", "7"], "--m"),
+        (["build", "--recipe", "parity", "--n", "3", "--n", "4"], "--n"),
+        (["stats", "--recipe", "mgon", "--recipe", "signing", "--m", "5"], "--recipe"),
+    ])
+    def test_a_recipe_flag_given_two_values_is_a_usage_error(self, argv, flag, capsys):
+        # one value feeds both the recipe and the oracle: a second one would be dropped
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: given twice with different values" in captured.err
+        assert "PASS" not in captured.out
+
+
 class TestVerify:
     def test_verify_permutahedron_passes(self, tmp_path, capsys):
         out = str(tmp_path / "perm3.json")

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reflekt import oracles
+from reflekt import oracles, verify
 from reflekt.constructions import RECIPES, _box_lift_relation, a_permutahedron_ef, build_recipe
 from reflekt.networks import batcher
 from reflekt.lp import ProjectionChecker
@@ -36,7 +36,7 @@ from reflekt.polyhedra import (
     point_in_projection,
     projection_checker,
 )
-from reflekt.reflections import ReflectionSpec, reflection_relation
+from reflekt.reflections import ReflectionSpec, reflect_point, reflection_relation
 from reflekt.serialize import ef_from_dict, ef_to_dict
 from reflekt.verify import random_objectives, verify_projection_equality
 
@@ -333,3 +333,120 @@ def test_a_walk_off_the_base_is_no_witness(y, inside):
     assert _witness_blocks(ef, y, 0) is None
     assert checker.feasible(y) is inside
     assert point_in_projection(ef, y) is inside
+
+
+def _recorded(monkeypatch):
+    """Record each call of ``verify._witness_blocks`` as (y, memo, witness)."""
+    calls, inner = [], verify._witness_blocks
+
+    def recording(ef, y, tol, memo):
+        w = inner(ef, y, tol, memo)
+        calls.append((y, memo, w))
+        return w
+
+    monkeypatch.setattr(verify, "_witness_blocks", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name, params, oracle, args", EXACT_RECIPES,
+                         ids=[r[0] for r in EXACT_RECIPES])
+def test_a_shared_walk_gives_each_vertex_its_own_witness(monkeypatch, name, params, oracle,
+                                                          args):
+    # the vertices of one certification share one memo of walk tails; each
+    # witness is still the one a walk of its vertex alone reads
+    ef = build_recipe(name, params)
+    V = getattr(oracles, oracle)(*args)
+    calls = _recorded(monkeypatch)
+    report = verify_projection_equality(ef, V, n_objectives=5, seed=3)
+    assert report.passed and report.witness_hits == len(V.points) == len(calls)
+    memo = calls[0][1]
+    assert all(m is memo for _, m, _ in calls)
+    assert 0 not in {level for level, _ in memo}  # a vertex is never stored
+    for v, (y, _, w) in zip(V.points, calls):
+        assert y.fractions() == v
+        alone = _witness_blocks(ef, v, 0)
+        assert w.fractions() == alone.fractions() == _read(ef, _walk(ef, v))
+    # points off the vertices, half of them outside: the same verdicts and
+    # witnesses through one memo as one walk each
+    memo = {}
+    for y in _moved(V):
+        shared, alone = _witness_blocks(ef, y, 0, memo), _witness_blocks(ef, y, 0)
+        assert (shared is None) is (alone is None)
+        assert shared is None or shared.fractions() == alone.fractions()
+
+
+def test_a_loaded_document_walks_no_vertex(monkeypatch):
+    loaded = ef_from_dict(ef_to_dict(build_recipe("a_permutahedron", {"n": 4})))
+    V = oracles.permutation_orbit((1, 2, 3, 4))
+    calls = _recorded(monkeypatch)
+    report = verify_projection_equality(loaded, V, n_objectives=5, seed=3)
+    assert report.passed and report.lp_fallbacks == len(V.points) == len(calls)
+    assert [w for _, _, w in calls] == [None] * len(V.points)
+    assert calls[0][1] == {}
+
+
+def _rejected(ef, V, monkeypatch):
+    """The vertices a certification's shared walk rejects, and those that
+    certifies rejects at the witness a reference walk of each reads."""
+    checker = projection_checker(ef)
+    reference = {k for k, v in enumerate(V.points)
+                 if not checker.certifies(_read(ef, _walk(ef, v)), v)}
+    calls = _recorded(monkeypatch)
+    verify_projection_equality(ef, V, n_objectives=0)
+    return {k for k, (_, _, w) in enumerate(calls) if w is None}, reference
+
+
+def test_a_corrupted_rhs_rejects_the_vertices_certifies_rejects(monkeypatch):
+    # lower the rhs of the row, deepest in the walk, that is tight at some
+    # vertices and slack at others: the row is checked once per shared tail,
+    # and still against every vertex's values
+    ef = build_recipe("a_permutahedron", {"n": 4})
+    V = oracles.permutation_orbit((1, 2, 3, 4))
+    checker = projection_checker(ef)
+    us = [_read(ef, _walk(ef, v)) for v in V.points]
+
+    def last(row):
+        return max(j for j, c in enumerate(row) if c)
+
+    varying = [i for i, row in enumerate(checker.A_red)
+               if any(row) and len({dot(row, u) for u in us}) > 1]
+    i = min(varying, key=lambda i: last(checker.A_red[i]))
+    assert last(checker.A_red[i]) < max(map(last, filter(any, checker.A_red)))
+    peak = max(dot(checker.A_red[i], u) for u in us)
+    b = list(checker.b_red)
+    b[i] = peak - F(1, 2)
+    checker.b_red = tuple(b)
+    shared, reference = _rejected(ef, V, monkeypatch)
+    assert shared == reference
+    assert 0 < len(shared) < len(V.points)
+
+
+def test_a_preimage_wrong_for_some_points_rejects_the_vertices_certifies_rejects(monkeypatch):
+    # one relation mid-chain mirrors every point, so the walk leaves the
+    # canonical path exactly where a point lies strictly inside its halfspace
+    built = build_recipe("a_permutahedron", {"n": 4})
+    rels = list(built.relations)
+    k = len(rels) // 2
+    spec = rels[k].step[1]
+
+    def mirrored(y, tol=0):
+        return ScaledPoint(tuple(int(e * y.den) for e in reflect_point(spec, y.fractions())),
+                           y.den)
+
+    rels[k] = replace(rels[k], preimage=mirrored)
+    ef = compose_extension(built.base, rels, built.label)
+    assert ef.steps is not None
+    V = oracles.permutation_orbit((1, 2, 3, 4))
+    shared, reference = _rejected(ef, V, monkeypatch)
+    assert shared == reference
+    assert 0 < len(shared) < len(V.points)
+
+
+def test_certification_caches_no_walk_on_the_formulation_or_its_checker():
+    ef = build_recipe("b_permutahedron", {"n": 3})
+    checker = projection_checker(ef)
+    before = set(vars(ef)), set(vars(checker))
+    report = verify_projection_equality(ef, oracles.signed_orbit((1, 2, 3)), n_objectives=5)
+    assert report.passed and report.witness_hits == 48
+    assert (set(vars(ef)), set(vars(checker))) == before
+    assert not any(isinstance(v, dict) for obj in (ef, checker) for v in vars(obj).values())

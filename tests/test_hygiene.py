@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reflekt import constructions, lp, numeric, reflections, verify
+from reflekt import constructions, lp, numeric, oracles, reflections, serialize, verify
 from reflekt.polyhedra import PolyhedralRelation
 from reflekt.networks import ComparatorSeq
 
@@ -223,3 +223,23 @@ def test_certification_calls_the_traced_names():
     tree = ast.parse((SRC / "verify.py").read_text())
     for name in ("_witness_blocks", "seed_from_raw"):
         assert "verify_projection_equality" in callers(tree, name), name
+
+
+def test_certification_walks_each_vertex_in_its_own_call(monkeypatch):
+    # perfbench's polyhedra.witness span and witness_hit_ratio count the
+    # calls of verify._witness_blocks, so each vertex needs its own call
+    calls, inner = [], verify._witness_blocks
+    monkeypatch.setattr(verify, "_witness_blocks",
+                        lambda *args: calls.append(args[1]) or inner(*args))
+    perm = constructions.build_recipe("a_permutahedron", {"n": 4})
+    cases = [
+        (perm, oracles.permutation_orbit((1, 2, 3, 4))),
+        (serialize.ef_from_dict(serialize.ef_to_dict(perm)),
+         oracles.permutation_orbit((1, 2, 3, 4))),
+        (constructions.build_recipe("mgon", {"m": 6}), oracles.mgon_orbit(6)),
+    ]
+    for ef, V in cases:
+        calls.clear()
+        report = verify.verify_projection_equality(ef, V, n_objectives=2, tol=1e-6)
+        assert report.passed
+        assert len(calls) == report.vertex_total == len(V.points)
