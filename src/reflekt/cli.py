@@ -41,44 +41,65 @@ def _seed_from(args) -> int:
     return int(env) if env else 0
 
 
-def _recipe_params(args) -> dict:
-    params = {}
-    if getattr(args, "recipe_file", None):
+_ORACLE_FLAGS = ("m", "n", "parity", "base", "p")
+_PARAM_FLAGS = (*_ORACLE_FLAGS, "network")
+
+
+def _repeats(flag, filed) -> bool:
+    """Whether a parameter flag's value is the recipe file's value again,
+    numbers compared as numbers: ``3``, ``"3"`` and ``[3]`` are one value."""
+    def numbers(v):
+        return _parse_number_list(",".join(map(str, v)) if isinstance(v, list) else str(v))
+    try:
+        return flag == filed or numbers(flag) == numbers(filed)
+    except (ValueError, BackendError):
+        return False
+
+
+def _recipe(args) -> tuple:
+    """``(name, params)`` of the recipe that --recipe-file and the recipe
+    flags give together.  A flag may repeat what the file says; another
+    recipe name or parameter value is a usage error that names the flag,
+    not a value silently dropped."""
+    name, params = args.recipe, {}
+    if args.recipe_file:
         doc = serialize.load_json(args.recipe_file)
         if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
             raise UsageError(f"{args.recipe_file}: need a JSON object with a params object")
         params.update(doc.get("params", {}))
-        if not getattr(args, "recipe", None):
-            args.recipe = doc.get("recipe")
-    if getattr(args, "m", None) is not None:
-        params["m"] = args.m
-    if getattr(args, "n", None) is not None:
-        params["n"] = args.n
-    if getattr(args, "parity", None):
-        params["parity"] = args.parity
-    if getattr(args, "base", None):
-        params["base"] = _parse_number_list(args.base)
-    if getattr(args, "p", None):
-        params["p"] = _parse_number_list(args.p)
-    if getattr(args, "network", None):
-        params["network"] = args.network
-    return params
+        filed = doc.get("recipe")
+        if name and filed and filed != name:
+            raise UsageError(f"argument --recipe: {name!r} conflicts with the recipe "
+                             f"{filed!r} of {args.recipe_file}")
+        name = name or filed
+    for dest in _PARAM_FLAGS:
+        value = getattr(args, dest)
+        if value in (None, ""):
+            continue
+        if dest in params and not _repeats(value, params[dest]):
+            raise UsageError(f"argument --{dest}: {value} conflicts with {dest} = "
+                             f"{params[dest]!r} in {args.recipe_file}")
+        params[dest] = _parse_number_list(value) if dest in ("base", "p") else value
+    return name, params
 
 
-def _build_from_args(args):
-    params = _recipe_params(args)  # may fill args.recipe from --recipe-file
-    if not getattr(args, "recipe", None):
+def _formulation(args, oracle_flags=()):
+    """``(ef, name, params)``: the formulation of --ef, with no recipe, or
+    the one built from the :func:`_recipe` of the flags.  With --ef a recipe
+    flag that no oracle of the command reads (``oracle_flags``) is a usage
+    error."""
+    if getattr(args, "ef", None):
+        for dest in ("recipe", "recipe_file", *_PARAM_FLAGS):
+            if getattr(args, dest) not in (None, "") and dest not in oracle_flags:
+                raise UsageError(f"argument --{dest.replace('_', '-')}: not allowed with --ef")
+        return serialize.ef_from_dict(serialize.load_json(args.ef)), None, None
+    name, params = _recipe(args)
+    if not name:
         raise UsageError("a recipe name is required (--recipe or --recipe-file)")
     try:
-        return constructions.build_recipe(args.recipe, params)
+        return constructions.build_recipe(name, params), name, params
     except KeyError as exc:
-        raise UsageError(f"recipe {args.recipe!r} is missing parameter {exc}") from exc
-
-
-def _load_or_build_ef(args):
-    if getattr(args, "ef", None):
-        return serialize.ef_from_dict(serialize.load_json(args.ef))
-    return _build_from_args(args)
+        raise UsageError(f"recipe {name!r} is missing parameter {exc}") from exc
 
 
 def _oracle_from_args(args):
@@ -117,9 +138,9 @@ def _oracle_from_args(args):
 
 
 class _Once(argparse.Action):
-    """Store a flag's value.  The recipe and the oracle of ``verify`` read
-    the same value, so giving the flag again with another value is a usage
-    error, not a value silently dropped; repeating the same value is fine."""
+    """Store a flag's value.  Giving the flag again with another value is a
+    usage error, not a value silently dropped (the recipe and the oracle of
+    ``verify`` read the same one); repeating the same value is fine."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if getattr(namespace, self.dest) not in (None, values):
@@ -127,19 +148,23 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_recipe_flags(parser):
-    parser.add_argument("--recipe", action=_Once, help="construction name")
-    parser.add_argument("--recipe-file", action=_Once, help="JSON recipe document")
+def _add_param_flags(parser):
     parser.add_argument("--m", type=int, action=_Once, help="m-gon parameter")
     parser.add_argument("--n", type=int, action=_Once, help="dimension / leaf count")
     parser.add_argument("--parity", choices=["odd", "even"], action=_Once)
     parser.add_argument("--base", action=_Once, help="comma-separated base point")
     parser.add_argument("--p", action=_Once, help="comma-separated processing times")
+
+
+def _add_recipe_flags(parser):
+    parser.add_argument("--recipe", action=_Once, help="construction name")
+    parser.add_argument("--recipe-file", action=_Once, help="JSON recipe document")
+    _add_param_flags(parser)
     parser.add_argument("--network", choices=["batcher", "insertion"], action=_Once)
 
 
 def cmd_build(args) -> int:
-    ef = _build_from_args(args)
+    ef = _formulation(args)[0]
     doc = serialize.ef_to_dict(ef)
     if args.out:
         serialize.save_json(doc, args.out)
@@ -150,7 +175,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ef = _load_or_build_ef(args)
+    ef = _formulation(args, _ORACLE_FLAGS)[0]
     oracle = _oracle_from_args(args)
     report = verify_projection_equality(
         ef,
@@ -177,7 +202,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ef = _load_or_build_ef(args)
+    ef, name, _ = _formulation(args)
     if args.format == "json":
         text = json.dumps(serialize.ef_to_dict(ef), sort_keys=True, indent=2) + "\n"
         default_ext = ".json"
@@ -191,7 +216,7 @@ def cmd_export(args) -> int:
         raise UsageError(f"unknown export format {args.format!r}")
     out = args.out
     if not out:
-        stem = os.path.splitext(args.ef)[0] if args.ef else (args.recipe or "formulation")
+        stem = os.path.splitext(args.ef)[0] if args.ef else name
         out = stem + default_ext
     serialize.atomic_write_text(out, text)
     print(f"wrote {out}")
@@ -199,13 +224,11 @@ def cmd_export(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    ef = _load_or_build_ef(args)
+    ef, name, params = _formulation(args)
     payload = {"label": ef.label, "ledger": actual_sizes(ef)}
-    if getattr(args, "recipe", None):
+    if name:
         try:
-            payload["expected"] = constructions.expected_ledger(
-                args.recipe, _recipe_params(args)
-            )
+            payload["expected"] = constructions.expected_ledger(name, params)
         except (ValueError, KeyError):
             pass
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -238,12 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="print an oracle vertex set as JSON")
-    p_oracle.add_argument("--name", required=True)
-    p_oracle.add_argument("--base")
-    p_oracle.add_argument("--m", type=int)
-    p_oracle.add_argument("--n", type=int)
-    p_oracle.add_argument("--parity", choices=["odd", "even"])
-    p_oracle.add_argument("--p")
+    p_oracle.add_argument("--name", required=True, action=_Once)
+    _add_param_flags(p_oracle)
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=cmd_oracle)
 

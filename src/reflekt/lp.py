@@ -14,8 +14,9 @@ objectives is staged as cost rows and carried through one phase 1.
 Variables are free by default (internally split into positive and negative
 parts); ``nonneg=True`` skips the split, which the convex-hull membership
 oracle uses for its multipliers.  Equations are handled natively in phase 1
-rather than split into inequality pairs.  Both backends stage their tableau
-in one function.
+rather than split into inequality pairs.  Both backends stage the
+condensed dictionary directly, in one function, and read the point back in
+another; no dense tableau is built.
 
 :class:`ProjectionChecker` does each query's objective-independent work
 once per formulation, and caches nothing else.  Its reduced system comes
@@ -140,120 +141,108 @@ class _ExactCore:
         raise AssertionError("pivot limit hit in exact mode")
 
 
-def _split(coeffs, nonneg, exact):
-    """Coefficients over the split variables (x, then -x unless nonneg)."""
-    backend = EXACT if exact else FLOAT
-    out = [to_scalar(c, backend) for c in coeffs]
-    return out if nonneg else out + [-c for c in out]
+def _phase1_row(rows, width, zero):
+    """The phase-1 row: the sum, in order, of the rows (``width`` entries
+    each) whose artificials are basic."""
+    total = [zero] * width
+    for row in rows:
+        total = [a + e for a, e in zip(total, row)]
+    return total
 
 
-def _cost_row(objective, nonneg, exact, width):
-    """The phase-2 row, ``width`` entries wide, of a staged tableau: the split
-    objective, integer-scaled on the exact backend; returns ``(row, scale)``."""
-    row = _split(objective, nonneg, exact)
-    row, scale = int_scale(row) if exact else (row, 1)
-    return row + [0 if exact else 0.0] * (width - len(row)), scale
+def _stage(n_vars, ineqs, eqs, objectives, nonneg, exact):
+    """The condensed starting dictionary of a two-phase solve, for either core.
 
-
-def _stage(n_vars, ineqs, eqs, nonneg, exact):
-    """Phase-1 tableau shared by both backends.
-
-    Returns ``(rows, basis, art_of_row, nv)``: the rows
-    [split variables | slacks | artificials | rhs], each flipped to a
-    nonnegative rhs (and scaled to integers on the exact backend), followed
-    by the phase-1 row; the starting basis; the artificial column of each
-    row that needs one; and the split variable count.
+    Rows are split over x and -x (x alone with ``nonneg``: nv split
+    variables), scaled to integers on the exact backend and flipped to a
+    nonnegative rhs.  Slack i, label nv + i, stays basic in an unflipped
+    inequality; an equation or a flipped inequality gets the next artificial
+    label, and a flipped slack is a slot, -1 in its own row.  Returns
+    ``(rows, basis, cols, scales, n_struct)``: the constraint rows, the
+    phase-1 row and one cost row per objective (split, and integer-scaled on
+    the exact backend by ``scales``) over the slots and the rhs; the labels
+    of the basic variables and of the slots; and nv + len(ineqs), the count
+    of labels below the artificials.
     """
-    staged = []  # (row over the split variables + rhs, slack sign or 0)
-    for kind, system in ((1, ineqs), (0, eqs)):
-        for coeffs, rhs in system:
-            row, sign = _split(coeffs, nonneg, exact), kind
-            row.append(to_scalar(rhs, EXACT if exact else FLOAT))
-            if exact:
-                row = int_scale(row)[0]
-            if row[-1] < 0:
-                row, sign = [-e for e in row], -sign
-            staged.append((row, sign))
+    backend = EXACT if exact else FLOAT
+    zero = 0 if exact else 0.0
+
+    def split(coeffs):
+        out = [to_scalar(c, backend) for c in coeffs]
+        return out if nonneg else out + [-c for c in out]
 
     nv = n_vars if nonneg else 2 * n_vars
-    n_slack = len(ineqs)
-    n_art = sum(1 for _, sign in staged if sign != 1)
-    ncols = nv + n_slack + n_art
-    num = int if exact else float
-    zero = num(0)
-    rows, basis, art_of_row = [], [], {}
-    for i, (row, sign) in enumerate(staged):
-        full = row[:-1] + [zero] * (n_slack + n_art) + row[-1:]
-        if sign != 0:
-            full[nv + i] = num(sign)  # rows are ordered inequalities-first
-        if sign != 1:  # flipped inequality or equation needs an artificial
-            art_of_row[i] = nv + n_slack + len(art_of_row)
-            full[art_of_row[i]] = num(1)
-            basis.append(art_of_row[i])
-        else:
+    n_struct = nv + len(ineqs)
+    staged, basis, n_art = [], [], 0
+    for i, (coeffs, rhs) in enumerate((*ineqs, *eqs)):
+        row = split(coeffs) + [to_scalar(rhs, backend)]
+        if exact:
+            row = int_scale(row)[0]
+        if i < len(ineqs) and row[-1] >= 0:
             basis.append(nv + i)
-        rows.append(full)
+        else:  # an equation or a flipped inequality needs an artificial
+            basis.append(n_struct + n_art)
+            n_art += 1
+        staged.append(row if row[-1] >= 0 else [-e for e in row])
+    flipped = [i for i in range(len(ineqs)) if basis[i] >= n_struct]
+    cols = list(range(nv)) + [nv + i for i in flipped]
+    rows = [row[:-1] + [zero - 1 if k == i else zero for k in flipped] + row[-1:]
+            for i, row in enumerate(staged)]
+    width = len(cols) + 1
+    rows.append(_phase1_row([row for row, lab in zip(rows, basis) if lab >= n_struct],
+                            width, zero))
+    scales = []
+    for c in objectives:
+        row, scale = int_scale(split(c)) if exact else (split(c), 1)
+        rows.append(row + [zero] * (width - nv))
+        scales.append(scale)
+    return rows, basis, cols, scales, n_struct
 
-    p1 = [zero] * (ncols + 1)
-    for i in art_of_row:
-        for j in range(ncols + 1):
-            p1[j] += rows[i][j]
-    for col in art_of_row.values():
-        p1[col] -= num(1)
-    rows.append(p1)
-    return rows, basis, art_of_row, nv
 
-
-def _condensed(rows, basis):
-    """``(rows, basis, cols)`` of a core: staged rows over their nonbasic
-    columns and the rhs (basic columns are unit columns), and each slot's label."""
-    basic = set(basis)
-    cols = [j for j in range(len(rows[0]) - 1) if j not in basic]
-    return [[row[j] for j in cols] + row[-1:] for row in rows], basis, cols
+def _point(basis, values, n_vars, nonneg, zero):
+    """x from the basic labels ``basis`` and their values: x_j is the value
+    of label j less that of its negative part n_vars + j (none with
+    ``nonneg``), a nonbasic label counting ``zero``."""
+    vals = dict(zip(basis, values))
+    x = tuple(vals.get(j, zero) for j in range(n_vars))
+    return x if nonneg else tuple(a - vals.get(n_vars + j, zero) for j, a in enumerate(x))
 
 
 def _solve_exact(n_vars, ineqs, eqs, objective, nonneg):
     """:func:`solve_system` on the exact backend: phase 1, leftover
     artificials driven out, then phase 2, which a zero objective never pivots."""
-    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
-    obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
-    core = _ExactCore(*_condensed(rows + [obj], basis))
-    n_struct = nv + len(ineqs)  # artificial labels rank after these
+    rows, basis, cols, (scale,), n_struct = _stage(n_vars, ineqs, eqs, [objective], nonneg, True)
+    core = _ExactCore(rows, basis, cols)
     m = len(basis)  # the phase-1 row is row m, the cost row m + 1
 
-    if art_of_row:
-        core.run_phase(m, m, len(obj))
-        if core.rows[m][-1] != 0:
-            return LPResult(INFEASIBLE)
-        # drive leftover artificials out of the basis or drop their rows
-        for i in range(m - 1, -1, -1):
-            if core.basis[i] < n_struct:
-                continue
-            row = core.rows[i]
-            assert row[-1] == 0  # basic artificials sit at value zero here
-            enter = [lab for lab, e in zip(core.cols, row) if e and lab < n_struct]
-            if not enter:
-                del core.rows[i], core.basis[i]
-                m -= 1
-                continue
-            col = core.cols.index(min(enter))
-            if row[col] < 0:  # negates the artificial, which never re-enters
-                core.rows[i] = [-e for e in row]
-            core.pivot(i, col)
+    # phase 1 may enter any label, artificials too; with no artificial its
+    # row is zero and it stops at once
+    core.run_phase(m, m, inf)
+    if core.rows[m][-1] != 0:
+        return LPResult(INFEASIBLE)
+    # drive leftover artificials out of the basis or drop their rows
+    for i in range(m - 1, -1, -1):
+        if core.basis[i] < n_struct:
+            continue
+        row = core.rows[i]
+        assert row[-1] == 0  # basic artificials sit at value zero here
+        enter = [lab for lab, e in zip(core.cols, row) if e and lab < n_struct]
+        if not enter:
+            del core.rows[i], core.basis[i]
+            m -= 1
+            continue
+        col = core.cols.index(min(enter))
+        if row[col] < 0:  # negates the artificial, which never re-enters
+            core.rows[i] = [-e for e in row]
+        core.pivot(i, col)
 
     if not core.run_phase(m + 1, m, n_struct):
         return LPResult(UNBOUNDED)
 
     q = core.q
-    vals = {core.basis[i]: Fraction(core.rows[i][-1], q) for i in range(m)}
-    if nonneg:
-        x = tuple(vals.get(j, Fraction(0)) for j in range(n_vars))
-    else:
-        x = tuple(
-            vals.get(j, Fraction(0)) - vals.get(n_vars + j, Fraction(0))
-            for j in range(n_vars)
-        )
-    return LPResult(OPTIMAL, Fraction(-core.rows[m + 1][-1], q) / obj_scale, x)
+    x = _point(core.basis, (Fraction(row[-1], q) for row in core.rows[:m]),
+               n_vars, nonneg, Fraction(0))
+    return LPResult(OPTIMAL, Fraction(-core.rows[m + 1][-1], q) / scale, x)
 
 
 class _FloatCore:
@@ -316,23 +305,19 @@ def _float_optima(n_vars, ineqs, eqs, objectives, nonneg):
     :class:`LPResult` per objective, or None when phase 1 finds the system
     infeasible.
 
-    The cost rows are staged below the phase-1 row, condensed with it and
-    carried through phase 1, whose decisions read only the constraint rows
+    The cost rows are staged below the phase-1 row and carried through
+    phase 1, whose decisions read only the constraint rows
     and the phase-1 row.  Phase 2 is one pivot tree walked depth first.  A
     node is a :class:`_FloatCore` of constraint rows with the rows of the
     objectives that reached it.  Those that enter the same slot share a
     child: one ratio test, then one pivot on shallow copies with their rows
     as riders, so every objective keeps the bits of its own solve."""
-    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, False)
-    m, width = len(basis), len(rows[0])
-    rows += [_cost_row(c, nonneg, False, width)[0] for c in objectives]
-    rows, basis, cols = _condensed(rows, basis)
-    if art_of_row:
-        feas_eps = DEFAULT_TOL * (10.0 + sum(rows[i][-1] for i in range(m)))
-        _FloatCore(rows, basis, cols).run_phase(m)
-        if rows[m][-1] > feas_eps:
-            return None
-    limit = nv + len(ineqs)
+    rows, basis, cols, _, limit = _stage(n_vars, ineqs, eqs, objectives, nonneg, False)
+    m = len(basis)
+    feas_eps = DEFAULT_TOL * (10.0 + sum(row[-1] for row in rows[:m]))
+    _FloatCore(rows, basis, cols).run_phase(m)  # at once when no artificial is basic
+    if rows[m][-1] > feas_eps:
+        return None
     results = [None] * len(objectives)
     stack = [(_FloatCore(rows[:m], basis, cols), list(range(len(objectives))), rows[m + 1:], 0)]
     while stack:
@@ -343,11 +328,7 @@ def _float_optima(n_vars, ineqs, eqs, objectives, nonneg):
             if c >= 0 and row[c] > DEFAULT_TOL:
                 children.setdefault(c, []).append((k, row))
                 continue
-            vals = {j: t[-1] for j, t in zip(node.basis, node.rows)}
-            if nonneg:
-                x = tuple(vals.get(j, 0.0) for j in range(n_vars))
-            else:
-                x = tuple(vals.get(j, 0.0) - vals.get(n_vars + j, 0.0) for j in range(n_vars))
+            x = _point(node.basis, (t[-1] for t in node.rows), n_vars, nonneg, 0.0)
             results[k] = LPResult(OPTIMAL, -row[-1], x)
         for c, members in children.items():
             ks, riders = map(list, zip(*members))
@@ -597,15 +578,13 @@ class ProjectionChecker:
             return False
         slack, labels, cols, proj, q, scale = self._factored
         rows = [row[:-1] + [row[-1] * D] for row in slack]
-        p1 = [0] * (len(cols) + 1)
-        for row, y in zip(proj, Y):
-            rhs = row[-1] * D + q * scale * y
-            rows.append(row[:-1] + [rhs] if rhs >= 0 else [-e for e in row[:-1]] + [-rhs])
-            p1 = [a + e for a, e in zip(p1, rows[-1])]
+        art = [row[:-1] + [row[-1] * D + q * scale * y] for row, y in zip(proj, Y)]
+        art = [row if row[-1] >= 0 else [-e for e in row] for row in art]
         # artificial labels rank after every column, so they never re-enter
         ncols = self.n_free + len(self.b_red)
         basis = labels + list(range(ncols, ncols + len(proj)))
-        core = _ExactCore(rows + [p1], basis, cols[:], q)
+        rows += art
+        core = _ExactCore(rows + [_phase1_row(art, len(cols) + 1, 0)], basis, cols[:], q)
         core.run_phase(len(rows), len(rows), ncols)
         return core.rows[-1][-1] == 0
 

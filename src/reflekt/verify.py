@@ -186,8 +186,10 @@ def verify_projection_equality(
     one call share a memo of walk tails, dropped when the call returns: each
     distinct point below a vertex is walked, and each reduced row its tail
     fixes is checked, once.  The first witness seeds the objective LPs.
-    Every brute-force maximum is taken on the same integer rows and is first
-    proved at its first maximiser's witness (``lp_certified``, by
+    Both backends take each brute-force maximum by one loop over V's rows
+    (in the rational backend, the integer rows of the vertex phase); an
+    exact one is first proved at its first maximiser's witness
+    (``lp_certified``, by
     :meth:`~reflekt.lp.ProjectionChecker.proves_max`): such a passing
     objective is a proof, not just a sampled LP match.  The rest
     (``lp_exact``), and all float objectives, go to the checker in one call;
@@ -218,7 +220,7 @@ def verify_projection_equality(
 
     t_vertex = time.perf_counter()
     exact = backend == EXACT
-    walked = V.points
+    walked = v_rows = V.points
     if exact:
         flat, v_den = int_scale(e for v in V.points for e in v)
         v_rows = [tuple(flat[i : i + V.dim]) for i in range(0, len(flat), V.dim)]
@@ -244,29 +246,24 @@ def verify_projection_equality(
     max_dev = Fraction(0) if exact else 0.0
     objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
     optima = [None] * len(objectives)  # (status, value), once known
-    if exact:
-        brutes = []
-        for k, c in enumerate(objectives):
-            c_ints, c_den = int_scale(c)
-            dots = [sum(map(mul, c_ints, row)) for row in v_rows]
-            best = max(dots)
-            brutes.append(Fraction(best, v_den * c_den))
-            u = witnesses[dots.index(best)]
-            if u is not None and checker.proves_max(u, c_ints):
-                optima[k] = (lp.OPTIMAL, brutes[k])
+    brutes = []
+    for k, c in enumerate(objectives):
+        c_ints, c_den = int_scale(c) if exact else (c, 1)
+        dots = [sum(map(mul, c_ints, row)) for row in v_rows]
+        best = max(dots)
+        brutes.append(Fraction(best, v_den * c_den) if exact else best)
+        u = witnesses[dots.index(best)] if exact else None
+        if u is not None and checker.proves_max(u, c_ints):
+            optima[k] = (lp.OPTIMAL, brutes[k])
     rest = [c for c, known in zip(objectives, optima) if known is None]
     solved = iter(checker.maximize_projected_all(rest))
     optima = [known or next(solved) for known in optima]
     report.lp_certified = len(objectives) - len(rest)
     report.lp_exact = len(rest) if exact else 0
-    for k, (c, (status, value)) in enumerate(zip(objectives, optima)):
+    for (status, value), brute in zip(optima, brutes):
         report.objective_total += 1
         if status != lp.OPTIMAL:
             continue
-        if exact:
-            brute = brutes[k]
-        else:
-            brute = max(sum(map(mul, c, v)) for v in V.points)
         dev = abs(value - brute)
         if dev > max_dev:
             max_dev = dev

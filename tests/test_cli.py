@@ -61,6 +61,40 @@ class TestBuild:
         assert "PASS" not in captured.out
 
 
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["stats", "--recipe-file", "{r}", "--n", "4"], "--n", "4 conflicts with n = 3"),
+        (["build", "--recipe-file", "{r}", "--parity", "even"], "--parity", "even conflicts"),
+        (["build", "--recipe-file", "{r}", "--recipe", "signing", "--base", "1,2,3"],
+         "--recipe", "'signing' conflicts with the recipe 'parity'"),
+        (["stats", "--ef", "{ef}", "--recipe", "mgon", "--m", "8"], "--recipe", "not allowed"),
+        (["stats", "--ef", "{ef}", "--recipe-file", "{r}"], "--recipe-file", "not allowed"),
+        (["export", "--ef", "{ef}", "--m", "5", "--format", "lp"], "--m", "not allowed"),
+        (["verify", "--ef", "{ef}", "--oracle", "parity", "--n", "3", "--network", "batcher"],
+         "--network", "not allowed"),
+    ])
+    def test_a_flag_the_file_contradicts_is_a_usage_error(self, tmp_path, capsys, argv, flag,
+                                                          message):
+        # the parity(n=3) recipe file and formulation would win over the flag, or it over them
+        recipe, ef = tmp_path / "r.json", str(tmp_path / "p3.json")
+        recipe.write_text(json.dumps({"recipe": "parity", "params": {"n": 3, "parity": "odd"}}))
+        save_json(ef_to_dict(build_recipe("parity", {"n": 3})), ef)
+        assert run([a.format(r=recipe, ef=ef) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: argument {flag}: {message}" in captured.err
+        assert not os.path.exists(str(tmp_path / "p3.lp"))
+
+    def test_a_flag_may_repeat_the_recipe_file(self, tmp_path, capsys):
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"recipe": "a_permutahedron",
+                                      "params": {"n": "3", "base": ["1", 2, "3"]}}))
+        assert run(["stats", "--recipe-file", str(recipe)]) == 0
+        alone = capsys.readouterr().out
+        argv = ["stats", "--recipe-file", str(recipe), "--recipe", "a_permutahedron",
+                "--n", "3", "--base", "1,2,3/1"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == alone and '"expected"' in alone
+
+
 class TestVerify:
     def test_verify_permutahedron_passes(self, tmp_path, capsys):
         out = str(tmp_path / "perm3.json")
@@ -178,6 +212,14 @@ class TestOracle:
         assert run(["oracle", "--name", "completion", "--p", "1,2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(map(tuple, doc["points"])) == [("1", "3"), ("3", "2")]
+
+    def test_an_oracle_flag_given_two_values_is_a_usage_error(self, capsys):
+        assert run(["oracle", "--name", "mgon", "--m", "5", "--m", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --m: given twice with different values" in captured.err
+        assert run(["oracle", "--name", "mgon", "--m", "5", "--m", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "mgon_orbit(5)"
 
     def test_unknown_oracle(self, capsys):
         assert run(["oracle", "--name", "moonshot"]) == 2

@@ -132,7 +132,7 @@ def test_nothing_that_pivots_takes_a_tolerance():
                 lp.solve_system, lp.in_hull)
     assert [f.__name__ for f in pivoting if "tol" in inspect.signature(f).parameters] == []
     # every LP maximises and reads no dual
-    entries = (lp.solve_system, lp._solve_exact, lp._float_optima, lp._cost_row,
+    entries = (lp.solve_system, lp._solve_exact, lp._float_optima,
                lp.ProjectionChecker.maximize_projected, lp.ProjectionChecker.maximize_projected_all)
     assert [f.__name__ for f in entries
             if {"sense", "want_duals"} & set(inspect.signature(f).parameters)] == []
@@ -199,13 +199,56 @@ def test_one_writer_solves_the_equations():
 
 
 def test_both_lp_cores_pivot_on_one_condensed_dictionary():
-    # no dense float tableau: both cores are built from the condensed rows,
-    # the basis labels and the slot labels that one helper cuts from _stage
+    # no dense tableau: both cores are built from the condensed rows, the
+    # basis labels and the slot labels that _stage writes directly
     for core in (lp._ExactCore, lp._FloatCore):
         assert list(inspect.signature(core).parameters)[:3] == ["rows", "basis", "cols"], core
-    assert not hasattr(lp, "_updated")
+    assert [name for name in ("_updated", "_condensed", "_cost_row", "_split")
+            if hasattr(lp, name)] == []
     tree = ast.parse((SRC / "lp.py").read_text())
-    assert callers(tree, "_condensed") == ["_solve_exact", "_float_optima"]
+    assert callers(tree, "_stage") == ["_solve_exact", "_float_optima"]
+    assert callers(tree, "_point") == ["_solve_exact", "_float_optima"]
+
+
+def unreferenced_privates(sources):
+    """Each private module-level function or class (``module.name``) and
+    private method (``module.Class.name``) whose name is read nowhere in
+    ``sources``, ``{module: source}``, as a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if private(node.name) and node.name not in read:
+                found.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{module}.{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and private(item.name) and item.name not in read]
+    return sorted(found)
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_is_found():
+    sources = {
+        "a": ("def _used():\n    pass\ndef _dead():\n    pass\n"
+              "class _C:\n    def __init__(self):\n        self._n()\n"
+              "    def _n(self):\n        pass\n    def _m(self):\n        pass\n"),
+        "b": "from .a import _used\n_used()\nx = _C\n",
+    }
+    assert unreferenced_privates(sources) == ["a._C._m", "a._dead"]
 
 
 def test_callers_are_found():

@@ -14,7 +14,6 @@ from reflekt.lp import (
     LPNumericError,
     LPResult,
     ProjectionChecker,
-    _cost_row,
     _float_optima,
     _FloatCore,
     _stage,
@@ -25,9 +24,12 @@ from reflekt.numeric import (
     DEFAULT_TOL,
     FLOAT,
     BackendError,
+    EXACT,
     DimensionError,
     affine_solution_space,
     dot,
+    int_scale,
+    to_scalar,
     unit_vector,
     vec_sub,
 )
@@ -468,12 +470,82 @@ class TestExactMembership:
         assert checker.feasible(centre) == reference_feasible(checker, centre)
 
 
+def reference_stage(n_vars, ineqs, eqs, objective, nonneg, exact):
+    """The dense two-phase tableau the full-width references pivot on, staged
+    apart from :func:`reflekt.lp._stage`.  Returns ``(rows, basis,
+    art_of_row, nv, scale)``: the rows [split variables | slacks |
+    artificials | rhs], each flipped to a nonnegative rhs (and scaled to
+    integers on the exact backend), then the phase-1 row and the cost row;
+    the starting basis; the artificial column of each row that needs one;
+    the split variable count; and the cost row's scale."""
+    backend = EXACT if exact else FLOAT
+
+    def split(coeffs):
+        out = [to_scalar(c, backend) for c in coeffs]
+        return out if nonneg else out + [-c for c in out]
+
+    staged = []  # (row over the split variables + rhs, slack sign or 0)
+    for kind, system in ((1, ineqs), (0, eqs)):
+        for coeffs, rhs in system:
+            row, sign = split(coeffs) + [to_scalar(rhs, backend)], kind
+            if exact:
+                row = int_scale(row)[0]
+            if row[-1] < 0:
+                row, sign = [-e for e in row], -sign
+            staged.append((row, sign))
+
+    nv = n_vars if nonneg else 2 * n_vars
+    n_slack = len(ineqs)
+    n_art = sum(1 for _, sign in staged if sign != 1)
+    ncols = nv + n_slack + n_art
+    num = int if exact else float
+    zero = num(0)
+    rows, basis, art_of_row = [], [], {}
+    for i, (row, sign) in enumerate(staged):
+        full = row[:-1] + [zero] * (n_slack + n_art) + row[-1:]
+        if sign != 0:
+            full[nv + i] = num(sign)  # rows are ordered inequalities-first
+        if sign != 1:  # flipped inequality or equation needs an artificial
+            art_of_row[i] = nv + n_slack + len(art_of_row)
+            full[art_of_row[i]] = num(1)
+            basis.append(art_of_row[i])
+        else:
+            basis.append(nv + i)
+        rows.append(full)
+
+    p1 = [zero] * (ncols + 1)
+    for i in art_of_row:
+        for j in range(ncols + 1):
+            p1[j] += rows[i][j]
+    for col in art_of_row.values():
+        p1[col] -= num(1)
+    cost, scale = int_scale(split(objective)) if exact else (split(objective), 1)
+    rows += [p1, cost + [zero] * (ncols + 1 - len(cost))]
+    return rows, basis, art_of_row, nv, scale
+
+
+def assert_stages_the_reference_columns(n_vars, ineqs, eqs, objectives, nonneg, exact):
+    """``_stage`` writes the reference tableau's nonbasic columns and rhs,
+    bit for bit (repr tells -0.0 from 0.0 and an int from a Fraction),
+    with the same labels and cost scales."""
+    rows, basis, cols, scales, n_struct = _stage(n_vars, ineqs, eqs, objectives, nonneg, exact)
+    assert all(len(row) == len(cols) + 1 for row in rows)
+    m = len(basis)
+    assert len(rows) == m + 1 + len(objectives) and len(scales) == len(objectives)
+    for k, c in enumerate(objectives):
+        ref, ref_basis, _, nv, scale = reference_stage(n_vars, ineqs, eqs, c, nonneg, exact)
+        basic = set(ref_basis)
+        ref_cols = [j for j in range(len(ref[0]) - 1) if j not in basic]
+        cut = [[row[j] for j in ref_cols] + row[-1:] for row in ref]
+        assert repr(rows[: m + 1] + [rows[m + 1 + k]]) == repr(cut), c
+        assert (basis, cols, scales[k], n_struct) == (ref_basis, ref_cols, scale, nv + len(ineqs))
+
+
 def full_width_float_solve(n_vars, ineqs, eqs, objective, nonneg):
     """The float two-phase solve on a dense tableau that stores and updates
     every basic column, with the cost row carried through phase 1: the bit
     reference for the condensed float dictionary and its pivot tree."""
-    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, False)
-    rows.append(_cost_row(objective, nonneg, False, len(rows[-1]))[0])
+    rows, basis, art_of_row, nv, _ = reference_stage(n_vars, ineqs, eqs, objective, nonneg, False)
     m = len(basis)
 
     def pivot(r, c):
@@ -765,9 +837,8 @@ def full_width_solve(n_vars, ineqs, eqs, objective, nonneg):
     """The exact two-phase solve on a full-width fraction-free tableau, which
     stores and updates every basic column: the reference for the condensed
     dictionary, whose Bland runs must pivot the same way."""
-    rows, basis, art_of_row, nv = _stage(n_vars, ineqs, eqs, nonneg, True)
-    obj, obj_scale = _cost_row(objective, nonneg, True, len(rows[-1]))
-    rows.append(obj)
+    rows, basis, art_of_row, nv, obj_scale = reference_stage(n_vars, ineqs, eqs, objective,
+                                                             nonneg, True)
     state = {"q": 1}
 
     def pivot(r, c):
@@ -795,7 +866,7 @@ def full_width_solve(n_vars, ineqs, eqs, objective, nonneg):
 
     n_struct, m = nv + len(ineqs), len(basis)
     if art_of_row:
-        run_phase(m, m, range(len(obj) - 1))
+        run_phase(m, m, range(len(rows[0]) - 1))
         if rows[m][-1] != 0:
             return LPResult(INFEASIBLE)
         for i in range(m - 1, -1, -1):
@@ -818,6 +889,18 @@ def full_width_solve(n_vars, ineqs, eqs, objective, nonneg):
     return LPResult(OPTIMAL, F(-rows[m + 1][-1], q) / obj_scale, x)
 
 
+def exact_system(data, dim):
+    """A drawn exact LP: ``(ineqs, eqs, objective, nonneg)`` over rationals,
+    with equations, nonnegative variables on some draws, and negative
+    right-hand sides, whose rows are flipped and bring artificials."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    rhs = st.fractions(min_value=-3, max_value=5, max_denominator=3)
+    row = st.tuples(*[coeff] * dim)
+    ineqs = data.draw(st.lists(st.tuples(row, rhs), max_size=5))
+    eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
+    return ineqs, eqs, data.draw(row), data.draw(st.booleans())
+
+
 class TestCondensedDictionary:
     """Every exact LP pivots on one condensed dictionary and keeps the
     full-width tableau's pivots and results."""
@@ -825,13 +908,7 @@ class TestCondensedDictionary:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
     def test_solve_system_matches_the_full_width_tableau(self, dim, data):
-        coeff = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-        rhs = st.fractions(min_value=-3, max_value=5, max_denominator=3)
-        row = st.tuples(*[coeff] * dim)
-        ineqs = data.draw(st.lists(st.tuples(row, rhs), max_size=5))
-        eqs = data.draw(st.lists(st.tuples(row, rhs), max_size=2))
-        objective = data.draw(row)
-        nonneg = data.draw(st.booleans())
+        ineqs, eqs, objective, nonneg = exact_system(data, dim)
         # the zero objective asks for feasibility alone
         for obj in (objective, neg(objective), (F(0),) * dim):
             got = solve_system(dim, ineqs, eqs, obj, nonneg=nonneg)
@@ -900,3 +977,37 @@ class TestCondensedDictionary:
             assert checker.maximize_projected((1, 0, 0)) == (OPTIMAL, F(3))
             assert checker.feasible((1, 2, 3)) and not checker.feasible((1, 1, 1))
             assert point_in_projection(ef, (3, 1, 2))
+
+
+class TestStaging:
+    """One function stages the condensed dictionary of both backends: the
+    nonbasic columns of the dense reference tableau, with its labels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_float_draws_stage_the_reference_columns(self, dim, data):
+        ineqs, eqs, nonneg = float_system(data, dim)
+        objective = float_objective(data, dim)
+        objectives = [objective, neg(objective), (0.0,) * dim]
+        assert_stages_the_reference_columns(dim, ineqs, eqs, objectives, nonneg, False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_exact_draws_stage_the_reference_columns(self, dim, data):
+        ineqs, eqs, objective, nonneg = exact_system(data, dim)
+        objectives = [objective, neg(objective), (F(0),) * dim]
+        assert_stages_the_reference_columns(dim, ineqs, eqs, objectives, nonneg, True)
+
+    def test_flipped_rows_and_equations_bring_artificials(self):
+        # x <= 1 keeps its slack; -x <= -2 is flipped, so its slack (label 3)
+        # is a slot with -1 in its row; the equation gets the next artificial
+        ineqs = [((1,), 1), ((-1,), -2)]
+        rows, basis, cols, scales, n_struct = _stage(1, ineqs, [((F(1, 2),), 1)],
+                                                     [(3,)], False, True)
+        assert (basis, cols, scales, n_struct) == ([2, 4, 5], [0, 1, 3], [1], 4)
+        assert rows == [[1, -1, 0, 1], [1, -1, -1, 2], [1, -1, 0, 2],
+                        [2, -2, -1, 4], [3, -3, 0, 0]]
+        # with nothing to flip, the phase-1 row is zero
+        rows, basis, cols, _, _ = _stage(2, [((1.0, 2.0), 3.0)], (), [(1.0, 0.0)], True, False)
+        assert (rows, basis, cols) == ([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                       [2], [0, 1])
