@@ -58,14 +58,10 @@ from .polyhedra import (
 )
 from .reflections import (
     ReflectionSpec,
-    abs_vec,
     apply_preimage_chain,
     canonical_preimage,
-    dn_canonical,
     reflect_point,
     reflection_relation,
-    sort_vec,
-    sortabs_vec,
 )
 from .verify import (
     VerificationReport,

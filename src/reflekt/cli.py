@@ -3,9 +3,12 @@ oracle vertex sets, export formulations, and report sizes.
 
 Exit codes: 0 success / verification pass, 1 verification failure, 2 usage
 error, 3 numeric or backend error (a malformed scalar in a document
-included).  The recipe fixes the backend; no flag restates it.  The random
-seed comes from --seed, the REFLEKT_SEED environment variable, or defaults
-to 0.
+included), 141 standard output closed before all output was written
+(128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended).  The
+recipe fixes the backend; no flag restates it.  The random seed comes from
+--seed, the REFLEKT_SEED environment variable, or defaults to 0.  A
+parameter flag that neither the recipe nor the oracle of the command reads
+is a usage error.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -56,11 +60,14 @@ def _repeats(flag, filed) -> bool:
         return False
 
 
-def _recipe(args) -> tuple:
+def _recipe(args, oracle_keys=()) -> tuple:
     """``(name, params)`` of the recipe that --recipe-file and the recipe
     flags give together.  A flag may repeat what the file says; another
     recipe name or parameter value is a usage error that names the flag,
-    not a value silently dropped."""
+    not a value silently dropped.  So is a flag that neither the recipe
+    (:data:`~reflekt.constructions.RECIPE_KEYS`) nor the oracle of the
+    command (``oracle_keys``) reads; one only the oracle reads is left out
+    of ``params``."""
     name, params = args.recipe, {}
     if args.recipe_file:
         doc = serialize.load_json(args.recipe_file)
@@ -72,6 +79,7 @@ def _recipe(args) -> tuple:
             raise UsageError(f"argument --recipe: {name!r} conflicts with the recipe "
                              f"{filed!r} of {args.recipe_file}")
         name = name or filed
+    keys = constructions.RECIPE_KEYS.get(name, _PARAM_FLAGS)  # an unknown name fails later
     for dest in _PARAM_FLAGS:
         value = getattr(args, dest)
         if value in (None, ""):
@@ -79,21 +87,27 @@ def _recipe(args) -> tuple:
         if dest in params and not _repeats(value, params[dest]):
             raise UsageError(f"argument --{dest}: {value} conflicts with {dest} = "
                              f"{params[dest]!r} in {args.recipe_file}")
+        if dest not in keys:
+            if dest in oracle_keys:
+                continue
+            unread = (f"read by neither recipe {name!r} nor the oracle" if oracle_keys
+                      else f"not read by recipe {name!r}")
+            raise UsageError(f"argument --{dest}: {unread}")
         params[dest] = _parse_number_list(value) if dest in ("base", "p") else value
     return name, params
 
 
-def _formulation(args, oracle_flags=()):
+def _formulation(args, oracle_keys=()):
     """``(ef, name, params)``: the formulation of --ef, with no recipe, or
-    the one built from the :func:`_recipe` of the flags.  With --ef a recipe
-    flag that no oracle of the command reads (``oracle_flags``) is a usage
-    error."""
+    the one built from the :func:`_recipe` of the flags.  ``oracle_keys``
+    are the flags that the oracle of the command reads; with --ef any other
+    recipe flag is a usage error."""
     if getattr(args, "ef", None):
         for dest in ("recipe", "recipe_file", *_PARAM_FLAGS):
-            if getattr(args, dest) not in (None, "") and dest not in oracle_flags:
+            if getattr(args, dest) not in (None, "") and dest not in oracle_keys:
                 raise UsageError(f"argument --{dest.replace('_', '-')}: not allowed with --ef")
         return serialize.ef_from_dict(serialize.load_json(args.ef)), None, None
-    name, params = _recipe(args)
+    name, params = _recipe(args, oracle_keys)
     if not name:
         raise UsageError("a recipe name is required (--recipe or --recipe-file)")
     try:
@@ -102,39 +116,40 @@ def _formulation(args, oracle_flags=()):
         raise UsageError(f"recipe {name!r} is missing parameter {exc}") from exc
 
 
-def _oracle_from_args(args):
+# Each oracle's enumerator and the parameter flags it reads; the first is
+# required, and a missing --parity is odd.
+ORACLES = {
+    "permutation": (oracles.permutation_orbit, ("base",)),
+    "signed": (oracles.signed_orbit, ("base",)),
+    "even_signed": (oracles.even_signed_orbit, ("base",)),
+    "mgon": (oracles.mgon_orbit, ("m",)),
+    "huffman": (oracles.huffman_vectors, ("n",)),
+    "parity": (oracles.parity_vertices, ("n", "parity")),
+    "completion": (oracles.completion_time_vertices, ("p",)),
+}
+
+
+def _oracle_from_args(args, recipe_keys=()):
+    """The vertex set of the oracle that the flags name.  A parameter flag
+    that neither it (:data:`ORACLES`) nor the recipe of the command
+    (``recipe_keys``) reads is a usage error."""
     name = args.oracle if hasattr(args, "oracle") else args.name
     if not name:
         raise UsageError("an oracle name is required")
-    if name == "permutation":
-        if not args.base:
-            raise UsageError("--base is required for the permutation oracle")
-        return oracles.permutation_orbit(_parse_number_list(args.base))
-    if name == "signed":
-        if not args.base:
-            raise UsageError("--base is required for the signed oracle")
-        return oracles.signed_orbit(_parse_number_list(args.base))
-    if name == "even_signed":
-        if not args.base:
-            raise UsageError("--base is required for the even_signed oracle")
-        return oracles.even_signed_orbit(_parse_number_list(args.base))
-    if name == "mgon":
-        if args.m is None:
-            raise UsageError("--m is required for the mgon oracle")
-        return oracles.mgon_orbit(args.m)
-    if name == "huffman":
-        if args.n is None:
-            raise UsageError("--n is required for the huffman oracle")
-        return oracles.huffman_vectors(args.n)
+    if name not in ORACLES:
+        raise UsageError(f"unknown oracle {name!r}")
+    enumerator, keys = ORACLES[name]
+    for dest in _ORACLE_FLAGS:
+        if getattr(args, dest) not in (None, "") and dest not in (*keys, *recipe_keys):
+            raise UsageError(f"argument --{dest}: not read by the {name} oracle")
+    values = [getattr(args, key) for key in keys]
+    if values[0] in (None, ""):
+        raise UsageError(f"--{keys[0]} is required for the {name} oracle")
+    if keys[0] in ("base", "p"):
+        values[0] = _parse_number_list(values[0])
     if name == "parity":
-        if args.n is None:
-            raise UsageError("--n is required for the parity oracle")
-        return oracles.parity_vertices(args.n, args.parity or "odd")
-    if name == "completion":
-        if not args.p:
-            raise UsageError("--p is required for the completion oracle")
-        return oracles.completion_time_vertices(_parse_number_list(args.p))
-    raise UsageError(f"unknown oracle {name!r}")
+        values[1] = values[1] or "odd"
+    return enumerator(*values)
 
 
 class _Once(argparse.Action):
@@ -175,8 +190,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ef = _formulation(args, _ORACLE_FLAGS)[0]
-    oracle = _oracle_from_args(args)
+    # an unknown or missing oracle name is reported by _oracle_from_args
+    oracle_keys = ORACLES[args.oracle][1] if args.oracle in ORACLES else _ORACLE_FLAGS
+    ef, name, _ = _formulation(args, oracle_keys)
+    oracle = _oracle_from_args(args, constructions.RECIPE_KEYS.get(name, _ORACLE_FLAGS))
     report = verify_projection_equality(
         ef,
         oracle,
@@ -288,7 +305,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (say, `| head -1`): no message, and no second
+        # error when Python flushes stdout at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -445,18 +445,31 @@ def completion_time_ef(p: Sequence) -> ExtendedFormulation:
     return compose_extension(base, chain, label=f"completion_time(n={n})")
 
 
-RECIPES = (
-    "signing",
-    "mgon",
-    "i2_permutahedron",
-    "a_permutahedron",
-    "b_permutahedron",
-    "d_permutahedron",
-    "parity",
-    "huffman_quadratic",
-    "huffman_nlogn",
-    "completion_time",
-)
+# The parameters each recipe reads.  build_recipe and expected_ledger reject
+# any other key, and the CLI any other flag: nothing given is dropped unread.
+RECIPE_KEYS = {
+    "signing": ("n", "base"),
+    "mgon": ("m",),
+    "i2_permutahedron": ("m", "base"),
+    "a_permutahedron": ("n", "base", "network"),
+    "b_permutahedron": ("n", "base", "network"),
+    "d_permutahedron": ("n", "base", "network"),
+    "parity": ("n", "parity"),
+    "huffman_quadratic": ("n",),
+    "huffman_nlogn": ("n", "network"),
+    "completion_time": ("p",),
+}
+RECIPES = tuple(RECIPE_KEYS)
+
+
+def _check_keys(name: str, params: dict) -> None:
+    """ValueError for an unknown recipe or a parameter it does not read."""
+    if name not in RECIPE_KEYS:
+        raise ValueError(f"unknown recipe {name!r}; choose from {', '.join(RECIPES)}")
+    for key in params:
+        if key not in RECIPE_KEYS[name]:
+            raise ValueError(f"recipe {name!r} reads no parameter {key!r}; "
+                             f"it reads {', '.join(RECIPE_KEYS[name])}")
 
 
 def _point_base(params, n):
@@ -466,9 +479,10 @@ def _point_base(params, n):
 
 def build_recipe(name: str, params: dict) -> ExtendedFormulation:
     """Dispatch a named construction from a key->value parameter map; the
-    CLI feeds both flag values and JSON recipe documents through here."""
-    if name not in RECIPES:
-        raise ValueError(f"unknown recipe {name!r}; choose from {', '.join(RECIPES)}")
+    CLI feeds both flag values and JSON recipe documents through here.  An
+    unknown name, or a key that :data:`RECIPE_KEYS` does not list for it,
+    raises ValueError."""
+    _check_keys(name, params)
     net_kind = params.get("network", "batcher")
     if name == "mgon":
         return mgon_ef(int(params["m"]))
@@ -501,7 +515,9 @@ def build_recipe(name: str, params: dict) -> ExtendedFormulation:
 
 
 def expected_ledger(name: str, params: dict) -> dict:
-    """Closed-form size counts for point-based recipes (the golden table)."""
+    """Closed-form size counts for point-based recipes (the golden table);
+    the names and keys are checked as by :func:`build_recipe`."""
+    _check_keys(name, params)
     net_kind = params.get("network", "batcher")
     if name == "mgon" or name == "i2_permutahedron":
         m = int(params["m"])
@@ -544,4 +560,4 @@ def expected_ledger(name: str, params: dict) -> dict:
             "inequalities": n * (n - 1),
             "reduced_variables": n * (n - 1) // 2,
         }
-    raise ValueError(f"no golden counts for recipe {name!r}")
+    raise AssertionError("unreachable")

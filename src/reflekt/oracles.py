@@ -5,9 +5,10 @@ against, so none of them share code with the constructions."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, pi, sin
+from typing import Callable, Optional
 
 from .numeric import EXACT, FLOAT, vector
 
@@ -20,12 +21,19 @@ _PARITY_CAP = 16
 @dataclass(frozen=True)
 class VertexSet:
     """Deduplicated point list with a provenance label; enumeration order is
-    deterministic (sorted) so runs are reproducible."""
+    deterministic (sorted) so runs are reproducible.
+
+    An orbit may carry a ``maximiser(c, v)``: the point of v's orbit that
+    maximises c, found by comparisons and negation alone, so that it works
+    on any ordered entries (the verifier passes integer rows).  It is only a
+    hint: the verifier uses its answer only once it is found among the
+    points and proved optimal."""
 
     dim: int
     points: tuple
     label: str
     backend: str = EXACT
+    maximiser: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -35,7 +43,7 @@ def _fmt(v) -> str:
     return "(" + ",".join(str(e) for e in v) + ")"
 
 
-def _finish(points, dim, label, backend=EXACT):
+def _finish(points, dim, label, backend=EXACT, maximiser=None):
     if backend == FLOAT:
         # bucket to 1e-9 before dedup, mirroring float comparison semantics
         seen = {}
@@ -45,7 +53,7 @@ def _finish(points, dim, label, backend=EXACT):
         pts = tuple(sorted(seen.values()))
     else:
         pts = tuple(sorted(set(points)))
-    return VertexSet(dim, pts, label, backend)
+    return VertexSet(dim, pts, label, backend, maximiser)
 
 
 def _distinct_permutations(items):
@@ -80,7 +88,35 @@ def permutation_orbit(v) -> VertexSet:
     v = vector(v, EXACT)
     if len(v) > _PERM_CAP:
         raise ValueError(f"permutation orbit capped at dim {_PERM_CAP}")
-    return _finish(_distinct_permutations(v), len(v), f"permutation_orbit{_fmt(v)}")
+    return _finish(_distinct_permutations(v), len(v), f"permutation_orbit{_fmt(v)}",
+                   maximiser=_rearrangement_max)
+
+
+def _rearrangement_max(c, v) -> tuple:
+    """The rearrangement of v that pairs larger c_i with larger entries."""
+    out = [None] * len(c)
+    for i, e in zip(sorted(range(len(c)), key=c.__getitem__), sorted(v)):
+        out[i] = e
+    return tuple(out)
+
+
+def _signed_max(c, v) -> tuple:
+    """:func:`_rearrangement_max` on absolute values, each entry signed as
+    its c_i (a zero c_i takes +)."""
+    out = _rearrangement_max([abs(e) for e in c], [abs(e) for e in v])
+    return tuple(-e if ci < 0 else e for ci, e in zip(c, out))
+
+
+def _even_signed_max(c, v) -> tuple:
+    """:func:`_signed_max` with its count of negative entries given v's
+    parity by negating the entry at the least |c_i|.  That entry is the
+    least |entry|, so the flip costs the least; a zero there (in c or in v)
+    absorbs the sign, and a zero entry of v puts every sign in the orbit."""
+    out = _signed_max(c, v)
+    if sum(e < 0 for e in out) % 2 != sum(e < 0 for e in v) % 2:
+        i = min(range(len(c)), key=lambda i: abs(c[i]))
+        out = out[:i] + (-out[i],) + out[i + 1:]
+    return out
 
 
 def sign_flip_orbit(v) -> VertexSet:
@@ -107,7 +143,7 @@ def signed_orbit(v) -> VertexSet:
     for perm in _distinct_permutations(v):
         for signs in itertools.product((1, -1), repeat=n):
             pts.add(tuple(s * e for s, e in zip(signs, perm)))
-    return _finish(pts, n, f"signed_orbit{_fmt(v)}")
+    return _finish(pts, n, f"signed_orbit{_fmt(v)}", maximiser=_signed_max)
 
 
 def even_signed_orbit(v) -> VertexSet:
@@ -122,7 +158,7 @@ def even_signed_orbit(v) -> VertexSet:
         for signs in itertools.product((1, -1), repeat=n):
             if signs.count(-1) % 2 == 0:
                 pts.add(tuple(s * e for s, e in zip(signs, perm)))
-    return _finish(pts, n, f"even_signed_orbit{_fmt(v)}")
+    return _finish(pts, n, f"even_signed_orbit{_fmt(v)}", maximiser=_even_signed_max)
 
 
 def mgon_orbit(m: int) -> VertexSet:

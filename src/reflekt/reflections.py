@@ -256,25 +256,3 @@ def apply_preimage_chain(chain: Iterable, y, tol: float = DEFAULT_TOL):
         out = canonical_preimage(spec, out, tol)
     return out
 
-
-def sort_vec(y) -> tuple:
-    """Non-decreasing rearrangement."""
-    return tuple(sorted(y))
-
-
-def abs_vec(y) -> tuple:
-    return tuple(abs(e) for e in y)
-
-
-def sortabs_vec(y) -> tuple:
-    return tuple(sorted(abs(e) for e in y))
-
-
-def dn_canonical(y) -> tuple:
-    """Sorted absolute values, with the first entry negated when y has an
-    odd number of strictly negative components."""
-    out = list(sorted(abs(e) for e in y))
-    negatives = sum(1 for e in y if e < 0)
-    if negatives % 2 == 1:
-        out[0] = -out[0]
-    return tuple(out)

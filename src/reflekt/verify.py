@@ -9,8 +9,10 @@ match the brute-force maximum over the oracle vertices (support-function
 equality on sampled directions).  In the exact backend both halves are
 zero-tolerance, so a passing report is a proof for the sampled data.  An
 exact objective is first proved by a dual certificate at the witness of its
-brute-force maximiser, which shows that no point of the formulation beats
-that vertex; only an objective without one is solved by the simplex method.
+maximiser over V, which shows that no point of the formulation beats that
+vertex; only an objective without one is solved by the simplex method.  An
+orbit oracle names that maximiser in closed form, so a formulation whose
+every vertex has a witness needs no pass over V for its objectives.
 """
 
 from __future__ import annotations
@@ -186,11 +188,16 @@ def verify_projection_equality(
     one call share a memo of walk tails, dropped when the call returns: each
     distinct point below a vertex is walked, and each reduced row its tail
     fixes is checked, once.  The first witness seeds the objective LPs.
-    Both backends take each brute-force maximum by one loop over V's rows
-    (in the rational backend, the integer rows of the vertex phase); an
-    exact one is first proved at its first maximiser's witness
-    (``lp_certified``, by
-    :meth:`~reflekt.lp.ProjectionChecker.proves_max`): such a passing
+    When every vertex has a witness and V has a ``maximiser``, an exact
+    objective first asks it for its maximiser v*, looks v* up among V's
+    integer rows, and tries to prove c·v* optimal over the projection at
+    v*'s witness (by :meth:`~reflekt.lp.ProjectionChecker.proves_max`).
+    V lies in the projection, so that proves c·v* is also V's maximum, with
+    no pass over V; a v* outside V or without a proof costs only time.
+    Otherwise both backends take each brute-force maximum by one loop over
+    V's rows (in the rational backend, the integer rows of the vertex
+    phase), and an exact one is tried at its first maximiser's witness.
+    Each proved objective counts in ``lp_certified``; such a passing
     objective is a proof, not just a sampled LP match.  The rest
     (``lp_exact``), and all float objectives, go to the checker in one call;
     float ones are solved as one pivot tree that shares phase-2 pivots until
@@ -247,8 +254,19 @@ def verify_projection_equality(
     objectives = random_objectives(ef.projection.out_dim, n_objectives, rng, backend)
     optima = [None] * len(objectives)  # (status, value), once known
     brutes = []
+    # with every vertex certified, V lies in the projection, so a vertex
+    # whose witness proves c's maximum over it is also c's maximum over V
+    maximiser = V.maximiser if exact and None not in witnesses else None
+    if maximiser:
+        index = {row: i for i, row in enumerate(v_rows)}
     for k, c in enumerate(objectives):
         c_ints, c_den = int_scale(c) if exact else (c, 1)
+        if maximiser:
+            i = index.get(maximiser(c_ints, v_rows[0]))
+            if i is not None and checker.proves_max(witnesses[i], c_ints):
+                brutes.append(Fraction(sum(map(mul, c_ints, v_rows[i])), v_den * c_den))
+                optima[k] = (lp.OPTIMAL, brutes[k])
+                continue
         dots = [sum(map(mul, c_ints, row)) for row in v_rows]
         best = max(dots)
         brutes.append(Fraction(best, v_den * c_den) if exact else best)

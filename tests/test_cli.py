@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -416,8 +418,9 @@ class TestDoctoredDocuments:
 
     @pytest.mark.parametrize("flag, value", [("--base", "1/0,2,3"), ("--p", "1,0/0")])
     def test_zero_denominator_flag_is_a_numeric_error(self, capsys, flag, value):
-        recipe = "a_permutahedron" if flag == "--base" else "completion_time"
-        assert run(["stats", "--recipe", recipe, "--n", "3", flag, value]) == 3
+        # completion_time reads no --n, and an unread flag is a usage error
+        recipe = ["a_permutahedron", "--n", "3"] if flag == "--base" else ["completion_time"]
+        assert run(["stats", "--recipe", *recipe, flag, value]) == 3
         assert "has a zero denominator" in capsys.readouterr().err
 
     def test_zero_dimensional_projection_is_a_usage_error(self, capsys):
@@ -428,3 +431,62 @@ class TestDoctoredDocuments:
 
     def test_stats_takes_no_tolerance(self):
         assert run(["stats", "--recipe", "signing", "--n", "2", "--tol", "1e-6"]) == 2
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["stats", "--recipe", "mgon", "--m", "8", "--n", "3"], "--n"),
+        (["build", "--recipe", "huffman_quadratic", "--n", "4", "--network", "insertion"],
+         "--network"),
+        (["stats", "--recipe", "completion_time", "--p", "1,2", "--n", "2"], "--n"),
+        (["oracle", "--name", "mgon", "--m", "5", "--n", "7", "--base", "1,2"], "--n"),
+        (["oracle", "--name", "permutation", "--base", "1,2", "--parity", "odd"], "--parity"),
+        (["verify", "--recipe", "mgon", "--m", "5", "--oracle", "mgon", "--n", "3"], "--n"),
+        (["verify", "--recipe", "signing", "--n", "2", "--oracle", "signed", "--base", "1,2",
+          "--network", "batcher"], "--network"),
+    ])
+    def test_a_flag_nothing_reads_is_a_usage_error(self, argv, flag, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: " in captured.err and "read by" in captured.err
+
+    def test_verify_takes_a_flag_that_only_the_oracle_reads(self, capsys):
+        # mgon reads no --base, the signed oracle does: the square either way
+        argv = ["verify", "--recipe", "mgon", "--m", "4", "--oracle", "signed", "--base", "1,0",
+                "--tol", "1e-6"]
+        assert run(argv) == 0
+        assert "overall                  PASS" in capsys.readouterr().out
+
+    def test_verify_takes_a_flag_that_only_the_recipe_reads(self, capsys):
+        argv = ["verify", "--recipe", "a_permutahedron", "--n", "3", "--network", "insertion",
+                "--oracle", "permutation", "--base", "1,2,3"]
+        assert run(argv) == 0
+
+    def test_with_ef_a_flag_the_oracle_does_not_read_is_a_usage_error(self, tmp_path, capsys):
+        ef = str(tmp_path / "g5.json")
+        save_json(ef_to_dict(build_recipe("mgon", {"m": 5})), ef)
+        assert run(["verify", "--ef", ef, "--oracle", "mgon", "--m", "5", "--n", "3"]) == 2
+        assert "argument --n: " in capsys.readouterr().err
+
+    def test_a_recipe_file_key_nothing_reads_is_a_usage_error(self, tmp_path, capsys):
+        recipe = tmp_path / "r.json"
+        recipe.write_text(json.dumps({"recipe": "mgon", "params": {"m": 5, "n": 3}}))
+        assert run(["stats", "--recipe-file", str(recipe)]) == 2
+        assert "recipe 'mgon' reads no parameter 'n'" in capsys.readouterr().err
+
+
+def test_a_closed_stdout_exits_141_without_a_message():
+    # the vertex list (about 260 kB) outgrows the pipe, so the write that
+    # follows the reader's exit fails
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "reflekt.cli", "oracle", "--name", "signed",
+            "--base", "1,2,3,4,5"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

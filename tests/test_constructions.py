@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from reflekt import reflections
+from reflekt import cli, reflections
 from reflekt.constructions import (
+    RECIPE_KEYS,
     RECIPES,
     a_permutahedron_ef,
     b_permutahedron_ef,
@@ -370,6 +371,22 @@ class TestRecipes:
     def test_missing_parameter(self):
         with pytest.raises(KeyError):
             build_recipe("mgon", {})
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("mgon", {"m": 8, "n": 3}, "n"),
+        ("huffman_quadratic", {"n": 4, "network": "batcher"}, "network"),
+        ("completion_time", {"p": [1, 2], "base": [1, 2]}, "base"),
+    ])
+    def test_a_key_the_recipe_does_not_read_is_rejected(self, name, params, key):
+        for read in (build_recipe, expected_ledger):
+            with pytest.raises(ValueError, match=f"reads no parameter {key!r}"):
+                read(name, params)
+
+    def test_every_recipe_lists_its_keys(self):
+        # each key is a CLI flag, so the CLI can name the flag nothing reads
+        assert RECIPES == tuple(RECIPE_KEYS)
+        for name, keys in RECIPE_KEYS.items():
+            assert set(keys) <= set(cli._PARAM_FLAGS), name
 
     @pytest.mark.parametrize(
         "build",

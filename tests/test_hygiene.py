@@ -286,3 +286,23 @@ def test_certification_walks_each_vertex_in_its_own_call(monkeypatch):
         report = verify.verify_projection_equality(ef, V, n_objectives=2, tol=1e-6)
         assert report.passed
         assert len(calls) == report.vertex_total == len(V.points)
+
+
+@pytest.mark.parametrize("orbit, args, has_one", [
+    (oracles.permutation_orbit, ((1, 2, 3),), True),
+    (oracles.signed_orbit, ((1, 2, 3),), True),
+    (oracles.even_signed_orbit, ((1, 2, 3),), True),
+    (oracles.mgon_orbit, (5,), False),
+    (oracles.huffman_vectors, (4,), False),
+    (oracles.parity_vertices, (4, "odd"), False),
+])
+def test_the_orbit_oracles_carry_a_maximiser(orbit, args, has_one):
+    # a lost maximiser would show only as time: every objective would loop over V
+    assert (orbit(*args).maximiser is not None) is has_one
+
+
+def test_the_oracles_share_no_code_with_the_constructions():
+    # the oracles are the independent ground truth the formulations are checked against
+    tree = ast.parse((SRC / "oracles.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"constructions", "reflections", "networks", "polyhedra"})

@@ -1,10 +1,13 @@
 import hashlib
 import math
 from fractions import Fraction as F
+from operator import mul
+from random import Random
 
 import pytest
 
 from reflekt.oracles import (
+    VertexSet,
     completion_time_vertices,
     even_signed_orbit,
     huffman_profiles,
@@ -58,6 +61,48 @@ class TestSignedOrbits:
     def test_sign_flip_orbit(self):
         assert len(sign_flip_orbit((1, 2, 3))) == 8
         assert len(sign_flip_orbit((0, 2))) == 2
+
+
+class TestMaximisers:
+    @pytest.mark.parametrize("orbit, base", [
+        (permutation_orbit, (1, 1, 2, 3)),
+        (permutation_orbit, (0, 1, 1, 2, 5)),
+        (signed_orbit, (0, 1, 2)),
+        (signed_orbit, (1, 2, 3)),
+        (signed_orbit, (0, 1, 1, 3, 4)),
+        (even_signed_orbit, (1, 2, 3)),
+        (even_signed_orbit, (0, 1, 2)),
+        (even_signed_orbit, (1, 1, 2, 4)),
+        (even_signed_orbit, (-1, 1, 2, 2, 3)),
+    ])
+    def test_maximiser_attains_the_maximum_over_the_orbit(self, orbit, base):
+        # entries in -2..2 give ties and zeros in c; the maximiser starts from
+        # several points of the orbit, as Fractions and as the verifier's ints
+        V = orbit(base)
+        rows = [tuple(map(int, v)) for v in V.points]  # a Fraction hashes as its int
+        points = set(rows)
+        rng = Random(len(V))
+        starts = [V.points[0], V.points[-1], *rng.sample(V.points, 3)]
+        for _ in range(200):
+            c = tuple(rng.randint(-2, 2) for _ in range(V.dim))
+            best = max(sum(map(mul, c, v)) for v in rows)
+            for v in starts:
+                for row in (v, tuple(int(e) for e in v)):
+                    x = V.maximiser(c, row)
+                    assert x in points, (c, row, x)
+                    assert sum(map(mul, c, x)) == best, (c, row, x)
+
+    def test_even_signed_parity_fix_flips_the_least_weight(self):
+        V = even_signed_orbit((1, 2, 3))
+        # signs from c would give three negatives: flip the entry at |c_i| = 1
+        assert V.maximiser((-3, -2, -1), (1, 2, 3)) == (-3, -2, 1)
+        # a zero c_i absorbs the sign at no cost
+        assert V.maximiser((-3, -2, 0), (1, 2, 3)) in {(-3, -2, 1), (-3, -2, -1)}
+
+    def test_the_maximiser_is_no_part_of_equality_or_repr(self):
+        V = permutation_orbit((1, 2))
+        assert V == VertexSet(V.dim, V.points, V.label)
+        assert "maximiser" not in repr(V)
 
 
 class TestMgonOrbit:

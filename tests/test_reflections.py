@@ -11,17 +11,13 @@ from reflekt.oracles import VertexSet
 from reflekt.polyhedra import HPolyhedron, compose_extension, deltas
 from reflekt.reflections import (
     ReflectionSpec,
-    abs_vec,
     apply_preimage_chain,
     canonical_preimage,
-    dn_canonical,
     even_sign_pair_specs,
     reflect_point,
     reflection_map,
     reflection_relation,
     sign_spec,
-    sort_vec,
-    sortabs_vec,
     transposition_spec,
 )
 from reflekt.constructions import (
@@ -30,6 +26,28 @@ from reflekt.constructions import (
     transposition_chain_specs,
 )
 from reflekt.verify import verify_projection_equality
+
+
+# The canonical forms that the A, B and D preimage chains fold a point to.
+def sort_vec(y) -> tuple:
+    return tuple(sorted(y))
+
+
+def abs_vec(y) -> tuple:
+    return tuple(abs(e) for e in y)
+
+
+def sortabs_vec(y) -> tuple:
+    return tuple(sorted(abs(e) for e in y))
+
+
+def dn_canonical(y) -> tuple:
+    """Sorted absolute values, with the first entry negated when y has an
+    odd number of strictly negative components."""
+    out = list(sorted(abs(e) for e in y))
+    if sum(1 for e in y if e < 0) % 2 == 1:
+        out[0] = -out[0]
+    return tuple(out)
 
 
 def pinned_rows(Q, pins):

@@ -24,11 +24,13 @@ from reflekt.numeric import DimensionError, EmptyPolyhedronError, ScaledPoint
 from reflekt.oracles import (
     VertexSet,
     completion_time_vertices,
+    even_signed_orbit,
     huffman_vectors,
     mgon_orbit,
     parity_vertices,
     permutation_orbit,
     sign_flip_orbit,
+    signed_orbit,
 )
 from reflekt.polyhedra import (
     AffineMap,
@@ -209,6 +211,78 @@ class TestProjectionEquality:
         assert all(s >= 0 for s in phases.values())
         assert sum(phases.values()) <= rep.wall_time_s
         assert json.loads(rep.to_json(include_timing=True))["phases"] == phases
+
+
+def _counts(report):
+    timed = report.to_dict(include_timing=True)
+    return {k: timed[k] for k in ("witness_hits", "lp_fallbacks", "lp_pivots", "lp_certified",
+                                  "lp_exact")}
+
+
+class TestOrbitMaximiser:
+    """An orbit's maximiser only spares the loop over V: whatever it
+    returns, the report keeps the bytes and counts of the loop."""
+
+    ORBITS = [
+        pytest.param("a_permutahedron", {"n": 4}, permutation_orbit((1, 2, 3, 4)), id="A3"),
+        pytest.param("b_permutahedron", {"n": 3}, signed_orbit((1, 2, 3)), id="B3"),
+        pytest.param("d_permutahedron", {"n": 3}, even_signed_orbit((1, 2, 3)), id="D3"),
+    ]
+
+    @staticmethod
+    def looped(recipe, params, V, seed):
+        bare = VertexSet(V.dim, V.points, V.label)
+        assert bare.maximiser is None
+        return verify_projection_equality(build_recipe(recipe, params), bare, 50, seed=seed)
+
+    @staticmethod
+    def every_other(V):
+        # every vertex is certified, yet the projection is larger than conv(V)
+        return replace(V, points=V.points[::2])
+
+    @pytest.mark.parametrize("recipe, params, V", ORBITS)
+    def test_the_maximiser_replaces_the_loop(self, recipe, params, V):
+        calls = []
+
+        def counted(c, v):
+            calls.append(c)
+            return V.maximiser(c, v)
+
+        for seed in (7, 11):
+            calls.clear()
+            rep = verify_projection_equality(build_recipe(recipe, params),
+                                             replace(V, maximiser=counted), 50, seed=seed)
+            loop = self.looped(recipe, params, V, seed)
+            assert len(calls) == 50 and rep.lp_certified == 50
+            assert rep.to_json() == loop.to_json() and _counts(rep) == _counts(loop)
+
+    @pytest.mark.parametrize("recipe, params, V", ORBITS)
+    @pytest.mark.parametrize("wrong", [
+        pytest.param(lambda good: lambda c, v: good(tuple(-e for e in c), v), id="minimiser"),
+        pytest.param(lambda good: lambda c, v: tuple(2 * e for e in good(c, v)), id="outside-V"),
+    ])
+    def test_a_wrong_maximiser_falls_back_to_the_loop(self, recipe, params, V, wrong):
+        for points, passes in ((V, True), (self.every_other(V), False)):
+            mutated = replace(points, maximiser=wrong(V.maximiser))
+            rep = verify_projection_equality(build_recipe(recipe, params), mutated, 50, seed=7)
+            loop = self.looped(recipe, params, points, 7)
+            assert rep.passed is passes and rep.vertex_passed == rep.vertex_total
+            assert rep.to_json() == loop.to_json() and _counts(rep) == _counts(loop)
+
+    @pytest.mark.parametrize("recipe, params, V", ORBITS)
+    def test_one_lp_fallback_vertex_keeps_the_loop(self, recipe, params, V, monkeypatch):
+        # V is then not known to lie in the projection, so no maximiser is asked
+        skipped = V.points[len(V) // 2]
+
+        def one_miss(ef, y, tol, memo=None):
+            return None if y.fractions() == skipped else _witness_blocks(ef, y, tol, memo)
+
+        monkeypatch.setattr("reflekt.verify._witness_blocks", one_miss)
+        asked = replace(V, maximiser=lambda c, v: pytest.fail("maximiser asked"))
+        rep = verify_projection_equality(build_recipe(recipe, params), asked, 50, seed=7)
+        loop = self.looped(recipe, params, V, 7)
+        assert rep.passed and rep.lp_fallbacks == 1
+        assert rep.to_json() == loop.to_json() and _counts(rep) == _counts(loop)
 
 
 @pytest.mark.parametrize(
