@@ -16,7 +16,6 @@ from .constructions import (
     expected_ledger,
     huffman_ef_nlogn,
     huffman_ef_quadratic,
-    huffman_pair_property,
     i2_permutahedron_ef,
     make_network,
     mgon_ef,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import constructions, oracles, serialize
@@ -45,8 +46,7 @@ def _seed_from(args) -> int:
     return int(env) if env else 0
 
 
-_ORACLE_FLAGS = ("m", "n", "parity", "base", "p")
-_PARAM_FLAGS = (*_ORACLE_FLAGS, "network")
+_PARAM_FLAGS = ("m", "n", "parity", "base", "p", "network")
 
 
 def _repeats(flag, filed) -> bool:
@@ -60,14 +60,16 @@ def _repeats(flag, filed) -> bool:
         return False
 
 
-def _recipe(args, oracle_keys=()) -> tuple:
+def _recipe(args) -> tuple:
     """``(name, params)`` of the recipe that --recipe-file and the recipe
-    flags give together.  A flag may repeat what the file says; another
-    recipe name or parameter value is a usage error that names the flag,
-    not a value silently dropped.  So is a flag that neither the recipe
-    (:data:`~reflekt.constructions.RECIPE_KEYS`) nor the oracle of the
-    command (``oracle_keys``) reads; one only the oracle reads is left out
-    of ``params``."""
+    flags give together, or ``(None, None)`` with --ef.  A flag may repeat
+    what the file says; another recipe name or parameter value is a usage
+    error that names the flag, not a value silently dropped.  ``params``
+    holds only what the recipe reads
+    (:data:`~reflekt.constructions.RECIPE_KEYS`); :func:`_check_flags`
+    rejects a flag that nothing reads."""
+    if getattr(args, "ef", None):
+        return None, None
     name, params = args.recipe, {}
     if args.recipe_file:
         doc = serialize.load_json(args.recipe_file)
@@ -79,6 +81,8 @@ def _recipe(args, oracle_keys=()) -> tuple:
             raise UsageError(f"argument --recipe: {name!r} conflicts with the recipe "
                              f"{filed!r} of {args.recipe_file}")
         name = name or filed
+    if not name:
+        raise UsageError("a recipe name is required (--recipe or --recipe-file)")
     keys = constructions.RECIPE_KEYS.get(name, _PARAM_FLAGS)  # an unknown name fails later
     for dest in _PARAM_FLAGS:
         value = getattr(args, dest)
@@ -87,29 +91,19 @@ def _recipe(args, oracle_keys=()) -> tuple:
         if dest in params and not _repeats(value, params[dest]):
             raise UsageError(f"argument --{dest}: {value} conflicts with {dest} = "
                              f"{params[dest]!r} in {args.recipe_file}")
-        if dest not in keys:
-            if dest in oracle_keys:
-                continue
-            unread = (f"read by neither recipe {name!r} nor the oracle" if oracle_keys
-                      else f"not read by recipe {name!r}")
-            raise UsageError(f"argument --{dest}: {unread}")
-        params[dest] = _parse_number_list(value) if dest in ("base", "p") else value
+        if dest in keys:
+            params[dest] = _parse_number_list(value) if dest in ("base", "p") else value
     return name, params
 
 
-def _formulation(args, oracle_keys=()):
+def _formulation(args):
     """``(ef, name, params)``: the formulation of --ef, with no recipe, or
-    the one built from the :func:`_recipe` of the flags.  ``oracle_keys``
-    are the flags that the oracle of the command reads; with --ef any other
-    recipe flag is a usage error."""
-    if getattr(args, "ef", None):
-        for dest in ("recipe", "recipe_file", *_PARAM_FLAGS):
-            if getattr(args, dest) not in (None, "") and dest not in oracle_keys:
-                raise UsageError(f"argument --{dest.replace('_', '-')}: not allowed with --ef")
+    the one built from the :func:`_recipe` of the flags, once
+    :func:`_check_flags` has passed them."""
+    name, params = _recipe(args)
+    _check_flags(args, name)
+    if name is None:
         return serialize.ef_from_dict(serialize.load_json(args.ef)), None, None
-    name, params = _recipe(args, oracle_keys)
-    if not name:
-        raise UsageError("a recipe name is required (--recipe or --recipe-file)")
     try:
         return constructions.build_recipe(name, params), name, params
     except KeyError as exc:
@@ -129,19 +123,38 @@ ORACLES = {
 }
 
 
-def _oracle_from_args(args, recipe_keys=()):
-    """The vertex set of the oracle that the flags name.  A parameter flag
-    that neither it (:data:`ORACLES`) nor the recipe of the command
-    (``recipe_keys``) reads is a usage error."""
-    name = args.oracle if hasattr(args, "oracle") else args.name
+def _check_flags(args, recipe=None) -> None:
+    """The one check of a command's parameter flags: a flag that neither
+    its recipe (None with --ef or without one) nor its oracle reads is a
+    usage error that names the flag; with --ef, so is any recipe flag.  An
+    unknown or missing name reads every flag and fails on its own later."""
+    has_oracle = hasattr(args, "oracle")
+    keys = set(constructions.RECIPE_KEYS.get(recipe, _PARAM_FLAGS) if recipe else ())
+    if has_oracle:
+        keys.update(ORACLES.get(args.oracle, (None, _PARAM_FLAGS))[1])
+    with_ef = getattr(args, "ef", None)
+    for dest in ("recipe", "recipe_file", *_PARAM_FLAGS) if with_ef else _PARAM_FLAGS:
+        if getattr(args, dest, None) in (None, "") or dest in keys:
+            continue
+        if with_ef:
+            unread = "not allowed with --ef"
+        elif recipe is None:
+            unread = f"not read by the {args.oracle} oracle"
+        elif has_oracle:
+            unread = f"read by neither recipe {recipe!r} nor the oracle"
+        else:
+            unread = f"not read by recipe {recipe!r}"
+        raise UsageError(f"argument --{dest.replace('_', '-')}: {unread}")
+
+
+def _oracle_from_args(args):
+    """The vertex set of the oracle that the flags name."""
+    name = args.oracle
     if not name:
         raise UsageError("an oracle name is required")
     if name not in ORACLES:
         raise UsageError(f"unknown oracle {name!r}")
     enumerator, keys = ORACLES[name]
-    for dest in _ORACLE_FLAGS:
-        if getattr(args, dest) not in (None, "") and dest not in (*keys, *recipe_keys):
-            raise UsageError(f"argument --{dest}: not read by the {name} oracle")
     values = [getattr(args, key) for key in keys]
     if values[0] in (None, ""):
         raise UsageError(f"--{keys[0]} is required for the {name} oracle")
@@ -190,10 +203,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # an unknown or missing oracle name is reported by _oracle_from_args
-    oracle_keys = ORACLES[args.oracle][1] if args.oracle in ORACLES else _ORACLE_FLAGS
-    ef, name, _ = _formulation(args, oracle_keys)
-    oracle = _oracle_from_args(args, constructions.RECIPE_KEYS.get(name, _ORACLE_FLAGS))
+    ef = _formulation(args)[0]
+    oracle = _oracle_from_args(args)
     report = verify_projection_equality(
         ef,
         oracle,
@@ -208,6 +219,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_flags(args)
     vs = _oracle_from_args(args)
     doc = serialize.vertexset_to_dict(vs)
     if args.out:
@@ -252,6 +264,19 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _joined_negatives(argv) -> list:
+    """argv with each --base or --p value that starts with a negative
+    number joined to its flag, ``--base -1,0,1`` as ``--base=-1,0,1``:
+    argparse takes such a value for a flag unless it is one number."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--base", "--p") and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reflekt",
@@ -278,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="print an oracle vertex set as JSON")
-    p_oracle.add_argument("--name", required=True, action=_Once)
+    p_oracle.add_argument("--name", dest="oracle", metavar="NAME", required=True, action=_Once)
     _add_param_flags(p_oracle)
     p_oracle.add_argument("--out")
     p_oracle.set_defaults(func=cmd_oracle)
@@ -301,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_negatives(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from .networks import (
     ComparatorSeq,
-    apply_comparators,
     batcher,
     double_bubble_seq,
     insertion_network,
@@ -188,10 +187,7 @@ def mgon_ef(m: int) -> ExtendedFormulation:
     """Regular m-gon with a vertex at (1,0): the one-point base (1,0)
     pushed through the dihedral halfspace chain; 2*ceil(log2 m)+2
     inequalities and ceil(log2 m)+1 variables after equation elimination."""
-    base = HPolyhedron.point((1.0, 0.0), FLOAT)
-    ef = i2_permutahedron_ef(base, m)
-    ef.label = f"mgon(m={m})"
-    return ef
+    return _orbit_ef(HPolyhedron.point((1.0, 0.0), FLOAT), i2_chain_specs(m), f"mgon(m={m})")
 
 
 def a_permutahedron_ef(
@@ -330,34 +326,6 @@ def huffman_ef_nlogn(n: int, net: Optional[ComparatorSeq] = None) -> ExtendedFor
     base = HPolyhedron.point((Fraction(1), Fraction(1)))
     chain = _huffman_chain(n, level_seq)
     return compose_extension(base, chain, label=f"huffman_nlogn(n={n})")
-
-
-def huffman_level_images(v, level_seq):
-    """Walk a depth vector down the level chain with canonical preimages:
-    yields (k, x) for k = n..3, where x in R^k is the image after undoing
-    level k's transpositions; between levels the deepest duplicated leaf is
-    merged ((x_1,..,x_{k-2}, x_{k-1}-1)).  An integral depth vector walks
-    as ``int``s, which compare equal to the rationals they stand for."""
-    n = len(v)
-    x = tuple(v)
-    if all(isinstance(e, int) or isinstance(e, Fraction) and e.denominator == 1 for e in x):
-        x = tuple(int(e) for e in x)
-    for k in range(n, 2, -1):
-        x = apply_comparators(level_seq(k), x)
-        yield k, x
-        if k > 3:
-            x = x[: k - 2] + (x[k - 2] - 1,)
-
-
-def huffman_pair_property(v, level_seq) -> bool:
-    """The invariant that makes the level chain work: at every level k the
-    undone image ends with two copies of its running maximum
-    (x_{k-1} = x_k = max over the first k entries)."""
-    for k, x in huffman_level_images(v, level_seq):
-        top = max(x)
-        if not (x[k - 2] == top and x[k - 1] == top):
-            return False
-    return True
 
 
 def _job_step_map(p: Sequence, k: int) -> AffineMap:

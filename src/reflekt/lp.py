@@ -21,8 +21,8 @@ another; no dense tableau is built.
 :class:`ProjectionChecker` does each query's objective-independent work
 once per formulation, and caches nothing else.  Its reduced system comes
 from one writer, :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`:
-one column per reflection of an exact built chain, written from the
-chain's steps, or one per free coordinate of Q's equations for any other
+one column per reflection of a chain with steps on exact data, written
+from the steps, or one per free coordinate of Q's equations for any other
 formulation, which is parametrised as its own base.  Exact queries
 use a vertex-start dictionary: from a feasible point (a registered seed, else one
 exact solve) every free variable is pivoted into the basis and only the
@@ -403,10 +403,10 @@ class ProjectionChecker:
     The constructor reads the reduced system once from its one writer,
     :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`: one column
     per reflection for a formulation with
-    :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` (every chain the
-    package builds but the float m-gon / dihedral one), else one per free
-    coordinate of Q's equations.  :func:`~reflekt.polyhedra.eliminate_equations`
-    and :func:`~reflekt.verify.actual_sizes` read it from the cached checker.
+    :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` on exact data,
+    else one per free coordinate of Q's equations.
+    :func:`~reflekt.polyhedra.eliminate_equations` and
+    :func:`~reflekt.verify.actual_sizes` read it from the cached checker.
     A_red w <= b_red are Q's inequality rows and M_red w + t_red its
     projection, over ``n_free`` columns.  An exact witness is such a w
     already, read by the canonical-preimage walk

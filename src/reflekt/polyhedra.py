@@ -315,22 +315,25 @@ class SizeLedger:
         return asdict(self)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ExtendedFormulation:
     """A block-structured polyhedron Q plus the projection onto its last
     block and the fiber-dimension bound on its free variables; the size
     :attr:`ledger` reads every other count off Q.
 
     ``base`` and ``relations`` retain the construction provenance when
-    available; they let membership queries read a witness off canonical
-    preimages before falling back to the LP, and with :attr:`steps` they give
-    :meth:`parametrised` one column per reflection.
-    The cached checker is not an init field, so :func:`dataclasses.replace`
-    gives a copy without it.  ``block_dims`` is None once the
-    block structure has been destroyed (after equation elimination), else
-    nonnegative ``int``s summing to Q.dim; every projection row has Q.dim
-    entries, and ``reduced_variable_bound`` is a nonnegative ``int``
-    (:class:`~reflekt.numeric.DimensionError` otherwise).
+    available.  ``steps`` are the relations' steps in chain order, set by
+    :func:`compose_extension` alone, on both backends, when every relation
+    keeps one, else None.  With them membership queries read a witness off
+    canonical preimages before falling back to the LP, and on exact data
+    :meth:`parametrised` writes one column per reflection.  A formulation
+    is frozen; ``steps`` and the cached checker are not init fields, so a
+    :func:`dataclasses.replace` copy has neither.  ``block_dims`` is None
+    once the block structure has been destroyed (after equation
+    elimination), else nonnegative ``int``s summing to Q.dim; every
+    projection row has Q.dim entries, and ``reduced_variable_bound`` is a
+    nonnegative ``int`` (:class:`~reflekt.numeric.DimensionError`
+    otherwise).
     """
 
     Q: HPolyhedron
@@ -340,8 +343,8 @@ class ExtendedFormulation:
     base: Optional[HPolyhedron] = None
     relations: Optional[tuple] = None
     label: str = ""
+    steps: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _checker: object = field(default=None, init=False, repr=False, compare=False)
-    _chain: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound, dims, dim = self.reduced_variable_bound, self.block_dims, self.Q.dim
@@ -360,25 +363,12 @@ class ExtendedFormulation:
     def backend(self) -> str:
         return self.Q.backend
 
-    @property
-    def steps(self) -> Optional[tuple]:
-        """The relations' steps in chain order when :func:`compose_extension`
-        composed Q, its projection, base and relations (still these very
-        objects) from an exact chain whose every relation keeps a step, else
-        None.  They pick the input of :meth:`parametrised`: the base and
-        these steps, or else Q itself under its projection.  A formulation
-        whose Q was replaced keeps its relations but not its steps."""
-        chain = self._chain
-        current = (self.Q, self.projection, self.base, self.relations)
-        if chain is None or any(a is not b for a, b in zip(chain, current)):
-            return None
-        return chain[-1]
-
     def parametrised(self):
         """The reduced system, written here only, or None when the base's
-        equations are inconsistent.  With :attr:`steps` the input is the
-        chain's base and steps; without, Q itself is the base and its
-        projection one graph step.
+        equations are inconsistent.  On exact data with :attr:`steps` the
+        input is the chain's base and steps; otherwise Q itself is the base
+        and its projection one graph step, so a float chain keeps every bit
+        of Q's rows.
 
         The current block is carried as x = s + T u over the columns u so
         far, starting from the base's own solution space (no column for a
@@ -395,8 +385,10 @@ class ExtendedFormulation:
         basis order, then each step's in chain order; :func:`_witness_blocks`
         reads u in this order.
         """
-        steps = self.steps
-        base, steps = (self.Q, (("map", self.projection),)) if steps is None else (self.base, steps)
+        if self.steps is None or self.backend != EXACT:
+            base, steps = self.Q, (("map", self.projection),)
+        else:
+            base, steps = self.base, self.steps
         backend = base.backend
         part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=backend)
         if part is None:
@@ -537,8 +529,8 @@ def compose_extension(
     ef = ExtendedFormulation(
         Q, projection, bound, tuple(dims), base=P, relations=rels, label=label
     )
-    if backend == EXACT and all(rel.step is not None for rel in rels):
-        ef._chain = (Q, projection, P, rels, tuple(rel.step for rel in rels))
+    if all(rel.step is not None for rel in rels):
+        object.__setattr__(ef, "steps", tuple(rel.step for rel in rels))
     return ef
 
 
@@ -548,12 +540,12 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     Reads the reduced system of the formulation's cached
     :func:`projection_checker`, which takes it from
     :meth:`ExtendedFormulation.parametrised`: one column per reflection of a
-    chain with steps, or else one per free coordinate of Cz = d.  The result's
-    ledger reads the free-variable count as ``raw_variables``, the same
-    inequality count and ``equations`` 0, and keeps the reduced-variable
-    bound.  Raises :class:`~reflekt.numeric.EmptyPolyhedronError` when the
-    equations are inconsistent and ValueError when the free variables
-    outnumber the bound.
+    chain with steps on exact data, or else one per free coordinate of
+    Cz = d.  The result's ledger reads the free-variable count as
+    ``raw_variables``, the same inequality count and ``equations`` 0, and
+    keeps the reduced-variable bound.  Raises
+    :class:`~reflekt.numeric.EmptyPolyhedronError` when the equations are
+    inconsistent and ValueError when the free variables outnumber the bound.
     """
     checker = projection_checker(ef)
     if not checker.consistent:
@@ -574,10 +566,11 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
 def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     """A certificate that y lies in the projection, read off canonical
     preimages walked from y back to the base block, or None (also for any
-    None preimage).  An exact formulation with
-    :attr:`~ExtendedFormulation.steps` is walked on integers from y, a
-    :class:`ScaledPoint` or a tuple of rationals, and gives its reduced point
-    u as a ScaledPoint over the base block's denominator, read during the
+    None preimage).  A formulation without
+    :attr:`~ExtendedFormulation.steps` takes no witness, on either backend.
+    An exact one is walked on integers from y, a :class:`ScaledPoint` or a
+    tuple of rationals, and gives its reduced point u as a ScaledPoint over
+    the base block's denominator, read during the
     walk: the base block's free coordinates, then one lambda = (y_j - x_j)/a_j
     per reflection (a_j the first nonzero of a; an integer over x's
     denominator when x is canonical) and the k output coordinates per box
@@ -596,10 +589,11 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     a memo of its own.  Level 0, y itself, is never stored: the rows of the
     last step's columns, A_red's all-zero rows and the projection
     (:meth:`~reflekt.lp.ProjectionChecker.projects_to`) are checked for
-    every y.  An exact formulation without steps takes no witness.  A float chain gives the raw point z, walked per call with no
+    every y.  A float chain gives the raw point z, walked per call with no
     memo and returned only when Q contains it within ``tol``
     (DimensionError for a z whose length is not Q's dimension)."""
-    if ef.relations is None or ef.base is None or ef.block_dims is None:
+    steps = ef.steps
+    if steps is None:
         return None
     if ef.backend != EXACT:
         blocks = [tuple(y)]
@@ -609,8 +603,8 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
                 return None
         z = tuple(e for blk in reversed(blocks) for e in blk)
         return z if ef.Q.contains(z, tol) else None
-    steps, checker = ef.steps, projection_checker(ef)
-    if steps is None or not checker.consistent:
+    checker = projection_checker(ef)
+    if not checker.consistent:
         return None
     target = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
     if len(target.nums) != len(checker.t_red):
@@ -664,14 +658,14 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
     """Membership of y in the projection of Q, i.e. LP feasibility of
     Q together with projection(z) = y.
 
-    :func:`_witness_blocks` tries a canonical-preimage witness first, on an
-    exact formulation with :attr:`~ExtendedFormulation.steps` or a float
-    one that keeps its base and relations; it returns only a certificate (an
-    exact reduced point tested on the checker's reduced system, a float raw
-    point on Q), so a witness skips the LP.  ``tol`` is the witness step's comparison
-    tolerance only.  Without a witness the cached checker runs an exact
-    phase 1, or a float one at the package's pivot tolerance
-    ``DEFAULT_TOL``, whatever ``tol`` is.
+    :func:`_witness_blocks` tries a canonical-preimage witness first, on a
+    formulation with :attr:`~ExtendedFormulation.steps` of either backend;
+    it returns only a certificate (an exact reduced point tested on the
+    checker's reduced system, a float raw point on Q), so a witness skips
+    the LP.  ``tol`` is the witness step's comparison tolerance only.
+    Without a witness the cached checker runs an exact phase 1, or a float
+    one at the package's pivot tolerance ``DEFAULT_TOL``, whatever ``tol``
+    is.
     """
     if len(y) != ef.projection.out_dim:
         raise DimensionError("point dimension != projection output dimension")
@@ -683,5 +677,5 @@ def point_in_projection(ef: ExtendedFormulation, y, tol: float = DEFAULT_TOL) ->
 def projection_checker(ef: ExtendedFormulation):
     """Cached LP-based membership/optimization helper for one formulation."""
     if ef._checker is None:
-        ef._checker = ProjectionChecker(ef)
+        object.__setattr__(ef, "_checker", ProjectionChecker(ef))
     return ef._checker

@@ -183,7 +183,7 @@ def verify_projection_equality(
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
     certificate (``witness_hits``), or else through an LP
     (``lp_fallbacks``); an exact witness is the checker's reduced point,
-    read during the walk, and an exact formulation without steps takes none.
+    read during the walk, and a formulation without steps takes none.
     Each vertex gets its own ``_witness_blocks`` call, but the exact walks of
     one call share a memo of walk tails, dropped when the call returns: each
     distinct point below a vertex is walked, and each reduced row its tail

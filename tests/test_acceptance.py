@@ -18,7 +18,6 @@ from reflekt.constructions import (
     d_permutahedron_ef,
     huffman_ef_nlogn,
     huffman_ef_quadratic,
-    huffman_pair_property,
     mgon_ef,
     parity_polytope_ef,
     signing_ef,
@@ -56,6 +55,7 @@ from reflekt.verify import (
 )
 from reflekt.lp import OPTIMAL
 from reflekt.numeric import EXACT, dot, rank
+from test_constructions import huffman_pair_property
 
 
 def _report(tag, ok, detail=""):

@@ -476,6 +476,27 @@ class TestUnreadFlags:
         assert "recipe 'mgon' reads no parameter 'n'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["stats", "--recipe", "a_permutahedron", "--n", "3", "--base", "-1,0,1"], 0),
+    (["oracle", "--name", "permutation", "--base", "-1,0,1"], 0),
+    (["verify", "--recipe", "mgon", "--m", "4", "--oracle", "signed", "--base", "-1,0",
+      "--tol", "1e-6"], 0),
+    (["stats", "--recipe", "completion_time", "--p", "-1,2"], 2),
+])
+def test_a_value_that_starts_negative_reads_as_its_equals_form(argv, code, capsys):
+    # argparse takes "-1,0,1" for a flag; the value reaches the recipe and
+    # the oracle as --base=-1,0,1 would (verify's wall time aside)
+    def output(argv):
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        return re.sub(r"wall time .*\n", "", out), err
+
+    spaced = output(argv)
+    i = next(i for i, a in enumerate(argv) if a in ("--base", "--p"))
+    assert output(argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]) == spaced
+    assert "expected one argument" not in spaced[1]
+
+
 def test_a_closed_stdout_exits_141_without_a_message():
     # the vertex list (about 260 kB) outgrows the pipe, so the write that
     # follows the reader's exit fails

@@ -16,14 +16,20 @@ from reflekt.constructions import (
     expected_ledger,
     huffman_ef_nlogn,
     huffman_ef_quadratic,
-    huffman_pair_property,
     i2_chain_specs,
     i2_permutahedron_ef,
     mgon_ef,
     parity_polytope_ef,
     signing_ef,
 )
-from reflekt.networks import ComparatorSeq, batcher, double_bubble_seq, insertion_network, stride_seq
+from reflekt.networks import (
+    ComparatorSeq,
+    apply_comparators,
+    batcher,
+    double_bubble_seq,
+    insertion_network,
+    stride_seq,
+)
 from reflekt.numeric import FLOAT, BackendError
 from reflekt.oracles import (
     VertexSet,
@@ -44,6 +50,21 @@ def assert_equality(ef, oracle, seed=0, n_obj=30, tol=1e-9):
     rep = verify_projection_equality(ef, oracle, n_objectives=n_obj, seed=seed, tol=tol)
     assert rep.passed, rep.to_text()
     return rep
+
+
+def huffman_pair_property(v, level_seq) -> bool:
+    """Walk a depth vector down the level chain with canonical preimages
+    and check that at every level k = n..3 the image after undoing level
+    k's transpositions ends with two copies of its maximum
+    (x_{k-1} = x_k = max x).  Between levels the deepest duplicated leaf is
+    merged: x -> (x_1,..,x_{k-2}, x_{k-1} - 1)."""
+    x = tuple(v)
+    for k in range(len(x), 2, -1):
+        x = apply_comparators(level_seq(k), x)
+        if not x[k - 2] == x[k - 1] == max(x):
+            return False
+        x = x[: k - 2] + (x[k - 2] - 1,)
+    return True
 
 
 class TestSigning:

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
 import pytest
@@ -35,12 +35,15 @@ from reflekt.constructions import (
     a_permutahedron_ef,
     build_recipe,
     embedding_map,
+    i2_chain_specs,
+    mgon_ef,
     signing_ef,
     sign_chain_specs,
 )
 from reflekt.reflections import reflection_relation, sign_spec
-from reflekt.oracles import permutation_orbit, sign_flip_orbit
+from reflekt.oracles import mgon_orbit, permutation_orbit, sign_flip_orbit
 from reflekt.serialize import ef_from_dict, ef_to_dict
+from reflekt.verify import verify_projection_equality
 from test_direct_system import _read
 from test_lp import solve
 
@@ -266,21 +269,22 @@ class TestEliminate:
         ],
     )
     def test_checker_and_elimination_share_the_reduction(self, name, params):
-        # Q parametrised as its own base: the float m-gon chain as built, an
-        # exact chain loaded from JSON (no steps); repr tells -0.0 from 0.0
+        # Q parametrised as its own base: the float m-gon chain as built (its
+        # steps are read on exact data only), an exact chain loaded from JSON
+        # (no steps); repr tells -0.0 from 0.0
         ef = build_recipe(name, params)
         if ef.backend != FLOAT:
             ef = ef_from_dict(ef_to_dict(ef))
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
-        assert ef.steps is None
+        # the checker's columns are Q's free coordinates
+        Q, M = ef.Q, ef.projection.M
+        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
+        assert (checker.z_part, checker.N_cols) == (part, basis)
         assert checker.n_free == red.Q.dim == red.ledger.raw_variables
         assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
         assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
         # the sparse products equal dense dot products over every coordinate
-        Q, M = ef.Q, ef.projection.M
-        part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
-        assert (checker.z_part, checker.N_cols) == (part, basis)
         dense = (tuple(tuple(dot(row, col) for col in basis) for row in Q.A),
                  tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b)),
                  tuple(tuple(dot(row, col) for col in basis) for row in M),
@@ -338,9 +342,8 @@ class TestPointInProjection:
 
     def test_witness_and_lp_paths_agree(self):
         ef = a_permutahedron_ef(HPolyhedron.point((F(1), F(2), F(3))), 3, batcher(3))
-        bare = compose_extension(ef.base, ef.relations)
-        bare.base = None
-        bare.relations = None  # force the LP path
+        # no provenance: the LP path
+        bare = replace(compose_extension(ef.base, ef.relations), base=None, relations=None)
         for y in permutation_orbit((1, 2, 3)).points:
             assert point_in_projection(ef, y) == point_in_projection(bare, y)
         for y in [(F(1), F(1), F(4)), (F(2), F(2), F(2)), (F(0), F(0), F(0))]:
@@ -385,6 +388,50 @@ class TestPointInProjection:
         ef = build_recipe(recipe, params)
         with pytest.raises(BackendError):
             point_in_projection(ef, (1.0,) * ef.projection.out_dim)
+
+
+class TestProvenance:
+    # steps are fixed when compose_extension builds a chain, on both
+    # backends, and nothing else sets them
+
+    def test_a_built_formulation_is_frozen(self):
+        ef = build_recipe("a_permutahedron", {"n": 3})
+        for name, value in (("base", None), ("relations", None), ("label", "x"), ("steps", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ef, name, value)
+        assert ef.steps is not None and ef.label == "a_permutahedron(n=3)"
+
+    @pytest.mark.parametrize("build, V", [
+        (lambda: build_recipe("a_permutahedron", {"n": 3}), permutation_orbit((1, 2, 3))),
+        (lambda: mgon_ef(8), mgon_orbit(8)),
+    ], ids=["exact", "float"])
+    def test_a_replaced_copy_has_no_steps_and_takes_no_witness(self, build, V):
+        ef = build()
+        copy = replace(ef, label="copy")
+        assert ef.steps is not None and copy.steps is None
+        for y in V.points:
+            assert _witness_blocks(ef, y, 1e-9) is not None
+            assert _witness_blocks(copy, y, 1e-9) is None
+            assert point_in_projection(copy, y)
+
+    def test_a_float_chain_of_bare_relations_takes_no_witness(self):
+        m = 8
+        built = mgon_ef(m)
+        bare = compose_extension(
+            built.base, [PolyhedralRelation(r.n, r.m, r.body, r.preimage) for r in built.relations],
+            built.label)
+        assert bare.steps is None
+        V = mgon_orbit(m)
+        assert all(_witness_blocks(bare, y, 1e-9) is None for y in V.points)
+        report = verify_projection_equality(bare, V, 10, seed=7, tol=1e-6)
+        assert report.passed and (report.witness_hits, report.lp_fallbacks) == (0, m)
+
+    @pytest.mark.parametrize("m", [3, 8, 17])
+    def test_the_mgon_keeps_one_reflection_per_spec(self, m):
+        ef = mgon_ef(m)
+        assert ef.steps == tuple(("reflection", spec) for spec in i2_chain_specs(m))
+        report = verify_projection_equality(ef, mgon_orbit(m), 10, seed=7, tol=1e-6)
+        assert report.passed and (report.witness_hits, report.lp_fallbacks) == (m, 0)
 
 
 class TestVarNames:
