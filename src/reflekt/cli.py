@@ -268,9 +268,10 @@ def _joined_negatives(argv) -> list:
     """argv with each --base or --p value that starts with a negative
     number joined to its flag, ``--base -1,0,1`` as ``--base=-1,0,1``:
     argparse takes such a value for a flag unless it is one number."""
+    flags = ("--b", "--ba", "--bas", "--base", "--p")  # argparse reads --b.. as --base
     out = []
     for arg in argv:
-        if out and out[-1] in ("--base", "--p") and re.match(r"-[0-9.]", arg):
+        if out and out[-1] in flags and re.match(r"-[0-9.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

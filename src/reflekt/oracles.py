@@ -1,6 +1,10 @@
 """Brute-force vertex enumerators for every target polytope the package
 builds; these are the independent ground truth the verifier compares
-against, so none of them share code with the constructions."""
+against, so none of them share code with the constructions.
+
+Each exact oracle scales its input to integers over one denominator
+(:func:`~reflekt.numeric.int_scale`), enumerates, deduplicates and sorts
+integer tuples, and makes each distinct entry an exact ``Fraction`` once."""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ from fractions import Fraction
 from math import cos, pi, sin
 from typing import Callable, Optional
 
-from .numeric import EXACT, FLOAT, vector
+from .numeric import EXACT, FLOAT, int_scale, vector
 
 _PERM_CAP = 8
 _SIGNED_CAP = 6
@@ -43,44 +47,38 @@ def _fmt(v) -> str:
     return "(" + ",".join(str(e) for e in v) + ")"
 
 
-def _finish(points, dim, label, backend=EXACT, maximiser=None):
-    if backend == FLOAT:
-        # bucket to 1e-9 before dedup, mirroring float comparison semantics
-        seen = {}
-        for p in points:
-            key = tuple(round(e, 9) for e in p)
-            seen.setdefault(key, p)
-        pts = tuple(sorted(seen.values()))
-    else:
-        pts = tuple(sorted(set(points)))
-    return VertexSet(dim, pts, label, backend, maximiser)
+def _exact(points, dim, label, den=1, maximiser=None) -> VertexSet:
+    """The VertexSet of distinct integer points, given in sorted order,
+    over the denominator den: each distinct entry k is made the one
+    ``Fraction(k, den)`` that every point shares."""
+    exact = {k: Fraction(k, den) for k in set(itertools.chain.from_iterable(points))}
+    pts = tuple(tuple(map(exact.__getitem__, p)) for p in points)
+    return VertexSet(dim, pts, label, EXACT, maximiser)
 
 
-def _distinct_permutations(items):
-    """All distinct rearrangements of a multiset, lexicographically."""
-    pool = sorted(items)
-    n = len(pool)
-    counts = {}
-    for v in pool:
-        counts[v] = counts.get(v, 0) + 1
-    values = sorted(counts)
-    out = []
-    cur = []
+def _distinct_permutations(items) -> list:
+    """All distinct rearrangements of a multiset, lexicographically (Knuth's
+    Algorithm L, TAOCP 4A 7.2.1.2)."""
+    a = sorted(items)
+    n = len(a)
+    out = [tuple(a)]
+    while True:
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = n - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[:j:-1]
+        out.append(tuple(a))
 
-    def rec():
-        if len(cur) == n:
-            out.append(tuple(cur))
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                cur.append(v)
-                rec()
-                cur.pop()
-                counts[v] += 1
 
-    rec()
-    return out
+def _sign_flips(v):
+    """Every sign change of v, lexicographically when v is non-negative."""
+    return itertools.product(*[(-e, e) if e else (0,) for e in v])
 
 
 def permutation_orbit(v) -> VertexSet:
@@ -88,8 +86,9 @@ def permutation_orbit(v) -> VertexSet:
     v = vector(v, EXACT)
     if len(v) > _PERM_CAP:
         raise ValueError(f"permutation orbit capped at dim {_PERM_CAP}")
-    return _finish(_distinct_permutations(v), len(v), f"permutation_orbit{_fmt(v)}",
-                   maximiser=_rearrangement_max)
+    ints, den = int_scale(v)
+    return _exact(_distinct_permutations(ints), len(v), f"permutation_orbit{_fmt(v)}", den,
+                  _rearrangement_max)
 
 
 def _rearrangement_max(c, v) -> tuple:
@@ -126,11 +125,8 @@ def sign_flip_orbit(v) -> VertexSet:
     n = len(v)
     if n > _PARITY_CAP:
         raise ValueError(f"sign-flip orbit capped at dim {_PARITY_CAP}")
-    pts = {
-        tuple(s * e for s, e in zip(signs, v))
-        for signs in itertools.product((1, -1), repeat=n)
-    }
-    return _finish(pts, n, f"sign_flip_orbit{_fmt(v)}")
+    ints, den = int_scale(v)
+    return _exact(list(_sign_flips(map(abs, ints))), n, f"sign_flip_orbit{_fmt(v)}", den)
 
 
 def signed_orbit(v) -> VertexSet:
@@ -139,26 +135,24 @@ def signed_orbit(v) -> VertexSet:
     n = len(v)
     if n > _SIGNED_CAP:
         raise ValueError(f"signed orbit capped at dim {_SIGNED_CAP}")
-    pts = set()
-    for perm in _distinct_permutations(v):
-        for signs in itertools.product((1, -1), repeat=n):
-            pts.add(tuple(s * e for s, e in zip(signs, perm)))
-    return _finish(pts, n, f"signed_orbit{_fmt(v)}", maximiser=_signed_max)
+    ints, den = int_scale(v)
+    pts = sorted(q for p in _distinct_permutations(map(abs, ints)) for q in _sign_flips(p))
+    return _exact(pts, n, f"signed_orbit{_fmt(v)}", den, _signed_max)
 
 
 def even_signed_orbit(v) -> VertexSet:
     """All permutations combined with sign changes on an even number of
-    coordinates."""
+    coordinates: the signed orbit's points whose count of negative entries
+    has v's parity, or all of them if v has a zero entry."""
     v = vector(v, EXACT)
     n = len(v)
     if n > _SIGNED_CAP:
         raise ValueError(f"even-signed orbit capped at dim {_SIGNED_CAP}")
-    pts = set()
-    for perm in _distinct_permutations(v):
-        for signs in itertools.product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                pts.add(tuple(s * e for s, e in zip(signs, perm)))
-    return _finish(pts, n, f"even_signed_orbit{_fmt(v)}", maximiser=_even_signed_max)
+    ints, den = int_scale(v)
+    want = sum(e < 0 for e in ints) % 2 if all(ints) else None
+    pts = sorted(q for p in _distinct_permutations(map(abs, ints)) for q in _sign_flips(p)
+                 if want is None or sum(e < 0 for e in q) % 2 == want)
+    return _exact(pts, n, f"even_signed_orbit{_fmt(v)}", den, _even_signed_max)
 
 
 def mgon_orbit(m: int) -> VertexSet:
@@ -166,13 +160,18 @@ def mgon_orbit(m: int) -> VertexSet:
     at (1,0); float backend."""
     if m < 3:
         raise ValueError("an m-gon needs m >= 3")
-    pts = [(cos(2 * pi * k / m), sin(2 * pi * k / m)) for k in range(m)]
-    return _finish(pts, 2, f"mgon_orbit({m})", FLOAT)
+    seen = {}
+    for k in range(m):
+        p = (cos(2 * pi * k / m), sin(2 * pi * k / m))
+        # bucket to 1e-9 before dedup, mirroring float comparison semantics
+        seen.setdefault(tuple(round(e, 9) for e in p), p)
+    return VertexSet(2, tuple(sorted(seen.values())), f"mgon_orbit({m})", FLOAT)
 
 
 def huffman_profiles(n: int):
     """Non-decreasing leaf-depth multisets of full binary trees with n
-    leaves: the multisets d with sum(2^-d_i) = 1, exactly."""
+    leaves: the multisets d with sum(2^-d_i) = 1, exactly, counted in
+    units of 2^-(n-1), the least weight."""
     if not 2 <= n <= _HUFFMAN_CAP:
         raise ValueError(f"leaf count must be in 2..{_HUFFMAN_CAP}")
     out = []
@@ -184,7 +183,7 @@ def huffman_profiles(n: int):
                 out.append(tuple(acc))
             return
         for d in range(min_depth, n):
-            w = Fraction(1, 2 ** d)
+            w = 1 << (n - 1 - d)
             if w > budget:
                 continue
             if slots * w < budget:
@@ -193,7 +192,7 @@ def huffman_profiles(n: int):
             rec(slots - 1, d, budget - w)
             acc.pop()
 
-    rec(n, 1, Fraction(1))
+    rec(n, 1, 1 << (n - 1))
     return out
 
 
@@ -201,10 +200,8 @@ def huffman_vectors(n: int) -> VertexSet:
     """Leaf-depth vectors of full binary trees with n labelled leaves:
     depth profiles enumerated by the exact depth-weight identity, then
     expanded to all distinct labelings on ints and made exact once."""
-    pts = {p for profile in huffman_profiles(n) for p in _distinct_permutations(profile)}
-    depth = [Fraction(d) for d in range(n)]
-    exact = tuple(tuple(depth[d] for d in p) for p in sorted(pts))
-    return VertexSet(n, exact, f"huffman_vectors({n})")
+    pts = sorted(p for profile in huffman_profiles(n) for p in _distinct_permutations(profile))
+    return _exact(pts, n, f"huffman_vectors({n})")
 
 
 def parity_vertices(n: int, parity: str) -> VertexSet:
@@ -214,12 +211,8 @@ def parity_vertices(n: int, parity: str) -> VertexSet:
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     want = 1 if parity == "odd" else 0
-    pts = [
-        tuple(Fraction(b) for b in bits)
-        for bits in itertools.product((0, 1), repeat=n)
-        if sum(bits) % 2 == want
-    ]
-    return _finish(pts, n, f"parity_vertices({n},{parity})")
+    pts = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) % 2 == want]
+    return _exact(pts, n, f"parity_vertices({n},{parity})")
 
 
 def completion_time_vertices(p) -> VertexSet:
@@ -229,12 +222,11 @@ def completion_time_vertices(p) -> VertexSet:
     n = len(p)
     if n > _PERM_CAP:
         raise ValueError(f"completion-time orbit capped at dim {_PERM_CAP}")
+    ints, den = int_scale(p)
     pts = set()
     for order in itertools.permutations(range(n)):
-        c = [Fraction(0)] * n
-        cum = Fraction(0)
-        for job in order:
-            cum += p[job]
-            c[job] = cum
+        c = [0] * n
+        for job, t in zip(order, itertools.accumulate(map(ints.__getitem__, order))):
+            c[job] = t
         pts.add(tuple(c))
-    return _finish(pts, n, f"completion_time_vertices{_fmt(p)}")
+    return _exact(sorted(pts), n, f"completion_time_vertices{_fmt(p)}", den)

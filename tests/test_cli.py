@@ -497,6 +497,20 @@ def test_a_value_that_starts_negative_reads_as_its_equals_form(argv, code, capsy
     assert "expected one argument" not in spaced[1]
 
 
+@pytest.mark.parametrize("flag", ["--b", "--ba", "--bas"])
+@pytest.mark.parametrize("argv", [
+    ["stats", "--recipe", "a_permutahedron", "--n", "3"],
+    ["oracle", "--name", "permutation"],
+])
+def test_a_prefix_of_base_takes_a_negative_value(argv, flag, capsys):
+    # argparse reads --b, --ba and --bas as --base; a value that starts
+    # negative reaches the recipe and the oracle as --base=-1,0,1 would
+    assert run(argv + ["--base=-1,0,1"]) == 0
+    joined = capsys.readouterr()
+    assert run(argv + [flag, "-1,0,1"]) == 0
+    assert capsys.readouterr() == joined
+
+
 def test_a_closed_stdout_exits_141_without_a_message():
     # the vertex list (about 260 kB) outgrows the pipe, so the write that
     # follows the reader's exit fails

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 from operator import mul
@@ -244,3 +245,93 @@ class TestCompletionTimes:
         a = completion_time_vertices((1, 2, 3)).points
         b = completion_time_vertices((1, 2, 3)).points
         assert a == b
+
+
+def _fraction_reference(name, *args):
+    """The Fraction enumeration the integer oracles replaced: every point
+    built from Fraction entries, then ``sorted(set(...))``."""
+    if name == "parity_vertices":
+        n, parity = args
+        return sorted({tuple(map(F, bits)) for bits in itertools.product((0, 1), repeat=n)
+                       if sum(bits) % 2 == (parity == "odd")})
+    if name == "huffman_vectors":
+        (n,) = args  # Kraft's equality holds exactly for the full binary trees
+        return sorted(d for d in itertools.product(map(F, range(1, n)), repeat=n)
+                      if sum(F(1, 2 ** int(e)) for e in d) == 1)
+    v = tuple(map(F, args[0]))
+    n = len(v)
+    if name == "completion_time_vertices":
+        pts = set()
+        for order in itertools.permutations(range(n)):
+            c, cum = [F(0)] * n, F(0)
+            for job in order:
+                cum += v[job]
+                c[job] = cum
+            pts.add(tuple(c))
+        return sorted(pts)
+    perms = [v] if name == "sign_flip_orbit" else list(itertools.permutations(v))
+    signs = list(itertools.product((1, -1), repeat=n))
+    if name == "permutation_orbit":
+        signs = [(1,) * n]
+    if name == "even_signed_orbit":
+        signs = [s for s in signs if s.count(-1) % 2 == 0]
+    return sorted({tuple(map(mul, s, p)) for p in perms for s in signs})
+
+
+_BASES = [
+    (F(1, 2), 0, 0, F(-3, 4)),
+    (1, 1, 2),
+    (-1, 0, 1),
+    (-2, 1, 3),
+    (F(1, 3), F(-1, 6), F(1, 3), 2),
+    (0, 0),
+    (F(7, 5), F(-7, 5), F(7, 5)),
+]
+
+
+class TestFractionReference:
+    @pytest.mark.parametrize("base", _BASES)
+    @pytest.mark.parametrize("oracle, maximiser", [
+        (permutation_orbit, True),
+        (signed_orbit, True),
+        (even_signed_orbit, True),
+        (sign_flip_orbit, False),
+        (completion_time_vertices, False),
+    ])
+    def test_orbits_match_the_fraction_enumeration(self, oracle, maximiser, base):
+        V = oracle(base)
+        want = _fraction_reference(oracle.__name__, base)
+        assert V.points == tuple(want)
+        assert all(type(e) is F for p in V.points for e in p)
+        label = "(" + ",".join(str(F(e)) for e in base) + ")"
+        assert (V.dim, V.label, V.backend) == (len(base), oracle.__name__ + label, "exact")
+        assert (V.maximiser is not None) == maximiser
+        if maximiser:
+            rng = Random(len(V))
+            for _ in range(20):
+                c = tuple(rng.randint(-2, 2) for _ in base)
+                x = V.maximiser(c, rng.choice(V.points))
+                assert x in want
+                assert sum(map(mul, c, x)) == max(sum(map(mul, c, w)) for w in want)
+
+    @pytest.mark.parametrize("p", [(0, 5), (2, 0, F(3, 2)), (0, 0, 1, F(1, 2))])
+    def test_completion_times_with_a_zero_job(self, p):
+        V = completion_time_vertices(p)
+        assert V.points == tuple(_fraction_reference("completion_time_vertices", p))
+        assert all(type(e) is F for q in V.points for e in q)
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_parity_matches_the_fraction_enumeration(self, n, parity):
+        V = parity_vertices(n, parity)
+        assert V.points == tuple(_fraction_reference("parity_vertices", n, parity))
+        assert all(type(e) is F for p in V.points for e in p)
+        assert (V.dim, V.label, V.maximiser) == (n, f"parity_vertices({n},{parity})", None)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_huffman_matches_the_fraction_enumeration(self, n):
+        V = huffman_vectors(n)
+        want = _fraction_reference("huffman_vectors", n)
+        assert V.points == tuple(want)
+        assert all(type(e) is F for p in V.points for e in p)
+        assert sorted({tuple(sorted(map(int, d))) for d in want}) == huffman_profiles(n)
