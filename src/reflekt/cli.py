@@ -120,6 +120,7 @@ ORACLES = {
     "huffman": (oracles.huffman_vectors, ("n",)),
     "parity": (oracles.parity_vertices, ("n", "parity")),
     "completion": (oracles.completion_time_vertices, ("p",)),
+    "sign_flip": (oracles.sign_flip_orbit, ("base",)),
 }
 
 

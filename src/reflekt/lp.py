@@ -45,7 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import inf, lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .numeric import DEFAULT_TOL, EXACT, FLOAT, DimensionError, EmptyPolyhedronError, ScaledPoint
@@ -314,7 +316,7 @@ def _float_optima(n_vars, ineqs, eqs, objectives, nonneg):
     as riders, so every objective keeps the bits of its own solve."""
     rows, basis, cols, _, limit = _stage(n_vars, ineqs, eqs, objectives, nonneg, False)
     m = len(basis)
-    feas_eps = DEFAULT_TOL * (10.0 + sum(row[-1] for row in rows[:m]))
+    feas_eps = DEFAULT_TOL * (10.0 + reduce(add, (row[-1] for row in rows[:m]), 0))
     _FloatCore(rows, basis, cols).run_phase(m)  # at once when no artificial is basic
     if rows[m][-1] > feas_eps:
         return None

@@ -26,7 +26,9 @@ row tuples.  Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf, isfinite
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence, Union
 
 EXACT = "exact"
@@ -146,9 +148,11 @@ def vectors_eq(u: Sequence, v: Sequence, tol: float = DEFAULT_TOL) -> bool:
 
 
 def dot(u: Sequence, v: Sequence):
+    """The sum of products, added left to right: ``sum()`` of floats is
+    compensated since Python 3.12, which would move float results' bits."""
     if len(u) != len(v):
         raise DimensionError(f"dot: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return reduce(add, map(mul, u, v), 0)
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vector:

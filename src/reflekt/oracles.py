@@ -4,14 +4,17 @@ against, so none of them share code with the constructions.
 
 Each exact oracle scales its input to integers over one denominator
 (:func:`~reflekt.numeric.int_scale`), enumerates, deduplicates and sorts
-integer tuples, and makes each distinct entry an exact ``Fraction`` once."""
+integer tuples, and makes each distinct entry an exact ``Fraction`` once.
+It keeps those integer rows on the :class:`VertexSet` and names, in closed
+form, a maximiser of any objective over them."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, pi, sin
+from math import cos, inf, pi, sin
+from operator import mul
 from typing import Callable, Optional
 
 from .numeric import EXACT, FLOAT, int_scale, vector
@@ -27,17 +30,22 @@ class VertexSet:
     """Deduplicated point list with a provenance label; enumeration order is
     deterministic (sorted) so runs are reproducible.
 
-    An orbit may carry a ``maximiser(c, v)``: the point of v's orbit that
-    maximises c, found by comparisons and negation alone, so that it works
-    on any ordered entries (the verifier passes integer rows).  It is only a
+    An exact oracle's set keeps the integer rows it was enumerated on, with
+    their denominator, as ``scaled = (rows, den)``: point i is
+    ``rows[i] / den``.  It is not an init field, so a set built by hand or
+    by ``dataclasses.replace`` has none.  Such a set may also carry a
+    ``maximiser(c, v)``: a point of V that maximises the integer objective
+    c, given in V's integer rows, with v one of those rows (an orbit's
+    maximiser reads the orbit off v, the others ignore it).  It is only a
     hint: the verifier uses its answer only once it is found among the
-    points and proved optimal."""
+    rows and proved optimal."""
 
     dim: int
     points: tuple
     label: str
     backend: str = EXACT
     maximiser: Optional[Callable] = field(default=None, compare=False, repr=False)
+    scaled: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -50,10 +58,13 @@ def _fmt(v) -> str:
 def _exact(points, dim, label, den=1, maximiser=None) -> VertexSet:
     """The VertexSet of distinct integer points, given in sorted order,
     over the denominator den: each distinct entry k is made the one
-    ``Fraction(k, den)`` that every point shares."""
+    ``Fraction(k, den)`` that every point shares, and the integer points
+    are kept as its ``scaled`` rows."""
     exact = {k: Fraction(k, den) for k in set(itertools.chain.from_iterable(points))}
     pts = tuple(tuple(map(exact.__getitem__, p)) for p in points)
-    return VertexSet(dim, pts, label, EXACT, maximiser)
+    V = VertexSet(dim, pts, label, EXACT, maximiser)
+    object.__setattr__(V, "scaled", (tuple(points), den))
+    return V
 
 
 def _distinct_permutations(items) -> list:
@@ -118,6 +129,11 @@ def _even_signed_max(c, v) -> tuple:
     return out
 
 
+def _sign_flip_max(c, v) -> tuple:
+    """|v_i| signed as c_i (a zero c_i takes +)."""
+    return tuple(-abs(e) if ci < 0 else abs(e) for ci, e in zip(c, v))
+
+
 def sign_flip_orbit(v) -> VertexSet:
     """All sign-change images of v (no permutations): the vertex candidates
     of a signing."""
@@ -126,7 +142,8 @@ def sign_flip_orbit(v) -> VertexSet:
     if n > _PARITY_CAP:
         raise ValueError(f"sign-flip orbit capped at dim {_PARITY_CAP}")
     ints, den = int_scale(v)
-    return _exact(list(_sign_flips(map(abs, ints))), n, f"sign_flip_orbit{_fmt(v)}", den)
+    return _exact(list(_sign_flips(map(abs, ints))), n, f"sign_flip_orbit{_fmt(v)}", den,
+                  _sign_flip_max)
 
 
 def signed_orbit(v) -> VertexSet:
@@ -199,9 +216,16 @@ def huffman_profiles(n: int):
 def huffman_vectors(n: int) -> VertexSet:
     """Leaf-depth vectors of full binary trees with n labelled leaves:
     depth profiles enumerated by the exact depth-weight identity, then
-    expanded to all distinct labelings on ints and made exact once."""
-    pts = sorted(p for profile in huffman_profiles(n) for p in _distinct_permutations(profile))
-    return _exact(pts, n, f"huffman_vectors({n})")
+    expanded to all distinct labelings on ints and made exact once.  Its
+    maximiser takes the best rearrangement of each profile."""
+    profiles = huffman_profiles(n)
+
+    def maximiser(c, v) -> tuple:
+        best = (_rearrangement_max(c, d) for d in profiles)
+        return max(best, key=lambda d: sum(map(mul, c, d)))
+
+    pts = sorted(p for profile in profiles for p in _distinct_permutations(profile))
+    return _exact(pts, n, f"huffman_vectors({n})", 1, maximiser)
 
 
 def parity_vertices(n: int, parity: str) -> VertexSet:
@@ -211,22 +235,49 @@ def parity_vertices(n: int, parity: str) -> VertexSet:
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     want = 1 if parity == "odd" else 0
+
+    def maximiser(c, v) -> tuple:
+        # every positive c_i, then the cheapest flip if the parity is wrong
+        x = [1 if ci > 0 else 0 for ci in c]
+        if sum(x) % 2 != want:
+            i = min(range(n), key=lambda i: abs(c[i]))
+            x[i] = 1 - x[i]
+        return tuple(x)
+
     pts = [bits for bits in itertools.product((0, 1), repeat=n) if sum(bits) % 2 == want]
-    return _exact(pts, n, f"parity_vertices({n},{parity})")
+    return _exact(pts, n, f"parity_vertices({n},{parity})", 1, maximiser)
+
+
+def _completion_times(ints, order) -> tuple:
+    """Each job's completion time when the jobs run in ``order``."""
+    out = [0] * len(ints)
+    for job, t in zip(order, itertools.accumulate(map(ints.__getitem__, order))):
+        out[job] = t
+    return tuple(out)
 
 
 def completion_time_vertices(p) -> VertexSet:
     """Completion-time vectors over all job orders: job j's entry is the
-    total processing time scheduled up to and including j."""
+    total processing time scheduled up to and including j.
+
+    With no negative time, its maximiser is Smith's rule (W. E. Smith, 1956)
+    on the scaled times: jobs by c_j / p_j ascending, where a job of time 0
+    goes first when c_j < 0 and last when c_j > 0.  It reads p, not v: the
+    completion times do not give back a job of time 0."""
     p = vector(p, EXACT)
     n = len(p)
     if n > _PERM_CAP:
         raise ValueError(f"completion-time orbit capped at dim {_PERM_CAP}")
     ints, den = int_scale(p)
-    pts = set()
-    for order in itertools.permutations(range(n)):
-        c = [0] * n
-        for job, t in zip(order, itertools.accumulate(map(ints.__getitem__, order))):
-            c[job] = t
-        pts.add(tuple(c))
-    return _exact(sorted(pts), n, f"completion_time_vertices{_fmt(p)}", den)
+
+    def ratio(c, j):
+        if ints[j]:
+            return Fraction(c[j], ints[j])
+        return inf if c[j] > 0 else -inf if c[j] < 0 else 0
+
+    def maximiser(c, v) -> tuple:
+        return _completion_times(ints, sorted(range(n), key=lambda j: ratio(c, j)))
+
+    pts = {_completion_times(ints, order) for order in itertools.permutations(range(n))}
+    return _exact(sorted(pts), n, f"completion_time_vertices{_fmt(p)}", den,
+                  None if min(ints, default=0) < 0 else maximiser)

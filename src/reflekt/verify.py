@@ -10,9 +10,10 @@ equality on sampled directions).  In the exact backend both halves are
 zero-tolerance, so a passing report is a proof for the sampled data.  An
 exact objective is first proved by a dual certificate at the witness of its
 maximiser over V, which shows that no point of the formulation beats that
-vertex; only an objective without one is solved by the simplex method.  An
-orbit oracle names that maximiser in closed form, so a formulation whose
-every vertex has a witness needs no pass over V for its objectives.
+vertex; only an objective without one is solved by the simplex method.
+Every exact oracle hands over V as integer rows and names that maximiser
+in closed form on them, so a formulation whose every vertex has a witness
+needs no pass over V for its objectives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from random import Random
 from typing import Sequence
 
@@ -159,6 +161,16 @@ def size_report(ef: ExtendedFormulation, expected: dict):
     return not diff, diff
 
 
+def _int_rows(V: VertexSet) -> tuple:
+    """``(rows, den)``: V's points as integer rows over one denominator,
+    those its oracle kept, or else :func:`~reflekt.numeric.int_scale` of
+    the points."""
+    if V.scaled is not None:
+        return V.scaled
+    flat, den = int_scale(e for v in V.points for e in v)
+    return [tuple(flat[i : i + V.dim]) for i in range(0, len(flat), V.dim)], den
+
+
 def verify_projection_equality(
     ef: ExtendedFormulation,
     V: VertexSet,
@@ -176,9 +188,10 @@ def verify_projection_equality(
     ``tol`` is a comparison tolerance (witness steps and float optima) and
     must be finite and ``>= 0`` (ValueError otherwise, NaN included); the
     checker's LPs pivot at ``DEFAULT_TOL`` whatever it is.
-    In the rational backend V is first scaled to one integer matrix over a
-    common denominator, and each vertex is walked from its row as a
-    :class:`~reflekt.numeric.ScaledPoint`.
+    In the rational backend V is one integer matrix over a common
+    denominator: the rows its oracle kept (``V.scaled``), or else its points
+    scaled by :func:`~reflekt.numeric.int_scale`.  Each vertex is walked
+    from its row as a :class:`~reflekt.numeric.ScaledPoint`.
     A vertex passes (a) through a canonical-preimage witness, which
     :func:`~reflekt.polyhedra._witness_blocks` returns only once it is a
     certificate (``witness_hits``), or else through an LP
@@ -188,15 +201,17 @@ def verify_projection_equality(
     one call share a memo of walk tails, dropped when the call returns: each
     distinct point below a vertex is walked, and each reduced row its tail
     fixes is checked, once.  The first witness seeds the objective LPs.
-    When every vertex has a witness and V has a ``maximiser``, an exact
-    objective first asks it for its maximiser v*, looks v* up among V's
-    integer rows, and tries to prove c·v* optimal over the projection at
-    v*'s witness (by :meth:`~reflekt.lp.ProjectionChecker.proves_max`).
-    V lies in the projection, so that proves c·v* is also V's maximum, with
-    no pass over V; a v* outside V or without a proof costs only time.
-    Otherwise both backends take each brute-force maximum by one loop over
-    V's rows (in the rational backend, the integer rows of the vertex
-    phase), and an exact one is tried at its first maximiser's witness.
+    When every vertex has a witness and V has a ``maximiser`` (every exact
+    oracle's set does), an exact objective first asks it for its maximiser
+    v* in V's integer rows, looks v* up among them, and tries to prove c·v*
+    optimal over the projection at v*'s witness (by
+    :meth:`~reflekt.lp.ProjectionChecker.proves_max`).  V lies in the
+    projection, so that proves c·v* is also V's maximum, with no pass over
+    V; a v* outside V or without a proof costs only time.  Otherwise both
+    backends take each brute-force maximum by one loop over V's rows (in
+    the rational backend, the integer rows of the vertex phase; float dots
+    add left to right, as :func:`~reflekt.numeric.dot` does), and an exact
+    one is tried at its first maximiser's witness.
     Each proved objective counts in ``lp_certified``; such a passing
     objective is a proof, not just a sampled LP match.  The rest
     (``lp_exact``), and all float objectives, go to the checker in one call;
@@ -229,8 +244,7 @@ def verify_projection_equality(
     exact = backend == EXACT
     walked = v_rows = V.points
     if exact:
-        flat, v_den = int_scale(e for v in V.points for e in v)
-        v_rows = [tuple(flat[i : i + V.dim]) for i in range(0, len(flat), V.dim)]
+        v_rows, v_den = _int_rows(V)
         walked = [ScaledPoint(row, v_den) for row in v_rows]
     memo = {}  # the exact walk's tails, shared by this call's vertices only
     witnesses = []  # each vertex's certified witness, or None
@@ -267,7 +281,10 @@ def verify_projection_equality(
                 brutes.append(Fraction(sum(map(mul, c_ints, v_rows[i])), v_den * c_den))
                 optima[k] = (lp.OPTIMAL, brutes[k])
                 continue
-        dots = [sum(map(mul, c_ints, row)) for row in v_rows]
+        if exact:
+            dots = [sum(map(mul, c_ints, row)) for row in v_rows]
+        else:
+            dots = [reduce(add, map(mul, c, row), 0) for row in v_rows]  # as numeric.dot
         best = max(dots)
         brutes.append(Fraction(best, v_den * c_den) if exact else best)
         u = witnesses[dots.index(best)] if exact else None

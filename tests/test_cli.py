@@ -107,6 +107,14 @@ class TestVerify:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_verify_signing_against_its_sign_flips(self, capsys):
+        # the signed orbit holds permutations that no signing reaches
+        assert run(["verify", "--recipe", "signing", "--n", "3", "--base", "1,2,3",
+                    "--oracle", "sign_flip"]) == 0
+        assert "objective optima equal   50/50" in capsys.readouterr().out
+        assert run(["verify", "--recipe", "signing", "--n", "3", "--base", "1,2,3",
+                    "--oracle", "signed"]) == 1
+
     def test_verify_wrong_oracle_fails(self, tmp_path, capsys):
         out = str(tmp_path / "perm3.json")
         run(["build", "--recipe", "a_permutahedron", "--n", "3",
@@ -209,6 +217,12 @@ class TestOracle:
         assert run(["oracle", "--name", "huffman", "--n", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["points"]) == 13
+
+    def test_sign_flip_oracle(self, capsys):
+        assert run(["oracle", "--name", "sign_flip", "--base", "1,2,3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["label"] == "sign_flip_orbit(1,2,3)"
+        assert len(doc["points"]) == 8
 
     def test_completion_oracle(self, capsys):
         assert run(["oracle", "--name", "completion", "--p", "1,2"]) == 0

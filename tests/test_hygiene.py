@@ -288,17 +288,21 @@ def test_certification_walks_each_vertex_in_its_own_call(monkeypatch):
         assert len(calls) == report.vertex_total == len(V.points)
 
 
-@pytest.mark.parametrize("orbit, args, has_one", [
+@pytest.mark.parametrize("oracle, args, has_one", [
     (oracles.permutation_orbit, ((1, 2, 3),), True),
     (oracles.signed_orbit, ((1, 2, 3),), True),
     (oracles.even_signed_orbit, ((1, 2, 3),), True),
+    (oracles.sign_flip_orbit, ((1, 2, 3),), True),
+    (oracles.huffman_vectors, (4,), True),
+    (oracles.parity_vertices, (4, "odd"), True),
+    (oracles.completion_time_vertices, ((1, 0, 2),), True),
+    # Smith's rule needs nonnegative times, as the completion_time recipe does
+    (oracles.completion_time_vertices, ((1, -1, 2),), False),
     (oracles.mgon_orbit, (5,), False),
-    (oracles.huffman_vectors, (4,), False),
-    (oracles.parity_vertices, (4, "odd"), False),
 ])
-def test_the_orbit_oracles_carry_a_maximiser(orbit, args, has_one):
+def test_every_exact_oracle_carries_a_maximiser(oracle, args, has_one):
     # a lost maximiser would show only as time: every objective would loop over V
-    assert (orbit(*args).maximiser is not None) is has_one
+    assert (oracle(*args).maximiser is not None) is has_one
 
 
 def test_the_oracles_share_no_code_with_the_constructions():

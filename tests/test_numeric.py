@@ -268,3 +268,10 @@ def test_mat_vec_checks_dims():
 
     with pytest.raises(DimensionError):
         mat_vec(((F(1), F(2)),), (F(1),))
+
+
+def test_dot_adds_floats_left_to_right():
+    # sum() of floats is compensated since Python 3.12 and would give 1.0;
+    # every recorded float report was computed left to right
+    assert dot((1e16, 1.0, -1e16), (1.0, 1.0, 1.0)) == 0.0
+    assert dot((F(10) ** 16, F(1), -F(10) ** 16), (F(1), F(1), F(1))) == 1

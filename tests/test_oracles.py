@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
 from random import Random
 
 import pytest
 
+from reflekt.numeric import int_scale
 from reflekt.oracles import (
     VertexSet,
     completion_time_vertices,
@@ -104,6 +106,70 @@ class TestMaximisers:
         V = permutation_orbit((1, 2))
         assert V == VertexSet(V.dim, V.points, V.label)
         assert "maximiser" not in repr(V)
+
+
+# Each exact oracle on bases with zeros, repeats and fractions; the
+# maximiser is checked on V's integer rows, as the verifier asks it.
+_EXACT_ORACLES = [
+    *[pytest.param(parity_vertices, (n, parity), id=f"parity-{n}-{parity}")
+      for n in range(1, 9) for parity in ("odd", "even")],
+    *[pytest.param(huffman_vectors, (n,), id=f"huffman-{n}") for n in range(2, 9)],
+    *[pytest.param(completion_time_vertices, (p,), id=f"completion-{i}") for i, p in enumerate([
+        (0, 5), (2, 0, F(3, 2)), (0, 0, 1, F(1, 2)), (F(1, 3), 0, 2, 0, F(5, 2)),
+        (1, 2, 3, 4), (F(1, 2), F(1, 3), F(1, 6)), (0, 0, 0),
+    ])],
+    *[pytest.param(sign_flip_orbit, (v,), id=f"sign_flip-{i}") for i, v in enumerate([
+        (0, 2, 3), (1, 0, 0, F(-1, 2)), (0,), (-2, 1, 1, 0, 3),
+    ])],
+    pytest.param(permutation_orbit, ((0, F(1, 2), F(1, 2), 2),), id="permutation"),
+    pytest.param(signed_orbit, ((0, F(-1, 3), 2),), id="signed"),
+    pytest.param(even_signed_orbit, ((F(1, 4), F(-1, 2), 2),), id="even_signed"),
+]
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("oracle, args", _EXACT_ORACLES)
+    def test_the_maximiser_attains_the_maximum_over_V(self, oracle, args):
+        # entries in -3..3 give ties and zeros in c
+        V = oracle(*args)
+        rows, _ = V.scaled
+        members = set(rows)
+        rng = Random(len(V))
+        starts = rng.sample(rows, min(3, len(rows)))
+        for _ in range(200):
+            c = tuple(rng.randint(-3, 3) for _ in range(V.dim))
+            best = max(sum(map(mul, c, row)) for row in rows)
+            for v in starts:
+                x = V.maximiser(c, v)
+                assert x in members, (c, v, x)
+                assert sum(map(mul, c, x)) == best, (c, v, x)
+
+    @pytest.mark.parametrize("oracle, args", _EXACT_ORACLES)
+    def test_the_rows_are_the_points_scaled(self, oracle, args):
+        V = oracle(*args)
+        rows, den = V.scaled
+        flat, want_den = int_scale(e for p in V.points for e in p)
+        assert den == want_den
+        assert [e for row in rows for e in row] == flat
+        assert all(len(row) == V.dim and all(type(e) is int for e in row) for row in rows)
+
+    def test_smith_rule_reads_the_times_not_the_vertex(self):
+        # jobs 1 and 2 finish together at the maximum (0, 5, 5, 3), so its
+        # differences cannot tell which of them takes time 2: p is the oracle's
+        V = completion_time_vertices((0, 2, 0, 3))
+        rows, _ = V.scaled
+        c = (-1, 4, 1, 2)
+        want = max(rows, key=lambda row: sum(map(mul, c, row)))
+        assert want == (0, 5, 5, 3)
+        assert {V.maximiser(c, v) for v in rows} == {want}
+
+    def test_a_built_or_replaced_set_has_no_rows(self):
+        V = permutation_orbit((1, 2, 2))
+        assert replace(V, points=V.points[:1]).scaled is None
+        assert VertexSet(V.dim, V.points, V.label).scaled is None
+        assert mgon_orbit(5).scaled is None
+        assert V == VertexSet(V.dim, V.points, V.label)
+        assert "scaled" not in repr(V)
 
 
 class TestMgonOrbit:
@@ -291,28 +357,31 @@ _BASES = [
 
 class TestFractionReference:
     @pytest.mark.parametrize("base", _BASES)
-    @pytest.mark.parametrize("oracle, maximiser", [
-        (permutation_orbit, True),
-        (signed_orbit, True),
-        (even_signed_orbit, True),
-        (sign_flip_orbit, False),
-        (completion_time_vertices, False),
+    @pytest.mark.parametrize("oracle", [
+        permutation_orbit,
+        signed_orbit,
+        even_signed_orbit,
+        sign_flip_orbit,
+        completion_time_vertices,
     ])
-    def test_orbits_match_the_fraction_enumeration(self, oracle, maximiser, base):
+    def test_orbits_match_the_fraction_enumeration(self, oracle, base):
         V = oracle(base)
         want = _fraction_reference(oracle.__name__, base)
         assert V.points == tuple(want)
         assert all(type(e) is F for p in V.points for e in p)
         label = "(" + ",".join(str(F(e)) for e in base) + ")"
         assert (V.dim, V.label, V.backend) == (len(base), oracle.__name__ + label, "exact")
-        assert (V.maximiser is not None) == maximiser
-        if maximiser:
+        # Smith's rule needs nonnegative times, as the completion_time recipe does
+        negative_time = oracle is completion_time_vertices and min(base) < 0
+        assert (V.maximiser is None) == negative_time
+        if V.maximiser:
+            rows, den = V.scaled
             rng = Random(len(V))
             for _ in range(20):
                 c = tuple(rng.randint(-2, 2) for _ in base)
-                x = V.maximiser(c, rng.choice(V.points))
-                assert x in want
-                assert sum(map(mul, c, x)) == max(sum(map(mul, c, w)) for w in want)
+                x = V.maximiser(c, rng.choice(rows))
+                assert tuple(F(e, den) for e in x) in want
+                assert F(sum(map(mul, c, x)), den) == max(sum(map(mul, c, w)) for w in want)
 
     @pytest.mark.parametrize("p", [(0, 5), (2, 0, F(3, 2)), (0, 0, 1, F(1, 2))])
     def test_completion_times_with_a_zero_job(self, p):
@@ -326,7 +395,8 @@ class TestFractionReference:
         V = parity_vertices(n, parity)
         assert V.points == tuple(_fraction_reference("parity_vertices", n, parity))
         assert all(type(e) is F for p in V.points for e in p)
-        assert (V.dim, V.label, V.maximiser) == (n, f"parity_vertices({n},{parity})", None)
+        assert (V.dim, V.label) == (n, f"parity_vertices({n},{parity})")
+        assert V.maximiser is not None
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_huffman_matches_the_fraction_enumeration(self, n):

@@ -43,6 +43,7 @@ from reflekt.polyhedra import (
 from reflekt.reflections import ReflectionSpec, reflection_map, reflection_relation
 from reflekt.serialize import ef_from_dict, ef_to_dict
 from reflekt.verify import (
+    _int_rows,
     actual_sizes,
     check_affine_generators,
     check_chain_conditions,
@@ -213,6 +214,16 @@ class TestProjectionEquality:
         assert json.loads(rep.to_json(include_timing=True))["phases"] == phases
 
 
+def test_an_oracle_set_hands_over_its_rows():
+    # the rows the oracle enumerated on are read as they are, not rescaled;
+    # a set built by hand is scaled from its points to the same rows
+    V = permutation_orbit((1, F(1, 2), 3))
+    assert _int_rows(V) is V.scaled
+    rows, den = _int_rows(VertexSet(V.dim, V.points, V.label))
+    assert (tuple(rows), den) == V.scaled
+    assert den == 2 and rows[0] == (1, 2, 6)
+
+
 def _counts(report):
     timed = report.to_dict(include_timing=True)
     return {k: timed[k] for k in ("witness_hits", "lp_fallbacks", "lp_pivots", "lp_certified",
@@ -220,13 +231,22 @@ def _counts(report):
 
 
 class TestOrbitMaximiser:
-    """An orbit's maximiser only spares the loop over V: whatever it
+    """An oracle's maximiser only spares the loop over V: whatever it
     returns, the report keeps the bytes and counts of the loop."""
 
     ORBITS = [
         pytest.param("a_permutahedron", {"n": 4}, permutation_orbit((1, 2, 3, 4)), id="A3"),
         pytest.param("b_permutahedron", {"n": 3}, signed_orbit((1, 2, 3)), id="B3"),
         pytest.param("d_permutahedron", {"n": 3}, even_signed_orbit((1, 2, 3)), id="D3"),
+        pytest.param("huffman_quadratic", {"n": 5}, huffman_vectors(5), id="huffman-5"),
+        pytest.param("parity", {"n": 5, "parity": "odd"}, parity_vertices(5, "odd"),
+                     id="parity-5-odd"),
+        pytest.param("parity", {"n": 4, "parity": "even"}, parity_vertices(4, "even"),
+                     id="parity-4-even"),
+        pytest.param("completion_time", {"p": ("1/2", "3/2", 2)},
+                     completion_time_vertices(("1/2", "3/2", 2)), id="completion-fractional"),
+        pytest.param("signing", {"n": 3, "base": (0, 2, 3)}, sign_flip_orbit((0, 2, 3)),
+                     id="signing-zero"),
     ]
 
     @staticmethod
