@@ -31,8 +31,8 @@ from .networks import (
     stride_indices,
     stride_seq,
 )
-from .numeric import EXACT, FLOAT, BackendError, DimensionError, ScaledPoint, identity_matrix
-from .numeric import int_scale, vector, vectors_eq
+from .numeric import EXACT, FLOAT, MINUS_ONE, ONE, ZERO, BackendError, DimensionError, ScaledPoint
+from .numeric import identity_matrix, int_scale, sparse_row, unit_vector, vector, vectors_eq
 from .polyhedra import (
     AffineMap,
     ExtendedFormulation,
@@ -119,7 +119,9 @@ def _check_point_base(P: HPolyhedron, specs) -> None:
     own canonical form, so the formulation could not contain its orbit."""
     if P.A or P.C != identity_matrix(P.dim, P.backend):
         return
-    canonical = apply_preimage_chain(specs, P.d)
+    exact = P.backend == EXACT  # an exact base walks the chain as one ScaledPoint
+    canonical = apply_preimage_chain(specs, ScaledPoint.of(P.d) if exact else P.d)
+    canonical = canonical.fractions() if exact else canonical
     if not vectors_eq(canonical, P.d):
         given = ", ".join(map(str, P.d))
         moved = ", ".join(map(str, canonical))
@@ -240,13 +242,8 @@ def d_permutahedron_ef(
 
 def _affine_unit_remap(n: int) -> AffineMap:
     """y -> (1 - y) / 2: carries {-1,+1} data onto {0,1} data."""
-    half = Fraction(1, 2)
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = -half
-        rows.append(tuple(row))
-    return AffineMap(tuple(rows), (half,) * n)
+    half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+    return AffineMap(tuple(sparse_row(n, ((i, minus_half),)) for i in range(n)), (half,) * n)
 
 
 def parity_polytope_ef(n: int, parity: str) -> ExtendedFormulation:
@@ -272,19 +269,8 @@ def embedding_map(k: int) -> AffineMap:
     x_{k-1}+1): splits the deepest leaf of a depth vector in two."""
     if k < 3:
         raise ValueError("embedding needs k >= 3")
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = []
-    for i in range(k - 2):
-        row = [zero] * (k - 1)
-        row[i] = one
-        rows.append(tuple(row))
-    last = [zero] * (k - 1)
-    last[k - 2] = one
-    rows.append(tuple(last))
-    rows.append(tuple(last))
-    t = (zero,) * (k - 2) + (one, one)
-    return AffineMap(tuple(rows), t)
+    rows = tuple(unit_vector(min(i, k - 2), k - 1, EXACT) for i in range(k))
+    return AffineMap(rows, (ZERO,) * (k - 2) + (ONE, ONE))
 
 
 def _huffman_chain(n: int, level_seq) -> list:
@@ -332,25 +318,18 @@ def _job_step_map(p: Sequence, k: int) -> AffineMap:
     """One scheduling step: from (completions of jobs 1..k-1, placement
     indicators) to completions of jobs 1..k, where indicator j says job j
     runs after job k."""
-    kk = k - 1
-    zero = Fraction(0)
-    rows = []
-    for i in range(kk):
-        row = [zero] * (2 * kk)
-        row[i] = Fraction(1)
-        row[kk + i] = p[k - 1]
-        rows.append(tuple(row))
-    last = [zero] * kk + [-p[j] for j in range(kk)]
-    rows.append(tuple(last))
-    t = (zero,) * kk + (sum(p[:kk], zero) + p[k - 1],)
+    kk, pk = k - 1, p[k - 1]
+    rows = [sparse_row(2 * kk, ((i, ONE), (kk + i, pk))) for i in range(kk)]
+    rows.append((ZERO,) * kk + tuple(-e if e else ZERO for e in p[:kk]))
+    t = (ZERO,) * kk + (sum(p[:kk], ZERO) + pk,)
     return AffineMap(tuple(rows), t)
 
 
 def _job_step_preimage(p: Sequence, k: int):
     """Reconstruct a step input from a completion vector: jobs finishing
-    after job k get indicator 1.  Ambiguous under ties (zero processing
-    times); the assembled witness is still constraint-checked, and a
-    mismatch just falls back to the LP."""
+    after job k get indicator 1, and so does one finishing with it when
+    p_k > 0 (then the other job takes no time).  The assembled witness is
+    still constraint-checked, and a mismatch just falls back to the LP."""
     kk = k - 1
     (pk,), q = int_scale([p[k - 1]])
 
@@ -358,7 +337,7 @@ def _job_step_preimage(p: Sequence, k: int):
         if not isinstance(y, ScaledPoint):
             return preimage(ScaledPoint.of(y)).fractions()
         Y, D = y
-        ind = [1 if Y[j] > Y[kk] else 0 for j in range(kk)]
+        ind = [1 if Y[j] > Y[kk] or (Y[j] == Y[kk] and pk > 0) else 0 for j in range(kk)]
         head = tuple(Y[j] * q - pk * D * ind[j] for j in range(kk))
         return ScaledPoint(head + tuple(e * q * D for e in ind), q * D)
 
@@ -368,24 +347,10 @@ def _job_step_preimage(p: Sequence, k: int):
 def _box_lift_relation(k: int) -> PolyhedralRelation:
     """Pairs x in R^{k-1} with (x, u) for any u in the unit box [0,1]^{k-1}:
     k-1 copy equations plus the 2(k-1) box facets."""
-    kk = k - 1
-    zero = Fraction(0)
-    one = Fraction(1)
-    eqs = []
-    for j in range(kk):
-        row = [zero] * (3 * kk)
-        row[j] = Fraction(-1)
-        row[kk + j] = one
-        eqs.append((tuple(row), zero))
-    ineqs = []
-    for j in range(kk):
-        row = [zero] * (3 * kk)
-        row[2 * kk + j] = one
-        ineqs.append((tuple(row), one))
-        row2 = [zero] * (3 * kk)
-        row2[2 * kk + j] = Fraction(-1)
-        ineqs.append((tuple(row2), zero))
-    body = HPolyhedron.from_rows(3 * kk, ineqs, eqs)
+    kk, w = k - 1, 3 * (k - 1)
+    C = tuple(sparse_row(w, ((j, MINUS_ONE), (kk + j, ONE))) for j in range(kk))
+    A = tuple(sparse_row(w, ((2 * kk + j, c),)) for j in range(kk) for c in (ONE, MINUS_ONE))
+    body = HPolyhedron(w, A, (ONE, ZERO) * kk, C, (ZERO,) * kk)
 
     def preimage(y, tol=1e-9, _kk=kk):
         return ScaledPoint(y.nums[:_kk], y.den) if isinstance(y, ScaledPoint) else tuple(y[:_kk])

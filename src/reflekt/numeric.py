@@ -39,6 +39,9 @@ Scalar = Union[Fraction, float]
 Vector = tuple
 Matrix = tuple
 
+# the exact constants every written row shares, so none is made per entry
+ZERO, ONE, MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
 
 class BackendError(TypeError):
     """Raised when exact and float data meet in one computation."""
@@ -115,14 +118,22 @@ def matrix(rows: Iterable[Iterable], backend: str) -> Matrix:
 
 
 def zero_vector(n: int, backend: str) -> Vector:
-    z = Fraction(0) if backend == EXACT else 0.0
-    return (z,) * n
+    return (ZERO if backend == EXACT else 0.0,) * n
 
 
 def unit_vector(i: int, n: int, backend: str) -> Vector:
     """0-based standard basis vector e_i in dimension n."""
     row = list(zero_vector(n, backend))
-    row[i] = Fraction(1) if backend == EXACT else 1.0
+    row[i] = ONE if backend == EXACT else 1.0
+    return tuple(row)
+
+
+def sparse_row(n: int, pairs) -> Vector:
+    """The exact row of width n with the ``(index, value)`` pairs as its
+    nonzeros, every other entry the shared :data:`ZERO`."""
+    row = [ZERO] * n
+    for j, v in pairs:
+        row[j] = v
     return tuple(row)
 
 
@@ -366,7 +377,8 @@ def orthogonal_complement_basis(a: Sequence) -> Matrix:
     vector v solves <b_j, v> = 0 for all j exactly when v is a multiple
     of a.  Built from the elementary pattern (a_j e_p - a_p e_j) against
     a pivot coordinate p, then sign-normalized so each row's first nonzero
-    entry is positive; stays rational in the exact backend.
+    entry is positive; stays rational in the exact backend.  The rows are
+    dense; an exact reflection body writes them from a's nonzeros instead.
     """
     a = tuple(a)
     n = len(a)

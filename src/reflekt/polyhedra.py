@@ -25,6 +25,7 @@ from .lp import ProjectionChecker
 from .numeric import (
     DEFAULT_TOL,
     EXACT,
+    ONE,
     BackendError,
     DimensionError,
     ScaledPoint,
@@ -38,6 +39,7 @@ from .numeric import (
     mat_vec,
     matrix,
     scalars_eq,
+    sparse_row,
     to_scalar,
     unit_vector,
     vec_add,
@@ -260,12 +262,19 @@ class PolyhedralRelation:
 
 def graph_relation(f: AffineMap) -> PolyhedralRelation:
     """The relation {(x, y) : y = f(x)}: pure equations, no inequalities.
-    Graph relations are exact; a float map raises BackendError."""
+    Graph relations are exact; a float map raises BackendError.  Row i,
+    -M_i x + y_i = t_i, is written from M_i's nonzeros over one shared
+    zero, so no zero of M is negated."""
     if f.backend != EXACT:
         raise BackendError("graph relations are exact; got a float map")
     n, m = f.in_dim, f.out_dim
-    eqs = [(tuple(-e for e in f.M[i]) + unit_vector(i, m, EXACT), f.t[i]) for i in range(m)]
-    body = HPolyhedron.from_rows(n + m, (), eqs)
+    if any(len(row) != n for row in f.M):
+        raise DimensionError("inconsistent row width")
+    C = tuple(
+        sparse_row(n + m, [(j, -to_scalar(e, EXACT)) for j, e in enumerate(row) if e] + [(n + i, ONE)])
+        for i, row in enumerate(f.M)
+    )
+    body = HPolyhedron(n + m, (), (), C, vector(f.t, EXACT))
     return PolyhedralRelation(n, m, body, preimage=_graph_preimage(f), step=("map", f))
 
 
@@ -286,14 +295,17 @@ def deltas(rel: PolyhedralRelation):
 
 
 def _step_deltas(rel: PolyhedralRelation):
-    """:func:`deltas` as the relation's step fixes them, with no rank
-    computed: (1, 1) for a reflection, (k, 0) for a box lift of width k;
+    """:func:`deltas` as the relation's step fixes them: (1, 1) for a
+    reflection, (k, 0) for a box lift of width k, both with no rank
+    computed, and (0, n - rank M) for the graph of x -> Mx + t on R^n;
     other relations are read off the body."""
     kind, data = rel.step or (None, None)
     if kind == "reflection":
         return 1, 1
     if kind == "box":
         return data, 0
+    if kind == "map":
+        return 0, data.in_dim - numeric.rank(data.M)
     return deltas(rel)
 
 

@@ -30,7 +30,6 @@ any spec into its relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
@@ -38,14 +37,17 @@ from .numeric import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    MINUS_ONE,
+    ONE,
+    ZERO,
     DimensionError,
     ScaledPoint,
     dot,
     int_scale,
     leq,
     orthogonal_complement_basis,
+    sparse_row,
     to_scalar,
-    unit_vector,
     vec_add,
     vec_scale,
     vector,
@@ -153,7 +155,7 @@ def reflection_map(spec: ReflectionSpec) -> AffineMap:
     rows = []
     for i in range(n):
         row = list(vec_scale(-2 * a[i] / aa, a))
-        row[i] = row[i] + (Fraction(1) if spec.backend == EXACT else 1.0)
+        row[i] = row[i] + (ONE if spec.backend == EXACT else 1.0)
         rows.append(tuple(row))
     t = vec_scale(2 * spec.beta / aa, a)
     return AffineMap(tuple(rows), t, spec.backend)
@@ -193,19 +195,21 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     :func:`~reflekt.verify.check_affine_generators` callers build.  Uses n-1
     explicit difference equations from a complement basis rather than an
     auxiliary scalar variable, which keeps block sizes equal to n and makes
-    the two-inequalities-per-relation count literal.  The relation keeps
-    ``spec`` as its step: its fiber is y = x + lambda*a, which the exact
-    checker writes as one column lambda with the rows -<a,a>lambda <= 0 and
-    2<a,x> + <a,a>lambda <= 2*beta.
+    the two-inequalities-per-relation count literal.  An exact body is
+    written from a's nonzeros (:func:`_exact_rows`); a float one from
+    :func:`~reflekt.numeric.orthogonal_complement_basis`, bit for bit.  The
+    relation keeps ``spec`` as its step: its fiber is y = x + lambda*a,
+    which the exact checker writes as one column lambda with the rows
+    -<a,a>lambda <= 0 and 2<a,x> + <a,a>lambda <= 2*beta.
     """
-    n = spec.dim
-    backend = spec.backend
-    a = spec.a
-    zero = Fraction(0) if backend == EXACT else 0.0
-    C = tuple(tuple(-e for e in brow) + brow for brow in orthogonal_complement_basis(a))
-    A = (a + tuple(-e for e in a), a + a)  # <a,x> <= <a,y>, <a,y> <= 2 beta - <a,x>
-    b = (zero, 2 * spec.beta)
-    body = HPolyhedron(2 * n, A, b, C, (zero,) * len(C), backend)
+    n, a, backend = spec.dim, spec.a, spec.backend
+    if backend == FLOAT:
+        zero = 0.0
+        C = tuple(tuple(-e for e in brow) + brow for brow in orthogonal_complement_basis(a))
+        A = (a + tuple(-e for e in a), a + a)  # <a,x> <= <a,y>, <a,y> <= 2 beta - <a,x>
+    else:
+        zero, (C, A) = ZERO, _exact_rows(a)
+    body = HPolyhedron(2 * n, A, (zero, 2 * spec.beta), C, (zero,) * len(C), backend)
 
     def preimage(y, tol=DEFAULT_TOL, _spec=spec):
         return canonical_preimage(_spec, y, tol)
@@ -213,12 +217,37 @@ def reflection_relation(spec: ReflectionSpec) -> PolyhedralRelation:
     return PolyhedralRelation(n, n, body, preimage=preimage, step=("reflection", spec))
 
 
+def _exact_rows(a) -> tuple:
+    """``(C, A)`` of the exact body over (x, y): for each j other than the
+    first nonzero p of a, the complement row a_j e_p - a_p e_j with its
+    first nonzero made positive (the rows of
+    :func:`~reflekt.numeric.orthogonal_complement_basis`), as -row on x and
+    row on y; then (a, -a) and (a, a).  Each row is written from its
+    nonzeros over one shared zero, and each nonzero of a is negated once."""
+    n = len(a)
+    na = tuple(-c if c else ZERO for c in a)
+    p = next(j for j, c in enumerate(a) if c)
+    ap, nap = a[p], na[p]
+    C = []
+    for j, aj in enumerate(a):
+        if j == p:
+            continue
+        # the normalised row is u at p and v at j; x's part is -u and -v
+        if aj > 0:
+            pairs = ((p, na[j]), (j, ap), (n + p, aj), (n + j, nap))
+        elif aj < 0:
+            pairs = ((p, aj), (j, nap), (n + p, na[j]), (n + j, ap))
+        else:  # u = 0, v = |a_p|
+            pairs = ((j, nap), (n + j, ap)) if ap > 0 else ((j, ap), (n + j, nap))
+        C.append(sparse_row(2 * n, pairs))
+    return tuple(C), (a + na, a + a)
+
+
 def sign_spec(k: int, n: int) -> ReflectionSpec:
     """Normal -e_k, offset 0: domain x_k >= 0, reflection flips coordinate k."""
     if not 1 <= k <= n:
         raise IndexError(f"coordinate {k} out of range 1..{n}")
-    a = tuple(-e for e in unit_vector(k - 1, n, EXACT))
-    return ReflectionSpec(a, Fraction(0))
+    return ReflectionSpec(sparse_row(n, ((k - 1, MINUS_ONE),)), ZERO)
 
 
 def transposition_spec(k: int, ell: int, n: int) -> ReflectionSpec:
@@ -228,8 +257,7 @@ def transposition_spec(k: int, ell: int, n: int) -> ReflectionSpec:
         raise ValueError("transposition needs two distinct coordinates")
     if not (1 <= k <= n and 1 <= ell <= n):
         raise IndexError(f"coordinates ({k},{ell}) out of range 1..{n}")
-    a = tuple(x - y for x, y in zip(unit_vector(k - 1, n, EXACT), unit_vector(ell - 1, n, EXACT)))
-    return ReflectionSpec(a, Fraction(0))
+    return ReflectionSpec(sparse_row(n, ((k - 1, ONE), (ell - 1, MINUS_ONE))), ZERO)
 
 
 def even_sign_pair_specs(k: int, ell: int, n: int):
@@ -240,18 +268,16 @@ def even_sign_pair_specs(k: int, ell: int, n: int):
     """
     if k == ell:
         raise ValueError("pair needs two distinct coordinates")
-    first = transposition_spec(k, ell, n)
-    ek = unit_vector(k - 1, n, EXACT)
-    el = unit_vector(ell - 1, n, EXACT)
-    second = ReflectionSpec(tuple(-x - y for x, y in zip(ek, el)), Fraction(0))
-    return first, second
+    second = ReflectionSpec(sparse_row(n, ((k - 1, MINUS_ONE), (ell - 1, MINUS_ONE))), ZERO)
+    return transposition_spec(k, ell, n), second
 
 
 def apply_preimage_chain(chain: Iterable, y, tol: float = DEFAULT_TOL):
     """Fold canonical preimages over a chain of :class:`ReflectionSpec`
     given in composition (application) order of the chain itself: the
-    *last* reflection's preimage is applied first."""
-    out = tuple(y)
+    *last* reflection's preimage is applied first.  A :class:`ScaledPoint`
+    walks the whole chain as one."""
+    out = y if isinstance(y, ScaledPoint) else tuple(y)
     for spec in reversed(list(chain)):
         out = canonical_preimage(spec, out, tol)
     return out

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -359,6 +361,22 @@ class TestCompletionTime:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             completion_time_ef((F(-1), F(2)))
+
+    # every p in {0,1,2}^3 and {0,1,1/2}^4, and (1/2, 0, 2): 109 cases, many
+    # with a job of time 0 that finishes together with another job
+    TIE_CASES = (list(itertools.product((0, 1, 2), repeat=3))
+                 + list(itertools.product((0, 1, F(1, 2)), repeat=4)) + [(F(1, 2), 0, 2)])
+
+    def test_every_vertex_with_a_tie_has_a_witness(self):
+        reports = []
+        for p in self.TIE_CASES:
+            report = verify_projection_equality(completion_time_ef(p), completion_time_vertices(p), seed=7)
+            assert report.passed, p
+            assert (report.witness_hits, report.lp_fallbacks) == (report.vertex_total, 0), p
+            reports.append(report.to_json())
+        # the default reports keep the bytes they had when ties took the LP
+        digest = hashlib.sha256("".join(reports).encode()).hexdigest()
+        assert digest == "e3fb869a4c356470da3462f03fefa9f24f0bf5e19c8019a22c7c724fea474dd6"
 
 
 class TestRecipes:

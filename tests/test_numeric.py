@@ -20,6 +20,7 @@ from reflekt.numeric import (
     to_scalar,
     vector,
 )
+from reflekt.reflections import ReflectionSpec, reflection_relation
 
 
 class TestScalars:
@@ -236,6 +237,43 @@ class TestComplementBasis:
             assert all(dot(row, a) == 0 for row in rows)
             basis = affine_solution_space(rows, (F(0),) * len(rows), EXACT)[1]
             assert len(basis) == 1
+
+    @given(
+        st.lists(st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=6)),
+                 min_size=1, max_size=8).filter(any),
+        st.fractions(-9, 9, max_denominator=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_relation_body_matches_the_dense_formulas(self, a, beta):
+        a = tuple(a)
+        assert orthogonal_complement_basis(a) == dense_complement(a)
+        body = reflection_relation(ReflectionSpec(a, beta)).body
+        want = dense_body(a, beta)
+        assert (body.A, body.b, body.C, body.d) == want
+        # equal values of another type would print differently
+        assert all(type(e) is F for part in (body.A, body.C) for row in part for e in row)
+        assert all(type(e) is F for e in body.b + body.d)
+
+
+def dense_complement(a):
+    """The complement rows as the dense formula writes them: a_j e_p - a_p e_j
+    against the first nonzero p, negated when its first nonzero is negative."""
+    p = next(i for i, e in enumerate(a) if e)
+    rows = []
+    for j in range(len(a)):
+        if j != p:
+            row = [F(0)] * len(a)
+            row[p], row[j] = a[j], -a[p]
+            if next(e for e in row if e) < 0:
+                row = [-e for e in row]
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def dense_body(a, beta):
+    """(A, b, C, d) of the reflection relation of (a, beta), written densely."""
+    C = tuple(tuple(-e for e in row) + row for row in dense_complement(a))
+    return (a + tuple(-e for e in a), a + a), (F(0), 2 * beta), C, (F(0),) * len(C)
 
 
 class TestAffineSolve:
