@@ -6,7 +6,8 @@ error, 3 numeric or backend error (a malformed scalar in a document
 included), 141 standard output closed before all output was written
 (128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended).  The
 recipe fixes the backend; no flag restates it.  The random seed comes from
---seed, the REFLEKT_SEED environment variable, or defaults to 0.  A
+--seed, the REFLEKT_SEED environment variable (a usage error unless it is
+an integer), or defaults to 0.  A
 parameter flag that neither the recipe nor the oracle of the command reads
 is a usage error.
 """
@@ -43,7 +44,10 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("REFLEKT_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise UsageError(f"REFLEKT_SEED must be an integer, not {env!r}") from None
 
 
 _PARAM_FLAGS = ("m", "n", "parity", "base", "p", "network")

@@ -20,12 +20,12 @@ another; no dense tableau is built.
 
 :class:`ProjectionChecker` does each query's objective-independent work
 once per formulation, and caches nothing else.  Its reduced system comes
-from one writer, :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`:
-one column per reflection of a chain with steps on exact data, written
-from the steps, or one per free coordinate of Q's equations for any other
-formulation, which is parametrised as its own base.  Exact queries
-use a vertex-start dictionary: from a feasible point (a registered seed, else one
-exact solve) every free variable is pivoted into the basis and only the
+from one writer, :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`,
+as integer rows on exact data: one column per reflection of a chain with
+steps, or one per free coordinate of Q's equations for any other
+formulation, which is parametrised as its own base.  Exact queries use a
+vertex-start dictionary: from a feasible point (a registered seed, else
+one exact solve) every free variable is pivoted into the basis and only the
 slack rows are kept, with one integer projection row per output coordinate
 priced into that basis.  An objective is an integer combination of the
 projection rows, solved by Bland's rule with no phase 1; a membership query
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import inf, lcm
+from math import gcd, inf
 from operator import add
 from typing import Optional, Sequence
 
@@ -392,92 +392,70 @@ def in_hull(y, V) -> bool:
     return res.status == OPTIMAL
 
 
-def _int_row(row, rhs):
-    """``(nonzeros, rhs', f)``: row and rhs times f, their least common
-    denominator, with the row as sparse ``(index, int)`` pairs."""
-    ints, f = int_scale(row + (rhs,))
-    return [(j, c) for j, c in enumerate(ints[:-1]) if c], ints[-1], f
-
-
 class ProjectionChecker:
     """Per-formulation LP helper over the reduced system A_red w <= b_red.
 
-    The constructor reads the reduced system once from its one writer,
-    :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`: one column
-    per reflection for a formulation with
-    :attr:`~reflekt.polyhedra.ExtendedFormulation.steps` on exact data,
-    else one per free coordinate of Q's equations.
-    :func:`~reflekt.polyhedra.eliminate_equations` and
-    :func:`~reflekt.verify.actual_sizes` read it from the cached checker.
-    A_red w <= b_red are Q's inequality rows and M_red w + t_red its
-    projection, over ``n_free`` columns.  An exact witness is such a w
-    already, read by the canonical-preimage walk
-    (:func:`~reflekt.polyhedra._witness_blocks`); a float seed, a raw
-    point z of Q, solves N w = z - z_part, with z_part + N w (N's columns
-    in ``N_cols``) the points of Q's equations.  An inconsistent system
-    leaves ``consistent`` False and its error in ``inconsistency``.
+    The constructor calls the one writer,
+    :meth:`~reflekt.polyhedra.ExtendedFormulation.parametrised`, which solves
+    only the base's equations and counts ``n_free`` columns, all that the
+    size checks read.  A_red w <= b_red are Q's inequality rows and M_red w
+    + t_red its projection: on exact data only as the integer rows of
+    :meth:`int_rows`, written on first use; on float data as the tuples
+    ``A_red``, ``b_red``, ``M_red`` and ``t_red``.  An exact witness is a
+    reduced point already, read by the canonical-preimage walk
+    (:func:`~reflekt.polyhedra._witness_blocks`); a float seed, a raw point
+    z of Q, solves N w = z - z_part, with z_part + N w (N's columns in
+    ``N_cols``) the points of Q's equations.  An inconsistent system leaves
+    ``consistent`` False and its error in ``inconsistency``.
 
-    Exact queries share one condensed integer dictionary, factored on first
-    use, and one integer row per output coordinate priced into it
-    (:meth:`_factor`); with the integer rows of A_red and M_red that
-    :meth:`certifies` tests, A_red's grouped by last nonzero column for
-    :meth:`rows_hold` and :meth:`proves_max`, it is all a checker caches.
-    :meth:`proves_max` needs no dictionary, so one is factored only when an
-    objective gets no certificate or a membership query runs.  An objective
-    is an integer
-    combination of these projection rows and pivots only among slack
-    columns; a membership query adds them as artificial equations and runs
-    one phase 1.  Float queries pivot on the same condensed layout: the
-    objectives of one :meth:`maximize_projected_all` call as one pivot tree
-    (:func:`_float_optima`), a membership query as one two-phase solve.
-    Float equation solves and pivots run at ``DEFAULT_TOL``; a checker takes
-    no tolerance.
+    Besides the integer rows, which :meth:`certifies` and :meth:`proves_max`
+    read, a checker caches one condensed integer dictionary, factored from
+    them on first use with one integer row per output coordinate priced
+    into it (:meth:`_factor`), only when an objective gets no certificate or
+    a membership query runs.  An objective is an integer combination of the
+    projection rows and pivots only among slack columns; a membership query
+    adds them as artificial equations and runs one phase 1.  Float queries
+    pivot on the same condensed layout: the objectives of one
+    :meth:`maximize_projected_all` call as one pivot tree
+    (:func:`_float_optima`), a membership query as one two-phase solve, at
+    ``DEFAULT_TOL``; a checker takes no tolerance.
     """
 
     def __init__(self, ef):
         self.backend = ef.backend
+        self.out_dim = ef.projection.out_dim
         self.w_feas = self.b_shift = None
         self.pivots = 0  # exact objective-path pivots, factoring included
         self._factored = self._ints = None  # caches
         self.z_part = self.N_cols = None
         system = ef.parametrised()
         self.consistent = system is not None
-        self.inconsistency = None
+        self.inconsistency = None if system else EmptyPolyhedronError(
+            "equation system is inconsistent")
         if system is None:
-            self.inconsistency = EmptyPolyhedronError("equation system is inconsistent")
             return
-        self.n_free, self.A_red, self.b_red, self.M_red, self.t_red, self.z_part, self.N_cols = system
+        self.n_free, self.z_part, self.N_cols, self._write = system
+        if self.backend == FLOAT:
+            self.A_red, self.b_red, self.M_red, self.t_red = self._write()
 
-    def _scaled(self, u, v=None) -> ScaledPoint:
-        """A reduced point u, a :class:`ScaledPoint` or a tuple of rationals,
-        as a ScaledPoint.  DimensionError unless u has ``n_free`` coordinates
-        and v, if given, one per output coordinate."""
-        if not isinstance(u, ScaledPoint):
-            u = ScaledPoint.of(vector(u, EXACT))
-        m = len(self.t_red) if v is None else len(v)
-        if (len(u.nums), m) != (self.n_free, len(self.t_red)):
-            raise DimensionError(f"{len(u.nums)} and {m} coordinates, not {self.n_free} "
-                                 f"(reduced) and {len(self.t_red)} (projected)")
-        return u
+    def scaled(self, v, m) -> ScaledPoint:
+        """v, a :class:`ScaledPoint` or a tuple of rationals, as a
+        ScaledPoint of m coordinates (``n_free`` for a reduced point,
+        ``out_dim`` for a projected one); DimensionError for another length."""
+        if not isinstance(v, ScaledPoint):
+            v = ScaledPoint.of(vector(v, EXACT))
+        if len(v.nums) != m:
+            raise DimensionError(f"{len(v.nums)} coordinates, not {m}")
+        return v
 
-    def _int_rows(self):
-        """``(by_last, blank, M)``, scaled on first use: the integer rows of
-        A_red grouped by last nonzero column, the rhs of its all-zero rows,
-        and M_red's rows, each F times the row for F the lcm of their
-        denominators, a positive scale that keeps the equation
-        :meth:`projects_to` tests."""
+    def int_rows(self):
+        """The exact reduced system, written on first use as ``(rows,
+        by_last, M, F)``: the rows of A_red w <= b_red as ``(pairs, rhs, f)``
+        in Q's order, and grouped by last nonzero column with the all-zero
+        rows last; and M_red w + t_red as ``(pairs, t)`` rows over one F
+        (:func:`~reflekt.polyhedra._int_system`)."""
         if self._ints is None:
-            A, M = ([_int_row(row, rhs) for row, rhs in zip(rows, rhss)]
-                    for rows, rhss in ((self.A_red, self.b_red), (self.M_red, self.t_red)))
-            F = lcm(*(f for _, _, f in M))
-            M = [([(j, c * (F // f)) for j, c in row], t * (F // f), F) for row, t, f in M]
-            by_last, blank = [[] for _ in range(self.n_free)], []
-            for row, rhs, _ in A:
-                if row:
-                    by_last[row[-1][0]].append((row, rhs))
-                else:
-                    blank.append(rhs)
-            self._ints = by_last, blank, M
+            self._ints = self._write()
         return self._ints
 
     def rows_hold(self, U, den, lo, hi) -> bool:
@@ -485,11 +463,11 @@ class ProjectionChecker:
         ``range(lo, hi)`` hold at u = U/den, for integers U and den > 0.
         Such a row reads U[:hi] only, so a canonical-preimage walk checks
         it once per distinct tail below the level that reads column hi - 1
-        (:func:`~reflekt.polyhedra._witness_blocks`).  The all-zero rows are
-        in no group; :meth:`projects_to` checks them."""
-        by_last = self._int_rows()[0]
+        (:func:`~reflekt.polyhedra._witness_blocks`).  The all-zero rows,
+        the last group, are read by :meth:`projects_to`."""
+        by_last = self.int_rows()[1]
         for k in range(lo, hi):
-            for row, rhs in by_last[k]:
+            for row, rhs, _ in by_last[k]:
                 if sum(c * U[j] for j, c in row) > rhs * den:
                     return False
         return True
@@ -498,13 +476,13 @@ class ProjectionChecker:
         """Whether u = U/den meets the rows that read no column group: the
         all-zero rows of A_red (0 <= rhs) and M_red u + t_red = y, with y a
         :class:`ScaledPoint` of the output dimension."""
-        _, blank, M = self._int_rows()
+        _, by_last, M, F = self.int_rows()
         Y, D = y
-        if any(rhs * den < 0 for rhs in blank):
+        if any(rhs * den < 0 for _, rhs, _ in by_last[-1]):
             return False
-        # f(M u + t) = f y times D * den, with u = U/den and y = Y/D
-        return all((sum(c * U[j] for j, c in row) + t * den) * D == f * den * yi
-                   for (row, t, f), yi in zip(M, Y))
+        # F(M u + t) = F y times D * den, with u = U/den and y = Y/D
+        return all((sum(c * U[j] for j, c in row) + t * den) * D == F * den * yi
+                   for (row, t), yi in zip(M, Y))
 
     def certifies(self, u, y) -> bool:
         """Whether the exact reduced point u proves y feasible: A_red u <= b_red
@@ -515,8 +493,8 @@ class ProjectionChecker:
         checker certifies nothing."""
         if not self.consistent:
             return False
-        y = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
-        U, den = self._scaled(u, y.nums)
+        y = self.scaled(y, self.out_dim)
+        U, den = self.scaled(u, self.n_free)
         return self.rows_hold(U, den, 0, self.n_free) and self.projects_to(U, den, y)
 
     def proves_max(self, u, c_ints) -> bool:
@@ -533,17 +511,19 @@ class ProjectionChecker:
         """
         if not self.consistent:
             return False
-        U, den = self._scaled(u, c_ints)
-        by_last, _, M = self._int_rows()
+        U, den = self.scaled(u, self.n_free)
+        if len(c_ints) != self.out_dim:
+            raise DimensionError(f"{len(c_ints)} objective coefficients, not {self.out_dim}")
+        _, by_last, M, _ = self.int_rows()
         R = [0] * self.n_free  # F M_red^T c, with M_red's rows over their common F
-        for ci, (row, _, _) in zip(c_ints, M):
+        for ci, (row, _) in zip(c_ints, M):
             for j, e in row:
                 R[j] += ci * e
         for j in reversed(range(self.n_free)):
             r = R.pop()
             if not r:
                 continue
-            for row, rhs in by_last[j]:
+            for row, rhs, _ in by_last[j]:
                 a = row[-1][1]
                 if (a > 0) == (r > 0) and sum(c * U[i] for i, c in row) == rhs * den:
                     break
@@ -554,12 +534,6 @@ class ProjectionChecker:
             for i, c in row[:-1]:
                 R[i] -= s * c
         return True
-
-    def _exact_input(self, v):
-        """``v`` as an exact vector of the projection's output dimension."""
-        if len(v) != len(self.t_red):
-            raise DimensionError(f"{len(v)} coordinates for a projection to R^{len(self.t_red)}")
-        return vector(v, EXACT)
 
     def feasible(self, y) -> bool:
         """Is A_red w <= b_red, M_red w = y - t_red feasible?  On float data one
@@ -575,7 +549,7 @@ class ProjectionChecker:
                                list(zip(self.M_red, vec_sub(y, self.t_red))),
                                [0.0] * self.n_free, backend=FLOAT)
             return res.status == OPTIMAL
-        Y, D = int_scale(self._exact_input(y))
+        Y, D = self.scaled(y, self.out_dim)
         if not self._tableau():
             return False
         slack, labels, cols, proj, q, scale = self._factored
@@ -583,7 +557,7 @@ class ProjectionChecker:
         art = [row[:-1] + [row[-1] * D + q * scale * y] for row, y in zip(proj, Y)]
         art = [row if row[-1] >= 0 else [-e for e in row] for row in art]
         # artificial labels rank after every column, so they never re-enter
-        ncols = self.n_free + len(self.b_red)
+        ncols = self.n_free + len(self.int_rows()[0])
         basis = labels + list(range(ncols, ncols + len(proj)))
         rows += art
         core = _ExactCore(rows + [_phase1_row(art, len(cols) + 1, 0)], basis, cols[:], q)
@@ -593,8 +567,9 @@ class ProjectionChecker:
     def seed_from_raw(self, z_raw) -> bool:
         """Register a start w_feas for the objective solves.  An exact
         witness (a :class:`ScaledPoint` or a tuple) is already a reduced
-        point and is registered as it is; :meth:`_factor` shifts the rows by
-        it when it runs, and solves for a start when the shift is not >= 0.
+        point and is registered as a ScaledPoint; :meth:`_factor` shifts the
+        integer rows by it when it runs, and solves for a start when the
+        shift is not >= 0.
         A float one is a raw point of Q, solved from N w = z_raw - z_part
         (False when z_raw is off Q's equations), and registered with b_shift
         = b_red - A_red w_feas, the rows the float pivot tree starts from.
@@ -602,7 +577,7 @@ class ProjectionChecker:
         if not self.consistent or self.w_feas is not None:
             return self.w_feas is not None
         if self.backend == EXACT:
-            self.w_feas = self._scaled(z_raw).fractions()
+            self.w_feas = self.scaled(z_raw, self.n_free)
             return True
         target = vec_sub(z_raw, self.z_part)
         part, _ = affine_solution_space(
@@ -637,24 +612,33 @@ class ProjectionChecker:
         is n + i, copy t is -1 - t) of the basic variables and of the slots,
         and the last pivot q.
         """
+        A, _, M, F = self.int_rows()
+        n, m = self.n_free, len(A)
 
-        def shift(w):  # b_red - A_red w
-            return tuple(rhs - dot(row, w) for row, rhs in zip(self.A_red, self.b_red))
+        def dense(pairs, rhs, w):  # [c D | rhs D - <c, W>], for w = W/D
+            row = [0] * n + [rhs * w.den - sum(c * w.nums[j] for j, c in pairs)]
+            for j, c in pairs:
+                row[j] = c * w.den
+            return row
+
+        def lowest(rows, f):  # integer rows over f > 0, divided by their gcd with f
+            g = gcd(f, *(e for row in rows for e in row))
+            return [[e // g for e in row] for row in rows], f // g
+
+        def shifted(w):  # A_red d <= b_red - A_red w, each row in lowest terms
+            return [lowest([dense(pairs, rhs, w)], f * w.den)[0][0] for pairs, rhs, f in A]
 
         w0 = self.w_feas
-        b = None if w0 is None else shift(w0)
-        if b is None or any(v < 0 for v in b):
-            zero = (Fraction(0),) * self.n_free
-            res = solve_system(self.n_free, list(zip(self.A_red, self.b_red)), (), zero)
+        rows = None if w0 is None else shifted(w0)
+        if rows is None or any(row[-1] < 0 for row in rows):
+            rows = shifted(ScaledPoint((0,) * n, 1))  # A_red and b_red themselves
+            res = solve_system(n, [(row[:-1], row[-1]) for row in rows], (), (0,) * n)
             if res.status != OPTIMAL:
                 return None
-            w0 = res.point
-            b = shift(w0)
-        n, m = self.n_free, len(b)
-        rows = [int_scale(tuple(row) + (rhs,))[0] for row, rhs in zip(self.A_red, b)]
-        y0 = [dot(row, w0) + t for row, t in zip(self.M_red, self.t_red)]
-        flat, scale = int_scale(e for row, y in zip(self.M_red, y0) for e in (*row, -y))
-        rows += [flat[i : i + n + 1] for i in range(0, len(flat), n + 1)]
+            w0 = ScaledPoint.of(res.point)
+            rows = shifted(w0)
+        proj, scale = lowest([dense(pairs, -t, w0) for pairs, t in M], F * w0.den)
+        rows += proj
         core, k = _ExactCore(rows, list(range(n, n + m)), list(range(n))), m
         for j in range(n):  # slot j holds d_j until d_j enters; rows[:k] are slack rows
             if not any(rows[i][j] > 0 for i in range(k)):
@@ -705,7 +689,7 @@ class ProjectionChecker:
             return INFEASIBLE, None
         if self.backend == FLOAT:
             return self.maximize_projected_all([c])[0]
-        c_ints, c_den = int_scale(self._exact_input(c))
+        c_ints, c_den = self.scaled(c, self.out_dim)
         if not self._tableau():
             return INFEASIBLE, None
         slack, labels, cols, proj, q, scale = self._factored
@@ -714,7 +698,7 @@ class ProjectionChecker:
             if ci:
                 top = [t + ci * e for t, e in zip(top, row)]
         core = _ExactCore(slack + [top], labels[:], cols[:], q)
-        optimal = core.run_phase(len(slack), len(slack), self.n_free + len(self.b_red))
+        optimal = core.run_phase(len(slack), len(slack), self.n_free + len(self.int_rows()[0]))
         self.pivots += core.pivots
         if not optimal:
             return UNBOUNDED, None

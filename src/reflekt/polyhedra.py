@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from . import numeric
@@ -376,90 +377,40 @@ class ExtendedFormulation:
         return self.Q.backend
 
     def parametrised(self):
-        """The reduced system, written here only, or None when the base's
+        """The reduced system's one writer, or None when the base's
         equations are inconsistent.  On exact data with :attr:`steps` the
         input is the chain's base and steps; otherwise Q itself is the base
-        and its projection one graph step, so a float chain keeps every bit
-        of Q's rows.
-
-        The current block is carried as x = s + T u over the columns u so
-        far, starting from the base's own solution space (no column for a
-        one-point base).  A reflection (a, beta) adds one column lambda, with
-        y = x + lambda*a and the rows -<a,a>lambda <= 0 and
-        2<a,Tu> + <a,a>lambda <= 2*beta - 2<a,s>; a map f gives y = f(x) and
-        no column; a box lift of width k adds k columns with their rows
-        u <= 1 and -u <= 0.  These are Q's inequality rows with z = s + T u
-        substituted, in Q's order and over each row's nonzeros in coordinate
-        order, so float results are the bits of dense dot products.  Returns
-        ``(n, A, b, M, t, part, basis)``: n columns, A u <= b the rows,
-        M u + t the last block and part + N w (N's columns in ``basis``) the
-        points of the base's equations.  The base's columns come first, in
-        basis order, then each step's in chain order; :func:`_witness_blocks`
-        reads u in this order.
+        and its projection one graph step.  Only the base's equations are
+        solved here, as part + N w (N's columns in ``basis``).  Returns
+        ``(n, part, basis, write)``: n columns, the base's first, then each
+        step's in chain order (one lambda per reflection, k per box lift of
+        width k, none per map), as :func:`_witness_blocks` reads u; and
+        ``write()``, which writes the rows, on integers on exact data
+        (:func:`_int_system`), else as float ``(A, b, M, t)`` substituted
+        over each row's nonzeros in coordinate order (:func:`_substituted`).
         """
         if self.steps is None or self.backend != EXACT:
             base, steps = self.Q, (("map", self.projection),)
         else:
             base, steps = self.base, self.steps
-        backend = base.backend
-        part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=backend)
+        part, basis = affine_solution_space(base.C, base.d, dim=base.dim, backend=base.backend)
         if part is None:
             return None
-        one, zero = to_scalar(1, backend), to_scalar(0, backend)
-        s, T, lhss, rhss = list(part), [{} for _ in part], [], []
-        for k, col in enumerate(basis):
-            for j, v in enumerate(col):
-                if v:
-                    T[j][k] = v
-        n = len(basis)  # columns so far
+        n = len(basis) + sum(1 if kind == "reflection" else data if kind == "box" else 0
+                             for kind, data in steps)
+        if self.backend == EXACT:
+            return n, part, basis, lambda: _int_system(base, steps, part, basis)
+        T = [{k: col[j] for k, col in enumerate(basis) if col[j]} for j in range(len(part))]
 
-        def substituted(pairs):  # <row, x> as ({column: coefficient}, <row, s>)
-            lhs, at_s = {}, zero
-            for j, c in pairs:
-                if c:
-                    at_s += c * s[j]
-                    for col, v in T[j].items():
-                        lhs[col] = lhs.get(col, zero) + c * v
-            return lhs, at_s
+        def write():  # z = part + N w substituted into Q's rows and projection
+            A, M = ([_substituted(enumerate(row), part, T, 0.0) for row in rows]
+                    for rows in (base.A, self.projection.M))
+            return (tuple(tuple(lhs.get(k, 0.0) for k in range(n)) for lhs, _ in A),
+                    tuple(rhs - at_s for (_, at_s), rhs in zip(A, base.b)),
+                    tuple(tuple(lhs.get(k, 0.0) for k in range(n)) for lhs, _ in M),
+                    tuple(at_s + t for (_, at_s), t in zip(M, self.projection.t)))
 
-        for row, rhs in zip(base.A, base.b):
-            lhs, at_s = substituted(enumerate(row))
-            lhss.append(lhs)
-            rhss.append(rhs - at_s)
-        for kind, data in steps:
-            if kind == "reflection":
-                a = [(j, c) for j, c in enumerate(data.a) if c]
-                aa = sum(c * c for _, c in a)
-                lhs, at_s = substituted((j, 2 * c) for j, c in a)
-                lhs[n] = aa  # the column lambda
-                lhss += [{n: -aa}, lhs]
-                rhss += [zero, 2 * data.beta - at_s]
-                for j, c in a:
-                    T[j][n] = c
-                n += 1
-            elif kind == "map":
-                new_s, new_T = [], []
-                for row, t in zip(data.M, data.t):
-                    lhs, at_s = substituted(enumerate(row))
-                    new_s.append(at_s + t)
-                    new_T.append(lhs)
-                s, T = new_s, new_T
-            else:  # a box lift of width data
-                for col in range(n, n + data):
-                    lhss += [{col: one}, {col: -one}]
-                    rhss += [one, zero]
-                    s.append(zero)
-                    T.append({col: one})
-                n += data
-        zeros = [zero] * n
-
-        def dense(lhs):
-            row = zeros[:]
-            for j, v in lhs.items():
-                row[j] = v
-            return tuple(row)
-
-        return n, tuple(map(dense, lhss)), tuple(rhss), tuple(map(dense, T)), tuple(s), part, basis
+        return n, part, basis, write
 
     @property
     def ledger(self) -> SizeLedger:
@@ -473,6 +424,80 @@ class ExtendedFormulation:
         for i, k in enumerate(self.block_dims):
             names.extend(f"z{i}_{j + 1}" for j in range(k))
         return names
+
+
+def _substituted(pairs, s, T, zero):
+    """<row, x> for x = s + T u, from the row's ``(index, coefficient)``
+    pairs in order: ``({column: coefficient}, <row, s>)``."""
+    lhs, at_s = {}, zero
+    for j, c in pairs:
+        if c:
+            at_s += c * s[j]
+            for col, v in T[j].items():
+                lhs[col] = lhs.get(col, zero) + c * v
+    return lhs, at_s
+
+
+def _int_system(base, steps, part, basis):
+    """The exact reduced system on integers, ``(rows, by_last, M, F)``.
+    The current block is carried as x = (s + T u)/L, integers over one
+    L > 0, from x = part + N w.  A reflection (a, beta) adds one column
+    lambda, with y = x + lambda*a and the rows -<a,a>lambda <= 0 and
+    2<a,x> + <a,a>lambda <= 2*beta; a map f gives y = f(x) and no column; a
+    box lift of width k adds k columns with their rows u <= 1 and -u <= 0.
+    So ``rows`` are Q's inequality rows with z = s + T u substituted, in Q's
+    order, each as ``(pairs, rhs, f)``: pairs/f u <= rhs/f, with the
+    ``(column, int)`` pairs and rhs over the least such f > 0.
+    ``by_last[j]`` holds the rows whose last nonzero column is j, and one
+    more group the all-zero rows.  ``M`` is M u + t, one ``(pairs, t)`` per
+    output coordinate, over one common F, again the least.
+    """
+    # x = w over L = G, then part + N w.  G is the lcm of every g with (a, beta) =
+    # (a', beta')/g for a reflection's int_form, so L stays a multiple of each g
+    G = lcm(*(e.denominator for kind, d in steps if kind == "reflection" for e in (*d.a, d.beta)))
+    n, rows = len(basis), []  # columns so far
+    s, T, L = [0] * n, [{k: G} for k in range(n)], G
+
+    def mapped(M, t):  # (s, T, L) of y = M x + t
+        r, g = int_scale(e for row, c in zip(M, t) for e in (*row, c))
+        w = len(r) // len(t) if t else 1
+        ys = [(*_substituted(enumerate(r[i : i + w - 1]), s, T, 0), r[i + w - 1])
+              for i in range(0, len(r), w)]
+        return [at_s + c * L for _, at_s, c in ys], [lhs for lhs, _, _ in ys], g * L
+
+    def write(lhs, rhs, f):  # the row lhs/f <= rhs/f, in lowest terms
+        g = gcd(f, rhs, *lhs.values())
+        rows.append(([(j, c // g) for j, c in sorted(lhs.items()) if c], rhs // g, f // g))
+
+    s, T, L = mapped([[col[j] for col in basis] for j in range(len(part))], part)
+    ys, lhss, f = mapped(base.A, [-v for v in base.b])  # y = A x - b <= 0
+    for lhs, y in zip(lhss, ys):
+        write(lhs, -y, f)
+    for kind, data in steps:
+        if kind == "reflection":
+            (a, beta, aa), g = data.int_form(), lcm(*(e.denominator for e in (*data.a, data.beta)))
+            lhs, at_s = _substituted(((j, 2 * g * c) for j, c in a), s, T, 0)
+            lhs[n] = aa * L  # the column lambda
+            write({n: -aa}, 0, g * g)
+            write(lhs, 2 * g * beta * L - at_s, g * g * L)
+            for j, c in a:
+                T[j][n] = c * (L // g)
+            n += 1
+        elif kind == "map":
+            s, T, L = mapped(data.M, data.t)
+        else:  # a box lift of width data
+            for col in range(n, n + data):
+                write({col: 1}, 1, 1)
+                write({col: -1}, 0, 1)
+                s.append(0)
+                T.append({col: L})
+            n += data
+    by_last = [[] for _ in range(n + 1)]
+    for row in rows:
+        by_last[row[0][-1][0] if row[0] else n].append(row)
+    g = gcd(L, *s, *(v for t in T for v in t.values()))
+    return rows, by_last, [([(j, c // g) for j, c in sorted(t.items()) if c], v // g)
+                           for t, v in zip(T, s)], L // g
 
 
 def compose_extension(
@@ -501,37 +526,20 @@ def compose_extension(
 
     zero = Fraction(0) if backend == EXACT else 0.0
 
-    def placed(row, start, width):
+    def placed(row, start):
         out = [zero] * total
-        out[start : start + width] = list(row)
+        out[start : start + len(row)] = row
         return tuple(out)
 
     A_rows, b_rhs, C_rows, d_rhs = [], [], [], []
-    for row, rhs in zip(P.A, P.b):
-        A_rows.append(placed(row, 0, P.dim))
-        b_rhs.append(rhs)
-    for row, rhs in zip(P.C, P.d):
-        C_rows.append(placed(row, 0, P.dim))
-        d_rhs.append(rhs)
-    for i, rel in enumerate(rels):
-        start, width = offsets[i], rel.n + rel.m
-        for row, rhs in zip(rel.body.A, rel.body.b):
-            A_rows.append(placed(row, start, width))
-            b_rhs.append(rhs)
-        for row, rhs in zip(rel.body.C, rel.body.d):
-            C_rows.append(placed(row, start, width))
-            d_rhs.append(rhs)
-
+    for body, start in [(P, 0)] + [(rel.body, offsets[i]) for i, rel in enumerate(rels)]:
+        A_rows += [placed(row, start) for row in body.A]
+        b_rhs += body.b
+        C_rows += [placed(row, start) for row in body.C]
+        d_rhs += body.d
     Q = HPolyhedron(total, tuple(A_rows), tuple(b_rhs), tuple(C_rows), tuple(d_rhs), backend)
-
-    k_last = dims[-1]
-    one = Fraction(1) if backend == EXACT else 1.0
-    sel = []
-    for j in range(k_last):
-        row = [zero] * total
-        row[offsets[-2] + j] = one
-        sel.append(tuple(row))
-    projection = AffineMap(tuple(sel), zero_vector(k_last, backend), backend)
+    sel = tuple(placed(row, offsets[-2]) for row in identity_matrix(dims[-1], backend))
+    projection = AffineMap(sel, zero_vector(dims[-1], backend), backend)
 
     delta_pairs = [_step_deltas(r) for r in rels]
     bound = min(
@@ -547,17 +555,15 @@ def compose_extension(
 
 
 def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
-    """Equivalent formulation over the free variables of Q's equation system.
-
-    Reads the reduced system of the formulation's cached
-    :func:`projection_checker`, which takes it from
-    :meth:`ExtendedFormulation.parametrised`: one column per reflection of a
-    chain with steps on exact data, or else one per free coordinate of
-    Cz = d.  The result's ledger reads the free-variable count as
-    ``raw_variables``, the same inequality count and ``equations`` 0, and
-    keeps the reduced-variable bound.  Raises
-    :class:`~reflekt.numeric.EmptyPolyhedronError` when the equations are
-    inconsistent and ValueError when the free variables outnumber the bound.
+    """Equivalent formulation over the free variables of Q's equation
+    system: the one Fraction view of the reduced system of the cached
+    :func:`projection_checker`, with ``Fraction(c, f)`` for each entry c of
+    an exact integer row over its scale f, and the float rows as they are.
+    Its ledger reads the free-variable count as ``raw_variables``, the same
+    inequality count and ``equations`` 0, and keeps the reduced-variable
+    bound.  Raises :class:`~reflekt.numeric.EmptyPolyhedronError` when the
+    equations are inconsistent and ValueError when the free variables
+    outnumber the bound.
     """
     checker = projection_checker(ef)
     if not checker.consistent:
@@ -566,9 +572,17 @@ def eliminate_equations(ef: ExtendedFormulation) -> ExtendedFormulation:
     if n_free > bound:
         raise ValueError(f"{n_free} free variables exceed the fiber-dimension bound {bound}")
     backend = ef.Q.backend
+    if backend == EXACT:
+        rows, _, proj, F = checker.int_rows()
+        A = tuple(sparse_row(n_free, [(j, Fraction(c, f)) for j, c in p]) for p, _, f in rows)
+        b = tuple(Fraction(r, f) for _, r, f in rows)
+        M = tuple(sparse_row(n_free, [(j, Fraction(c, F)) for j, c in p]) for p, _ in proj)
+        t = tuple(Fraction(v, F) for _, v in proj)
+    else:
+        A, b, M, t = checker.A_red, checker.b_red, checker.M_red, checker.t_red
     return ExtendedFormulation(
-        HPolyhedron(n_free, checker.A_red, checker.b_red, (), (), backend),
-        AffineMap(checker.M_red, checker.t_red, backend),
+        HPolyhedron(n_free, A, b, (), (), backend),
+        AffineMap(M, t, backend),
         bound,
         block_dims=None,
         label=ef.label,
@@ -582,16 +596,16 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     :attr:`~ExtendedFormulation.steps` takes no witness, on either backend.
     An exact one is walked on integers from y, a :class:`ScaledPoint` or a
     tuple of rationals, and gives its reduced point u as a ScaledPoint over
-    the base block's denominator, read during the
-    walk: the base block's free coordinates, then one lambda = (y_j - x_j)/a_j
-    per reflection (a_j the first nonzero of a; an integer over x's
-    denominator when x is canonical) and the k output coordinates per box
-    lift.  u is returned only when
-    :meth:`~reflekt.lp.ProjectionChecker.certifies` would accept it, so it
-    stands for a point of Q projecting to y however it was read.
+    the base block's denominator, read during the walk: the base block's
+    free coordinates, then one lambda = (y_j - x_j)/a_j per reflection (a_j
+    the first nonzero of a; an integer over x's denominator when x is
+    canonical) and the k output coordinates per box lift.  u is returned
+    only when :meth:`~reflekt.lp.ProjectionChecker.certifies` accepts it on
+    the checker's integer rows, so it stands for a point of Q projecting to
+    y however it was read.
 
     The walk below a point is fixed by the point, and so are the columns it
-    reads, a prefix of u, and the rows of A_red whose last nonzero column
+    reads, a prefix of u, and the integer rows whose last nonzero column
     lies in that prefix.  ``memo`` maps (level, point), level the number of
     steps walked, to that tail: the prefix as ``(nums, den)`` over the base
     block's denominator once those rows hold
@@ -599,7 +613,7 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     that share a memo (the vertices of one certification) run each preimage
     and check each such row once per distinct point; a lone call walks with
     a memo of its own.  Level 0, y itself, is never stored: the rows of the
-    last step's columns, A_red's all-zero rows and the projection
+    last step's columns, the all-zero rows and the projection
     (:meth:`~reflekt.lp.ProjectionChecker.projects_to`) are checked for
     every y.  A float chain gives the raw point z, walked per call with no
     memo and returned only when Q contains it within ``tol``
@@ -618,10 +632,7 @@ def _witness_blocks(ef: ExtendedFormulation, y, tol: float, memo=None):
     checker = projection_checker(ef)
     if not checker.consistent:
         return None
-    target = y if isinstance(y, ScaledPoint) else ScaledPoint.of(vector(y, EXACT))
-    if len(target.nums) != len(checker.t_red):
-        raise DimensionError(f"{len(target.nums)} coordinates for a projection "
-                             f"to R^{len(checker.t_red)}")
+    target = checker.scaled(y, checker.out_dim)
     memo = {} if memo is None else memo
     rels = ef.relations
     level, point, walked = 0, target, []  # walked: (level, point, columns, their denominator)

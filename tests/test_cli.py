@@ -157,6 +157,14 @@ class TestVerify:
         assert a["seed"] == 21
         assert open(out_a).read() == open(out_b).read()
 
+    def test_a_non_integer_env_seed_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("REFLEKT_SEED", "abc")
+        assert run(["verify", "--recipe", "a_permutahedron", "--n", "3",
+                    "--base", "1,2,3", "--oracle", "permutation"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: REFLEKT_SEED must be an integer, not 'abc'\n"
+        assert captured.out == ""
+
     def test_timing_flag_adds_path_counts(self, tmp_path):
         out = str(tmp_path / "perm3.json")
         plain, timed = str(tmp_path / "plain.json"), str(tmp_path / "timed.json")

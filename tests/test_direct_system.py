@@ -32,6 +32,7 @@ from reflekt.polyhedra import (
     _step_deltas,
     compose_extension,
     deltas,
+    eliminate_equations,
     graph_relation,
     point_in_projection,
     projection_checker,
@@ -204,14 +205,14 @@ def test_a_wrong_length_objective_or_target_raises():
 
 
 def _rows(ef, u, z):
-    """Q's inequality rows at z against the checker's reduced rows at u,
-    both as lhs - rhs, and the body's equation residuals at z."""
-    checker = ProjectionChecker(ef)
-    Q = ef.Q
+    """Q's inequality rows at z against the reduced rows at u, both as
+    lhs - rhs, and the body's equation residuals at z; the reduced system
+    is read from its Fraction view, the eliminated formulation."""
+    red, Q = eliminate_equations(ef), ef.Q
     at_z = [dot(row, z) - rhs for row, rhs in zip(Q.A, Q.b)]
-    at_u = [dot(row, u) - rhs for row, rhs in zip(checker.A_red, checker.b_red)]
+    at_u = [dot(row, u) - rhs for row, rhs in zip(red.Q.A, red.Q.b)]
     residuals = [dot(row, z) - rhs for row, rhs in zip(Q.C, Q.d)]
-    return checker, at_z, at_u, residuals
+    return red, at_z, at_u, residuals
 
 
 def _unit_points(k):
@@ -243,11 +244,11 @@ def test_each_step_substitutes_into_its_body(kind):
     assert n_free == n + {"reflection": 1, "map": 0, "box": 2}[kind]
     for u in _unit_points(n_free):
         z = z_of(u)
-        checker, at_z, at_u, residuals = _rows(ef, u, z)
+        red, at_z, at_u, residuals = _rows(ef, u, z)
         assert residuals == [0] * len(ef.Q.C)  # 0 on every equation row
         assert at_z == at_u  # exactly the parametrised inequality rows
         assert _read(ef, z) == u
-        assert ef.projection.apply(z) == vec_add(mat_vec(checker.M_red, u), checker.t_red)
+        assert ef.projection.apply(z) == red.projection.apply(u)
 
 
 def test_fiber_dimensions_of_each_step_kind_match_the_body():
@@ -325,10 +326,11 @@ def test_a_walk_off_the_base_is_no_witness(y, inside):
     z = _walk(ef, y)
     assert z.fractions()[:3] != (1, 2, 3)  # the walk ends off the base point
     u = _read(ef, z)
+    red = eliminate_equations(ef)
     if y == (1, 1, 4):
         # every reduced row holds at u: only the projection test rejects it
-        assert all(dot(row, u) <= rhs for row, rhs in zip(checker.A_red, checker.b_red))
-    assert vec_add(mat_vec(checker.M_red, u), checker.t_red) != y
+        assert red.Q.contains(u)
+    assert red.projection.apply(u) != y
     assert not checker.certifies(u, y)
     assert _witness_blocks(ef, y, 0) is None
     assert checker.feasible(y) is inside
@@ -404,18 +406,20 @@ def test_a_corrupted_rhs_rejects_the_vertices_certifies_rejects(monkeypatch):
     V = oracles.permutation_orbit((1, 2, 3, 4))
     checker = projection_checker(ef)
     us = [_read(ef, _walk(ef, v)) for v in V.points]
+    by_last = checker.int_rows()[1]  # the integer rows the walk reads
 
-    def last(row):
-        return max(j for j, c in enumerate(row) if c)
+    def at(row, u):
+        return sum(c * u[j] for j, c in row)
 
-    varying = [i for i, row in enumerate(checker.A_red)
-               if any(row) and len({dot(row, u) for u in us}) > 1]
-    i = min(varying, key=lambda i: last(checker.A_red[i]))
-    assert last(checker.A_red[i]) < max(map(last, filter(any, checker.A_red)))
-    peak = max(dot(checker.A_red[i], u) for u in us)
-    b = list(checker.b_red)
-    b[i] = peak - F(1, 2)
-    checker.b_red = tuple(b)
+    varying = [(k, i) for k, group in enumerate(by_last) for i, (row, _, _) in enumerate(group)
+               if len({at(row, u) for u in us}) > 1]
+    k, i = min(varying)  # the first row of the least last nonzero column
+    assert k < max(k for k, group in enumerate(by_last) if group)
+    row, _, f = by_last[k][i]
+    peak = max(at(row, u) for u in us)
+    # row/f <= peak/f - 1/2, times 2q for q the denominator of peak
+    q = peak.denominator
+    by_last[k][i] = ([(j, 2 * q * c) for j, c in row], 2 * peak.numerator - q * f, 2 * q * f)
     shared, reference = _rejected(ef, V, monkeypatch)
     assert shared == reference
     assert 0 < len(shared) < len(V.points)

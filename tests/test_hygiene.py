@@ -188,14 +188,22 @@ def callers(tree, name):
 
 
 def test_one_writer_solves_the_equations():
-    # the reduced system is written once, by parametrised; only the float
-    # seed solves against the solution space it returns
-    calls = {p.stem: callers(ast.parse(p.read_text(), str(p)), "affine_solution_space")
-             for p in MODULES}
-    assert {stem: found for stem, found in calls.items() if found} == {
+    # the reduced system is written once: parametrised solves the base's
+    # equations and hands the checker the one writer of its exact integer
+    # rows; only the float seed solves against the solution space it
+    # returns, and the checker keeps no second, rescaled copy of the rows
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in MODULES}
+
+    def calls(name):
+        return {stem: found for stem, tree in trees.items() if (found := callers(tree, name))}
+
+    assert calls("affine_solution_space") == {
         "polyhedra": ["ExtendedFormulation.parametrised"],
         "lp": ["ProjectionChecker.seed_from_raw"],
     }
+    assert calls("_int_system") == {"polyhedra": ["ExtendedFormulation.parametrised"]}
+    assert [name for name in ("_int_row", "_int_rows") if hasattr(lp, name)
+            or hasattr(lp.ProjectionChecker, name)] == []
 
 
 def test_both_lp_cores_pivot_on_one_condensed_dictionary():

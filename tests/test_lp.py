@@ -366,14 +366,23 @@ class TestProjectedObjective:
 
 
 def reference_feasible(checker, y):
-    """One two-phase exact solve of A_red w <= b_red, M_red w = y - t_red,
-    with a zero objective: an independent check of ProjectionChecker.feasible."""
+    """One two-phase exact solve of the checker's integer rows, A w <= b
+    and M w = F y - t, with a zero objective: an independent check of
+    ProjectionChecker.feasible."""
     if not checker.consistent:
         return False
+    rows, _, M, scale = checker.int_rows()
+
+    def dense(pairs):
+        row = [0] * checker.n_free
+        for j, c in pairs:
+            row[j] = c
+        return row
+
     res = solve_system(
         checker.n_free,
-        list(zip(checker.A_red, checker.b_red)),
-        list(zip(checker.M_red, vec_sub(y, checker.t_red))),
+        [(dense(pairs), rhs) for pairs, rhs, _ in rows],
+        [(dense(pairs), scale * yi - t) for (pairs, t), yi in zip(M, y)],
         (F(0),) * checker.n_free,
     )
     return res.status == OPTIMAL

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reflekt import numeric
+from reflekt import numeric, polyhedra
 from reflekt.lp import OPTIMAL
 from reflekt.networks import batcher
 from reflekt.numeric import (
@@ -282,8 +282,7 @@ class TestEliminate:
         part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
         assert (checker.z_part, checker.N_cols) == (part, basis)
         assert checker.n_free == red.Q.dim == red.ledger.raw_variables
-        assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
-        assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
+        assert _reduced(checker) == (red.Q.A, red.Q.b, red.projection.M, red.projection.t)
         # the sparse products equal dense dot products over every coordinate
         dense = (tuple(tuple(dot(row, col) for col in basis) for row in Q.A),
                  tuple(rhs - dot(row, part) for row, rhs in zip(Q.A, Q.b)),
@@ -307,26 +306,45 @@ class TestEliminate:
         red = eliminate_equations(ef)
         checker = projection_checker(ef)
         assert ef.steps is not None
-        assert (checker.A_red, checker.b_red) == (red.Q.A, red.Q.b)
-        assert (checker.M_red, checker.t_red) == (red.projection.M, red.projection.t)
+        assert _reduced(checker) == (red.Q.A, red.Q.b, red.projection.M, red.projection.t)
         Q, proj = ef.Q, ef.projection
         part, basis = affine_solution_space(Q.C, Q.d, dim=Q.dim, backend=Q.backend)
         assert checker.n_free == len(basis) == red.ledger.raw_variables
         for z in [part] + [vec_add(part, col) for col in basis]:
             u = _read(ef, z)
             assert [dot(row, z) - rhs for row, rhs in zip(Q.A, Q.b)] == [
-                dot(row, u) - rhs for row, rhs in zip(checker.A_red, checker.b_red)]
-            assert proj.apply(z) == vec_add(mat_vec(checker.M_red, u), checker.t_red)
+                dot(row, u) - rhs for row, rhs in zip(red.Q.A, red.Q.b)]
+            assert proj.apply(z) == red.projection.apply(u)
 
     def test_reads_the_cached_checker(self, monkeypatch):
         ef = build_recipe("huffman_quadratic", {"n": 4})
         checker = projection_checker(ef)
+        rows = checker.int_rows()
         calls = []
-        rref = numeric.rref
+        rref, write = numeric.rref, polyhedra._int_system
         monkeypatch.setattr(numeric, "rref", lambda *a, **k: calls.append(a) or rref(*a, **k))
+        monkeypatch.setattr(polyhedra, "_int_system", lambda *a: calls.append(a) or write(*a))
         red = eliminate_equations(ef)
         assert calls == []
-        assert red.Q.A is checker.A_red and red.Q.b is checker.b_red
+        assert checker.int_rows() is rows
+        assert _reduced(checker) == (red.Q.A, red.Q.b, red.projection.M, red.projection.t)
+
+
+def _reduced(checker):
+    """The checker's reduced system as ``(A, b, M, t)`` rows: its float
+    tuples, or its integer rows divided by their scales."""
+    if checker.backend == FLOAT:
+        return checker.A_red, checker.b_red, checker.M_red, checker.t_red
+    rows, _, M, scale = checker.int_rows()
+
+    def dense(pairs, f):
+        row = [F(0)] * checker.n_free
+        for j, c in pairs:
+            row[j] = F(c, f)
+        return tuple(row)
+
+    return (tuple(dense(pairs, f) for pairs, _, f in rows), tuple(F(r, f) for _, r, f in rows),
+            tuple(dense(pairs, scale) for pairs, _ in M), tuple(F(t, scale) for _, t in M))
 
 
 class TestPointInProjection:
