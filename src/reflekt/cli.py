@@ -7,9 +7,8 @@ included), 141 standard output closed before all output was written
 (128 + SIGPIPE, what a shell reports for a tool that SIGPIPE ended).  The
 recipe fixes the backend; no flag restates it.  The random seed comes from
 --seed, the REFLEKT_SEED environment variable (a usage error unless it is
-an integer), or defaults to 0.  A
-parameter flag that neither the recipe nor the oracle of the command reads
-is a usage error.
+an integer), or defaults to 0.  A parameter flag that neither the recipe
+nor the oracle of the command reads is a usage error.
 """
 
 from __future__ import annotations
@@ -261,10 +260,7 @@ def cmd_stats(args) -> int:
     ef, name, params = _formulation(args)
     payload = {"label": ef.label, "ledger": actual_sizes(ef)}
     if name:
-        try:
-            payload["expected"] = constructions.expected_ledger(name, params)
-        except (ValueError, KeyError):
-            pass
+        payload["expected"] = constructions.expected_ledger(name, params)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -283,7 +279,14 @@ def _joined_negatives(argv) -> list:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("build", "verify", "oracle", "export", "stats")
+
+
+def build_parser(command) -> argparse.ArgumentParser:
+    """The ``reflekt`` parser: every subcommand with its name and help line,
+    but the flags of ``command`` alone, or of every subcommand when
+    ``command`` names none.  A call parses one subcommand's flags, and help
+    or a usage error prints the same either way."""
     parser = argparse.ArgumentParser(
         prog="reflekt",
         description="build, verify, and export extended formulations of "
@@ -291,48 +294,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build a recipe and write its JSON")
-    _add_recipe_flags(p_build)
-    p_build.add_argument("--out", help="output path (stdout when omitted)")
-    p_build.set_defaults(func=cmd_build)
+    def needed(name, summary, handler):  # the subcommand's parser if its flags are read
+        p_command = sub.add_parser(name, help=summary)
+        p_command.set_defaults(func=handler)
+        return p_command if command == name or command not in _COMMANDS else None
 
-    p_verify = sub.add_parser("verify", help="verify a formulation against an oracle")
-    _add_recipe_flags(p_verify)
-    p_verify.add_argument("--ef", help="formulation JSON to verify")
-    p_verify.add_argument("--oracle", help="oracle name")
-    p_verify.add_argument("--objectives", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_verify.add_argument("--report", help="write the JSON report here")
-    p_verify.add_argument("--timing", action="store_true",
-                          help="add wall time, path counts and LP pivots to --report")
-    p_verify.set_defaults(func=cmd_verify)
+    if p_build := needed("build", "build a recipe and write its JSON", cmd_build):
+        _add_recipe_flags(p_build)
+        p_build.add_argument("--out", help="output path (stdout when omitted)")
 
-    p_oracle = sub.add_parser("oracle", help="print an oracle vertex set as JSON")
-    p_oracle.add_argument("--name", dest="oracle", metavar="NAME", required=True, action=_Once)
-    _add_param_flags(p_oracle)
-    p_oracle.add_argument("--out")
-    p_oracle.set_defaults(func=cmd_oracle)
+    if p_verify := needed("verify", "verify a formulation against an oracle", cmd_verify):
+        _add_recipe_flags(p_verify)
+        p_verify.add_argument("--ef", help="formulation JSON to verify")
+        p_verify.add_argument("--oracle", help="oracle name")
+        p_verify.add_argument("--objectives", type=int, default=50)
+        p_verify.add_argument("--seed", type=int, default=None)
+        p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p_verify.add_argument("--report", help="write the JSON report here")
+        p_verify.add_argument("--timing", action="store_true",
+                              help="add wall time, path counts and LP pivots to --report")
 
-    p_export = sub.add_parser("export", help="export a formulation to lp/mps/json")
-    _add_recipe_flags(p_export)
-    p_export.add_argument("--ef", help="formulation JSON to export")
-    p_export.add_argument("--format", required=True, choices=["lp", "mps", "json"])
-    p_export.add_argument("--out")
-    p_export.set_defaults(func=cmd_export)
+    if p_oracle := needed("oracle", "print an oracle vertex set as JSON", cmd_oracle):
+        p_oracle.add_argument("--name", dest="oracle", metavar="NAME", required=True,
+                              action=_Once)
+        _add_param_flags(p_oracle)
+        p_oracle.add_argument("--out")
 
-    p_stats = sub.add_parser("stats", help="print a formulation's size ledger")
-    _add_recipe_flags(p_stats)
-    p_stats.add_argument("--ef")
-    p_stats.set_defaults(func=cmd_stats)
+    if p_export := needed("export", "export a formulation to lp/mps/json", cmd_export):
+        _add_recipe_flags(p_export)
+        p_export.add_argument("--ef", help="formulation JSON to export")
+        p_export.add_argument("--format", required=True, choices=["lp", "mps", "json"])
+        p_export.add_argument("--out")
+
+    if p_stats := needed("stats", "print a formulation's size ledger", cmd_stats):
+        _add_recipe_flags(p_stats)
+        p_stats.add_argument("--ef")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _joined_negatives(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_joined_negatives(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,26 +1,28 @@
 """Builders for the named extended formulations.
 
 Every builder composes a base polytope with a chain of reflection relations
-(plus graph relations where a level change or a final affine transform is
-needed) and returns an :class:`ExtendedFormulation` whose ledger carries the
-advertised size counts.  Hypotheses of the form "the canonical form of every
-vertex of P lies in P" cannot be checked from an H-representation; they are
-caller obligations here, and the verifier validates the conclusion instead.
-The one exception is a one-point base of a pure reflection chain (signing,
-dihedral and permutation-type orbits), checked up front to be canonical.
-
-Only the m-gon / dihedral chain (:func:`i2_chain_specs`) is float, because
-its normals are irrational; every other chain and map here is exact and
-takes no backend, so a float base for any other builder raises
-:class:`~reflekt.numeric.BackendError` before its chain is built.
+(plus graph relations for a level change or a final affine map) and returns
+an :class:`ExtendedFormulation` whose ledger carries its size counts.  That
+the canonical form of every vertex of P lies in P cannot be checked from an
+H-representation: it is a caller obligation, and the verifier checks the
+conclusion instead, save that a one-point base of a pure reflection chain
+is checked up front to be canonical.  Only the m-gon / dihedral chain
+(:func:`i2_chain_specs`) is float, as its normals are irrational; a float
+base for any other builder raises :class:`~reflekt.numeric.BackendError`
+before its chain is built.  Each named recipe is one table entry: the
+parameters it reads, its builder, and the closed-form count k of its
+reduced columns, whose golden size is 2k inequalities; one reader checks
+every parameter for both.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from math import cos, pi, sin
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 from .networks import (
     ComparatorSeq,
@@ -378,119 +380,110 @@ def completion_time_ef(p: Sequence) -> ExtendedFormulation:
     return compose_extension(base, chain, label=f"completion_time(n={n})")
 
 
-# The parameters each recipe reads.  build_recipe and expected_ledger reject
-# any other key, and the CLI any other flag: nothing given is dropped unread.
-RECIPE_KEYS = {
-    "signing": ("n", "base"),
-    "mgon": ("m",),
-    "i2_permutahedron": ("m", "base"),
-    "a_permutahedron": ("n", "base", "network"),
-    "b_permutahedron": ("n", "base", "network"),
-    "d_permutahedron": ("n", "base", "network"),
-    "parity": ("n", "parity"),
-    "huffman_quadratic": ("n",),
-    "huffman_nlogn": ("n", "network"),
-    "completion_time": ("p",),
-}
-RECIPES = tuple(RECIPE_KEYS)
+class _Recipe(NamedTuple):
+    """A named construction: the parameters it reads, its builder and the
+    closed-form count of its reduced columns, both fed :func:`_read`'s values."""
+
+    keys: tuple
+    build: Callable[..., ExtendedFormulation]
+    columns: Callable[..., int]
 
 
-def _check_keys(name: str, params: dict) -> None:
-    """ValueError for an unknown recipe or a parameter it does not read."""
-    if name not in RECIPE_KEYS:
-        raise ValueError(f"unknown recipe {name!r}; choose from {', '.join(RECIPES)}")
-    for key in params:
-        if key not in RECIPE_KEYS[name]:
-            raise ValueError(f"recipe {name!r} reads no parameter {key!r}; "
-                             f"it reads {', '.join(RECIPE_KEYS[name])}")
-
-
-def _point_base(params, n):
-    base = params.get("base")
+def _point_base(base, n):
     return HPolyhedron.point(range(1, n + 1) if base is None else base)
 
 
+def _sorted(builder):
+    """A permutation-type builder: the base point (1,..,n) unless one is
+    given, and a sorting network of the named kind."""
+    return lambda n, base, network: builder(_point_base(base, n), n, make_network(network, n))
+
+
+def _nlogn_columns(n, network):
+    """The top level's sorting network (none below three leaves), then each
+    inner level's stride sequence."""
+    top = len(make_network(network, n)) if n >= 3 else 0
+    return top + sum(2 * len(stride_indices(k)) - 3 for k in range(3, n))
+
+
+# Every recipe, once.  build_recipe and expected_ledger reject any key its
+# entry does not list, and the CLI any other flag: nothing given is dropped
+# unread.
+_RECIPE_TABLE = {
+    "signing": _Recipe(("n", "base"), lambda n, base: signing_ef(_point_base(base, n), n),
+                       lambda n, base: n),
+    "mgon": _Recipe(("m",), mgon_ef, lambda m: ceil_log2(m) + 1),
+    "i2_permutahedron": _Recipe(("m", "base"), lambda m, base: i2_permutahedron_ef(
+        HPolyhedron.point((1.0, 0.0) if base is None else base, FLOAT), m),
+        lambda m, base: ceil_log2(m) + 1),
+    "a_permutahedron": _Recipe(("n", "base", "network"), _sorted(a_permutahedron_ef),
+                               lambda n, base, network: len(make_network(network, n))),
+    "b_permutahedron": _Recipe(("n", "base", "network"), _sorted(b_permutahedron_ef),
+                               lambda n, base, network: len(make_network(network, n)) + n),
+    "d_permutahedron": _Recipe(("n", "base", "network"), _sorted(d_permutahedron_ef),
+                               lambda n, base, network: len(make_network(network, n))
+                               + 2 * (n - 1)),
+    "parity": _Recipe(("n", "parity"), parity_polytope_ef, lambda n, parity: 2 * (n - 1)),
+    "huffman_quadratic": _Recipe(("n",), huffman_ef_quadratic,
+                                 lambda n: sum(2 * k - 3 for k in range(3, n + 1))),
+    "huffman_nlogn": _Recipe(
+        ("n", "network"), lambda n, network: huffman_ef_nlogn(n, make_network(network, n)),
+        _nlogn_columns),
+    "completion_time": _Recipe(("p",), completion_time_ef, lambda p: len(p) * (len(p) - 1) // 2),
+}
+RECIPE_KEYS = {name: recipe.keys for name, recipe in _RECIPE_TABLE.items()}
+RECIPES = tuple(_RECIPE_TABLE)
+
+# The value a base, network or parity takes when left out.
+_DEFAULTS = {"base": None, "network": "batcher", "parity": "odd"}
+
+
+def _value(key: str, value):
+    """One parameter as the builders read it, or a ValueError naming the key:
+    n and m integers (``3``, ``"3"``, ``3.0``; not a bool, ``3.5`` or ``"3.0"``)
+    and base and p sequences other than strings.  The builders check the
+    choice of network and parity."""
+    if key in ("n", "m"):
+        if not isinstance(value, bool):
+            with suppress(TypeError, ValueError, OverflowError):
+                if isinstance(value, str) or value == int(value):
+                    return int(value)
+        raise ValueError(f"parameter {key!r} must be an integer, not {value!r}")
+    if key in ("base", "p") and (isinstance(value, str) or not isinstance(value, Sequence)):
+        raise ValueError(f"parameter {key!r} must be a list of numbers, not {value!r}")
+    return value
+
+
+def _read(name: str, params: dict) -> tuple:
+    """``(recipe, values)``: the entry of ``name`` and each parameter it reads,
+    once through :func:`_value` or at its default if left out.  An unknown
+    name or unlisted key is a ValueError, a left-out n, m or p a KeyError."""
+    if name not in _RECIPE_TABLE:
+        raise ValueError(f"unknown recipe {name!r}; choose from {', '.join(RECIPES)}")
+    recipe = _RECIPE_TABLE[name]
+    for key in params:
+        if key not in recipe.keys:
+            raise ValueError(f"recipe {name!r} reads no parameter {key!r}; "
+                             f"it reads {', '.join(recipe.keys)}")
+    return recipe, {key: _DEFAULTS[key] if key in _DEFAULTS and key not in params
+                    else _value(key, params[key]) for key in recipe.keys}
+
+
 def build_recipe(name: str, params: dict) -> ExtendedFormulation:
-    """Dispatch a named construction from a key->value parameter map; the
-    CLI feeds both flag values and JSON recipe documents through here.  An
-    unknown name, or a key that :data:`RECIPE_KEYS` does not list for it,
-    raises ValueError."""
-    _check_keys(name, params)
-    net_kind = params.get("network", "batcher")
-    if name == "mgon":
-        return mgon_ef(int(params["m"]))
-    if name == "i2_permutahedron":
-        base = params.get("base")
-        P = HPolyhedron.point((1.0, 0.0) if base is None else base, FLOAT)
-        return i2_permutahedron_ef(P, int(params["m"]))
-    if name == "signing":
-        n = int(params["n"])
-        return signing_ef(_point_base(params, n), n)
-    if name == "a_permutahedron":
-        n = int(params["n"])
-        return a_permutahedron_ef(_point_base(params, n), n, make_network(net_kind, n))
-    if name == "b_permutahedron":
-        n = int(params["n"])
-        return b_permutahedron_ef(_point_base(params, n), n, make_network(net_kind, n))
-    if name == "d_permutahedron":
-        n = int(params["n"])
-        return d_permutahedron_ef(_point_base(params, n), n, make_network(net_kind, n))
-    if name == "parity":
-        return parity_polytope_ef(int(params["n"]), params.get("parity", "odd"))
-    if name == "huffman_quadratic":
-        return huffman_ef_quadratic(int(params["n"]))
-    if name == "huffman_nlogn":
-        n = int(params["n"])
-        return huffman_ef_nlogn(n, make_network(net_kind, n))
-    if name == "completion_time":
-        return completion_time_ef(params["p"])
-    raise AssertionError("unreachable")
+    """Build a named construction from a key->value parameter map, read by
+    :func:`_read`; the CLI feeds both flag values and JSON recipe documents
+    through here."""
+    recipe, values = _read(name, params)
+    return recipe.build(**values)
 
 
 def expected_ledger(name: str, params: dict) -> dict:
-    """Closed-form size counts for point-based recipes (the golden table);
-    the names and keys are checked as by :func:`build_recipe`."""
-    _check_keys(name, params)
-    net_kind = params.get("network", "batcher")
-    if name == "mgon" or name == "i2_permutahedron":
-        m = int(params["m"])
-        r = ceil_log2(m)
-        return {"inequalities": 2 * r + 2, "reduced_variables": r + 1}
-    if name == "signing":
-        n = int(params["n"])
-        return {"inequalities": 2 * n, "reduced_variables": n}
-    if name in ("a_permutahedron", "b_permutahedron", "d_permutahedron"):
-        n = int(params["n"])
-        size = len(make_network(net_kind, n))
-        if name == "a_permutahedron":
-            return {"inequalities": 2 * size, "reduced_variables": size}
-        if name == "b_permutahedron":
-            return {"inequalities": 2 * size + 2 * n, "reduced_variables": size + n}
-        return {
-            "inequalities": 2 * size + 4 * (n - 1),
-            "reduced_variables": size + 2 * (n - 1),
-        }
-    if name == "parity":
-        n = int(params["n"])
-        return {"inequalities": 4 * (n - 1), "reduced_variables": 2 * (n - 1)}
-    if name == "huffman_quadratic":
-        n = int(params["n"])
-        return {
-            "inequalities": sum(2 * (2 * k - 3) for k in range(3, n + 1)),
-            "reduced_variables": sum(2 * k - 3 for k in range(3, n + 1)),
-        }
-    if name == "huffman_nlogn":
-        n = int(params["n"])
-        size = len(make_network(net_kind, n)) if n >= 3 else 0
-        inner = sum(2 * len(stride_indices(k)) - 3 for k in range(3, n))
-        return {
-            "inequalities": 2 * (size + inner),
-            "reduced_variables": size + inner,
-        }
-    if name == "completion_time":
-        n = len(params["p"])
-        return {
-            "inequalities": n * (n - 1),
-            "reduced_variables": n * (n - 1) // 2,
-        }
-    raise AssertionError("unreachable")
+    """Closed-form size counts of a recipe (the golden table), its name and
+    parameters read as by :func:`build_recipe`.  Each reflection relation
+    adds one fiber column and two halfspace inequalities, and the
+    completion-time box lift one column and two box facets per coordinate;
+    a graph relation adds only equations, which elimination removes.  So k
+    reduced columns come with 2k inequalities, and each recipe writes k."""
+    recipe, values = _read(name, params)
+    k = recipe.columns(**values)
+    return {"inequalities": 2 * k, "reduced_variables": k}

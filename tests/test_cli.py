@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -547,3 +548,55 @@ def test_a_closed_stdout_exits_141_without_a_message():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", USAGE_PINS, ids=lambda pin: " ".join(pin["argv"]) or "bare")
+def test_help_and_usage_errors_print_their_pinned_bytes(pin, capsys, monkeypatch):
+    # every help page and top-level usage error, byte for byte: a command's
+    # flags are added only when that command is asked for, which must not
+    # show in what any call prints
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(pin["argv"]) == pin["exit"]
+    assert capsys.readouterr() == (pin["stdout"], pin["stderr"])
+
+
+@pytest.mark.parametrize("recipe, params, flags", [
+    ("signing", {"n": 3, "base": [1, 2, 3]}, ["--n", "3", "--base", "1,2,3"]),
+    ("mgon", {"m": 5}, ["--m", "5"]),
+    ("i2_permutahedron", {"m": 4, "base": [1, 0]}, ["--m", "4", "--base", "1,0"]),
+    ("a_permutahedron", {"n": "3"}, ["--n", "3"]),
+    ("b_permutahedron", {"n": 3, "network": "insertion"},
+     ["--n", "3", "--network", "insertion"]),
+    ("d_permutahedron", {"n": 3, "base": [1, 2, 3]}, ["--n", "3", "--base", "1,2,3"]),
+    ("parity", {"n": 4, "parity": "even"}, ["--n", "4", "--parity", "even"]),
+    ("huffman_quadratic", {"n": 4}, ["--n", "4"]),
+    ("huffman_nlogn", {"n": 5, "network": "batcher"}, ["--n", "5", "--network", "batcher"]),
+    ("completion_time", {"p": [1, 0, 2]}, ["--p", "1,0,2"]),
+])
+def test_a_recipe_file_builds_what_its_flags_build(recipe, params, flags, tmp_path, capsys):
+    doc = tmp_path / "r.json"
+    doc.write_text(json.dumps({"recipe": recipe, "params": params}))
+    assert run(["build", "--recipe-file", str(doc)]) == 0
+    filed = capsys.readouterr()
+    assert run(["build", "--recipe", recipe, *flags]) == 0
+    assert capsys.readouterr() == filed
+
+
+@pytest.mark.parametrize("recipe, params, key", [
+    ("mgon", {"m": 3.5}, "m"),
+    ("a_permutahedron", {"n": 3.9}, "n"),
+    ("a_permutahedron", {"n": True}, "n"),
+    ("signing", {"n": 3, "base": "135"}, "base"),
+    ("completion_time", {"p": "12"}, "p"),
+])
+def test_a_recipe_file_value_of_the_wrong_type_is_a_usage_error(recipe, params, key, tmp_path,
+                                                                capsys):
+    doc = tmp_path / "r.json"
+    doc.write_text(json.dumps({"recipe": recipe, "params": params}))
+    assert run(["stats", "--recipe-file", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{key!r}" in err

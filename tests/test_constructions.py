@@ -20,6 +20,7 @@ from reflekt.constructions import (
     huffman_ef_quadratic,
     i2_chain_specs,
     i2_permutahedron_ef,
+    make_network,
     mgon_ef,
     parity_polytope_ef,
     signing_ef,
@@ -30,6 +31,7 @@ from reflekt.networks import (
     batcher,
     double_bubble_seq,
     insertion_network,
+    stride_indices,
     stride_seq,
 )
 from reflekt.numeric import FLOAT, BackendError
@@ -465,3 +467,108 @@ class TestRecipes:
         assert sorted(smallest) == sorted(RECIPES)
         for name in RECIPES:
             assert build_recipe(name, smallest[name]).relations, name
+
+
+def reference_ledger(name: str, params: dict) -> dict:
+    """The golden table as it was written before the two-per-column rule:
+    one hand-written formula per recipe, kept verbatim (less the key check)
+    as the reference the rule must reproduce."""
+    net_kind = params.get("network", "batcher")
+    if name == "mgon" or name == "i2_permutahedron":
+        m = int(params["m"])
+        r = ceil_log2(m)
+        return {"inequalities": 2 * r + 2, "reduced_variables": r + 1}
+    if name == "signing":
+        n = int(params["n"])
+        return {"inequalities": 2 * n, "reduced_variables": n}
+    if name in ("a_permutahedron", "b_permutahedron", "d_permutahedron"):
+        n = int(params["n"])
+        size = len(make_network(net_kind, n))
+        if name == "a_permutahedron":
+            return {"inequalities": 2 * size, "reduced_variables": size}
+        if name == "b_permutahedron":
+            return {"inequalities": 2 * size + 2 * n, "reduced_variables": size + n}
+        return {
+            "inequalities": 2 * size + 4 * (n - 1),
+            "reduced_variables": size + 2 * (n - 1),
+        }
+    if name == "parity":
+        n = int(params["n"])
+        return {"inequalities": 4 * (n - 1), "reduced_variables": 2 * (n - 1)}
+    if name == "huffman_quadratic":
+        n = int(params["n"])
+        return {
+            "inequalities": sum(2 * (2 * k - 3) for k in range(3, n + 1)),
+            "reduced_variables": sum(2 * k - 3 for k in range(3, n + 1)),
+        }
+    if name == "huffman_nlogn":
+        n = int(params["n"])
+        size = len(make_network(net_kind, n)) if n >= 3 else 0
+        inner = sum(2 * len(stride_indices(k)) - 3 for k in range(3, n))
+        return {
+            "inequalities": 2 * (size + inner),
+            "reduced_variables": size + inner,
+        }
+    if name == "completion_time":
+        n = len(params["p"])
+        return {
+            "inequalities": n * (n - 1),
+            "reduced_variables": n * (n - 1) // 2,
+        }
+    raise AssertionError("unreachable")
+
+
+NETWORKS = ("batcher", "insertion")
+GOLDEN_GRID = (
+    [("signing", {"n": n}) for n in range(10)]
+    + [(name, {"n": n, "network": net}) for name in ("a_permutahedron", "b_permutahedron")
+       for n in range(1, 10) for net in NETWORKS]
+    + [("d_permutahedron", {"n": n, "network": net}) for n in range(2, 10) for net in NETWORKS]
+    + [("parity", {"n": n, "parity": parity}) for n in range(2, 10) for parity in ("odd", "even")]
+    + [("huffman_quadratic", {"n": n}) for n in range(2, 10)]
+    + [("huffman_nlogn", {"n": n, "network": net}) for n in range(2, 10) for net in NETWORKS]
+    + [(name, {"m": m}) for name in ("mgon", "i2_permutahedron") for m in range(3, 40)]
+    + [("completion_time", {"p": list(range(1, jobs + 1))}) for jobs in range(1, 7)]
+)
+
+
+def test_the_golden_grid_has_every_case():
+    assert len(GOLDEN_GRID) == 182
+    assert {name for name, _ in GOLDEN_GRID} == set(RECIPES)
+
+
+@pytest.mark.parametrize("name, params", GOLDEN_GRID,
+                         ids=lambda case: case if isinstance(case, str) else
+                         "-".join(map(str, case.values())).replace(" ", ""))
+def test_two_inequalities_per_column_gives_the_written_golden_sizes(name, params):
+    assert expected_ledger(name, params) == reference_ledger(name, params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("mgon", {"m": 3}), ("mgon", {"m": "3"}), ("mgon", {"m": 3.0}),
+    ("a_permutahedron", {"n": 3}), ("a_permutahedron", {"n": "3"}),
+    ("a_permutahedron", {"n": 3.0}),
+])
+def test_an_integral_size_reads_as_that_integer(name, params):
+    plain = {key: 3 for key in params}
+    assert build_recipe(name, params).label == build_recipe(name, plain).label
+    assert expected_ledger(name, params) == expected_ledger(name, plain)
+
+
+MISREADS = [
+    ("mgon", {"m": 3.5}, "m"),
+    ("a_permutahedron", {"n": 3.9}, "n"),
+    ("a_permutahedron", {"n": True}, "n"),
+    ("mgon", {"m": "3.0"}, "m"),
+    ("signing", {"n": 3, "base": "135"}, "base"),
+    ("completion_time", {"p": "12"}, "p"),
+]
+
+
+@pytest.mark.parametrize("name, params, key", MISREADS)
+def test_a_parameter_of_the_wrong_type_is_rejected_by_name(name, params, key):
+    # each of these used to build another recipe than the one written:
+    # mgon(m=3), a_permutahedron(n=3) or (n=1), the base (1, 3, 5), two jobs
+    for read in (build_recipe, expected_ledger):
+        with pytest.raises(ValueError, match=f"parameter {key!r} must be"):
+            read(name, params)

@@ -318,3 +318,44 @@ def test_the_oracles_share_no_code_with_the_constructions():
     tree = ast.parse((SRC / "oracles.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert imported.isdisjoint({"constructions", "reflections", "networks", "polyhedra"})
+
+
+def names_reached(tree, roots):
+    """Each name or attribute that the nodes ``roots`` read, or that any
+    module-level function of ``tree`` they read by name reads in turn."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), list(roots)
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name not in reached:
+                reached.add(name)
+                todo += [defs[name]] if name in defs else []
+    return reached
+
+
+def test_names_reached_are_found():
+    source = (
+        "def f():\n    return g(1) + h.k\n"
+        "def g(x):\n    return helper\n"
+        "table = {'a': R(keys, build_it, lambda n: f())}\n"
+    )
+    tree = ast.parse(source)
+    counts = [node.args[2] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "R"]
+    assert names_reached(tree, counts) == {"f", "g", "h", "k", "helper"}
+
+
+def test_the_golden_table_reads_no_formulation():
+    # the golden sizes check the built formulations, so expected_ledger and
+    # every recipe's column count must not build one
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    counts = [node.args[2] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Recipe"]
+    assert len(counts) == len(constructions.RECIPES)
+    ledger = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "expected_ledger")
+    reached = names_reached(tree, [ledger, *counts])
+    assert "_read" in reached and "make_network" in reached
+    assert sorted(name for name in reached if "_ef" in name or name in (
+        "compose_extension", "build_recipe", "ExtendedFormulation")) == []
